@@ -21,12 +21,7 @@ from .errors import (
     UnknownPredicate,
     UnsafeQuery,
 )
-from .exactdp import (
-    build_assignment_table,
-    dp_eliminate,
-    initial_elimination_table,
-    mtp_upper_exact,
-)
+from .exactdp import mtp_upper_exact
 from .greedy import greedy_trace, greedy_upper, normalized_set_query_prob, set_query_prob
 from .openworld import (
     BoundResult,
@@ -90,13 +85,10 @@ __all__ = [
     "analyze_query",
     "apply_completion",
     "budget_from_mtp",
-    "build_assignment_table",
     "build_matching_reduction",
-    "dp_eliminate",
     "greedy_trace",
     "greedy_upper",
     "ground",
-    "initial_elimination_table",
     "has_self_join",
     "interval_unconstrained",
     "is_hierarchical",

@@ -6,14 +6,17 @@ closed-world reading; an atom stored with probability zero is *pinned* and
 is treated as known-false rather than unknown, which matters to the
 open-world machinery.
 
-Views (:class:`OverlayView` for conditioning, :class:`LambdaCompletionView`
-for symbolic full completions) share the :class:`ProbView` read interface, so
-evaluation never has to materialize a completed relation atom by atom.
+Views (:class:`OverlayView` for conditioning and added tuples,
+:class:`LambdaCompletionView` for symbolic full completions) share the
+:class:`ProbView` read interface, so evaluation never has to materialize a
+completed relation atom by atom, and extending a database never copies its
+relations: :meth:`Database.with_added` returns an overlay.
 Databases and views are immutable once built; concurrent reads are safe.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import CompletionOverlap, SchemaError, UnknownPredicate
@@ -143,8 +146,8 @@ class Database(ProbView):
     """A tuple-independent probabilistic database.
 
     Each ground atom appears at most once; absent atoms carry probability
-    zero.  Instances are immutable; derived databases are produced by
-    :meth:`with_added` and :meth:`with_overrides`.
+    zero.  Instances are immutable; :meth:`with_added` and
+    :meth:`with_overrides` return :class:`OverlayView` views over them.
     """
 
     def __init__(self, schema: Schema, relations: Mapping[str, Mapping[tuple[str, ...], float]] | None = None):
@@ -217,21 +220,22 @@ class Database(ProbView):
                     out.append(Atom(pred, tuple(Constant(a) for a in args)))
         return out
 
-    def with_added(self, atoms: Iterable[Atom], p: float) -> "Database":
-        """A new database with ``atoms`` inserted at probability ``p``."""
-        rels = {pred: dict(table) for pred, table in self._rels.items()}
+    def with_added(self, atoms: Iterable[Atom], p: float) -> "OverlayView":
+        """A view with ``atoms`` inserted at probability ``p``.
+
+        Raises :class:`CompletionOverlap` for an atom that is already stored
+        or repeated in ``atoms``."""
+        added: dict[Atom, float] = {}
         for atom in atoms:
-            args = _args_names(atom)
-            table = rels.setdefault(atom.predicate, {})
-            if args in table:
+            if atom in added or self.is_explicit(atom.predicate, _args_names(atom)):
                 raise CompletionOverlap(f"{atom} is already present")
-            table[args] = float(p)
-        return Database(self.schema, rels)
+            added[atom] = p
+        return OverlayView(self, added)
 
 
 class OverlayView(ProbView):
     """A view with specific atoms overridden to fixed truth values or
-    probabilities; used for conditioning."""
+    probabilities; used for conditioning and for added tuples."""
 
     def __init__(self, base: ProbView, fixed: Mapping[Atom, object]):
         self.base = base
@@ -240,21 +244,31 @@ class OverlayView(ProbView):
         for atom, val in fixed.items():
             if not atom.is_ground():
                 raise SchemaError(f"override atom must be ground: {atom}")
+            args = _args_names(atom)
+            arity = self.schema.arity(atom.predicate)
+            if len(args) != arity or not all(map(self.schema.has_constant, args)):
+                raise SchemaError(f"override atom {atom} does not match the schema")
             p = 1.0 if val is True else 0.0 if val is False else float(val)
             if not 0.0 <= p <= 1.0:
                 raise SchemaError(f"override probability {p} outside [0, 1]")
-            over.setdefault(atom.predicate, {})[_args_names(atom)] = p
+            over.setdefault(atom.predicate, {})[args] = p
         self._over = over
+        # predicates where an override replaces a stored row
+        self._shadowing = frozenset(
+            pred for pred, rows in over.items() if any(base.is_explicit(pred, a) for a in rows)
+        )
 
     def default_prob(self, pred: str) -> float:
         return self.base.default_prob(pred)
 
     def entries(self, pred: str) -> Iterator[tuple[tuple[str, ...], float]]:
-        over = self._over.get(pred, {})
-        for args, p in self.base.entries(pred):
-            if args not in over:
-                yield args, p
-        yield from over.items()
+        over = self._over.get(pred)
+        if over is None:
+            return self.base.entries(pred)
+        base = self.base.entries(pred)
+        if pred in self._shadowing:
+            base = ((args, p) for args, p in base if args not in over)
+        return chain(base, over.items())
 
     def is_explicit(self, pred: str, args: tuple[str, ...]) -> bool:
         return args in self._over.get(pred, {}) or self.base.is_explicit(pred, args)

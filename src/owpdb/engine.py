@@ -11,7 +11,9 @@ The lifted evaluator decomposes a union of conjunctive queries recursively:
 * a separator variable turns the query into a complement product over the
   domain, with interchangeable constants batched symbolically.
 
-If no rule applies the query is refused with :class:`UnsafeQuery`; the
+:func:`decompose` picks the first of these rules that applies; the budget
+optimizer in :mod:`owpdb.exactdp` dispatches on the same choice.  If no rule
+applies the query is refused with :class:`UnsafeQuery`; the
 ground evaluator (world enumeration over the uncertain tuples) is the
 fallback and the correctness oracle.
 
@@ -82,7 +84,7 @@ def conjunction_parts(q: UCQ, cap: int = CNF_COMBINATION_CAP) -> list[UCQ] | Non
         if u not in seen:
             seen.add(u)
             parts.append(u)
-    parts.sort(key=lambda u: tuple(d.key() for d in u.disjuncts))
+    parts.sort(key=_part_key)
     kept: list[UCQ] = []
     for j, u in enumerate(parts):
         absorbed = False
@@ -96,6 +98,37 @@ def conjunction_parts(q: UCQ, cap: int = CNF_COMBINATION_CAP) -> list[UCQ] | Non
         if not absorbed:
             kept.append(u)
     return kept
+
+
+def _part_key(u: UCQ) -> tuple:
+    return tuple(d.key() for d in u.disjuncts)
+
+
+def decompose(q: UCQ) -> tuple[str | None, object]:
+    """The first lifted rule that applies to the minimized union ``q``:
+
+    * ``("atom", atom)`` for a single one-atom disjunct;
+    * ``("and", groups)`` for a conjunction of sub-unions, split into
+      mutually independent groups (each a list of sub-unions in
+      :func:`conjunction_parts` order);
+    * ``("or", unions)`` for a union of mutually independent sub-unions;
+    * ``("sep", separator)`` for a separator variable (one per disjunct);
+    * ``(None, None)`` when no rule applies.
+    """
+    ds = q.disjuncts
+    if len(ds) == 1 and len(ds[0].atoms) == 1:
+        return "atom", ds[0].atoms[0]
+    parts = conjunction_parts(q)
+    if parts is not None:
+        return "and", independence_groups(parts)
+    if len(ds) > 1:
+        groups = independence_groups([UCQ([d]) for d in ds])
+        if len(groups) > 1:
+            return "or", [UCQ([d for u in g for d in u.disjuncts]) for g in groups]
+    sep = find_separator([d.atoms for d in ds])
+    if sep is not None:
+        return "sep", sep
+    return None, None
 
 
 class Evaluator:
@@ -132,46 +165,29 @@ class Evaluator:
         return cached
 
     def _lift(self, q: UCQ) -> Prob:
-        ds = q.disjuncts
-        # base: one disjunct, one atom
-        if len(ds) == 1 and len(ds[0].atoms) == 1:
-            atom = ds[0].atoms[0]
-            if atom.is_ground():
-                return Prob.from_value(self.db.atom_prob(atom))
-            return self._atom_block(atom)
-
-        # rewrite as a conjunction of sub-unions
-        parts = self._conjunction_parts(q)
-        if parts is not None:
-            if len(parts) == 1:
-                return self._eval(parts[0])
-            groups = [parts] if self.force_ie else independence_groups(parts)
-            if len(groups) > 1:
-                return probability.conj(self._conj_group(g) for g in groups)
-            return self._inclusion_exclusion(parts)
-
-        # independent union split
-        if len(ds) > 1:
-            groups = independence_groups([UCQ([d]) for d in ds])
-            if len(groups) > 1:
-                return probability.disj(
-                    self._eval(UCQ([d for u in g for d in u.disjuncts])) for g in groups
-                )
-
-        # separator grounding
-        sep = find_separator([d.atoms for d in ds])
-        if sep is not None:
-            return self._separator_product(q, sep)
-
+        rule, arg = decompose(q)
+        if rule == "atom":
+            if arg.is_ground():
+                return Prob.from_value(self.db.atom_prob(arg))
+            return self._atom_block(arg)
+        if rule == "and":
+            if self.force_ie:
+                arg = [sorted((u for g in arg for u in g), key=_part_key)]
+            if len(arg) == 1:
+                return self.conjunction(arg[0])
+            return probability.conj(self.conjunction(g) for g in arg)
+        if rule == "or":
+            return probability.disj(self._eval(u) for u in arg)
+        if rule == "sep":
+            return self._separator_product(q, arg)
         raise UnsafeQuery(f"no decomposition applies to {q}")
 
-    def _conj_group(self, group: list[UCQ]) -> Prob:
+    def conjunction(self, group: list[UCQ]) -> Prob:
+        """P(all sub-unions of ``group`` hold): one sub-union directly, more
+        by inclusion-exclusion."""
         if len(group) == 1:
             return self._eval(group[0])
         return self._inclusion_exclusion(group)
-
-    def _conjunction_parts(self, q: UCQ) -> list[UCQ] | None:
-        return conjunction_parts(q)
 
     def _inclusion_exclusion(self, parts: list[UCQ]) -> Prob:
         m = len(parts)

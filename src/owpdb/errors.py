@@ -43,7 +43,3 @@ class CapExceeded(OwpdbError):
 
 class CompletionOverlap(OwpdbError):
     """A completion choice includes a tuple already present in the database."""
-
-
-class InfeasibleConstraint(OwpdbError):
-    """The existing tuple mass alone already violates the mean bound."""

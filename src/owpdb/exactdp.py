@@ -1,8 +1,9 @@
 """Exact budgeted upper bounds for inversion-free queries.
 
-The optimizer mirrors the lifted evaluator's decomposition, but every node
-returns an array over residual budgets 0..B of the best reachable
-probability together with a witness completion:
+The optimizer follows the lifted evaluator's rule choice
+(:func:`owpdb.engine.decompose`), but every node returns an array over
+residual budgets 0..B of the best reachable probability together with a
+witness completion:
 
 * decompositions into independent factors split the budget by max-convolution
   (their open-tuple slices are disjoint, so allocations are independent);
@@ -20,17 +21,15 @@ enumeration of the remaining slice when it is small, and are otherwise
 refused with :class:`NotInversionFree` so callers can route to the greedy
 bound or the brute-force oracle.
 
-Table construction for distinct substitutions is independent; the solver
-itself keeps no shared mutable state beyond per-run memo tables.
+The solver keeps no shared mutable state beyond per-run memo tables.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Mapping, Sequence
 
-from .engine import Evaluator, conjunction_parts, is_safe
+from .engine import Evaluator, conjunction_parts, decompose, is_safe
 from .errors import NotInversionFree, UnsafeQuery
+from .greedy import set_query_prob
 from .openworld import (
     BoundResult,
     CompletionChoice,
@@ -44,7 +43,6 @@ from .query import (
     ConjunctiveQuery,
     Constant,
     UCQ,
-    Variable,
     find_separator,
     independence_groups,
     is_inversion_free,
@@ -123,10 +121,6 @@ class _BudgetSolver:
     def _closed_value(self, q: UCQ) -> float:
         return self._eval.probability(q).value
 
-    def added_value(self, q: UCQ, added: Sequence[Atom]) -> float:
-        db = self.db.with_added(added, self.lam) if added else self.db
-        return Evaluator(db).probability(q).value
-
     # -- budget vector combiners --------------------------------------------
 
     def _combine(self, v1: _BVec, v2: _BVec, mode: str) -> _BVec:
@@ -170,11 +164,10 @@ class _BudgetSolver:
         sl = self.slice_of(q)
         if not sl:
             return self._const_vec(q)
-        ds = q.disjuncts
+        rule, arg = decompose(q)
 
         # single atom of the constrained relation
-        if len(ds) == 1 and len(ds[0].atoms) == 1:
-            atom = ds[0].atoms[0]
+        if rule == "atom":
             base = self._eval.probability(q)
             slice_sorted = sorted(sl, key=lambda a: self.schema.atom_key(self._atom(a)))
             out = [(base.value, ())]
@@ -189,32 +182,17 @@ class _BudgetSolver:
                     out.append(out[-1])
             return tuple(out)
 
-        parts = conjunction_parts(q)
-        if parts is not None:
-            if len(parts) == 1:
-                return self.bopt(parts[0])
-            groups = independence_groups(parts)
-            vecs = []
-            for grp in groups:
-                vecs.append(self.bopt(grp[0]) if len(grp) == 1 else self._ie_family(grp))
+        if rule == "and":
+            vecs = [self.bopt(grp[0]) if len(grp) == 1 else self._ie_family(grp) for grp in arg]
             return vecs[0] if len(vecs) == 1 else self._fold_vecs(vecs, "conj")
 
-        if len(ds) > 1:
-            groups = independence_groups([UCQ([d]) for d in ds])
-            if len(groups) > 1:
-                vecs = [self.bopt(UCQ([d for u in g for d in u.disjuncts])) for g in groups]
-                return self._fold_vecs(vecs, "disj")
+        if rule == "or":
+            return self._fold_vecs([self.bopt(u) for u in arg], "disj")
 
-        sep = find_separator([d.atoms for d in ds])
-        if sep is not None:
-            vecs = [
-                self.bopt(substitute_separator(q, sep, const))
-                for const in self.schema.domain
-            ]
-            zero = tuple((0.0, ()) for _ in range(self.b_max + 1))
-            acc = zero
-            for v in vecs:
-                acc = self._combine(acc, v, "disj")
+        if rule == "sep":
+            acc = tuple((0.0, ()) for _ in range(self.b_max + 1))
+            for const in self.schema.domain:
+                acc = self._combine(acc, self.bopt(substitute_separator(q, arg, const)), "disj")
             return acc
 
         return self._enumerate_scalar(q, sl)
@@ -267,10 +245,7 @@ class _BudgetSolver:
                         for g in groups:
                             if g is sliced[0]:
                                 continue
-                            if len(g) == 1:
-                                beta *= self._closed_value(g[0])
-                            else:
-                                beta *= Evaluator(self.db)._conj_group(g).value
+                            beta *= self._eval.conjunction(g).value
                         merged = [a for u in sliced[0] for a in u.disjuncts[0].atoms]
                         q = minimize(UCQ([ConjunctiveQuery(merged)]))
                         continue
@@ -436,7 +411,7 @@ class _BudgetSolver:
         frontier: list[list] = [[] for _ in range(self.b_max + 1)]
         for size in range(0, min(self.b_max, len(atoms)) + 1):
             for chosen in itertools.combinations(atoms, size):
-                vals = tuple(self.added_value(c, chosen) for c in cores)
+                vals = tuple(set_query_prob(self.g, c, chosen) for c in cores)
                 for b in range(size, self.b_max + 1):
                     frontier[b].append((vals, tuple(chosen)))
         return [self._prune(states, signs) for states in frontier]
@@ -452,113 +427,12 @@ class _BudgetSolver:
             best_v, best_w, best_key = -1.0, (), None
             for size in range(0, min(b, len(atoms)) + 1):
                 for chosen in itertools.combinations(atoms, size):
-                    v = self.added_value(q, chosen)
+                    v = set_query_prob(self.g, q, chosen)
                     key = self._wkey(chosen)
                     if v > best_v or (v == best_v and key < best_key):
                         best_v, best_w, best_key = v, tuple(chosen), key
             out.append((best_v, best_w))
         return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# Assignment and elimination tables
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AssignmentTable:
-    """Best probabilities for one-level extensions of a substitution frame.
-
-    ``values[(const, b)]`` is the highest probability of the query with the
-    frame applied, the current separator bound to ``const``, and at most
-    ``b`` tuples added inside that substitution's slice of the constrained
-    relation.
-    """
-
-    query: UCQ
-    frame: tuple[tuple[str, str], ...]
-    constants: tuple[str, ...]
-    budget: int
-    values: Mapping[tuple[str, int], float]
-
-    def value(self, const: str, b: int) -> float:
-        return self.values[(const, min(b, self.budget))]
-
-
-@dataclass(frozen=True)
-class EliminationTable:
-    """Best probabilities of the disjunction over a growing prefix of the
-    domain, per residual budget.  ``values[(j, b)]`` covers the first ``j``
-    constants."""
-
-    frame: tuple[tuple[str, str], ...]
-    budget: int
-    values: Mapping[tuple[int, int], float]
-
-    def value(self, j: int, b: int) -> float:
-        return self.values[(j, min(b, self.budget))]
-
-
-def initial_elimination_table(frame: Mapping[str, str] | None = None, budget: int = 0) -> EliminationTable:
-    """The empty-prefix table: no constants seen yet, probability zero."""
-    f = tuple(sorted((frame or {}).items()))
-    return EliminationTable(f, budget, {(0, b): 0.0 for b in range(budget + 1)})
-
-
-def _apply_frame(q: UCQ, frame: Mapping[str, str]) -> UCQ:
-    mapping = {Variable(v): Constant(c) for v, c in frame.items()}
-    return UCQ([d.substitute(mapping) for d in q.disjuncts])
-
-
-def build_assignment_table(
-    q: UCQ,
-    g: OpenPDB,
-    c: MTPConstraint,
-    frame: Mapping[str, str] | None = None,
-    *,
-    budget: int | None = None,
-) -> AssignmentTable:
-    """Tabulate the budgeted optimum of ``q`` for every binding of its
-    current separator variable, under an outer substitution ``frame``."""
-    b_max = budget if budget is not None else budget_from_mtp(g, c).max_added
-    frame = dict(frame or {})
-    q_f = minimize(_apply_frame(q, frame))
-    sep = find_separator([d.atoms for d in q_f.disjuncts])
-    if sep is None:
-        raise NotInversionFree(f"no separator variable for {q_f}")
-    solver = _BudgetSolver(g, c.relation, b_max)
-    values: dict[tuple[str, int], float] = {}
-    for const in g.schema.domain:
-        vec = solver.bopt(substitute_separator(q_f, sep, const))
-        for b in range(b_max + 1):
-            values[(const.name, b)] = vec[b][0]
-    return AssignmentTable(
-        query=q,
-        frame=tuple(sorted(frame.items())),
-        constants=tuple(c_.name for c_ in g.schema.domain),
-        budget=b_max,
-        values=values,
-    )
-
-
-def dp_eliminate(d_prev: EliminationTable, a: AssignmentTable, j: int, b_max: int) -> EliminationTable:
-    """One elimination step: extend the prefix disjunction with constant
-    ``j`` (0-based index into the table's domain order).
-
-    ``D(j+1, b) = max over k in 0..b of
-    1 - (1 - D(j, b-k)) * (1 - A(c_{j+1}, k))``: the new constant's slice is
-    independent of the prefix's, so only the split of the budget matters.
-    """
-    const = a.constants[j]
-    values = dict(d_prev.values)
-    for b in range(b_max + 1):
-        best = 0.0
-        for k in range(b + 1):
-            cand = 1.0 - (1.0 - d_prev.value(j, b - k)) * (1.0 - a.value(const, k))
-            if cand > best:
-                best = cand
-        values[(j + 1, b)] = best
-    return EliminationTable(d_prev.frame, max(d_prev.budget, b_max), values)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,7 @@ classic consequence: picking the best tuple ``B`` times lands within a
 factor ``1 - 1/e`` of the optimal gain, which brackets the true optimum
 between the greedy value and ``(e * p_greedy - p_closed) / (e - 1)``.
 
-Candidate gains inside one round may be evaluated concurrently; every round
-picks by (gain, canonical order), so results are schedule-independent.
+Every round picks by (gain, canonical order), so results are deterministic.
 """
 from __future__ import annotations
 
@@ -82,8 +81,8 @@ def greedy_trace(
     """
     if not is_safe(q):
         raise UnsafeQuery(f"{q} admits no lifted evaluation")
-    derived = budget_from_mtp(g, c, denominator=denominator)
-    b_max = derived.max_added if budget is None else budget
+    if budget is None:
+        budget = budget_from_mtp(g, c, denominator=denominator).max_added
     guarantee = not has_self_join(q)
 
     schema = g.schema
@@ -100,13 +99,13 @@ def greedy_trace(
 
     picks: list[tuple[Atom, float]] = []
     p_cur = p_closed
-    if lam > 0.0 and b_max > 0 and candidates:
+    if lam > 0.0 and budget > 0 and candidates:
         heap: list[tuple[float, tuple, int, Atom]] = []
         for atom in candidates:
             g0 = gain_of(atom, db, p_cur)
             heapq.heappush(heap, (-g0, schema.atom_key(atom), 0, atom))
         round_no = 0
-        while len(picks) < b_max and heap:
+        while len(picks) < budget and heap:
             neg_gain, key, stamp, atom = heapq.heappop(heap)
             if stamp != round_no:
                 fresh = gain_of(atom, db, p_cur)
@@ -116,7 +115,7 @@ def greedy_trace(
             if gain <= 0.0:
                 break
             picks.append((atom, gain))
-            db = db.with_added([atom], lam)
+            db = g.pdb.with_added([a for a, _ in picks], lam)
             p_cur = Evaluator(db).probability(q).value
             round_no += 1
     p_greedy = p_cur
@@ -131,7 +130,7 @@ def greedy_trace(
             lower=p_greedy,
             upper=upper,
             upper_clamped=min(1.0, upper),
-            budget=b_max,
+            budget=budget,
             guarantee=True,
         )
     else:
@@ -142,7 +141,7 @@ def greedy_trace(
             lower=None,
             upper=None,
             upper_clamped=None,
-            budget=b_max,
+            budget=budget,
             guarantee=False,
         )
     return trace
@@ -161,11 +160,13 @@ def greedy_upper(
     For queries with self-joins the submodularity guarantee is unproven: the
     greedy value is still reported, flagged, and without an interval.
     """
-    trace = greedy_trace(g, c, q, budget=budget, denominator=denominator)
-    derived = budget_from_mtp(g, c, denominator=denominator)
     warnings = []
-    if derived.infeasible and budget is None:
-        warnings.append("infeasible-constraint")
+    if budget is None:
+        derived = budget_from_mtp(g, c, denominator=denominator)
+        budget = derived.max_added
+        if derived.infeasible:
+            warnings.append("infeasible-constraint")
+    trace = greedy_trace(g, c, q, budget=budget)
     if not trace.guarantee:
         warnings.append("self-join-no-guarantee")
     value = trace.p_greedy
@@ -173,7 +174,7 @@ def greedy_upper(
     return BoundResult(
         kind="mtp_greedy",
         value=value,
-        interval=(trace.lower, trace.upper) if trace.guarantee else None,
+        interval=(trace.lower, trace.upper_clamped) if trace.guarantee else None,
         witness=trace.witness(),
         complement_log10=comp_log10,
         warnings=tuple(warnings),

@@ -16,9 +16,9 @@ import math
 from dataclasses import dataclass
 from itertools import product
 
-from .database import Database, LambdaCompletionView, Schema
+from .database import Database, LambdaCompletionView, ProbView, Schema
 from .engine import prob_lifted_detail
-from .errors import CompletionOverlap, SchemaError, UnknownPredicate
+from .errors import SchemaError
 from .query import Atom, UCQ
 
 # Slack absorbing float noise when a mean bound lands exactly on a budget
@@ -119,14 +119,9 @@ def open_tuples(g: OpenPDB, rel: str) -> list[Atom]:
     return out
 
 
-def apply_completion(g: OpenPDB, choice: CompletionChoice) -> Database:
+def apply_completion(g: OpenPDB, choice: CompletionChoice) -> ProbView:
     """The database extended with the chosen atoms at the completion
-    probability.  Rejects overlaps with existing tuples."""
-    for atom in choice.added:
-        if not atom.is_ground():
-            raise SchemaError(f"completion atom must be ground: {atom}")
-        if g.pdb.is_explicit(atom.predicate, tuple(t.name for t in atom.args)):
-            raise CompletionOverlap(f"{atom} is already present")
+    probability, as a view.  Rejects overlaps with existing tuples."""
     return g.pdb.with_added(sorted(choice.added, key=g.schema.atom_key), g.lam)
 
 
@@ -157,8 +152,6 @@ def budget_from_mtp(g: OpenPDB, c: MTPConstraint, *, denominator: str = "herbran
     """
     schema = g.schema
     arity = schema.arity(c.relation)
-    if c.relation not in schema.predicates:
-        raise UnknownPredicate(c.relation)
     mass = g.pdb.relation_mass(c.relation)
     n_open = len(schema.domain) ** arity - g.pdb.relation_size(c.relation)
     lam = g.lam

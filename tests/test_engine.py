@@ -7,6 +7,7 @@ from owpdb.database import Database, Schema
 from owpdb.engine import (
     Evaluator,
     analyze_query,
+    decompose,
     is_safe,
     prob_conditioned,
     prob_ground,
@@ -15,7 +16,7 @@ from owpdb.engine import (
     prob_lifted_detail,
 )
 from owpdb.errors import CapExceeded, UnsafeQuery
-from owpdb.query import Atom, Constant, parse_ucq
+from owpdb.query import Atom, Constant, minimize, parse_ucq
 from owpdb.randgen import rand_safe_instance
 
 # Frozen with the world-enumeration oracle over the seven stored tuples.
@@ -45,6 +46,63 @@ class TestGoldenValues:
     def test_empty_database(self, coauthor_schema, scientist_coauthor_query):
         empty = Database(coauthor_schema)
         assert prob_lifted(scientist_coauthor_query, empty) == 0.0
+
+
+class TestWithAdded:
+    def _rows(self, view, schema):
+        return {p: sorted(view.entries(p)) for p in schema.predicates}
+
+    def test_overlap_with_stored_row_raises(self, coauthor_db):
+        from owpdb.errors import CompletionOverlap
+
+        with pytest.raises(CompletionOverlap):
+            coauthor_db.with_added([Atom("S", (Constant("Erdos"),))], 0.3)
+
+    def test_repeated_atom_raises(self, coauthor_db):
+        from owpdb.errors import CompletionOverlap
+
+        t = Atom("CoA", (Constant("Erdos"), Constant("Einstein")))
+        with pytest.raises(CompletionOverlap):
+            coauthor_db.with_added([t, t], 0.3)
+
+    def test_base_unchanged(self, coauthor_schema, coauthor_db, scientist_coauthor_query):
+        before = self._rows(coauthor_db, coauthor_schema)
+        t = Atom("CoA", (Constant("Erdos"), Constant("Einstein")))
+        view = coauthor_db.with_added([t], 0.3)
+        assert view.prob("CoA", ("Erdos", "Einstein")) == 0.3
+        assert coauthor_db.prob("CoA", ("Erdos", "Einstein")) == 0.0
+        assert not coauthor_db.is_explicit("CoA", ("Erdos", "Einstein"))
+        assert self._rows(coauthor_db, coauthor_schema) == before
+        assert prob_lifted(scientist_coauthor_query, coauthor_db) == pytest.approx(
+            COAUTHOR_CLOSED, abs=1e-9
+        )
+
+    def test_added_then_overrides_equals_rebuilt(
+        self, coauthor_schema, coauthor_db, scientist_coauthor_query
+    ):
+        added = [
+            Atom("CoA", (Constant("Erdos"), Constant("Einstein"))),
+            Atom("CoA", (Constant("Shakespeare"), Constant("Erdos"))),
+        ]
+        pinned = {
+            Atom("S", (Constant("Erdos"),)): False,
+            Atom("CoA", (Constant("Shakespeare"), Constant("Erdos"))): True,
+        }
+        view = coauthor_db.with_added(added, 0.3).with_overrides(pinned)
+        rels = {p: dict(coauthor_db.entries(p)) for p in coauthor_schema.predicates}
+        rels["CoA"][("Erdos", "Einstein")] = 0.3
+        rels["S"][("Erdos",)] = 0.0
+        rels["CoA"][("Shakespeare", "Erdos")] = 1.0
+        rebuilt = Database(coauthor_schema, rels)
+        assert self._rows(view, coauthor_schema) == self._rows(rebuilt, coauthor_schema)
+        for pred in coauthor_schema.predicates:
+            assert view.explicit_constants([pred]) == rebuilt.explicit_constants([pred])
+        assert prob_lifted(scientist_coauthor_query, view) == pytest.approx(
+            prob_lifted(scientist_coauthor_query, rebuilt), abs=1e-15
+        )
+        assert prob_lifted(scientist_coauthor_query, view) == pytest.approx(
+            prob_ground(scientist_coauthor_query, rebuilt), abs=1e-12
+        )
 
 
 class TestDatabaseConstruction:
@@ -148,6 +206,25 @@ class TestSafety:
     def test_diagonal_self_join_unsafe(self):
         q = parse_ucq("S(y, z, z), S(z, y, z)", {"S": 3})
         assert not is_safe(q)
+
+    @pytest.mark.parametrize(
+        "text, arities, rule",
+        [
+            ("R(x), S(x, y), T(y)", {"R": 1, "S": 2, "T": 1}, None),
+            # S(y, z, z), S(z, y, z) separates on z; this is what remains
+            ("S(y, A, A), S(A, y, A)", {"S": 3}, None),
+            ("S(y, z, z), S(z, y, z)", {"S": 3}, "sep"),
+            ("R(x)", {"R": 1}, "atom"),
+            ("R(x), T(y)", {"R": 1, "T": 1}, "and"),
+            ("R(x) | T(y)", {"R": 1, "T": 1}, "or"),
+            ("R(x), S(x, y)", {"R": 1, "S": 2}, "sep"),
+        ],
+    )
+    def test_decompose_rule(self, text, arities, rule):
+        got = decompose(minimize(parse_ucq(text, arities)))
+        assert got[0] == rule
+        if rule is None:
+            assert got == (None, None)
 
     def test_profile(self, scientist_coauthor_query):
         profile = analyze_query(scientist_coauthor_query)

@@ -5,16 +5,11 @@ import pytest
 from owpdb.database import Database, Schema
 from owpdb.engine import prob_lifted
 from owpdb.errors import NotInversionFree
-from owpdb.exactdp import (
-    build_assignment_table,
-    dp_eliminate,
-    initial_elimination_table,
-    mtp_upper_exact,
-)
+from owpdb.exactdp import mtp_upper_exact
 from owpdb.greedy import set_query_prob
 from owpdb.openworld import MTPConstraint, OpenPDB, budget_from_mtp, interval_unconstrained, open_tuples
 from owpdb.oracle import mtp_upper_bruteforce
-from owpdb.query import Constant, parse_ucq
+from owpdb.query import Constant, find_separator, minimize, parse_ucq, substitute_separator
 from owpdb.randgen import rand_mtp_instance
 
 
@@ -24,6 +19,25 @@ def simple_instance(n=2, lam=0.5, target_b=1, existing=None):
     g = OpenPDB(db, lam)
     mean = (db.relation_mass("R") + (target_b + 0.5) * lam) / n
     return g, MTPConstraint("R", mean), parse_ucq("R(x)", schema)
+
+
+def separator_instance(n=2, lam=0.5):
+    """``R(x), S(x)`` with every S tuple certain: the R(x) instance, but the
+    budget optimizer reaches it through its separator rule.  Callers pass
+    the budget explicitly."""
+    schema = Schema({"R": 1, "S": 1}, tuple(Constant(c) for c in "ABCD"[:n]))
+    db = Database(schema, {"S": {(c.name,): 1.0 for c in schema.domain}})
+    return OpenPDB(db, lam), MTPConstraint("R", 0.5), parse_ucq("R(x), S(x)", schema)
+
+
+def column(g, c, q, const, budget):
+    """Entry (const, budget) of the separator's per-constant table: the
+    exact bound of ``q`` with its separator variable bound to ``const``."""
+    q = minimize(q)
+    sep = find_separator([d.atoms for d in q.disjuncts])
+    if sep is None:
+        raise NotInversionFree(f"no separator variable for {q}")
+    return mtp_upper_exact(g, c, substitute_separator(q, sep, Constant(const)), budget=budget).value
 
 
 class TestEntryPoint:
@@ -78,23 +92,24 @@ class TestEntryPoint:
 
 
 class TestAssignmentTable:
+    """Per-constant columns of the separator step, each solved by
+    ``mtp_upper_exact`` on the query with the separator substituted."""
+
     def test_budget_useless_without_open_atoms(self, coauthor_db, scientist_coauthor_query):
         # constrain S, which has no open tuples: every budget column is equal
         g = OpenPDB(coauthor_db, 0.3)
-        table = build_assignment_table(
-            scientist_coauthor_query, g, MTPConstraint("S", 0.99), budget=2
-        )
-        for const in table.constants:
-            assert table.value(const, 1) == table.value(const, 0)
-            assert table.value(const, 2) == table.value(const, 0)
+        c = MTPConstraint("S", 0.99)
+        for const in g.schema.domain:
+            v0 = column(g, c, scientist_coauthor_query, const.name, 0)
+            assert column(g, c, scientist_coauthor_query, const.name, 1) == v0
+            assert column(g, c, scientist_coauthor_query, const.name, 2) == v0
 
     def test_single_open_atom_column(self):
         g, c, q = simple_instance(n=2, lam=0.5, target_b=1, existing={("B",): 0.2})
-        table = build_assignment_table(q, g, c, budget=1)
-        assert table.value("A", 0) == 0.0
-        assert table.value("A", 1) == pytest.approx(0.5)  # the open tuple at lambda
-        assert table.value("B", 0) == pytest.approx(0.2)
-        assert table.value("B", 1) == pytest.approx(0.2)  # stored row: budget useless
+        assert column(g, c, q, "A", 0) == 0.0
+        assert column(g, c, q, "A", 1) == pytest.approx(0.5)  # the open tuple at lambda
+        assert column(g, c, q, "B", 0) == pytest.approx(0.2)
+        assert column(g, c, q, "B", 1) == pytest.approx(0.2)  # stored row: budget useless
 
     def test_nondecreasing_in_budget_randomized(self):
         rng = random.Random(31)
@@ -104,12 +119,12 @@ class TestAssignmentTable:
             if b == 0:
                 continue
             try:
-                table = build_assignment_table(q, g, c)
+                for const in g.schema.domain:
+                    values = [column(g, c, q, const.name, k) for k in range(b + 1)]
+                    for k in range(b):
+                        assert values[k] <= values[k + 1] + 1e-12
             except NotInversionFree:
                 continue
-            for const in table.constants:
-                for k in range(b):
-                    assert table.value(const, k) <= table.value(const, k + 1) + 1e-12
 
     def test_entries_match_ground_maximization(self):
         # oracle: exhaustively maximize the substituted query over the open
@@ -118,7 +133,6 @@ class TestAssignmentTable:
         import itertools
 
         from owpdb.engine import prob_ground
-        from owpdb.query import substitute_separator, find_separator
 
         rng = random.Random(32)
         checked = 0
@@ -134,7 +148,11 @@ class TestAssignmentTable:
             if not 1 <= len(opens) <= 6:
                 continue
             try:
-                table = build_assignment_table(q, g, c, budget=b)
+                got = {
+                    (const, k): column(g, c, q, const.name, k)
+                    for const in g.schema.domain
+                    for k in range(b + 1)
+                }
             except NotInversionFree:
                 continue
             for const in g.schema.domain:
@@ -145,35 +163,33 @@ class TestAssignmentTable:
                         for chosen in itertools.combinations(opens, size):
                             db = g.pdb.with_added(chosen, g.lam) if chosen else g.pdb
                             best = max(best, prob_ground(sub, db))
-                    assert table.value(const.name, k) == pytest.approx(best, abs=1e-9)
+                    assert got[(const, k)] == pytest.approx(best, abs=1e-9)
             checked += 1
 
 
 class TestElimination:
+    """The separator step folds the per-constant columns over the domain
+    from the zero vector; checked on the full query against its columns."""
+
     def test_base_case_maxes_first_column(self):
-        g, c, q = simple_instance(n=2, lam=0.5, target_b=1)
-        a = build_assignment_table(q, g, c, budget=1)
-        d1 = dp_eliminate(initial_elimination_table(budget=1), a, 0, 1)
-        assert d1.value(1, 0) == a.value("A", 0)
-        assert d1.value(1, 1) == a.value("A", 1)
+        g, c, q = separator_instance(n=1, lam=0.5)
+        for b in (0, 1):
+            assert mtp_upper_exact(g, c, q, budget=b).value == column(g, c, q, "A", b)
 
     def test_vacuous_constant_leaves_table_unchanged(self):
-        schema = Schema({"R": 1}, (Constant("A"), Constant("B")))
-        g = OpenPDB(Database(schema), 0.0)  # completions add nothing at zero
-        c = MTPConstraint("R", 0.5)
-        q = parse_ucq("R(x)", schema)
-        a = build_assignment_table(q, g, c, budget=1)
-        d1 = dp_eliminate(initial_elimination_table(budget=1), a, 0, 1)
-        d2 = dp_eliminate(d1, a, 1, 1)
-        assert d2.value(2, 1) == d1.value(1, 1) == 0.0
+        g, c, q = separator_instance(n=2, lam=0.0)  # completions add nothing at zero
+        res = mtp_upper_exact(g, c, q, budget=1)
+        assert res.value == column(g, c, q, "A", 1) == column(g, c, q, "B", 1) == 0.0
+        assert res.witness.added == frozenset()
 
     def test_symmetric_constants_tie(self):
-        g, c, q = simple_instance(n=2, lam=0.5, target_b=1)
-        a = build_assignment_table(q, g, c, budget=1)
-        d1 = dp_eliminate(initial_elimination_table(budget=1), a, 0, 1)
-        d2 = dp_eliminate(d1, a, 1, 1)
-        # one budget unit through either constant gives the same value
-        assert d2.value(2, 1) == pytest.approx(a.value("A", 1))
+        g, c, q = separator_instance(n=2, lam=0.5)
+        res = mtp_upper_exact(g, c, q, budget=1)
+        # one budget unit through either constant gives the same value; the
+        # first constant in domain order wins the tie
+        assert res.value == pytest.approx(column(g, c, q, "A", 1))
+        assert column(g, c, q, "A", 1) == column(g, c, q, "B", 1)
+        assert [str(a) for a in res.witness.sorted_atoms(g.schema)] == ["R(A)"]
 
 
 class TestOracleEquivalence:

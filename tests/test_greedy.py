@@ -132,6 +132,9 @@ class TestGreedy:
         trace = greedy_trace(g, MTPConstraint("R", 0.9), q)
         assert trace.upper > 1.0
         assert trace.upper_clamped == 1.0
+        # the result (and so the JSON upper endpoint) carries the clamped value
+        res = greedy_upper(g, MTPConstraint("R", 0.9), q)
+        assert res.interval[1] == 1.0
 
 
 class TestSubmodularity:
