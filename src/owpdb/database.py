@@ -11,7 +11,13 @@ Views (:class:`OverlayView` for conditioning and added tuples,
 :class:`ProbView` read interface, so evaluation never has to materialize a
 completed relation atom by atom, and extending a database never copies its
 relations: :meth:`Database.with_added` returns an overlay.
-Databases and views are immutable once built; concurrent reads are safe.
+
+Every view answers one lookup, ``_rows(pred, bound)``: the stored rows of
+``pred`` with given constants at given positions, which a database finds
+through a lazy index per (predicate, bound positions) instead of a scan.
+Databases and views are immutable once built; concurrent reads are safe,
+because an index is built into a local dict and published with one
+assignment, so a reader sees either no index (and builds one) or a whole one.
 """
 from __future__ import annotations
 
@@ -21,6 +27,9 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import CompletionOverlap, SchemaError, UnknownPredicate
 from .query import Atom, Constant, Term, Variable
+
+# The constants a pattern fixes, as (position, constant name) pairs.
+Bound = tuple[tuple[int, str], ...]
 
 
 @dataclass(frozen=True)
@@ -87,6 +96,41 @@ def _args_names(atom: Atom) -> tuple[str, ...]:
     return tuple(t.name for t in atom.args)
 
 
+def _bound_of(pattern: Sequence[Term]) -> Bound:
+    return tuple((i, t.name) for i, t in enumerate(pattern) if not isinstance(t, Variable))
+
+
+def _match_args(pattern: Sequence[Term], args: tuple[str, ...]) -> bool:
+    """Does the ground argument tuple instantiate the pattern?"""
+    seen: dict[str, str] = {}
+    return all(
+        seen.setdefault(t.name, a) == a if isinstance(t, Variable) else t.name == a
+        for t, a in zip(pattern, args)
+    )
+
+
+class _Table(dict):
+    """One relation's rows, ``args -> value``, filled once and then only
+    read, with a lazy index per set of bound positions."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self._by_positions: dict[tuple[int, ...], dict[tuple[str, ...], list]] = {}
+
+    def rows(self, bound: Bound) -> Iterable[tuple[tuple[str, ...], object]]:
+        """The rows with the ``bound`` constants, in insertion order."""
+        if not bound:
+            return self.items()
+        positions = tuple(i for i, _ in bound)
+        index = self._by_positions.get(positions)
+        if index is None:
+            index = {}
+            for row in self.items():
+                index.setdefault(tuple(row[0][i] for i in positions), []).append(row)
+            self._by_positions[positions] = index
+        return index.get(tuple(name for _, name in bound), ())
+
+
 class ProbView:
     """Read interface shared by databases and their derived views."""
 
@@ -95,9 +139,14 @@ class ProbView:
     def default_prob(self, pred: str) -> float:
         raise NotImplementedError
 
+    def _rows(self, pred: str, bound: Bound) -> Iterable[tuple[tuple[str, ...], float]]:
+        """Stored rows of ``pred`` with the ``bound`` constants at their
+        positions, in the order of a scan of the relation."""
+        raise NotImplementedError
+
     def entries(self, pred: str) -> Iterator[tuple[tuple[str, ...], float]]:
         """Explicitly stored rows of ``pred`` (including pinned zeros)."""
-        raise NotImplementedError
+        return iter(self._rows(pred, ()))
 
     def is_explicit(self, pred: str, args: tuple[str, ...]) -> bool:
         raise NotImplementedError
@@ -121,20 +170,14 @@ class ProbView:
         self, pred: str, pattern: Sequence[Term]
     ) -> Iterator[tuple[tuple[str, ...], float]]:
         """Stored rows matching a pattern of constants and (possibly
-        repeated) variables."""
-        groups: dict[str, list[int]] = {}
-        consts: list[tuple[int, str]] = []
-        for i, t in enumerate(pattern):
-            if isinstance(t, Variable):
-                groups.setdefault(t.name, []).append(i)
-            else:
-                consts.append((i, t.name))
-        for args, p in self.entries(pred):
-            if any(args[i] != name for i, name in consts):
-                continue
-            if any(len({args[i] for i in idxs}) != 1 for idxs in groups.values()):
-                continue
-            yield args, p
+        repeated) variables, in scan order: the lazy per-positions index
+        finds the constants, and only a repeated variable is tested."""
+        rows = self._rows(pred, _bound_of(pattern))
+        names = [t.name for t in pattern if isinstance(t, Variable)]
+        if len(set(names)) == len(names):
+            yield from rows
+        else:
+            yield from (row for row in rows if _match_args(pattern, row[0]))
 
     def pattern_size(self, pred: str, pattern: Sequence[Term]) -> int:
         """Number of ground instances of the pattern over the domain."""
@@ -152,7 +195,7 @@ class Database(ProbView):
 
     def __init__(self, schema: Schema, relations: Mapping[str, Mapping[tuple[str, ...], float]] | None = None):
         self.schema = schema
-        rels: dict[str, dict[tuple[str, ...], float]] = {p: {} for p in schema.predicates}
+        rels: dict[str, _Table] = {p: _Table() for p in schema.predicates}
         if relations:
             for pred, table in relations.items():
                 arity = schema.arity(pred)
@@ -185,14 +228,13 @@ class Database(ProbView):
     def default_prob(self, pred: str) -> float:
         return 0.0
 
-    def entries(self, pred: str) -> Iterator[tuple[tuple[str, ...], float]]:
-        return iter(self._rels.get(pred, {}).items())
+    def _rows(self, pred: str, bound: Bound) -> Iterable[tuple[tuple[str, ...], float]]:
+        return self._rels[pred].rows(bound) if pred in self._rels else ()
 
     def is_explicit(self, pred: str, args: tuple[str, ...]) -> bool:
         return args in self._rels.get(pred, {})
 
     def prob(self, pred: str, args: tuple[str, ...]) -> float:
-        self.schema.arity(pred)
         return self._rels.get(pred, {}).get(args, 0.0)
 
     def explicit_constants(self, preds: Iterable[str]) -> frozenset[str]:
@@ -240,18 +282,18 @@ class OverlayView(ProbView):
     def __init__(self, base: ProbView, fixed: Mapping[Atom, object]):
         self.base = base
         self.schema = base.schema
-        over: dict[str, dict[tuple[str, ...], float]] = {}
+        over: dict[str, _Table] = {}
         for atom, val in fixed.items():
             if not atom.is_ground():
                 raise SchemaError(f"override atom must be ground: {atom}")
             args = _args_names(atom)
-            arity = self.schema.arity(atom.predicate)
+            arity = self.schema.predicates.get(atom.predicate)
             if len(args) != arity or not all(map(self.schema.has_constant, args)):
                 raise SchemaError(f"override atom {atom} does not match the schema")
             p = 1.0 if val is True else 0.0 if val is False else float(val)
             if not 0.0 <= p <= 1.0:
                 raise SchemaError(f"override probability {p} outside [0, 1]")
-            over.setdefault(atom.predicate, {})[args] = p
+            over.setdefault(atom.predicate, _Table())[args] = p
         self._over = over
         # predicates where an override replaces a stored row
         self._shadowing = frozenset(
@@ -261,14 +303,14 @@ class OverlayView(ProbView):
     def default_prob(self, pred: str) -> float:
         return self.base.default_prob(pred)
 
-    def entries(self, pred: str) -> Iterator[tuple[tuple[str, ...], float]]:
+    def _rows(self, pred: str, bound: Bound) -> Iterable[tuple[tuple[str, ...], float]]:
+        base = self.base._rows(pred, bound)
         over = self._over.get(pred)
         if over is None:
-            return self.base.entries(pred)
-        base = self.base.entries(pred)
+            return base
         if pred in self._shadowing:
-            base = ((args, p) for args, p in base if args not in over)
-        return chain(base, over.items())
+            base = (row for row in base if row[0] not in over)
+        return chain(base, over.rows(bound))
 
     def is_explicit(self, pred: str, args: tuple[str, ...]) -> bool:
         return args in self._over.get(pred, {}) or self.base.is_explicit(pred, args)
@@ -311,8 +353,8 @@ class LambdaCompletionView(ProbView):
             return self.lam
         return self.base.default_prob(pred)
 
-    def entries(self, pred: str) -> Iterator[tuple[tuple[str, ...], float]]:
-        return self.base.entries(pred)
+    def _rows(self, pred: str, bound: Bound) -> Iterable[tuple[tuple[str, ...], float]]:
+        return self.base._rows(pred, bound)
 
     def is_explicit(self, pred: str, args: tuple[str, ...]) -> bool:
         return self.base.is_explicit(pred, args)

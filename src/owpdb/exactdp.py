@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 
+from .database import _bound_of, _match_args, _Table
 from .engine import Evaluator, conjunction_parts, decompose, is_safe
 from .errors import NotInversionFree, UnsafeQuery
 from .greedy import set_query_prob
@@ -56,20 +57,6 @@ ENUMERATION_FALLBACK_CAP = 10  # max open tuples enumerated when no rule applies
 _BVec = tuple[tuple[float, tuple[Atom, ...]], ...]
 
 
-def _match_args(atom: Atom, args: tuple[str, ...]) -> bool:
-    """Does the ground argument tuple instantiate the atom's pattern?"""
-    seen: dict[str, str] = {}
-    for t, a in zip(atom.args, args):
-        if isinstance(t, Constant):
-            if t.name != a:
-                return False
-        else:
-            prev = seen.setdefault(t.name, a)
-            if prev != a:
-                return False
-    return True
-
-
 class _BudgetSolver:
     """Budgeted optimization context for one run: base database, constrained
     relation, completion probability, and maximum budget."""
@@ -81,9 +68,7 @@ class _BudgetSolver:
         self.rel = relation
         self.lam = g.lam
         self.b_max = b_max
-        self.open_set = frozenset(
-            tuple(t.name for t in a.args) for a in open_tuples(g, relation)
-        )
+        self._open = _Table.fromkeys(tuple(t.name for t in a.args) for a in open_tuples(g, relation))
         self._eval = Evaluator(self.db)
         self._memo: dict[UCQ, _BVec] = {}
         self._slice_memo: dict[UCQ, frozenset[tuple[str, ...]]] = {}
@@ -100,17 +85,18 @@ class _BudgetSolver:
         return tuple(sorted(set(w1) | set(w2), key=self.schema.atom_key))
 
     def slice_of(self, q: UCQ) -> frozenset[tuple[str, ...]]:
-        """Open tuples of the constrained relation that can affect ``q``."""
+        """Open tuples of the constrained relation that can affect ``q``.
+
+        Each atom of the relation looks up the open tuples holding its
+        constants in a lazy per-positions index over the open set, so only
+        those are tested against its pattern."""
         cached = self._slice_memo.get(q)
         if cached is not None:
             return cached
-        out: set[tuple[str, ...]] = set()
-        patterns = [a for d in q.disjuncts for a in d.atoms if a.predicate == self.rel]
-        if patterns:
-            for args in self.open_set:
-                if any(_match_args(a, args) for a in patterns):
-                    out.add(args)
-        result = frozenset(out)
+        atoms = [a for d in q.disjuncts for a in d.atoms if a.predicate == self.rel]
+        result = frozenset(
+            args for a in atoms for args, _ in self._open.rows(_bound_of(a.args)) if _match_args(a.args, args)
+        )
         self._slice_memo[q] = result
         return result
 

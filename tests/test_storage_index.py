@@ -1,0 +1,201 @@
+"""Indexed storage lookups: the same rows as a scan, and work bounded by
+the rows that match."""
+import random
+
+import pytest
+
+from owpdb import database, exactdp
+from owpdb.database import Database, LambdaCompletionView, ProbView, Schema
+from owpdb.errors import SchemaError, UnknownPredicate
+from owpdb.openworld import MTPConstraint, OpenPDB, interval_unconstrained, open_tuples
+from owpdb.engine import prob_lifted
+from owpdb.query import Atom, Constant, Variable, parse_ucq
+from owpdb.randgen import rand_database, rand_schema
+
+NOWHERE = Constant("Nowhere")  # a constant in no row (and in no domain)
+
+
+def scan(view, pred, pattern):
+    """The matching rows, found by testing every stored row."""
+    out = []
+    for args, p in view.entries(pred):
+        seen = {}
+        if all(
+            seen.setdefault(t.name, a) == a if isinstance(t, Variable) else t.name == a
+            for t, a in zip(pattern, args)
+        ):
+            out.append((args, p))
+    return out
+
+
+def patterns(rng, schema, pred, view):
+    arity = schema.predicates[pred]
+    rows = [args for args, _ in view.entries(pred)]
+    x, y = Variable("x"), Variable("y")
+    out = [
+        tuple(Variable(f"v{i}") for i in range(arity)),  # all variables
+        tuple(rng.choice(schema.domain) for _ in range(arity)),  # constants only
+        (x,) * arity,  # one repeated variable
+        (NOWHERE,) + (x,) * (arity - 1),  # a constant in no row
+    ]
+    if rows:
+        out.append(tuple(Constant(a) for a in rng.choice(rows)))  # a stored row
+    if arity >= 3:
+        out.append((rng.choice(schema.domain), x, x))  # a constant and a repeated variable
+    terms = list(schema.domain) + [x, y]
+    out += [tuple(rng.choice(terms) for _ in range(arity)) for _ in range(12)]
+    return out
+
+
+def views(rng, db):
+    schema = db.schema
+    stored = [
+        Atom(pred, tuple(Constant(a) for a in args))
+        for pred in sorted(schema.predicates)
+        for args, _ in db.entries(pred)
+    ]
+    absent = [
+        Atom(pred, tuple(Constant(a) for a in args))
+        for pred in sorted(schema.predicates)
+        for args in _all_args(schema, pred)
+        if not db.is_explicit(pred, args)
+    ]
+    shadowed = {a: rng.choice([True, False, 0.35]) for a in rng.sample(stored, min(3, len(stored)))}
+    added = rng.sample(absent, min(3, len(absent)))
+    completion = LambdaCompletionView(db, 0.5)
+    out = [("database", db), ("completion", completion)]
+    if added:
+        out.append(("with_added", db.with_added(added, 0.3)))
+    if shadowed:
+        out.append(("with_overrides", db.with_overrides(shadowed)))
+        out.append(("overlay on completion", completion.with_overrides({**shadowed, **dict.fromkeys(added, 0.6)})))
+    return out
+
+
+def _all_args(schema, pred):
+    args = [()]
+    for _ in range(schema.predicates[pred]):
+        args = [a + (c.name,) for a in args for c in schema.domain]
+    return args
+
+
+class TestIndexEqualsScan:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_pattern_entries_equal_a_scan_in_order(self, seed):
+        rng = random.Random(seed)
+        schema = rand_schema(rng)
+        db = rand_database(rng, schema, density=rng.choice([0.2, 0.5, 0.9]))
+        for name, view in views(rng, db):
+            for pred in sorted(schema.predicates):
+                for pattern in patterns(rng, schema, pred, view):
+                    expected = scan(view, pred, pattern)
+                    # twice: once building the index, once reading it
+                    for _ in range(2):
+                        assert list(view.pattern_entries(pred, pattern)) == expected, (name, pred, pattern)
+
+    def test_overlay_rows_follow_the_scan_order(self, coauthor_schema, coauthor_db):
+        erdos = Atom("CoA", (Constant("Einstein"), Constant("Erdos")))
+        shakespeare = Atom("CoA", (Constant("Einstein"), Constant("Shakespeare")))
+        view = coauthor_db.with_overrides({erdos: 0.1, shakespeare: 0.2})
+        pattern = (Constant("Einstein"), Variable("y"))
+        assert list(view.pattern_entries("CoA", pattern)) == [
+            (("Einstein", "Erdos"), 0.1),
+            (("Einstein", "Shakespeare"), 0.2),
+        ]
+        assert list(view.entries("CoA")) == [
+            (("Erdos", "VonNeumann"), 0.9),
+            (("VonNeumann", "Einstein"), 0.5),
+            (("Einstein", "Erdos"), 0.1),
+            (("Einstein", "Shakespeare"), 0.2),
+        ]
+
+
+class TestUndeclaredPredicates:
+    def test_parse_rejects(self, coauthor_schema):
+        with pytest.raises(UnknownPredicate):
+            parse_ucq("Nope(x)", coauthor_schema)
+
+    def test_overlay_rejects(self, coauthor_db):
+        with pytest.raises(SchemaError):
+            coauthor_db.with_overrides({Atom("Nope", (Constant("Erdos"),)): True})
+
+
+def scientist_db(n, seed=1):
+    rng = random.Random(seed)
+    domain = tuple(Constant(f"c{i}") for i in range(n))
+    coa = {}
+    while len(coa) < 5 * n // 2:
+        coa[(rng.choice(domain).name, rng.choice(domain).name)] = rng.choice([0.1, 0.3, 0.7])
+    s = {(c.name,): rng.choice([0.2, 0.5, 0.9]) for c in domain}
+    return Database(Schema({"S": 1, "CoA": 2}, domain), {"S": s, "CoA": coa})
+
+
+class CountingTable(database._Table):
+    """A stored relation that counts the rows read out of it."""
+
+    reads = 0
+
+    def items(self):
+        for row in super().items():
+            self.reads += 1
+            yield row
+
+    def __iter__(self):
+        for args in super().__iter__():
+            self.reads += 1
+            yield args
+
+
+def count_reads(db):
+    """Swap the database's stored tables for counting ones."""
+    tables = {}
+    for pred, table in db._rels.items():
+        tables[pred] = db._rels[pred] = CountingTable(table)
+    return lambda: sum(t.reads for t in tables.values())
+
+
+class TestWorkIsLinearInRows:
+    """Counters, not a clock: a scan of CoA per separator constant reads
+    about n * |CoA| rows on this query."""
+
+    N = 200
+
+    def test_lifted_reads_each_row_a_bounded_number_of_times(self, monkeypatch):
+        db = scientist_db(self.N)
+        rows = db.relation_size("S") + db.relation_size("CoA")
+        reads = count_reads(db)
+        yielded = 0
+        entries = ProbView.pattern_entries
+
+        def counted_entries(self, pred, pattern):
+            nonlocal yielded
+            for row in entries(self, pred, pattern):
+                yielded += 1
+                yield row
+
+        monkeypatch.setattr(ProbView, "pattern_entries", counted_entries)
+        q = parse_ucq("S(x), CoA(x,y)", db.schema)
+        prob_lifted(q, db)
+        assert yielded <= rows
+        assert reads() <= rows
+        yielded = 0
+        interval_unconstrained(OpenPDB(db, 0.5), q)
+        assert yielded <= 2 * rows
+        assert reads() <= 2 * rows
+
+    def test_exact_dp_matches_each_open_tuple_a_bounded_number_of_times(self, monkeypatch):
+        db = scientist_db(self.N)
+        g = OpenPDB(db, 0.5)
+        n_open = len(open_tuples(g, "CoA"))
+        calls = 0
+        match = exactdp._match_args
+
+        def counted_match(pattern, args):
+            nonlocal calls
+            calls += 1
+            return match(pattern, args)
+
+        monkeypatch.setattr(exactdp, "_match_args", counted_match)
+        q = parse_ucq("S(x), CoA(x,y)", db.schema)
+        exactdp.mtp_upper_exact(g, MTPConstraint("CoA", 0.5), q, budget=2)
+        assert 0 < calls <= 3 * n_open
