@@ -17,11 +17,19 @@ applies the query is refused with :class:`UnsafeQuery`; the
 ground evaluator (world enumeration over the uncertain tuples) is the
 fallback and the correctness oracle.
 
-Databases are never mutated; each evaluation keeps its own memo table, so
-concurrent queries against one database are safe.
+:class:`Plan` holds these choices for one public call: every rule is
+derived once per sub-union, not once per domain constant, because a
+separator binds each constant the query does not mention to a placeholder
+of one shared child.  The call's evaluators, one per database it reads
+(greedy makes one per candidate), share that plan; each keeps its own memo
+table keyed by plan node and the constants bound to the node's
+placeholders.  "Safe" means the whole plan builds.  Nothing outlives the
+call: databases are never mutated and plans and memo tables are per call,
+so concurrent queries against one database are safe.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from typing import Mapping
@@ -29,13 +37,14 @@ from typing import Mapping
 import numpy as np
 
 from . import probability
-from .database import Database, ProbView, Schema
+from .database import ProbView, Schema
 from .errors import CapExceeded, UnsafeQuery
 from .probability import CERTAIN, IMPOSSIBLE, Prob
 from .query import (
     Atom,
     ConjunctiveQuery,
     Constant,
+    Placeholder,
     QueryProfile,
     UCQ,
     find_separator,
@@ -45,7 +54,9 @@ from .query import (
     is_inversion_free,
     has_self_join,
     minimize,
+    placeholder_between,
     substitute_separator,
+    term_key,
     ucq_implies,
     variable_components,
 )
@@ -131,94 +142,197 @@ def decompose(q: UCQ) -> tuple[str | None, object]:
     return None, None
 
 
-class Evaluator:
-    """One lifted evaluation context: a database plus a memo table.
+class _Node:
+    """A plan node: a minimized union, possibly over placeholders, and its
+    rule, filled in by :meth:`Plan.expand` on first use."""
 
-    ``force_inclusion_exclusion`` disables the independent-product shortcut
-    for conjunctions, forcing the full inclusion-exclusion sum; results must
-    agree either way.
+    __slots__ = ("query", "placeholders", "rule", "arg", "fresh")
+
+    def __init__(self, query: UCQ):
+        self.query = query
+        self.placeholders = tuple(sorted(c.name for c in query.constants() if type(c) is Placeholder))
+        self.rule = self.arg = self.fresh = None
+
+
+class Plan:
+    """The lifted plan of one public call's queries, shared by all the
+    evaluators the call makes, whatever database each reads.  Nodes are
+    hash-consed by minimized union and expanded on first use, so rules run,
+    and refuse, in the order an evaluator reaches them.  A separator has a
+    child per constant its union mentions and, for the others, one per gap
+    between those, over a placeholder that sorts where the bound constant
+    would, so each child decomposes and sums as the substituted union
+    would.  ``force_inclusion_exclusion`` makes one group of all parts."""
+
+    def __init__(self, *, force_inclusion_exclusion: bool = False):
+        self.force_ie = force_inclusion_exclusion
+        self._nodes: dict[UCQ, _Node] = {}
+        self._terms: dict[tuple[_Node, ...], list[tuple[int, _Node]]] = {}
+
+    def node(self, q: UCQ) -> _Node:
+        node = self._nodes.get(q)
+        if node is None:
+            canon = minimize(q)
+            node = self._nodes.get(canon)
+            if node is None:
+                node = self._nodes[canon] = _Node(canon)
+            self._nodes[q] = node
+        return node
+
+    def expand(self, node: _Node) -> tuple[str | None, object]:
+        """:func:`decompose` with sub-unions as nodes: ``and`` groups are
+        tuples of nodes; ``sep`` is (separator, mentioned constants in term
+        order, their children, predicates, fresh placeholder name)."""
+        if node.rule is not None:
+            return node.rule, node.arg
+        q = node.query
+        rule, arg = decompose(q)
+        if rule == "and":
+            if self.force_ie:
+                arg = [sorted((u for g in arg for u in g), key=_part_key)]
+            arg = [tuple(self.node(u) for u in g) for g in arg]
+        elif rule == "or":
+            arg = [self.node(u) for u in arg]
+        elif rule == "sep":
+            consts = sorted(q.constants(), key=term_key)
+            fresh = next(str(i) for i in itertools.count() if str(i) not in node.placeholders)
+            children = [self.node(substitute_separator(q, arg, c)) for c in consts]
+            arg = (arg, consts, children, q.predicates(), fresh)
+            node.fresh = [None] * (len(consts) + 1)
+        node.rule, node.arg = rule, arg
+        return rule, arg
+
+    def fresh_child(self, node: _Node, gap: int) -> _Node:
+        """The separator child for constants the union does not mention that
+        sort between its mentioned constants ``gap - 1`` and ``gap``."""
+        if node.fresh[gap] is None:
+            sep, consts, _, _, fresh = node.arg
+            lo, hi = consts[gap - 1] if gap else None, consts[gap] if gap < len(consts) else None
+            ph = placeholder_between(fresh, lo, hi)
+            node.fresh[gap] = self.node(substitute_separator(node.query, sep, ph))
+        return node.fresh[gap]
+
+    def terms(self, group: tuple[_Node, ...]) -> list[tuple[int, _Node]]:
+        """Signed inclusion-exclusion terms of a conjunction of sub-unions."""
+        cached = self._terms.get(group)
+        if cached is None:
+            m = len(group)
+            if m > INCLUSION_EXCLUSION_CAP:
+                raise CapExceeded(f"inclusion-exclusion over {m} conjuncts (cap {INCLUSION_EXCLUSION_CAP})")
+            cached = self._terms[group] = [
+                (1 if size % 2 == 1 else -1, self.node(UCQ([d for n in subset for d in n.query.disjuncts])))
+                for size in range(1, m + 1)
+                for subset in itertools.combinations(group, size)
+            ]
+        return cached
+
+    def build(self, q: UCQ) -> Plan:
+        """Expand the whole plan of ``q`` (of a separator's gaps, which differ
+        only in sort order, the last) and return it.  Raises
+        :class:`UnsafeQuery` or, when too wide, :class:`CapExceeded`."""
+        todo, seen = [self.node(q)], set()
+        while todo:
+            node = todo.pop()
+            if node in seen:
+                continue
+            seen.add(node)
+            rule, arg = self.expand(node)
+            if rule is None:
+                raise UnsafeQuery(f"{q} admits no lifted evaluation")
+            if rule == "and":
+                todo += reversed([n for g in arg for n in (g if len(g) == 1 else [t for _, t in self.terms(g)])])
+            elif rule == "or":
+                todo += reversed(arg)
+            elif rule == "sep":
+                todo += reversed(arg[2] + [self.fresh_child(node, len(arg[1]))])
+        return self
+
+
+def _bind_atom(atom: Atom, env: Mapping[str, Constant]) -> Atom:
+    return Atom(atom.predicate, tuple(env[t.name] if type(t) is Placeholder else t for t in atom.args))
+
+
+class Evaluator:
+    """One lifted evaluation context: a database, a plan (its own unless one
+    is passed), and a memo keyed by plan node and the constants bound to
+    the node's placeholders.  ``force_inclusion_exclusion`` selects the
+    plan's conjunction rule: the full inclusion-exclusion sum instead of the
+    independent-product shortcut; results must agree either way.
     """
 
-    def __init__(self, db: ProbView, *, force_inclusion_exclusion: bool = False):
+    def __init__(self, db: ProbView, *, force_inclusion_exclusion: bool = False, plan: Plan | None = None):
         self.db = db
-        self.force_ie = force_inclusion_exclusion
-        self._memo: dict[UCQ, Prob] = {}
-        self._canon: dict[UCQ, UCQ] = {}
+        self.plan = plan if plan is not None else Plan(force_inclusion_exclusion=force_inclusion_exclusion)
+        self._memo: dict[object, Prob] = {}
         self.max_clamp = 0.0
 
     # -- public entry ------------------------------------------------------
 
     def probability(self, q: UCQ) -> Prob:
-        return self._eval(q)
-
-    # -- recursion ---------------------------------------------------------
-
-    def _eval(self, q: UCQ) -> Prob:
-        canon = self._canon.get(q)
-        if canon is None:
-            canon = minimize(q)
-            self._canon[q] = canon
-        cached = self._memo.get(canon)
-        if cached is None:
-            cached = self._lift(canon)
-            self._memo[canon] = cached
-        return cached
-
-    def _lift(self, q: UCQ) -> Prob:
-        rule, arg = decompose(q)
-        if rule == "atom":
-            if arg.is_ground():
-                return Prob.from_value(self.db.atom_prob(arg))
-            return self._atom_block(arg)
-        if rule == "and":
-            if self.force_ie:
-                arg = [sorted((u for g in arg for u in g), key=_part_key)]
-            if len(arg) == 1:
-                return self.conjunction(arg[0])
-            return probability.conj(self.conjunction(g) for g in arg)
-        if rule == "or":
-            return probability.disj(self._eval(u) for u in arg)
-        if rule == "sep":
-            return self._separator_product(q, arg)
-        raise UnsafeQuery(f"no decomposition applies to {q}")
+        return self._eval(self.plan.node(q), {})
 
     def conjunction(self, group: list[UCQ]) -> Prob:
         """P(all sub-unions of ``group`` hold): one sub-union directly, more
         by inclusion-exclusion."""
-        if len(group) == 1:
-            return self._eval(group[0])
-        return self._inclusion_exclusion(group)
+        return self._group(tuple(self.plan.node(u) for u in group), {})
 
-    def _inclusion_exclusion(self, parts: list[UCQ]) -> Prob:
-        m = len(parts)
-        if m > INCLUSION_EXCLUSION_CAP:
-            raise CapExceeded(f"inclusion-exclusion over {m} conjuncts (cap {INCLUSION_EXCLUSION_CAP})")
-        terms: list[tuple[int, Prob]] = []
-        for size in range(1, m + 1):
-            sign = 1 if size % 2 == 1 else -1
-            for subset in itertools.combinations(parts, size):
-                union = UCQ([d for u in subset for d in u.disjuncts])
-                terms.append((sign, self._eval(union)))
-        result, clamp = probability.signed_sum(terms)
-        if clamp > self.max_clamp:
-            self.max_clamp = clamp
+    # -- recursion ---------------------------------------------------------
+
+    def _eval(self, node: _Node, env: Mapping[str, Constant]) -> Prob:
+        key = (node, tuple(env[p].name for p in node.placeholders)) if node.placeholders else node
+        cached = self._memo.get(key)
+        if cached is None:
+            cached = self._lift(node, env)
+            self._memo[key] = cached
+        return cached
+
+    def _lift(self, node: _Node, env: Mapping[str, Constant]) -> Prob:
+        rule, arg = self.plan.expand(node)
+        if rule == "atom":
+            atom = _bind_atom(arg, env) if node.placeholders else arg
+            if atom.is_ground():
+                return Prob.from_value(self.db.atom_prob(atom))
+            return self._atom_block(atom)
+        if rule == "and":
+            if len(arg) == 1:
+                return self._group(arg[0], env)
+            return probability.conj(self._group(g, env) for g in arg)
+        if rule == "or":
+            return probability.disj(self._eval(u, env) for u in arg)
+        if rule == "sep":
+            return self._separator_product(node, env)
+        q = UCQ([ConjunctiveQuery([_bind_atom(a, env) for a in d.atoms]) for d in node.query.disjuncts])
+        raise UnsafeQuery(f"no decomposition applies to {q}")
+
+    def _group(self, group: tuple[_Node, ...], env: Mapping[str, Constant]) -> Prob:
+        if len(group) == 1:
+            return self._eval(group[0], env)
+        result, clamp = probability.signed_sum([(s, self._eval(n, env)) for s, n in self.plan.terms(group)])
+        self.max_clamp = max(self.max_clamp, clamp)
         return result
 
-    def _separator_product(self, q: UCQ, sep) -> Prob:
+    def _separator_product(self, node: _Node, env: Mapping[str, Constant]) -> Prob:
         """Complement product over the domain; constants that appear neither
         in the query nor in any stored row of its predicates are
         interchangeable and evaluated once."""
-        mentioned = set(self.db.explicit_constants(q.predicates()))
-        mentioned.update(c.name for c in q.constants())
+        _, consts, children, preds, fresh = node.arg
+        # bound names, ascending: placeholders sort where their bindings fall
+        names = [(env[c.name] if type(c) is Placeholder else c).name for c in consts]
+        mentioned = dict(zip(names, children))
+        explicit = self.db.explicit_constants(preds)
         parts: list[Prob] = []
         n_rest = 0
         rest_prob: Prob | None = None
         for const in self.db.schema.domain:
-            if const.name in mentioned:
-                parts.append(self._eval(substitute_separator(q, sep, const)))
-            elif rest_prob is None:
-                rest_prob = self._eval(substitute_separator(q, sep, const))
-                n_rest = 1
+            child = mentioned.get(const.name)
+            if child is not None:
+                parts.append(self._eval(child, env))
+            elif const.name in explicit or rest_prob is None:
+                p = self._eval(self.plan.fresh_child(node, bisect.bisect(names, const.name)), {**env, fresh: const})
+                if const.name in explicit:
+                    parts.append(p)
+                else:
+                    rest_prob, n_rest = p, 1
             else:
                 n_rest += 1
         if rest_prob is not None:
@@ -367,19 +481,11 @@ def prob_conditioned(q: UCQ, db: ProbView, fixed: Mapping[Atom, bool]) -> float:
 
 
 def is_safe(q: UCQ, schema: Schema | None = None) -> bool:
-    """Whether lifted evaluation decomposes ``q`` fully.
-
-    Safety is a property of the query syntax, so it is decided on a probe
-    database over the query's own constants plus fresh representatives.
-    """
-    arities: dict[str, int] = {}
-    for a in q.all_atoms():
-        arities[a.predicate] = len(a.args)
-    consts = sorted({c.name for c in q.constants()})
-    domain = tuple(Constant(n) for n in consts) + (Constant("§a"), Constant("§b"))
-    probe = Database(Schema(arities, domain))
+    """Whether lifted evaluation decomposes ``q`` fully: its whole plan
+    builds within the width caps.  Safety is a property of the query syntax;
+    ``schema`` is not consulted."""
     try:
-        Evaluator(probe).probability(q)
+        Plan().build(q)
         return True
     except (UnsafeQuery, CapExceeded):
         return False

@@ -28,8 +28,8 @@ from __future__ import annotations
 import itertools
 
 from .database import _bound_of, _match_args, _Table
-from .engine import Evaluator, conjunction_parts, decompose, is_safe
-from .errors import NotInversionFree, UnsafeQuery
+from .engine import Evaluator, Plan, conjunction_parts, decompose
+from .errors import NotInversionFree
 from .greedy import set_query_prob
 from .openworld import (
     BoundResult,
@@ -59,9 +59,9 @@ _BVec = tuple[tuple[float, tuple[Atom, ...]], ...]
 
 class _BudgetSolver:
     """Budgeted optimization context for one run: base database, constrained
-    relation, completion probability, and maximum budget."""
+    relation, completion probability, maximum budget, and the query's plan."""
 
-    def __init__(self, g: OpenPDB, relation: str, b_max: int):
+    def __init__(self, g: OpenPDB, relation: str, b_max: int, plan: Plan):
         self.g = g
         self.db = g.pdb
         self.schema = g.schema
@@ -69,7 +69,7 @@ class _BudgetSolver:
         self.lam = g.lam
         self.b_max = b_max
         self._open = _Table.fromkeys(tuple(t.name for t in a.args) for a in open_tuples(g, relation))
-        self._eval = Evaluator(self.db)
+        self._eval = Evaluator(self.db, plan=plan)
         self._memo: dict[UCQ, _BVec] = {}
         self._slice_memo: dict[UCQ, frozenset[tuple[str, ...]]] = {}
 
@@ -439,16 +439,16 @@ def mtp_upper_exact(
     inversion-free queries.
 
     Raises :class:`NotInversionFree` when the query has an inversion and
-    :class:`UnsafeQuery` when it cannot be evaluated lifted at all.
+    :class:`UnsafeQuery` when it cannot be evaluated lifted at all, or
+    :class:`CapExceeded` when its lifted plan would be too wide.
     """
-    if not is_safe(q):
-        raise UnsafeQuery(f"{q} admits no lifted evaluation")
+    plan = Plan().build(q)
     if not is_inversion_free(q):
         raise NotInversionFree(f"{q} has an inversion")
     derived = budget_from_mtp(g, c, denominator=denominator)
     b_max = derived.max_added if budget is None else budget
     warnings = ("infeasible-constraint",) if derived.infeasible and budget is None else ()
-    solver = _BudgetSolver(g, c.relation, b_max)
+    solver = _BudgetSolver(g, c.relation, b_max, plan)
     vec = solver.bopt(q)
     value, witness = vec[b_max]
     return BoundResult(

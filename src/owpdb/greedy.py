@@ -15,8 +15,7 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .engine import Evaluator, is_safe
-from .errors import UnsafeQuery
+from .engine import Evaluator, Plan
 from .openworld import (
     BoundResult,
     CompletionChoice,
@@ -77,10 +76,10 @@ def greedy_trace(
     Tuples are added one at a time, each round taking the open tuple with
     the largest marginal gain (ties in canonical atom order), until the
     budget is spent or the best gain is zero.  Stale heap entries are
-    re-evaluated on pop; submodularity makes that sound.
+    re-evaluated on pop; submodularity makes that sound.  One lifted plan
+    serves every evaluation of the run.
     """
-    if not is_safe(q):
-        raise UnsafeQuery(f"{q} admits no lifted evaluation")
+    plan = Plan().build(q)
     if budget is None:
         budget = budget_from_mtp(g, c, denominator=denominator).max_added
     guarantee = not has_self_join(q)
@@ -88,13 +87,13 @@ def greedy_trace(
     schema = g.schema
     lam = g.lam
     db = g.pdb
-    p_closed = Evaluator(db).probability(q).value
+    p_closed = Evaluator(db, plan=plan).probability(q).value
     candidates = open_tuples(g, c.relation)
 
     # Marginal gain of an absent tuple t at the current database:
     # lam * (P(q | t true) - P(q)), by conditioning on the one new tuple.
     def gain_of(atom: Atom, evaluator_db, p_cur: float) -> float:
-        p_true = Evaluator(evaluator_db.with_overrides({atom: True})).probability(q).value
+        p_true = Evaluator(evaluator_db.with_overrides({atom: True}), plan=plan).probability(q).value
         return lam * (p_true - p_cur)
 
     picks: list[tuple[Atom, float]] = []
@@ -116,7 +115,7 @@ def greedy_trace(
                 break
             picks.append((atom, gain))
             db = g.pdb.with_added([a for a, _ in picks], lam)
-            p_cur = Evaluator(db).probability(q).value
+            p_cur = Evaluator(db, plan=plan).probability(q).value
             round_no += 1
     p_greedy = p_cur
 

@@ -20,8 +20,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .database import Database, Schema
-from .engine import Evaluator, is_safe, prob_ground, prob_lifted
-from .errors import CapExceeded, SchemaError
+from .engine import Evaluator, Plan, prob_ground, prob_lifted
+from .errors import CapExceeded, SchemaError, UnsafeQuery
 from .exactdp import mtp_upper_exact
 from .greedy import greedy_trace, set_query_prob
 from .openworld import (
@@ -60,12 +60,15 @@ def _bruteforce_core(
     total = sum(math.comb(n, k) for k in range(0, min(b_max, n) + 1))
     if total > cap_subsets:
         raise CapExceeded(f"{total} completion subsets exceed the cap {cap_subsets}")
-    safe = is_safe(q)
+    try:
+        plan = Plan().build(q)
+    except (UnsafeQuery, CapExceeded):
+        plan = None
 
     def value_of(subset: Sequence[Atom]) -> float:
         db = g.pdb.with_added(subset, g.lam) if subset else g.pdb
-        if safe:
-            return Evaluator(db).probability(q).value
+        if plan is not None:
+            return Evaluator(db, plan=plan).probability(q).value
         return prob_ground(q, db, cap_worlds=cap_worlds)
 
     schema = g.schema
@@ -87,7 +90,7 @@ def _bruteforce_core(
                 ties.append((v, subset))
     if keep_ties:
         ties = [(v, s) for v, s in ties if v >= best - _TIE_TOL]
-    return best, best_witness, ties, safe
+    return best, best_witness, ties, plan
 
 
 def mtp_upper_bruteforce(
@@ -108,13 +111,13 @@ def mtp_upper_bruteforce(
     """
     derived = budget_from_mtp(g, c, denominator=denominator)
     b_max = derived.max_added if budget is None else budget
-    best, witness, _, safe = _bruteforce_core(
+    best, witness, _, plan = _bruteforce_core(
         g, c.relation, b_max, q, cap_subsets=cap_subsets, cap_worlds=cap_worlds, keep_ties=False
     )
     warnings = []
     if derived.infeasible and budget is None:
         warnings.append("infeasible-constraint")
-    if not safe:
+    if plan is None:
         warnings.append("unsafe-query-ground-evaluation")
     return BoundResult(
         kind="mtp_oracle",
@@ -291,7 +294,7 @@ def verify_maxmatch(
     the matching correspondence promises."""
     g, c, q = build_matching_reduction(inst, w)
     budget = budget_from_mtp(g, c).max_added
-    best, _, ties, _ = _bruteforce_core(
+    best, _, ties, plan = _bruteforce_core(
         g, "R", budget, q, cap_subsets=cap_subsets, cap_worlds=24, keep_ties=True
     )
     mm = max_matching_size(inst)
@@ -304,7 +307,7 @@ def verify_maxmatch(
         (inst.x_nodes[i], inst.y_nodes[i], inst.z_nodes[i]) for i in range(k_for_value)
     ]
     db_match = _reduction_database(inst, w, r_support=synthetic)
-    matching_value = Evaluator(db_match).probability(q).value
+    matching_value = Evaluator(db_match, plan=plan).probability(q).value
 
     if has_matching:
         optimal_are_matchings = all(is_matching([a.args for a in s]) for v, s in ties)
@@ -322,10 +325,10 @@ def verify_maxmatch(
         z1, z2 = inst.z_nodes[0], inst.z_nodes[1]
         base = [(x2, y2, z2)]
         fresh_x = Evaluator(
-            _reduction_database(inst, w, base + [(x1, y1, z1)])
+            _reduction_database(inst, w, base + [(x1, y1, z1)]), plan=plan
         ).probability(q).value
         reused_x = Evaluator(
-            _reduction_database(inst, w, base + [(x2, y1, z1)])
+            _reduction_database(inst, w, base + [(x2, y1, z1)]), plan=plan
         ).probability(q).value
         swap_ok = fresh_x > reused_x
 

@@ -44,12 +44,39 @@ class Constant:
         return f'"{self.name}"'
 
 
+@dataclass(frozen=True, slots=True)
+class Placeholder(Constant):
+    """A constant a query does not mention, bound at evaluation time; ``key``
+    sorts it where its binding falls among the query's constants.  Equality
+    includes the class: it never equals a user constant of any name."""
+
+    key: tuple
+
+    def __str__(self) -> str:
+        return f"?{self.name}"
+
+
 Term = Variable | Constant
 
 
-def term_key(term: Term) -> tuple[int, str]:
-    """Total order on terms: constants before variables, each by name."""
-    return (0, term.name) if isinstance(term, Constant) else (1, term.name)
+def term_key(term: Term) -> tuple:
+    """Total order on terms: constants before variables, each by name; a
+    placeholder carries its own key among the constants."""
+    if type(term) is Variable:
+        return (1, term.name)
+    if type(term) is Constant:
+        return (0, term.name)
+    return term.key
+
+
+def placeholder_between(name: str, lo: Constant | None, hi: Constant | None) -> Placeholder:
+    """A placeholder that sorts strictly between the constants ``lo`` and
+    ``hi`` (``None``: no bound on that side).  Its key ``(0, below, f)``
+    follows the user constant ``below`` and precedes the next one; ``f`` in
+    (0, 1) orders the placeholders of one gap."""
+    below, f_lo = ("", 0.0) if lo is None else (lo.name, 0.0) if type(lo) is Constant else lo.key[1:]
+    f_hi = hi.key[2] if type(hi) is Placeholder and hi.key[1] == below else 1.0
+    return Placeholder(name, (0, below, (f_lo + f_hi) / 2))
 
 
 @dataclass(frozen=True, slots=True)
@@ -348,7 +375,7 @@ def atoms_unifiable(a1: Atom, a2: Atom, scope1=0, scope2=1) -> bool:
         return x
 
     def node(t: Term, scope):
-        return ("c", t.name) if isinstance(t, Constant) else ("v", scope, t.name)
+        return ("c", t) if isinstance(t, Constant) else ("v", scope, t.name)
 
     for t1, t2 in zip(a1.args, a2.args):
         r1, r2 = find(node(t1, scope1)), find(node(t2, scope2))

@@ -210,6 +210,16 @@ class TestExitCodes:
         )
         assert status == 3
 
+    def test_too_wide_is_cap_exceeded_in_optimizers(self, tmp_path):
+        preds = {f"{r}{i}": 1 for i in range(10) for r in "PQ"}
+        db = Database(Schema(preds, (Constant("A"), Constant("B"))), {"P0": {("A",): 0.5}})
+        dataio.save_database(db, tmp_path)
+        (tmp_path / "constraints.txt").write_text("lambda=0.5\nmtp P0 0.9\n")
+        query = " | ".join(f"P{i}(x), Q{i}(y)" for i in range(10))
+        for mode in ("greedy", "exact"):
+            status, out = run(RunConfig(db_dir=str(tmp_path), query=query, mode=mode))
+            assert status == 3 and "cap 512" in out, (mode, out)
+
     def test_greedy_self_join_needs_force(self, tmp_path):
         schema = Schema({"R": 2}, (Constant("A"), Constant("B")))
         db = Database(schema, {"R": {("A", "B"): 0.5}})

@@ -1,0 +1,137 @@
+"""The lifted plan: built once per call, safe exactly when it builds, and
+independent of the domain's size."""
+import random
+
+import pytest
+
+from owpdb import engine
+from owpdb.database import Database, Schema
+from owpdb.engine import Evaluator, is_safe, prob_ground, prob_lifted, prob_lifted_detail
+from owpdb.errors import CapExceeded, UnsafeQuery
+from owpdb.greedy import greedy_upper
+from owpdb.openworld import MTPConstraint, OpenPDB
+from owpdb.probability import Prob
+from owpdb.query import UCQ, Constant, parse_ucq
+from owpdb.randgen import rand_cq, rand_schema
+
+
+def probe_is_safe(q):
+    """Safety decided the earlier way: evaluate ``q`` on an empty database
+    over its own constants plus two fresh ones."""
+    arities = {a.predicate: len(a.args) for a in q.all_atoms()}
+    consts = sorted({c.name for c in q.constants()})
+    domain = tuple(Constant(n) for n in consts) + (Constant("§a"), Constant("§b"))
+    try:
+        Evaluator(Database(Schema(arities, domain))).probability(q)
+        return True
+    except (UnsafeQuery, CapExceeded):
+        return False
+
+
+def scientist_db(n, seed=1):
+    rng = random.Random(seed)
+    domain = tuple(Constant(f"c{i}") for i in range(n))
+    coa = {}
+    while len(coa) < 5 * n // 2:
+        coa[(rng.choice(domain).name, rng.choice(domain).name)] = rng.choice([0.1, 0.3, 0.7])
+    s = {(c.name,): rng.choice([0.2, 0.5, 0.9]) for c in domain}
+    return Database(Schema({"S": 1, "CoA": 2}, domain), {"S": s, "CoA": coa})
+
+
+@pytest.fixture
+def decompose_calls(monkeypatch):
+    calls = [0]
+    real = engine.decompose
+
+    def counted(q):
+        calls[0] += 1
+        return real(q)
+
+    monkeypatch.setattr(engine, "decompose", counted)
+    return calls
+
+
+class TestPlanWork:
+    """Counters, not a clock: the parent re-derived the plan for every
+    constant of the domain."""
+
+    def test_lifted_plan_is_flat_in_domain_size(self, decompose_calls):
+        counts = []
+        for n in (100, 400):
+            db = scientist_db(n)
+            decompose_calls[0] = 0
+            prob_lifted(parse_ucq("S(x), CoA(x,y)", db.schema), db)
+            counts.append(decompose_calls[0])
+        assert counts[0] == counts[1]
+
+    def test_greedy_shares_one_plan(self, decompose_calls):
+        db = scientist_db(16)
+        q = parse_ucq("S(x), CoA(x,y)", db.schema)
+        prob_lifted(q, db)
+        lifted = decompose_calls[0]
+        decompose_calls[0] = 0
+        greedy_upper(OpenPDB(db, 0.5), MTPConstraint("CoA", 0.5), q, budget=3)
+        assert 0 < decompose_calls[0] <= lifted
+
+
+def test_plan_build_agrees_with_probe_evaluation():
+    rng = random.Random(11)
+    verdicts = []
+    for _ in range(2000):
+        schema = rand_schema(rng)
+        q = UCQ([rand_cq(rng, schema, allow_repeat_pred=True) for _ in range(rng.randint(1, 3))])
+        safe = is_safe(q)
+        assert safe == probe_is_safe(q), str(q)
+        verdicts.append(safe)
+    assert 100 < sum(verdicts) < len(verdicts) - 100
+
+
+class TestPlaceholder:
+    """A placeholder never equals a user constant, whatever its name, and
+    sorts where its binding falls."""
+
+    ARITIES = {"S": 1, "CoA": 2}
+    QUERY = 'S(x), CoA(x, "§a") | CoA(x, "§b")'
+
+    def db(self):
+        domain = tuple(Constant(n) for n in ("A", "B", "§a", "§b", "C"))
+        return Database(
+            Schema(self.ARITIES, domain),
+            {
+                "S": {("A",): 0.6, ("§a",): 0.7, ("§b",): 0.4, ("C",): 0.5},
+                "CoA": {
+                    ("A", "§a"): 0.3,
+                    ("§a", "§a"): 0.8,
+                    ("§b", "§a"): 0.5,
+                    ("B", "§b"): 0.6,
+                    ("§a", "§b"): 0.2,
+                    ("C", "A"): 0.9,
+                },
+            },
+        )
+
+    def test_lifted_equals_ground(self):
+        db = self.db()
+        q = parse_ucq(self.QUERY, db.schema)
+        assert prob_lifted(q, db) == pytest.approx(prob_ground(q, db), abs=1e-12)
+
+    def test_sorts_where_its_binding_falls(self):
+        # Substituting each constant gives these bits.  A placeholder that
+        # sorted after every constant would sum the same factors in another
+        # order and give 0.390664 instead.
+        schema = Schema({"R": 1, "S": 3, "T": 3, "U": 3}, tuple(Constant(n) for n in "ABC"))
+        db = Database(schema, {
+            "R": {("A",): 0.9, ("C",): 0.9},
+            "S": {("A", "A", "B"): 0.4, ("A", "B", "B"): 0.1, ("A", "C", "B"): 0.2, ("B", "A", "B"): 0.3,
+                  ("B", "A", "C"): 0.5, ("B", "B", "C"): 0.1, ("C", "A", "C"): 0.5, ("C", "C", "A"): 0.7},
+            "T": {("A", "A", "A"): 0.7, ("A", "A", "B"): 0.7},
+        })
+        q = parse_ucq(
+            "R(y), S(y, B, z) | S(x, x, y), S(x, z, y), U(C, x, x) | S(x, x, y), T(z, z, x)", schema
+        )
+        assert prob_lifted_detail(q, db) == Prob(0.3906640000000001, -0.49538543927811307)
+
+    def test_safety_does_not_depend_on_the_name(self):
+        q = parse_ucq(self.QUERY, self.ARITIES)
+        renamed = parse_ucq(self.QUERY.replace('"§a"', "A"), self.ARITIES)
+        assert is_safe(q) == is_safe(renamed)

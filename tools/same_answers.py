@@ -10,7 +10,10 @@ drawn from ``random.Random(5)``.  Per instance it prints the ``repr`` of
 ``prob_lifted_detail`` (with and without forced inclusion-exclusion),
 ``interval_unconstrained``, ``analyze_query`` and, for the budgeted
 instances, ``mtp_upper_exact``, ``greedy_upper`` and
-``mtp_upper_bruteforce``.  Witnesses are printed in the schema's canonical
+``mtp_upper_bruteforce``.  Then ``analyze_query`` (which carries the safety
+verdict) for 2000 unions of 1-3 ``rand_cq`` conjuncts over ``rand_schema``
+schemas drawn from ``random.Random(7)``: self-joins and constants allowed,
+safe and unsafe alike.  Witnesses are printed in the schema's canonical
 atom order, so the text does not depend on ``PYTHONHASHSEED``.  An error is
 printed as its class name and message.
 """
@@ -28,10 +31,12 @@ from owpdb import (
     mtp_upper_exact,
 )
 from owpdb.engine import prob_lifted_detail
-from owpdb.randgen import rand_mtp_instance, rand_safe_instance
+from owpdb.query import UCQ
+from owpdb.randgen import rand_cq, rand_mtp_instance, rand_safe_instance, rand_schema
 
 SAFE_INSTANCES = 300
 MTP_INSTANCES = 150
+SAFETY_QUERIES = 2000
 
 
 def show_bound(result, schema) -> str:
@@ -80,6 +85,12 @@ def main() -> None:
             lines.append(answer(lambda: bound(g, c, q), lambda r: show_bound(r, g.schema)))
         for line in lines:
             print("  " + line)
+    rng = random.Random(7)
+    for i in range(SAFETY_QUERIES):
+        schema = rand_schema(rng)
+        q = UCQ([rand_cq(rng, schema) for _ in range(rng.randint(1, 3))])
+        print(f"safety {i} {q}")
+        print("  " + answer(lambda: analyze_query(q, schema)))
 
 
 if __name__ == "__main__":
