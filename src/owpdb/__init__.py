@@ -9,7 +9,7 @@ instances.
 """
 
 from .database import Database, ProbTuple, Schema
-from .engine import analyze_query, is_safe, prob_conditioned, prob_ground, prob_lifted
+from .engine import analyze_query, is_safe, prob_ground, prob_lifted
 from .errors import (
     ArityMismatch,
     CapExceeded,
@@ -22,7 +22,7 @@ from .errors import (
     UnsafeQuery,
 )
 from .exactdp import mtp_upper_exact
-from .greedy import greedy_trace, greedy_upper, normalized_set_query_prob, set_query_prob
+from .greedy import greedy_trace, greedy_upper, set_query_prob
 from .openworld import (
     BoundResult,
     Budget,
@@ -98,10 +98,8 @@ __all__ = [
     "minimize",
     "mtp_upper_bruteforce",
     "mtp_upper_exact",
-    "normalized_set_query_prob",
     "open_tuples",
     "parse_ucq",
-    "prob_conditioned",
     "prob_ground",
     "prob_lifted",
     "property_suites",

@@ -12,10 +12,10 @@ The lifted evaluator decomposes a union of conjunctive queries recursively:
   domain, with interchangeable constants batched symbolically.
 
 :func:`decompose` picks the first of these rules that applies; the budget
-optimizer in :mod:`owpdb.exactdp` dispatches on the same choice.  If no rule
-applies the query is refused with :class:`UnsafeQuery`; the
-ground evaluator (world enumeration over the uncertain tuples) is the
-fallback and the correctness oracle.
+optimizer in :mod:`owpdb.exactdp` walks the same plan.  If no rule applies
+the query is refused with :class:`UnsafeQuery`; the ground evaluator (world
+enumeration over the uncertain tuples) is the fallback and the correctness
+oracle.
 
 :class:`Plan` holds these choices for one public call: every rule is
 derived once per sub-union, not once per domain constant, because a
@@ -23,7 +23,8 @@ separator binds each constant the query does not mention to a placeholder
 of one shared child.  The call's evaluators, one per database it reads
 (greedy makes one per candidate), share that plan; each keeps its own memo
 table keyed by plan node and the constants bound to the node's
-placeholders.  "Safe" means the whole plan builds.  Nothing outlives the
+placeholders.  "Safe" means the whole plan builds; a plan too wide to
+build is :class:`CapExceeded`, not unsafe.  Nothing outlives the
 call: databases are never mutated and plans and memo tables are per call,
 so concurrent queries against one database are safe.
 """
@@ -32,7 +33,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -153,6 +154,17 @@ class _Node:
         self.placeholders = tuple(sorted(c.name for c in query.constants() if type(c) is Placeholder))
         self.rule = self.arg = self.fresh = None
 
+    def key(self, env: Mapping[str, Constant]) -> object:
+        """Memo key of this node under ``env``: the node and the constants
+        bound to its placeholders."""
+        return (self, tuple(env[p].name for p in self.placeholders)) if self.placeholders else self
+
+    def bound(self, env: Mapping[str, Constant]) -> UCQ:
+        """The node's union with its placeholders replaced by their bindings."""
+        if not self.placeholders:
+            return self.query
+        return UCQ([ConjunctiveQuery([_bind_atom(a, env) for a in d.atoms]) for d in self.query.disjuncts])
+
 
 class Plan:
     """The lifted plan of one public call's queries, shared by all the
@@ -212,6 +224,24 @@ class Plan:
             node.fresh[gap] = self.node(substitute_separator(node.query, sep, ph))
         return node.fresh[gap]
 
+    def separator(self, node: _Node, env: Mapping[str, Constant]) -> tuple[dict, Callable]:
+        """The separator ``node``'s children under ``env``: the constant names
+        its union mentions, bound, and a map from a domain constant to its
+        child and that child's environment, either the mentioned child or the
+        fresh child of the constant's gap with its placeholder bound."""
+        _, consts, children, _, fresh = node.arg
+        # bound names, ascending: placeholders sort where their bindings fall
+        names = [(env[c.name] if type(c) is Placeholder else c).name for c in consts]
+        mentioned = dict(zip(names, children))
+
+        def child_of(const: Constant) -> tuple[_Node, Mapping[str, Constant]]:
+            child = mentioned.get(const.name)
+            if child is not None:
+                return child, env
+            return self.fresh_child(node, bisect.bisect(names, const.name)), {**env, fresh: const}
+
+        return mentioned, child_of
+
     def terms(self, group: tuple[_Node, ...]) -> list[tuple[int, _Node]]:
         """Signed inclusion-exclusion terms of a conjunction of sub-unions."""
         cached = self._terms.get(group)
@@ -269,22 +299,23 @@ class Evaluator:
     # -- public entry ------------------------------------------------------
 
     def probability(self, q: UCQ) -> Prob:
-        return self._eval(self.plan.node(q), {})
+        return self.evaluate(self.plan.node(q), {})
 
     def conjunction(self, group: list[UCQ]) -> Prob:
         """P(all sub-unions of ``group`` hold): one sub-union directly, more
         by inclusion-exclusion."""
         return self._group(tuple(self.plan.node(u) for u in group), {})
 
-    # -- recursion ---------------------------------------------------------
-
-    def _eval(self, node: _Node, env: Mapping[str, Constant]) -> Prob:
-        key = (node, tuple(env[p].name for p in node.placeholders)) if node.placeholders else node
+    def evaluate(self, node: _Node, env: Mapping[str, Constant]) -> Prob:
+        """P(``node``) with its placeholders bound by ``env``."""
+        key = node.key(env)
         cached = self._memo.get(key)
         if cached is None:
             cached = self._lift(node, env)
             self._memo[key] = cached
         return cached
+
+    # -- recursion ---------------------------------------------------------
 
     def _lift(self, node: _Node, env: Mapping[str, Constant]) -> Prob:
         rule, arg = self.plan.expand(node)
@@ -298,16 +329,15 @@ class Evaluator:
                 return self._group(arg[0], env)
             return probability.conj(self._group(g, env) for g in arg)
         if rule == "or":
-            return probability.disj(self._eval(u, env) for u in arg)
+            return probability.disj(self.evaluate(u, env) for u in arg)
         if rule == "sep":
             return self._separator_product(node, env)
-        q = UCQ([ConjunctiveQuery([_bind_atom(a, env) for a in d.atoms]) for d in node.query.disjuncts])
-        raise UnsafeQuery(f"no decomposition applies to {q}")
+        raise UnsafeQuery(f"no decomposition applies to {node.bound(env)}")
 
     def _group(self, group: tuple[_Node, ...], env: Mapping[str, Constant]) -> Prob:
         if len(group) == 1:
-            return self._eval(group[0], env)
-        result, clamp = probability.signed_sum([(s, self._eval(n, env)) for s, n in self.plan.terms(group)])
+            return self.evaluate(group[0], env)
+        result, clamp = probability.signed_sum([(s, self.evaluate(n, env)) for s, n in self.plan.terms(group)])
         self.max_clamp = max(self.max_clamp, clamp)
         return result
 
@@ -315,24 +345,16 @@ class Evaluator:
         """Complement product over the domain; constants that appear neither
         in the query nor in any stored row of its predicates are
         interchangeable and evaluated once."""
-        _, consts, children, preds, fresh = node.arg
-        # bound names, ascending: placeholders sort where their bindings fall
-        names = [(env[c.name] if type(c) is Placeholder else c).name for c in consts]
-        mentioned = dict(zip(names, children))
-        explicit = self.db.explicit_constants(preds)
+        mentioned, child_of = self.plan.separator(node, env)
+        explicit = self.db.explicit_constants(node.arg[3])
         parts: list[Prob] = []
         n_rest = 0
         rest_prob: Prob | None = None
         for const in self.db.schema.domain:
-            child = mentioned.get(const.name)
-            if child is not None:
-                parts.append(self._eval(child, env))
-            elif const.name in explicit or rest_prob is None:
-                p = self._eval(self.plan.fresh_child(node, bisect.bisect(names, const.name)), {**env, fresh: const})
-                if const.name in explicit:
-                    parts.append(p)
-                else:
-                    rest_prob, n_rest = p, 1
+            if const.name in mentioned or const.name in explicit:
+                parts.append(self.evaluate(*child_of(const)))
+            elif rest_prob is None:
+                rest_prob, n_rest = self.evaluate(*child_of(const)), 1
             else:
                 n_rest += 1
         if rest_prob is not None:
@@ -473,21 +495,14 @@ def prob_ground_detail(
     return Prob(value, math.log(min(comp, 1.0)))
 
 
-def prob_conditioned(q: UCQ, db: ProbView, fixed: Mapping[Atom, bool]) -> float:
-    """Query probability with the listed ground atoms pinned true or false."""
-    if not fixed:
-        return prob_lifted(q, db)
-    return prob_lifted(q, db.with_overrides(fixed))
-
-
 def is_safe(q: UCQ, schema: Schema | None = None) -> bool:
     """Whether lifted evaluation decomposes ``q`` fully: its whole plan
-    builds within the width caps.  Safety is a property of the query syntax;
-    ``schema`` is not consulted."""
+    builds.  Safety is a property of the query syntax; ``schema`` is not
+    consulted.  A plan wider than the caps raises :class:`CapExceeded`."""
     try:
         Plan().build(q)
         return True
-    except (UnsafeQuery, CapExceeded):
+    except UnsafeQuery:
         return False
 
 

@@ -1,9 +1,9 @@
 """Exact budgeted upper bounds for inversion-free queries.
 
-The optimizer follows the lifted evaluator's rule choice
-(:func:`owpdb.engine.decompose`), but every node returns an array over
-residual budgets 0..B of the best reachable probability together with a
-witness completion:
+The optimizer is a second interpreter of the lifted evaluator's plan
+(:class:`owpdb.engine.Plan`): it walks the same nodes with the same
+placeholder bindings, but every node returns an array over residual budgets
+0..B of the best reachable probability together with a witness completion:
 
 * decompositions into independent factors split the budget by max-convolution
   (their open-tuple slices are disjoint, so allocations are independent);
@@ -26,11 +26,11 @@ The solver keeps no shared mutable state beyond per-run memo tables.
 from __future__ import annotations
 
 import itertools
+from typing import Mapping
 
 from .database import _bound_of, _match_args, _Table
-from .engine import Evaluator, Plan, conjunction_parts, decompose
+from .engine import Evaluator, Plan, _Node, conjunction_parts
 from .errors import NotInversionFree
-from .greedy import set_query_prob
 from .openworld import (
     BoundResult,
     CompletionChoice,
@@ -63,14 +63,14 @@ class _BudgetSolver:
 
     def __init__(self, g: OpenPDB, relation: str, b_max: int, plan: Plan):
         self.g = g
-        self.db = g.pdb
         self.schema = g.schema
         self.rel = relation
         self.lam = g.lam
         self.b_max = b_max
+        self.plan = plan
         self._open = _Table.fromkeys(tuple(t.name for t in a.args) for a in open_tuples(g, relation))
-        self._eval = Evaluator(self.db, plan=plan)
-        self._memo: dict[UCQ, _BVec] = {}
+        self._eval = Evaluator(g.pdb, plan=plan)
+        self._memo: dict[object, _BVec] = {}
         self._slice_memo: dict[UCQ, frozenset[tuple[str, ...]]] = {}
 
     # -- helpers -----------------------------------------------------------
@@ -100,12 +100,9 @@ class _BudgetSolver:
         self._slice_memo[q] = result
         return result
 
-    def _const_vec(self, q: UCQ) -> _BVec:
-        v = self._eval.probability(q).value
-        return tuple((v, ()) for _ in range(self.b_max + 1))
-
-    def _closed_value(self, q: UCQ) -> float:
-        return self._eval.probability(q).value
+    def _closed(self, node: _Node, env: Mapping[str, Constant]) -> float:
+        """Closed-world probability of ``node`` under ``env``."""
+        return self._eval.evaluate(node, env).value
 
     # -- budget vector combiners --------------------------------------------
 
@@ -138,26 +135,28 @@ class _BudgetSolver:
 
     # -- main recursion ------------------------------------------------------
 
-    def bopt(self, q: UCQ) -> _BVec:
-        q = minimize(q)
-        cached = self._memo.get(q)
+    def bopt(self, node: _Node, env: Mapping[str, Constant]) -> _BVec:
+        key = node.key(env)
+        cached = self._memo.get(key)
         if cached is None:
-            cached = self._bopt(q)
-            self._memo[q] = cached
+            cached = self._bopt(node, env)
+            self._memo[key] = cached
         return cached
 
-    def _bopt(self, q: UCQ) -> _BVec:
+    def _bopt(self, node: _Node, env: Mapping[str, Constant]) -> _BVec:
+        q = node.bound(env)
         sl = self.slice_of(q)
         if not sl:
-            return self._const_vec(q)
-        rule, arg = decompose(q)
+            v = self._closed(node, env)
+            return tuple((v, ()) for _ in range(self.b_max + 1))
+        rule, arg = self.plan.expand(node)
 
         # single atom of the constrained relation
         if rule == "atom":
-            base = self._eval.probability(q)
+            base = self._closed(node, env)
             slice_sorted = sorted(sl, key=lambda a: self.schema.atom_key(self._atom(a)))
-            out = [(base.value, ())]
-            comp = 1.0 - base.value
+            out = [(base, ())]
+            comp = 1.0 - base
             witness: tuple[Atom, ...] = ()
             for b in range(1, self.b_max + 1):
                 if b <= len(slice_sorted) and self.lam > 0.0 and comp > 0.0:
@@ -169,33 +168,32 @@ class _BudgetSolver:
             return tuple(out)
 
         if rule == "and":
-            vecs = [self.bopt(grp[0]) if len(grp) == 1 else self._ie_family(grp) for grp in arg]
+            vecs = [self.bopt(grp[0], env) if len(grp) == 1 else self._ie_family(grp, env) for grp in arg]
             return vecs[0] if len(vecs) == 1 else self._fold_vecs(vecs, "conj")
 
         if rule == "or":
-            return self._fold_vecs([self.bopt(u) for u in arg], "disj")
+            return self._fold_vecs([self.bopt(u, env) for u in arg], "disj")
 
         if rule == "sep":
+            _, child_of = self.plan.separator(node, env)
             acc = tuple((0.0, ()) for _ in range(self.b_max + 1))
             for const in self.schema.domain:
-                acc = self._combine(acc, self.bopt(substitute_separator(q, arg, const)), "disj")
+                acc = self._combine(acc, self.bopt(*child_of(const)), "disj")
             return acc
 
-        return self._enumerate_scalar(q, sl)
+        # no rule applies: enumerate the slice for the one core
+        return tuple((vals[0], wit) for [(vals, wit)] in self._pareto_enumerate((q,), (1,), sl))
 
     # -- inclusion-exclusion families ---------------------------------------
 
-    def _ie_family(self, parts: list[UCQ]) -> _BVec:
+    def _ie_family(self, group: tuple[_Node, ...], env: Mapping[str, Constant]) -> _BVec:
         """Optimize sum over nonempty subsets s of (-1)^{|s|+1} P(union of s)
-        under one shared budget."""
-        m = len(parts)
-        weighted: dict[UCQ, float] = {}
-        for size in range(1, m + 1):
-            sign = 1.0 if size % 2 == 1 else -1.0
-            for subset in itertools.combinations(parts, size):
-                union = minimize(UCQ([d for u in subset for d in u.disjuncts]))
-                weighted[union] = weighted.get(union, 0.0) + sign
-        return self._family([(w, t) for t, w in weighted.items() if w != 0.0])
+        under one shared budget: the plan's signed terms, summed per term and
+        bound to concrete unions."""
+        weighted: dict[_Node, float] = {}
+        for sign, term in self.plan.terms(group):
+            weighted[term] = weighted.get(term, 0.0) + sign
+        return self._family([(w, t.bound(env)) for t, w in weighted.items() if w != 0.0])
 
     def _fold_term(self, t: UCQ) -> tuple[float, float, UCQ | None]:
         """Express P(t) as alpha + beta * P(core) with beta >= 0 by peeling
@@ -204,7 +202,7 @@ class _BudgetSolver:
         q = minimize(t)
         while True:
             if not self.slice_of(q):
-                return alpha + beta * self._closed_value(q), 0.0, None
+                return alpha + beta * self._closed(self.plan.node(q), {}), 0.0, None
             ds = q.disjuncts
             if len(ds) > 1:
                 groups = independence_groups([UCQ([d]) for d in ds])
@@ -214,7 +212,7 @@ class _BudgetSolver:
                         free = [g for g in groups if g is not sliced[0]]
                         comp_free = 1.0
                         for g in free:
-                            fv = self._closed_value(UCQ([d for u in g for d in u.disjuncts]))
+                            fv = self._closed(self.plan.node(UCQ([d for u in g for d in u.disjuncts])), {})
                             comp_free *= 1.0 - fv
                         # P = 1 - comp_free * (1 - P(core))
                         alpha += beta * (1.0 - comp_free)
@@ -259,9 +257,9 @@ class _BudgetSolver:
         if len(cores) == 1:
             core, w = cores[0], weights[cores[0]]
             if w > 0.0:
-                vec = self.bopt(core)
+                vec = self.bopt(self.plan.node(core), {})
                 return tuple((const + w * v, wit) for v, wit in vec)
-            low = self._closed_value(core)
+            low = self._closed(self.plan.node(core), {})
             return tuple((const + w * low, ()) for _ in range(self.b_max + 1))
 
         signs = [1 if weights[c] > 0.0 else -1 for c in cores]
@@ -320,7 +318,7 @@ class _BudgetSolver:
             combined_slice |= self.slice_of(c)
 
         if not combined_slice:
-            vec = tuple(self._closed_value(c) for c in cores)
+            vec = tuple(self._closed(self.plan.node(c), {}) for c in cores)
             return [[(vec, ())] for _ in range(self.b_max + 1)]
 
         all_disjuncts = [d.atoms for c in cores for d in c.disjuncts]
@@ -397,28 +395,12 @@ class _BudgetSolver:
         frontier: list[list] = [[] for _ in range(self.b_max + 1)]
         for size in range(0, min(self.b_max, len(atoms)) + 1):
             for chosen in itertools.combinations(atoms, size):
-                vals = tuple(set_query_prob(self.g, c, chosen) for c in cores)
+                view = self.g.pdb.with_added(chosen, self.lam) if chosen else self.g.pdb
+                ev = Evaluator(view, plan=self.plan)
+                vals = tuple(ev.probability(c).value for c in cores)
                 for b in range(size, self.b_max + 1):
                     frontier[b].append((vals, tuple(chosen)))
         return [self._prune(states, signs) for states in frontier]
-
-    def _enumerate_scalar(self, q: UCQ, sl: frozenset) -> _BVec:
-        if len(sl) > ENUMERATION_FALLBACK_CAP:
-            raise NotInversionFree(
-                f"no decomposition applies and the open slice has {len(sl)} tuples"
-            )
-        atoms = sorted((self._atom(a) for a in sl), key=self.schema.atom_key)
-        out: list[tuple[float, tuple[Atom, ...]]] = []
-        for b in range(self.b_max + 1):
-            best_v, best_w, best_key = -1.0, (), None
-            for size in range(0, min(b, len(atoms)) + 1):
-                for chosen in itertools.combinations(atoms, size):
-                    v = set_query_prob(self.g, q, chosen)
-                    key = self._wkey(chosen)
-                    if v > best_v or (v == best_v and key < best_key):
-                        best_v, best_w, best_key = v, tuple(chosen), key
-            out.append((best_v, best_w))
-        return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +431,7 @@ def mtp_upper_exact(
     b_max = derived.max_added if budget is None else budget
     warnings = ("infeasible-constraint",) if derived.infeasible and budget is None else ()
     solver = _BudgetSolver(g, c.relation, b_max, plan)
-    vec = solver.bopt(q)
+    vec = solver.bopt(plan.node(q), {})
     value, witness = vec[b_max]
     return BoundResult(
         kind="mtp_exact",

@@ -36,11 +36,6 @@ def set_query_prob(g: OpenPDB, q: UCQ, x) -> float:
     return Evaluator(db).probability(q).value
 
 
-def normalized_set_query_prob(g: OpenPDB, q: UCQ, x) -> float:
-    """Probability mass gained over the closed world by adding ``x``."""
-    return set_query_prob(g, q, x) - set_query_prob(g, q, ())
-
-
 @dataclass(frozen=True)
 class GreedyTrace:
     """Full record of one greedy run.

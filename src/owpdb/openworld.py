@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .database import Database, LambdaCompletionView, ProbView, Schema
-from .engine import prob_lifted_detail
+from .engine import Plan, prob_lifted_detail
 from .errors import SchemaError
 from .query import Atom, UCQ
 
@@ -130,9 +130,10 @@ def interval_unconstrained(g: OpenPDB, q: UCQ) -> BoundResult:
     full completion above.
 
     The full completion stays symbolic (a view); completed relation blocks
-    are never materialized atom by atom."""
-    lower = prob_lifted_detail(q, g.pdb)
-    upper = prob_lifted_detail(q, LambdaCompletionView(g.pdb, g.lam))
+    are never materialized atom by atom.  Both ends share one lifted plan."""
+    plan = Plan()
+    lower = prob_lifted_detail(q, g.pdb, plan=plan)
+    upper = prob_lifted_detail(q, LambdaCompletionView(g.pdb, g.lam), plan=plan)
     return BoundResult(
         kind="open_upper",
         value=upper.value,

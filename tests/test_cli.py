@@ -210,13 +210,13 @@ class TestExitCodes:
         )
         assert status == 3
 
-    def test_too_wide_is_cap_exceeded_in_optimizers(self, tmp_path):
+    def test_too_wide_is_cap_exceeded(self, tmp_path):
         preds = {f"{r}{i}": 1 for i in range(10) for r in "PQ"}
         db = Database(Schema(preds, (Constant("A"), Constant("B"))), {"P0": {("A",): 0.5}})
         dataio.save_database(db, tmp_path)
         (tmp_path / "constraints.txt").write_text("lambda=0.5\nmtp P0 0.9\n")
         query = " | ".join(f"P{i}(x), Q{i}(y)" for i in range(10))
-        for mode in ("greedy", "exact"):
+        for mode in ("analyze", "eval", "greedy", "exact"):
             status, out = run(RunConfig(db_dir=str(tmp_path), query=query, mode=mode))
             assert status == 3 and "cap 512" in out, (mode, out)
 

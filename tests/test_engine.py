@@ -9,7 +9,6 @@ from owpdb.engine import (
     analyze_query,
     decompose,
     is_safe,
-    prob_conditioned,
     prob_ground,
     prob_ground_detail,
     prob_lifted,
@@ -172,7 +171,7 @@ class TestGroundEvaluator:
 class TestConditioning:
     def test_scientist_pinned_true(self, coauthor_schema, coauthor_db, scientist_coauthor_query):
         fixed = {Atom("S", (Constant("Einstein"),)): True}
-        value = prob_conditioned(scientist_coauthor_query, coauthor_db, fixed)
+        value = prob_lifted(scientist_coauthor_query, coauthor_db.with_overrides(fixed))
         assert value == pytest.approx(COAUTHOR_WITH_EINSTEIN_CERTAIN, abs=1e-9)
         # oracle: world enumeration over the overridden database
         assert value == pytest.approx(
@@ -183,10 +182,10 @@ class TestConditioning:
     def test_pinned_false_kills_atom_query(self, coauthor_schema, coauthor_db):
         q = parse_ucq("S(Einstein)", coauthor_schema)
         fixed = {Atom("S", (Constant("Einstein"),)): False}
-        assert prob_conditioned(q, coauthor_db, fixed) == 0.0
+        assert prob_lifted(q, coauthor_db.with_overrides(fixed)) == 0.0
 
     def test_empty_override_is_noop(self, coauthor_db, scientist_coauthor_query):
-        assert prob_conditioned(scientist_coauthor_query, coauthor_db, {}) == prob_lifted(
+        assert prob_lifted(scientist_coauthor_query, coauthor_db.with_overrides({})) == prob_lifted(
             scientist_coauthor_query, coauthor_db
         )
 

@@ -5,7 +5,7 @@ import pytest
 
 from owpdb.database import Database, Schema
 from owpdb.engine import prob_ground
-from owpdb.greedy import greedy_trace, greedy_upper, normalized_set_query_prob, set_query_prob
+from owpdb.greedy import greedy_trace, greedy_upper, set_query_prob
 from owpdb.openworld import MTPConstraint, OpenPDB, interval_unconstrained, open_tuples
 from owpdb.oracle import mtp_upper_bruteforce
 from owpdb.query import Constant, parse_ucq
@@ -44,7 +44,8 @@ class TestSetFunction:
 
     def test_normalized_zero_at_empty(self, coauthor_db, scientist_coauthor_query):
         g = OpenPDB(coauthor_db, 0.3)
-        assert normalized_set_query_prob(g, scientist_coauthor_query, set()) == 0.0
+        q = scientist_coauthor_query
+        assert set_query_prob(g, q, set()) - set_query_prob(g, q, ()) == 0.0
 
     def test_normalized_nonnegative(self):
         rng = random.Random(55)
@@ -52,15 +53,14 @@ class TestSetFunction:
             g, c, q, _ = rand_mtp_instance(rng, self_join_free=True)
             opens = open_tuples(g, c.relation)
             picked = rng.sample(opens, rng.randint(0, len(opens)))
-            assert normalized_set_query_prob(g, q, picked) >= -1e-12
+            assert set_query_prob(g, q, picked) - set_query_prob(g, q, ()) >= -1e-12
 
     def test_singleton_gain_matches_ground_difference(self, coauthor_db, scientist_coauthor_query):
         g = OpenPDB(coauthor_db, 0.3)
         t = open_tuples(g, "CoA")[0]
-        gain = normalized_set_query_prob(g, scientist_coauthor_query, {t})
-        oracle = prob_ground(
-            scientist_coauthor_query, coauthor_db.with_added([t], 0.3)
-        ) - prob_ground(scientist_coauthor_query, coauthor_db)
+        q = scientist_coauthor_query
+        gain = set_query_prob(g, q, {t}) - set_query_prob(g, q, ())
+        oracle = prob_ground(q, coauthor_db.with_added([t], 0.3)) - prob_ground(q, coauthor_db)
         assert gain == pytest.approx(oracle, abs=1e-9)
 
 

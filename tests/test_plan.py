@@ -1,6 +1,7 @@
 """The lifted plan: built once per call, safe exactly when it builds, and
 independent of the domain's size."""
 import random
+import sys
 
 import pytest
 
@@ -8,8 +9,9 @@ from owpdb import engine
 from owpdb.database import Database, Schema
 from owpdb.engine import Evaluator, is_safe, prob_ground, prob_lifted, prob_lifted_detail
 from owpdb.errors import CapExceeded, UnsafeQuery
+from owpdb.exactdp import mtp_upper_exact
 from owpdb.greedy import greedy_upper
-from owpdb.openworld import MTPConstraint, OpenPDB
+from owpdb.openworld import MTPConstraint, OpenPDB, interval_unconstrained
 from owpdb.probability import Prob
 from owpdb.query import UCQ, Constant, parse_ucq
 from owpdb.randgen import rand_cq, rand_schema
@@ -40,6 +42,8 @@ def scientist_db(n, seed=1):
 
 @pytest.fixture
 def decompose_calls(monkeypatch):
+    """Rule derivations: ``decompose`` calls through every owpdb module that
+    binds the name."""
     calls = [0]
     real = engine.decompose
 
@@ -47,13 +51,15 @@ def decompose_calls(monkeypatch):
         calls[0] += 1
         return real(q)
 
-    monkeypatch.setattr(engine, "decompose", counted)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "owpdb" and getattr(module, "decompose", None) is real:
+            monkeypatch.setattr(module, "decompose", counted)
     return calls
 
 
 class TestPlanWork:
-    """Counters, not a clock: the parent re-derived the plan for every
-    constant of the domain."""
+    """Counters, not a clock: rules derived per domain constant would grow
+    with the domain; one call's rules are derived once."""
 
     def test_lifted_plan_is_flat_in_domain_size(self, decompose_calls):
         counts = []
@@ -72,6 +78,25 @@ class TestPlanWork:
         decompose_calls[0] = 0
         greedy_upper(OpenPDB(db, 0.5), MTPConstraint("CoA", 0.5), q, budget=3)
         assert 0 < decompose_calls[0] <= lifted
+
+    def test_interval_shares_one_plan(self, decompose_calls):
+        db = scientist_db(100)
+        q = parse_ucq("S(x), CoA(x,y)", db.schema)
+        prob_lifted(q, db)
+        lifted = decompose_calls[0]
+        decompose_calls[0] = 0
+        interval_unconstrained(OpenPDB(db, 0.5), q)
+        assert 0 < decompose_calls[0] <= lifted
+
+    def test_exact_dp_walks_the_plan(self, decompose_calls):
+        counts = []
+        for n in (25, 100):
+            db = scientist_db(n)
+            decompose_calls[0] = 0
+            q = parse_ucq("S(x), CoA(x,y)", db.schema)
+            mtp_upper_exact(OpenPDB(db, 0.5), MTPConstraint("CoA", 0.5), q, budget=2)
+            counts.append(decompose_calls[0])
+        assert counts[0] == counts[1]
 
 
 def test_plan_build_agrees_with_probe_evaluation():

@@ -13,7 +13,12 @@ instances, ``mtp_upper_exact``, ``greedy_upper`` and
 ``mtp_upper_bruteforce``.  Then ``analyze_query`` (which carries the safety
 verdict) for 2000 unions of 1-3 ``rand_cq`` conjuncts over ``rand_schema``
 schemas drawn from ``random.Random(7)``: self-joins and constants allowed,
-safe and unsafe alike.  Witnesses are printed in the schema's canonical
+safe and unsafe alike.  Last, 80 mid-size budgeted instances drawn from
+``random.Random(13)``: 12-16 constants in shuffled domain order, a query
+from ``GAP_QUERIES`` mentioning one or two of them (so a separator's other
+constants fall into several gaps, and some queries reach the exact DP's
+inclusion-exclusion families), budgets 1-4; each prints the closed answers
+and ``mtp_upper_exact``.  Witnesses are printed in the schema's canonical
 atom order, so the text does not depend on ``PYTHONHASHSEED``.  An error is
 printed as its class name and message.
 """
@@ -22,7 +27,10 @@ from __future__ import annotations
 import random
 
 from owpdb import (
+    Database,
+    MTPConstraint,
     OpenPDB,
+    Schema,
     OwpdbError,
     analyze_query,
     greedy_upper,
@@ -31,12 +39,30 @@ from owpdb import (
     mtp_upper_exact,
 )
 from owpdb.engine import prob_lifted_detail
-from owpdb.query import UCQ
-from owpdb.randgen import rand_cq, rand_mtp_instance, rand_safe_instance, rand_schema
+from owpdb.query import UCQ, Constant, parse_ucq
+from owpdb.randgen import LAMBDA_GRID, PROB_GRID, rand_cq, rand_mtp_instance, rand_safe_instance, rand_schema
 
 SAFE_INSTANCES = 300
 MTP_INSTANCES = 150
 SAFETY_QUERIES = 2000
+GAP_INSTANCES = 80
+GAP_ARITIES = {"R": 1, "U": 1, "S": 2, "T": 2}
+# Safe, inversion-free queries over GAP_ARITIES; {a} and {b} are domain
+# constants.  The self-join ones marked IE reach the DP's
+# inclusion-exclusion families.
+GAP_QUERIES = (
+    "R(x), S(x, {a})",
+    "R(x), S(x, y), T(x, {a})",
+    "S(x, y), S({a}, y)",
+    "S(x, {a}) | S(x, {b})",
+    "R(x), U(y) | S({a}, z)",
+    "R(x), U(y) | S(z, {a})",
+    "R(x), T(y, {a}) | S(z, z)",
+    "R(x), S(y, {a}) | R(z), S(z, {b})",
+    "S(x, {a}), R(y) | S(z, {a}), T(z, {b})",
+    "R(x), S(x, y) | T(x, y), S(x, {a})",  # IE
+    "R(x), S(x, {a}) | U(y), S(y, {b}) | S(z, {a}), S(z, {b})",  # IE
+)
 
 
 def show_bound(result, schema) -> str:
@@ -70,6 +96,28 @@ def closed_answers(g: OpenPDB, q) -> list[str]:
     ]
 
 
+def gap_instance(rng: random.Random):
+    """A 12-16 constant open database, a query mentioning one or two of
+    its constants, and a mean constraint on one of the query's relations."""
+    names = [f"K{i:02d}" for i in range(rng.randint(12, 16))]
+    rng.shuffle(names)
+    schema = Schema(GAP_ARITIES, tuple(Constant(n) for n in names))
+    rels = {"R": {}, "U": {}, "S": {}, "T": {}}
+    for pred, arity in GAP_ARITIES.items():
+        density = 0.5 if arity == 1 else 0.12
+        for args in ((a,) for a in names) if arity == 1 else ((a, b) for a in names for b in names):
+            if rng.random() < density:
+                rels[pred][args] = rng.choice(PROB_GRID)
+    db = Database(schema, rels)
+    a, b = rng.sample(names, 2)
+    q = parse_ucq(rng.choice(GAP_QUERIES).format(a=a, b=b), schema)
+    g = OpenPDB(db, rng.choice(LAMBDA_GRID))
+    rel = rng.choice(sorted(q.predicates()))
+    n_total = len(names) ** GAP_ARITIES[rel]
+    mean = min(1.0, (db.relation_mass(rel) + (rng.randint(1, 4) + 0.5) * g.lam) / n_total)
+    return g, MTPConstraint(rel, mean), q
+
+
 def main() -> None:
     rng = random.Random(5)
     for i in range(SAFE_INSTANCES):
@@ -91,6 +139,14 @@ def main() -> None:
         q = UCQ([rand_cq(rng, schema) for _ in range(rng.randint(1, 3))])
         print(f"safety {i} {q}")
         print("  " + answer(lambda: analyze_query(q, schema)))
+    rng = random.Random(13)
+    for i in range(GAP_INSTANCES):
+        g, c, q = gap_instance(rng)
+        print(f"gap {i} {q} {c} lam={g.lam} domain={' '.join(str(k) for k in g.schema.domain)}")
+        lines = closed_answers(g, q)
+        lines.append(answer(lambda: mtp_upper_exact(g, c, q), lambda r: show_bound(r, g.schema)))
+        for line in lines:
+            print("  " + line)
 
 
 if __name__ == "__main__":
