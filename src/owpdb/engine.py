@@ -20,13 +20,15 @@ oracle.
 :class:`Plan` holds these choices for one public call: every rule is
 derived once per sub-union, not once per domain constant, because a
 separator binds each constant the query does not mention to a placeholder
-of one shared child.  The call's evaluators, one per database it reads
-(greedy makes one per candidate), share that plan; each keeps its own memo
-table keyed by plan node and the constants bound to the node's
-placeholders.  "Safe" means the whole plan builds; a plan too wide to
-build is :class:`CapExceeded`, not unsafe.  Nothing outlives the
-call: databases are never mutated and plans and memo tables are per call,
-so concurrent queries against one database are safe.
+of one shared child.  The call's evaluators, one per database it reads,
+share that plan; each keeps its own memo table keyed by plan node and the
+constants bound to the node's placeholders.  Greedy scores a candidate
+tuple through :meth:`Evaluator.conditioned`, which reuses the round's memo
+for every node the tuple cannot touch and re-evaluates only the rest.
+"Safe" means the whole plan builds; a plan too wide to build is
+:class:`CapExceeded`, not unsafe.  Nothing outlives the call: databases
+are never mutated and plans and memo tables are per call, so concurrent
+queries against one database are safe.
 """
 from __future__ import annotations
 
@@ -48,6 +50,7 @@ from .query import (
     Placeholder,
     QueryProfile,
     UCQ,
+    Variable,
     find_separator,
     ground,
     independence_groups,
@@ -147,11 +150,13 @@ class _Node:
     """A plan node: a minimized union, possibly over placeholders, and its
     rule, filled in by :meth:`Plan.expand` on first use."""
 
-    __slots__ = ("query", "placeholders", "rule", "arg", "fresh")
+    __slots__ = ("query", "placeholders", "patterns", "rule", "arg", "fresh")
 
     def __init__(self, query: UCQ):
         self.query = query
         self.placeholders = tuple(sorted(c.name for c in query.constants() if type(c) is Placeholder))
+        # predicate -> argument tuples of its atoms, built on first use
+        self.patterns: dict[str, list[tuple]] | None = None
         self.rule = self.arg = self.fresh = None
 
     def key(self, env: Mapping[str, Constant]) -> object:
@@ -315,6 +320,12 @@ class Evaluator:
             self._memo[key] = cached
         return cached
 
+    def conditioned(self, atom: Atom) -> Evaluator:
+        """An evaluator of this database with ``atom`` true, on the same plan,
+        that reuses this evaluator's memo wherever ``atom`` cannot change a
+        node's value."""
+        return _Conditioned(self, atom)
+
     # -- recursion ---------------------------------------------------------
 
     def _lift(self, node: _Node, env: Mapping[str, Constant]) -> Prob:
@@ -380,6 +391,60 @@ class Evaluator:
         return probability.disj(parts)
 
 
+class _Conditioned(Evaluator):
+    """An evaluator of ``parent.db`` with one atom set true.  A node under an
+    environment is untouched when no atom of its bound union matches the
+    atom and the atom adds no constant to the stored rows of a predicate
+    under the node (that would rebatch a separator's constants).  An
+    untouched node takes the parent's memo entry, which is exact for it;
+    every other node is re-evaluated from children that fold in the same
+    order, so values are bit-identical to a fresh evaluator's.  The parent's
+    memo is only read."""
+
+    def __init__(self, parent: Evaluator, atom: Atom):
+        super().__init__(parent.db.with_overrides({atom: True}), plan=parent.plan)
+        self._parent = parent._memo
+        self._pred = atom.predicate
+        self._args = tuple(t.name for t in atom.args)
+        self._new_constant = not set(self._args) <= parent.db.explicit_constants((atom.predicate,))
+
+    def evaluate(self, node: _Node, env: Mapping[str, Constant]) -> Prob:
+        key = node.key(env)
+        cached = self._memo.get(key)
+        if cached is None:
+            cached = self._parent.get(key)
+            if cached is None or self._touches(node, env):
+                cached = self._memo[key] = self._lift(node, env)
+        return cached
+
+    def _touches(self, node: _Node, env: Mapping[str, Constant]) -> bool:
+        """Whether the atom can change P(``node``) under ``env``: it matches
+        one of the node's atoms with placeholders bound (a repeated variable
+        must meet one constant), or it brings a new constant to a predicate
+        the node reads."""
+        if node.patterns is None:
+            node.patterns = {}
+            for a in node.query.all_atoms():
+                node.patterns.setdefault(a.predicate, []).append(a.args)
+        patterns = node.patterns.get(self._pred)
+        if patterns is None:
+            return False
+        if self._new_constant:
+            return True
+        for args in patterns:
+            seen = {}
+            for t, name in zip(args, self._args):
+                kind = type(t)
+                if kind is Variable:
+                    if seen.setdefault(t.name, name) != name:
+                        break
+                elif (env[t.name] if kind is Placeholder else t).name != name:
+                    break
+            else:
+                return True
+        return False
+
+
 # ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------
@@ -424,33 +489,23 @@ def prob_ground_detail(
     cap_worlds: int = DEFAULT_WORLD_CAP,
     cap_ground: int = DEFAULT_GROUND_CAP,
 ) -> Prob:
-    conjuncts = ground(q, db.schema.domain, cap=cap_ground)
-    bit_of: dict[Atom, int] = {}
-    probs: list[float] = []
-    masks: set[int] = set()
-    for conj in conjuncts:
-        mask = 0
-        dead = False
-        for atom in conj:
-            p = db.atom_prob(atom)
-            if p <= 0.0:
-                dead = True
-                break
-            if p >= 1.0:
-                continue
-            bit = bit_of.get(atom)
-            if bit is None:
-                bit = len(bit_of)
-                bit_of[atom] = bit
-                probs.append(p)
-            mask |= 1 << bit
-        if dead:
+    live: list[list[Atom]] = []
+    for conj in ground(q, db.schema.domain, cap=cap_ground):
+        probs = [db.atom_prob(atom) for atom in conj]
+        if min(probs) <= 0.0:
             continue
-        if mask == 0:
+        uncertain = [atom for atom, p in zip(conj, probs) if p < 1.0]
+        if not uncertain:
             return CERTAIN  # a conjunct holds in every world
-        masks.add(mask)
-    if not masks:
+        live.append(uncertain)
+    if not live:
         return IMPOSSIBLE
+    # world bits in canonical atom order, not set order: the value must not
+    # depend on the hash seed
+    atoms = sorted({atom for conj in live for atom in conj}, key=db.schema.atom_key)
+    bit_of = {atom: bit for bit, atom in enumerate(atoms)}
+    probs = [db.atom_prob(atom) for atom in atoms]
+    masks = {sum(1 << bit_of[atom] for atom in conj) for conj in live}
     # drop conjuncts subsumed by a smaller one
     ordered = sorted(masks, key=lambda m: (bin(m).count("1"), m))
     minimal: list[int] = []

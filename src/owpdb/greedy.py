@@ -72,7 +72,11 @@ def greedy_trace(
     the largest marginal gain (ties in canonical atom order), until the
     budget is spent or the best gain is zero.  Stale heap entries are
     re-evaluated on pop; submodularity makes that sound.  One lifted plan
-    serves every evaluation of the run.
+    serves every evaluation of the run.  Each round evaluates its database
+    once; a candidate's evaluator (:meth:`Evaluator.conditioned`) reuses that
+    round's memo for every plan node the candidate cannot change and
+    re-evaluates the rest, with the same gains, bit for bit, as a fresh
+    evaluation of the conditioned database.
     """
     plan = Plan().build(q)
     if budget is None:
@@ -81,64 +85,47 @@ def greedy_trace(
 
     schema = g.schema
     lam = g.lam
-    db = g.pdb
-    p_closed = Evaluator(db, plan=plan).probability(q).value
+    base = Evaluator(g.pdb, plan=plan)
+    p_closed = base.probability(q).value
     candidates = open_tuples(g, c.relation)
 
-    # Marginal gain of an absent tuple t at the current database:
+    # Marginal gain of an absent tuple t at the round's database:
     # lam * (P(q | t true) - P(q)), by conditioning on the one new tuple.
-    def gain_of(atom: Atom, evaluator_db, p_cur: float) -> float:
-        p_true = Evaluator(evaluator_db.with_overrides({atom: True}), plan=plan).probability(q).value
-        return lam * (p_true - p_cur)
+    def gain_of(atom: Atom) -> float:
+        return lam * (base.conditioned(atom).probability(q).value - p_cur)
 
     picks: list[tuple[Atom, float]] = []
     p_cur = p_closed
     if lam > 0.0 and budget > 0 and candidates:
         heap: list[tuple[float, tuple, int, Atom]] = []
         for atom in candidates:
-            g0 = gain_of(atom, db, p_cur)
-            heapq.heappush(heap, (-g0, schema.atom_key(atom), 0, atom))
+            heapq.heappush(heap, (-gain_of(atom), schema.atom_key(atom), 0, atom))
         round_no = 0
         while len(picks) < budget and heap:
             neg_gain, key, stamp, atom = heapq.heappop(heap)
             if stamp != round_no:
-                fresh = gain_of(atom, db, p_cur)
-                heapq.heappush(heap, (-fresh, key, round_no, atom))
+                heapq.heappush(heap, (-gain_of(atom), key, round_no, atom))
                 continue
             gain = -neg_gain
             if gain <= 0.0:
                 break
             picks.append((atom, gain))
-            db = g.pdb.with_added([a for a, _ in picks], lam)
-            p_cur = Evaluator(db, plan=plan).probability(q).value
+            base = Evaluator(g.pdb.with_added([a for a, _ in picks], lam), plan=plan)
+            p_cur = base.probability(q).value
             round_no += 1
     p_greedy = p_cur
 
-    if guarantee:
-        e = math.e
-        upper = (e * p_greedy - p_closed) / (e - 1.0)
-        trace = GreedyTrace(
-            picks=tuple(picks),
-            p_closed=p_closed,
-            p_greedy=p_greedy,
-            lower=p_greedy,
-            upper=upper,
-            upper_clamped=min(1.0, upper),
-            budget=budget,
-            guarantee=True,
-        )
-    else:
-        trace = GreedyTrace(
-            picks=tuple(picks),
-            p_closed=p_closed,
-            p_greedy=p_greedy,
-            lower=None,
-            upper=None,
-            upper_clamped=None,
-            budget=budget,
-            guarantee=False,
-        )
-    return trace
+    upper = (math.e * p_greedy - p_closed) / (math.e - 1.0) if guarantee else None
+    return GreedyTrace(
+        picks=tuple(picks),
+        p_closed=p_closed,
+        p_greedy=p_greedy,
+        lower=p_greedy if guarantee else None,
+        upper=upper,
+        upper_clamped=min(1.0, upper) if guarantee else None,
+        budget=budget,
+        guarantee=guarantee,
+    )
 
 
 def greedy_upper(

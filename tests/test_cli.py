@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import owpdb
 from owpdb import dataio
 from owpdb.cli import RunConfig, run
 from owpdb.database import Database, Schema
@@ -160,6 +165,31 @@ class TestDeterminism:
                     "complement_log10",
                     "warnings",
                 }
+
+
+class TestHashSeed:
+    def test_ground_fallback_bytes_do_not_depend_on_the_hash_seed(self, tmp_path):
+        # 12 uncertain tuples in the lineage of an unsafe chain; numbering
+        # them in set order gave ...7756 under one hash seed, ...7755 under
+        # the other
+        schema = Schema({"R": 1, "S": 2, "T": 1}, tuple(Constant(n) for n in "ABC"))
+        db = Database(schema, {
+            "R": {("A",): 0.207, ("B",): 0.778, ("C",): 0.711},
+            "S": {("A", "A"): 0.731, ("A", "B"): 0.123, ("B", "A"): 0.71, ("B", "B"): 0.456, ("B", "C"): 0.283,
+                  ("C", "C"): 0.12},
+            "T": {("A",): 0.304, ("B",): 0.496, ("C",): 0.46},
+        })
+        dataio.save_database(db, tmp_path)
+        src = str(Path(owpdb.__file__).resolve().parents[1])
+        argv = [sys.executable, "-m", "owpdb.cli", "--db", str(tmp_path), "--query", "R(x), S(x,y), T(y)",
+                "--mode", "eval", "--output", "json"]
+        outs = [
+            subprocess.run(argv, env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+                           capture_output=True, check=True).stdout
+            for seed in ("0", "1")
+        ]
+        assert b"unsafe-query-ground-evaluation" in outs[0]
+        assert outs[0] == outs[1]
 
 
 class TestExitCodes:

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from owpdb.database import Database, Schema
-from owpdb.engine import prob_ground
+from owpdb.database import Database, LambdaCompletionView, Schema
+from owpdb.engine import Evaluator, Plan, prob_ground
 from owpdb.greedy import greedy_trace, greedy_upper, set_query_prob
 from owpdb.openworld import MTPConstraint, OpenPDB, interval_unconstrained, open_tuples
 from owpdb.oracle import mtp_upper_bruteforce
@@ -167,3 +167,113 @@ class TestSubmodularity:
             x = [a for a in y if rng.random() < 0.5]
             assert set_query_prob(g, q, x) <= set_query_prob(g, q, y) + 1e-12
             checked += 1
+
+
+@pytest.fixture
+def scored(monkeypatch):
+    """Checks every candidate evaluator greedy builds against the
+    conditioning oracle, a fresh evaluator of the conditioned database on
+    the same plan, with ``==``; records (round database, candidate) per
+    check."""
+    seen = []
+    real = Evaluator.conditioned
+
+    def conditioned(self, atom):
+        derived = real(self, atom)
+        probability = derived.probability
+
+        def checked(q):
+            got = probability(q)
+            assert got == Evaluator(self.db.with_overrides({atom: True}), plan=self.plan).probability(q), atom
+            seen.append((self.db, atom))
+            return got
+
+        derived.probability = checked
+        return derived
+
+    monkeypatch.setattr(Evaluator, "conditioned", conditioned)
+    return seen
+
+
+def brings_new_constant(db, atom):
+    return not {t.name for t in atom.args} <= db.explicit_constants([atom.predicate])
+
+
+class TestIncrementalGains:
+    """A candidate's evaluator reuses the round's memo for the plan nodes the
+    candidate cannot touch; its gains equal conditioning's bit for bit."""
+
+    ARITIES = {"R": 1, "S": 1, "T": 2, "CoA": 2}
+
+    def sparse_db(self):
+        # CoA and T store rows on A-C only, so most candidates bring a new
+        # constant to CoA's stored rows
+        names = "ABCDEF"
+        schema = Schema(self.ARITIES, tuple(Constant(n) for n in names))
+        return Database(schema, {
+            "R": {("A",): 0.4, ("C",): 0.7, ("E",): 0.5},
+            "S": {(n,): p for n, p in zip(names, (0.3, 0.9, 0.5, 0.2, 0.6, 0.8))},
+            "T": {("A", "B"): 0.6, ("B", "B"): 0.3, ("C", "A"): 0.8},
+            "CoA": {("A", "A"): 0.5, ("A", "B"): 0.2, ("B", "C"): 0.7, ("C", "A"): 0.4},
+        })
+
+    def run(self, text):
+        db = self.sparse_db()
+        return greedy_trace(OpenPDB(db, 0.6), MTPConstraint("CoA", 0.9), parse_ucq(text, db.schema), budget=3)
+
+    @pytest.mark.parametrize("self_join_free", [True, False])
+    def test_random_instances(self, scored, self_join_free):
+        rng = random.Random(70)
+        for _ in range(60):
+            g, c, q, _ = rand_mtp_instance(rng, self_join_free=self_join_free)
+            greedy_trace(g, c, q)
+        first = sum(1 for db, _ in scored if isinstance(db, Database))
+        assert 0 < first < len(scored)  # heap pushes and re-scores
+
+    def test_candidate_with_new_constant(self, scored):
+        trace = self.run("S(x), CoA(x, y)")
+        assert len(trace.picks) == 3
+        assert any(brings_new_constant(db, atom) for db, atom in scored)
+        assert any(not brings_new_constant(db, atom) for db, atom in scored)
+
+    def test_new_constant_rebatches_a_completed_separator(self):
+        # With completed relations the constants of no stored row carry
+        # probability, and a candidate that makes one explicit moves it out
+        # of the batched rest: the root's factors fold in another order.
+        schema = Schema({"S": 1, "CoA": 2}, tuple(Constant(n) for n in "ABCDEFG"))
+        db = Database(schema, {
+            "S": {("A",): 0.3, ("B",): 0.1, ("C",): 0.9},
+            "CoA": {("A", "A"): 0.5, ("A", "B"): 0.1, ("B", "A"): 0.3},
+        })
+        q = parse_ucq("S(x), CoA(x, x)", schema)
+        view = LambdaCompletionView(db, 0.3)
+        plan = Plan().build(q)
+        base = Evaluator(view, plan=plan)
+        base.probability(q)
+        candidates = open_tuples(OpenPDB(db, 0.3), "CoA")
+        assert any(brings_new_constant(db, t) for t in candidates)
+        for t in candidates:
+            assert base.conditioned(t).probability(q) == Evaluator(view.with_overrides({t: True}), plan=plan).probability(q), t
+
+    @pytest.mark.parametrize("text", [
+        "S(x), CoA(x, C)",
+        "CoA(x, B) | CoA(x, D)",
+        "R(x), CoA(x, B) | S(z), CoA(z, D)",
+    ])
+    def test_query_with_constants(self, scored, text):
+        self.run(text)
+        assert scored
+
+    def test_repeated_variable(self, scored):
+        trace = self.run("S(x), CoA(x, x)")
+        assert all(a.args[0] == a.args[1] for a, _ in trace.picks)
+        assert any(a.args[0] != a.args[1] for _, a in scored)
+
+    @pytest.mark.parametrize("text", [
+        "R(x), CoA(x, y) | T(x, y), CoA(x, B)",
+        "CoA(x, y), CoA(A, y)",
+    ])
+    def test_self_join(self, scored, text):
+        trace = self.run(text)
+        assert not trace.guarantee and trace.picks
+        assert any(not isinstance(db, Database) for db, _ in scored)

@@ -2,6 +2,7 @@
 independent of the domain's size."""
 import random
 import sys
+import weakref
 
 import pytest
 
@@ -10,7 +11,7 @@ from owpdb.database import Database, Schema
 from owpdb.engine import Evaluator, is_safe, prob_ground, prob_lifted, prob_lifted_detail
 from owpdb.errors import CapExceeded, UnsafeQuery
 from owpdb.exactdp import mtp_upper_exact
-from owpdb.greedy import greedy_upper
+from owpdb.greedy import greedy_trace, greedy_upper
 from owpdb.openworld import MTPConstraint, OpenPDB, interval_unconstrained
 from owpdb.probability import Prob
 from owpdb.query import UCQ, Constant, parse_ucq
@@ -97,6 +98,64 @@ class TestPlanWork:
             mtp_upper_exact(OpenPDB(db, 0.5), MTPConstraint("CoA", 0.5), q, budget=2)
             counts.append(decompose_calls[0])
         assert counts[0] == counts[1]
+
+
+def stored_scientist_db(n, seed=1):
+    """``scientist_db``'s shape at CoA density 0.1, with a CoA row on a
+    cycle through the domain, so that every constant is stored in CoA."""
+    rng = random.Random(seed)
+    names = [f"c{i:02d}" for i in range(n)]
+    coa = {(a, b): rng.choice([0.1, 0.3, 0.7]) for a in names for b in names if rng.random() < 0.1}
+    coa.update({(a, names[i - 1]): 0.5 for i, a in enumerate(names) if (a, names[i - 1]) not in coa})
+    s = {(c,): rng.choice([0.2, 0.5, 0.9]) for c in names}
+    return Database(Schema({"S": 1, "CoA": 2}, tuple(Constant(c) for c in names)), {"S": s, "CoA": coa})
+
+
+@pytest.fixture
+def scoring_lifts(monkeypatch):
+    """``Evaluator._lift`` calls made by candidate evaluators: per scored
+    candidate, the candidate and the plan nodes it re-evaluated."""
+    scorings: list[tuple] = []
+    by_evaluator = weakref.WeakKeyDictionary()
+    real_lift, real_conditioned = Evaluator._lift, Evaluator.conditioned
+
+    def conditioned(self, atom):
+        derived = real_conditioned(self, atom)
+        scorings.append((atom, []))
+        by_evaluator[derived] = scorings[-1][1]
+        return derived
+
+    def lift(self, node, env):
+        if self in by_evaluator:
+            by_evaluator[self].append(node)
+        return real_lift(self, node, env)
+
+    monkeypatch.setattr(Evaluator, "conditioned", conditioned)
+    monkeypatch.setattr(Evaluator, "_lift", lift)
+    return scorings
+
+
+class TestGreedyWork:
+    """A candidate re-evaluates only the plan nodes its tuple can touch, so
+    its work does not grow with the domain."""
+
+    def test_recomputed_nodes_per_candidate_are_flat(self, scoring_lifts):
+        per_candidate = []
+        for n in (16, 48):
+            scoring_lifts.clear()
+            db = stored_scientist_db(n)
+            greedy_trace(OpenPDB(db, 0.5), MTPConstraint("CoA", 0.5), parse_ucq("S(x), CoA(x,y)", db.schema), budget=2)
+            calls = [len(nodes) for _, nodes in scoring_lifts]
+            assert len(calls) > n * n // 2
+            per_candidate.append(max(calls))
+        # the root, the candidate's separator child and its CoA block
+        assert per_candidate == [3, 3]
+
+    def test_repeated_variable_off_the_diagonal_touches_nothing(self, scoring_lifts):
+        db = stored_scientist_db(16)
+        greedy_trace(OpenPDB(db, 0.5), MTPConstraint("CoA", 0.5), parse_ucq("S(x), CoA(x,x)", db.schema), budget=2)
+        assert {len(nodes) for a, nodes in scoring_lifts if a.args[0] != a.args[1]} == {0}
+        assert all(nodes for a, nodes in scoring_lifts if a.args[0] == a.args[1])
 
 
 def test_plan_build_agrees_with_probe_evaluation():

@@ -18,9 +18,14 @@ safe and unsafe alike.  Last, 80 mid-size budgeted instances drawn from
 from ``GAP_QUERIES`` mentioning one or two of them (so a separator's other
 constants fall into several gaps, and some queries reach the exact DP's
 inclusion-exclusion families), budgets 1-4; each prints the closed answers
-and ``mtp_upper_exact``.  Witnesses are printed in the schema's canonical
-atom order, so the text does not depend on ``PYTHONHASHSEED``.  An error is
-printed as its class name and message.
+and ``mtp_upper_exact``.  Then 60 greedy runs drawn from
+``random.Random(17)``: 6-10 constants, the constrained relation ``S``
+stored only among three to five of them (so most candidates bring a
+constant no stored ``S`` row has), a query from ``GREEDY_QUERIES`` (with
+constants, a repeated variable, self-joins), budgets 1-3; each prints the
+closed answer and ``greedy_trace``'s picks, gains and bounds.  Witnesses are
+printed in the schema's canonical atom order, so the text does not depend
+on ``PYTHONHASHSEED``.  An error is printed as its class name and message.
 """
 from __future__ import annotations
 
@@ -33,6 +38,7 @@ from owpdb import (
     Schema,
     OwpdbError,
     analyze_query,
+    greedy_trace,
     greedy_upper,
     interval_unconstrained,
     mtp_upper_bruteforce,
@@ -62,6 +68,14 @@ GAP_QUERIES = (
     "S(x, {a}), R(y) | S(z, {a}), T(z, {b})",
     "R(x), S(x, y) | T(x, y), S(x, {a})",  # IE
     "R(x), S(x, {a}) | U(y), S(y, {b}) | S(z, {a}), S(z, {b})",  # IE
+)
+
+GREEDY_INSTANCES = 60
+GREEDY_QUERIES = GAP_QUERIES + (
+    "R(x), S(x, y)",
+    "R(x), S(x, x)",
+    "S(x, y), S(x, {a}), R(x)",
+    "S(x, y) | S({a}, z), R(z)",
 )
 
 
@@ -118,6 +132,36 @@ def gap_instance(rng: random.Random):
     return g, MTPConstraint(rel, mean), q
 
 
+def greedy_instance(rng: random.Random):
+    """6-10 constants with ``S`` stored among only a few of them, a query
+    from ``GREEDY_QUERIES``, and a budget of 1-3."""
+    names = [f"K{i:02d}" for i in range(rng.randint(6, 10))]
+    rng.shuffle(names)
+    schema = Schema(GAP_ARITIES, tuple(Constant(n) for n in names))
+    stored = names[: rng.randint(3, 5)]
+    rels = {
+        "R": {(a,): rng.choice(PROB_GRID) for a in names if rng.random() < 0.6},
+        "U": {(a,): rng.choice(PROB_GRID) for a in names if rng.random() < 0.6},
+        "S": {(a, b): rng.choice(PROB_GRID) for a in stored for b in stored if rng.random() < 0.4},
+        "T": {(a, b): rng.choice(PROB_GRID) for a in names for b in names if rng.random() < 0.2},
+    }
+    a, b = rng.sample(names, 2)
+    q = parse_ucq(rng.choice(GREEDY_QUERIES).format(a=a, b=b), schema)
+    return OpenPDB(Database(schema, rels), rng.choice(LAMBDA_GRID)), q, rng.randint(1, 3)
+
+
+def show_trace(trace) -> str:
+    return repr((
+        [(str(atom), gain) for atom, gain in trace.picks],
+        trace.p_closed,
+        trace.p_greedy,
+        trace.lower,
+        trace.upper,
+        trace.upper_clamped,
+        trace.guarantee,
+    ))
+
+
 def main() -> None:
     rng = random.Random(5)
     for i in range(SAFE_INSTANCES):
@@ -147,6 +191,13 @@ def main() -> None:
         lines.append(answer(lambda: mtp_upper_exact(g, c, q), lambda r: show_bound(r, g.schema)))
         for line in lines:
             print("  " + line)
+    rng = random.Random(17)
+    for i in range(GREEDY_INSTANCES):
+        g, q, budget = greedy_instance(rng)
+        c = MTPConstraint("S", 1.0)
+        print(f"greedy {i} {q} lam={g.lam} budget={budget} domain={' '.join(str(k) for k in g.schema.domain)}")
+        print("  " + answer(lambda: prob_lifted_detail(q, g.pdb)))
+        print("  " + answer(lambda: greedy_trace(g, c, q, budget=budget), show_trace))
 
 
 if __name__ == "__main__":
