@@ -197,7 +197,7 @@ def run(config: RunConfig) -> tuple[int, str]:
                     result = BoundResult(kind="closed", value=value)
                 except UnsafeQuery:
                     value = prob_ground(query, db, cap_worlds=config.cap_worlds)
-                    notices.append("query is unsafe; evaluated by world enumeration")
+                    notices.append("query is unsafe; evaluated by compiling its ground lineage")
                     result = BoundResult(
                         kind="closed", value=value, warnings=("unsafe-query-ground-evaluation",)
                     )

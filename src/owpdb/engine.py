@@ -13,9 +13,10 @@ The lifted evaluator decomposes a union of conjunctive queries recursively:
 
 :func:`decompose` picks the first of these rules that applies; the budget
 optimizer in :mod:`owpdb.exactdp` walks the same plan.  If no rule applies
-the query is refused with :class:`UnsafeQuery`; the ground evaluator (world
-enumeration over the uncertain tuples) is the fallback and the correctness
-oracle.
+the query is refused with :class:`UnsafeQuery`; the ground evaluator is the
+fallback and the correctness oracle.  It joins the stored rows into the
+query's lineage and compiles that by Shannon expansion, the ground analogue
+of the rules above, in memory bounded by a node cap, not by the worlds.
 
 :class:`Plan` holds these choices for one public call: every rule is
 derived once per sub-union, not once per domain constant, because a
@@ -34,10 +35,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import math
-from typing import Callable, Mapping
-
-import numpy as np
+from typing import Callable, Iterator, Mapping
 
 from . import probability
 from .database import ProbView, Schema
@@ -52,7 +50,6 @@ from .query import (
     UCQ,
     Variable,
     find_separator,
-    ground,
     independence_groups,
     is_hierarchical,
     is_inversion_free,
@@ -70,7 +67,9 @@ CNF_COMBINATION_CAP = 512
 INCLUSION_EXCLUSION_CAP = 12
 
 DEFAULT_WORLD_CAP = 24
-DEFAULT_GROUND_CAP = 10**6
+# Clauses of a ground lineage, summed over its compiled nodes (the root
+# holds them all): memory stays bounded whatever the world cap.
+LINEAGE_CAP = 10**6
 
 
 def conjunction_parts(q: UCQ, cap: int = CNF_COMBINATION_CAP) -> list[UCQ] | None:
@@ -395,11 +394,13 @@ class _Conditioned(Evaluator):
     """An evaluator of ``parent.db`` with one atom set true.  A node under an
     environment is untouched when no atom of its bound union matches the
     atom and the atom adds no constant to the stored rows of a predicate
-    under the node (that would rebatch a separator's constants).  An
-    untouched node takes the parent's memo entry, which is exact for it;
-    every other node is re-evaluated from children that fold in the same
-    order, so values are bit-identical to a fresh evaluator's.  The parent's
-    memo is only read."""
+    under the node (that would rebatch a separator's constants), unless the
+    view gives absent atoms of the node's predicates probability 0: then
+    every rebatched child is impossible and moves no bit.  An untouched node
+    takes the parent's memo entry, which is exact for it; every other node
+    is re-evaluated from children that fold in the same order, so values
+    are bit-identical to a fresh evaluator's.  The parent's memo is only
+    read."""
 
     def __init__(self, parent: Evaluator, atom: Atom):
         super().__init__(parent.db.with_overrides({atom: True}), plan=parent.plan)
@@ -407,6 +408,7 @@ class _Conditioned(Evaluator):
         self._pred = atom.predicate
         self._args = tuple(t.name for t in atom.args)
         self._new_constant = not set(self._args) <= parent.db.explicit_constants((atom.predicate,))
+        self._open = {p for p in parent.db.schema.predicates if parent.db.default_prob(p) > 0.0}
 
     def evaluate(self, node: _Node, env: Mapping[str, Constant]) -> Prob:
         key = node.key(env)
@@ -421,7 +423,7 @@ class _Conditioned(Evaluator):
         """Whether the atom can change P(``node``) under ``env``: it matches
         one of the node's atoms with placeholders bound (a repeated variable
         must meet one constant), or it brings a new constant to a predicate
-        the node reads."""
+        the node reads and the node reads one with absent atoms possible."""
         if node.patterns is None:
             node.patterns = {}
             for a in node.query.all_atoms():
@@ -429,7 +431,7 @@ class _Conditioned(Evaluator):
         patterns = node.patterns.get(self._pred)
         if patterns is None:
             return False
-        if self._new_constant:
+        if self._new_constant and not self._open.isdisjoint(node.patterns):
             return True
         for args in patterns:
             seen = {}
@@ -465,89 +467,114 @@ def prob_lifted_detail(q: UCQ, db: ProbView, **kwargs) -> Prob:
     return Evaluator(db, **kwargs).probability(q)
 
 
-def prob_ground(
-    q: UCQ,
-    db: ProbView,
-    *,
-    cap_worlds: int = DEFAULT_WORLD_CAP,
-    cap_ground: int = DEFAULT_GROUND_CAP,
-) -> float:
-    """Query probability by enumerating worlds over the uncertain tuples.
-
-    Deterministic tuples are folded in directly; only ground atoms with
-    probability strictly between 0 and 1 consume world bits.  Refuses with
-    :class:`CapExceeded` when more than ``cap_worlds`` uncertain tuples are
-    involved.
+def prob_ground(q: UCQ, db: ProbView, *, cap_worlds: int = DEFAULT_WORLD_CAP) -> float:
+    """Query probability, for any query, by compiling its lineage: a DNF
+    over the uncertain tuples with a clause per way the stored rows satisfy
+    a disjunct (every domain instance, for a predicate whose absent atoms
+    have a probability), certain tuples folded in and clauses containing
+    another dropped.  Refuses with :class:`CapExceeded` when more than
+    ``cap_worlds`` uncertain tuples are involved or the compiled nodes hold
+    more than :data:`LINEAGE_CAP` clauses in all.
     """
-    return prob_ground_detail(q, db, cap_worlds=cap_worlds, cap_ground=cap_ground).value
+    return prob_ground_detail(q, db, cap_worlds=cap_worlds).value
 
 
-def prob_ground_detail(
-    q: UCQ,
-    db: ProbView,
-    *,
-    cap_worlds: int = DEFAULT_WORLD_CAP,
-    cap_ground: int = DEFAULT_GROUND_CAP,
-) -> Prob:
-    live: list[list[Atom]] = []
-    for conj in ground(q, db.schema.domain, cap=cap_ground):
-        probs = [db.atom_prob(atom) for atom in conj]
-        if min(probs) <= 0.0:
-            continue
-        uncertain = [atom for atom, p in zip(conj, probs) if p < 1.0]
-        if not uncertain:
-            return CERTAIN  # a conjunct holds in every world
-        live.append(uncertain)
-    if not live:
-        return IMPOSSIBLE
+def prob_ground_detail(q: UCQ, db: ProbView, *, cap_worlds: int = DEFAULT_WORLD_CAP) -> Prob:
+    """Like :func:`prob_ground` but returns the value together with the log
+    of its complement."""
+    live: set[frozenset[Atom]] = set()
+    for d in q.disjuncts:
+        for conj in _lineage(db, d.atoms, {}, frozenset()):
+            if not conj:
+                return CERTAIN  # a conjunct holds in every world
+            live.add(conj)
+            if len(live) > LINEAGE_CAP:
+                raise CapExceeded(f"the lineage has more than {LINEAGE_CAP} clauses")
+    # drop conjuncts that contain another; a conjunct is as wide as its disjunct
+    minimal = [c for c in live
+               if not any(frozenset(s) in live for r in range(1, len(c)) for s in itertools.combinations(c, r))]
     # world bits in canonical atom order, not set order: the value must not
     # depend on the hash seed
-    atoms = sorted({atom for conj in live for atom in conj}, key=db.schema.atom_key)
-    bit_of = {atom: bit for bit, atom in enumerate(atoms)}
-    probs = [db.atom_prob(atom) for atom in atoms]
-    masks = {sum(1 << bit_of[atom] for atom in conj) for conj in live}
-    # drop conjuncts subsumed by a smaller one
-    ordered = sorted(masks, key=lambda m: (bin(m).count("1"), m))
-    minimal: list[int] = []
-    for m in ordered:
-        if not any(m & keep == keep for keep in minimal):
-            minimal.append(m)
-    used_bits = 0
-    for m in minimal:
-        used_bits |= m
-    remap: dict[int, int] = {}
-    kept_probs: list[float] = []
-    for old_bit in range(len(probs)):
-        if used_bits >> old_bit & 1:
-            remap[old_bit] = len(kept_probs)
-            kept_probs.append(probs[old_bit])
-    k = len(kept_probs)
-    if k > cap_worlds:
-        raise CapExceeded(f"{k} uncertain tuples exceed the world cap {cap_worlds}")
-    new_masks = []
-    for m in minimal:
-        nm = 0
-        for old_bit, new_bit in remap.items():
-            if m >> old_bit & 1:
-                nm |= 1 << new_bit
-        new_masks.append(nm)
+    atoms = sorted(set().union(*minimal), key=db.schema.atom_key)
+    if len(atoms) > cap_worlds:
+        raise CapExceeded(f"{len(atoms)} uncertain tuples exceed the world cap {cap_worlds}")
+    bit = {atom: 1 << i for i, atom in enumerate(atoms)}
+    clauses = tuple(sorted(sum(map(bit.get, c)) for c in minimal))
+    return _compile(clauses, [Prob.from_value(db.atom_prob(a)) for a in atoms])
 
-    worlds = np.arange(1 << k, dtype=np.uint64)
-    sat = np.zeros(1 << k, dtype=bool)
-    for m in new_masks:
-        mu = np.uint64(m)
-        sat |= (worlds & mu) == mu
-    weights = np.ones(1 << k, dtype=np.float64)
-    one = np.uint64(1)
-    for bit, p in enumerate(kept_probs):
-        chosen = (worlds >> np.uint64(bit)) & one
-        weights *= np.where(chosen == one, p, 1.0 - p)
-    value = float(weights[sat].sum())
-    comp = float(weights[~sat].sum())
-    value = min(max(value, 0.0), 1.0)
-    if comp <= 0.0:
-        return CERTAIN if value >= 1.0 else Prob.from_value(value)
-    return Prob(value, math.log(min(comp, 1.0)))
+
+def _lineage(db: ProbView, atoms: tuple[Atom, ...], binding: dict, used: frozenset) -> Iterator[frozenset[Atom]]:
+    """The uncertain ground atoms of each way ``atoms`` hold with nonzero
+    probability, extending ``binding``: the next atom is the one with the
+    fewest free variables, and a stored-rows lookup before a domain range."""
+    if not atoms:
+        yield used
+        return
+    atom = min(atoms, key=lambda a: (db.default_prob(a.predicate) > 0.0, len(a.variables() - binding.keys())))
+    rest = tuple(a for a in atoms if a is not atom)
+    pattern = tuple(binding.get(t, t) for t in atom.args)
+    if db.default_prob(atom.predicate) > 0.0:
+        free = list(dict.fromkeys(t for t in pattern if type(t) is Variable))
+        grounded = (tuple(b.get(t, t).name for t in pattern)
+                    for b in (dict(zip(free, cs)) for cs in itertools.product(db.schema.domain, repeat=len(free))))
+        rows = ((args, db.prob(atom.predicate, args)) for args in grounded)
+    else:
+        rows = db.pattern_entries(atom.predicate, pattern)
+    for args, p in rows:
+        if p > 0.0:
+            fact = Atom(atom.predicate, tuple(map(Constant, args)))
+            ext = {**binding, **{t: c for t, c in zip(pattern, fact.args) if type(t) is Variable}}
+            yield from _lineage(db, rest, ext, used if p >= 1.0 else used | {fact})
+
+
+def _compile(clauses: tuple[int, ...], probs: list[Prob]) -> Prob:
+    """P(some clause holds) for a minimal DNF over independent tuples, a
+    clause a bit mask and ``probs`` indexed by bit: Shannon expansion with
+    independent components split off, memoized on the clause set (Olteanu,
+    Huang & Koch, ICDE 2010).  An explicit stack in place of recursion: a
+    clause set waits on its parts, then folds them in bit order."""
+    memo: dict[tuple[int, ...], Prob] = {(): IMPOSSIBLE, (0,): CERTAIN}
+    steps: dict[tuple[int, ...], tuple[int, list]] = {}
+    stack, size = [clauses], 0
+    while stack:
+        f = stack[-1]
+        if f in memo:
+            stack.pop()
+        elif f not in steps:
+            size += len(f)
+            if size > LINEAGE_CAP:
+                raise CapExceeded(f"compiling the lineage needs more than {LINEAGE_CAP} clauses in its nodes")
+            steps[f] = _shannon_step(f)
+            stack += steps[f][1]
+        else:
+            v, parts = steps.pop(f)
+            vals = [memo[g] for g in parts]
+            memo[f] = probability.disj(vals) if v < 0 else probability.mix(probs[v], *vals)
+            stack.pop()
+    return memo[clauses]
+
+
+def _shannon_step(f: tuple[int, ...]) -> tuple[int, list]:
+    """``(-1, components)`` when the clauses fall into groups sharing no
+    tuple, ordered by lowest bit; otherwise ``(v, [f | v true, f | v
+    false])`` for the most frequent tuple ``v``, ties to the lowest bit."""
+    comps: dict[int, list[int]] = {}  # the tuples of a component -> its clauses
+    for c in f:
+        hit = [m for m in comps if m & c]
+        comps[c | sum(hit)] = [c] + [d for m in hit for d in comps.pop(m)]
+    if len(comps) > 1:
+        return -1, [tuple(sorted(comps[m])) for m in sorted(comps, key=lambda m: m & -m)]
+    counts: dict[int, int] = {}
+    for c in f:
+        while c:
+            counts[c & -c] = counts.get(c & -c, 0) + 1
+            c &= c - 1
+    v = max(counts, key=lambda b: (counts[b], -b))
+    reduced = [c ^ v for c in f if c & v]
+    lo = tuple(c for c in f if not c & v)
+    # a clause without v that contains a reduced clause is redundant once v holds
+    hi = (0,) if 0 in reduced else tuple(sorted(reduced + [c for c in lo if not any(r & c == r for r in reduced)]))
+    return v.bit_length() - 1, [hi, lo]
 
 
 def is_safe(q: UCQ, schema: Schema | None = None) -> bool:

@@ -28,7 +28,7 @@ class SchemaError(OwpdbError):
 class UnsafeQuery(OwpdbError):
     """Lifted evaluation cannot decompose the query; no polynomial plan exists
     under the implemented rules.  Callers should fall back to ground
-    enumeration or approximate bounds."""
+    evaluation or approximate bounds."""
 
 
 class NotInversionFree(OwpdbError):
@@ -37,8 +37,8 @@ class NotInversionFree(OwpdbError):
 
 
 class CapExceeded(OwpdbError):
-    """A resource guard refused the operation (world count, subset count,
-    grounding size, or decomposition width)."""
+    """A resource guard refused the operation (uncertain-tuple count, subset
+    count, lineage size, or decomposition width)."""
 
 
 class CompletionOverlap(OwpdbError):

@@ -181,9 +181,6 @@ class _BudgetSolver:
                 acc = self._combine(acc, self.bopt(*child_of(const)), "disj")
             return acc
 
-        # no rule applies: enumerate the slice for the one core
-        return tuple((vals[0], wit) for [(vals, wit)] in self._pareto_enumerate((q,), (1,), sl))
-
     # -- inclusion-exclusion families ---------------------------------------
 
     def _ie_family(self, group: tuple[_Node, ...], env: Mapping[str, Constant]) -> _BVec:

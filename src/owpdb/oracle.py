@@ -17,8 +17,6 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .database import Database, Schema
 from .engine import Evaluator, Plan, prob_ground, prob_lifted
 from .errors import CapExceeded, SchemaError, UnsafeQuery
@@ -105,7 +103,7 @@ def mtp_upper_bruteforce(
 ) -> BoundResult:
     """Exact budgeted upper bound by enumerating every completion choice.
 
-    Uses lifted evaluation per choice, or world enumeration when the query
+    Uses lifted evaluation per choice, or ground evaluation when the query
     is unsafe.  The witness is the lexicographically smallest maximizer in
     canonical atom order.
     """
@@ -550,6 +548,8 @@ def vertex_attainment_check(
     largest single-tuple gain, and some maximizing grid point to have at
     most one coordinate strictly between 0 and the completion probability.
     """
+    import numpy as np  # here only, so that importing owpdb does not load numpy
+
     lam = g.lam
     opens = open_tuples(g, c.relation)
     n = len(opens)

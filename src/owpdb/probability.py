@@ -99,6 +99,18 @@ def power_disj(p: Prob, n: int) -> Prob:
     return Prob(-math.expm1(s), s)
 
 
+def mix(p: Prob, hi: Prob, lo: Prob) -> Prob:
+    """P(E) from P(A) = ``p``, P(E | A) = ``hi`` and P(E | not A) = ``lo``.
+    Value and complement are each a sum of two non-negative terms; the
+    complement's is taken in log space."""
+    a, b = p._logv() + hi.logc, p.logc + lo.logc
+    m = max(a, b)
+    if m == _NEG_INF:
+        return CERTAIN
+    value = min(p.value * hi.value + p.complement * lo.value, 1.0)
+    return Prob(value, min(m + math.log1p(math.exp(min(a, b) - m)), 0.0))
+
+
 def signed_sum(terms: Sequence[tuple[int, Prob]]) -> tuple[Prob, float]:
     """Inclusion-exclusion combination: sum of signed term probabilities.
 

@@ -2,7 +2,7 @@
 
 Generators draw from small grids (domain sizes 2-4, arities up to 3, tuple
 probabilities in {0, 0.1, ..., 0.9}, completion probabilities in
-{0.2, 0.5, 0.8}) so the world-enumeration oracle stays in reach while the
+{0.2, 0.5, 0.8}) so the ground oracle stays in reach while the
 boundary probabilities are still exercised.  Everything is driven by a
 caller-supplied ``random.Random``, so a fixed seed reproduces instances
 byte for byte.

@@ -151,6 +151,18 @@ class TestGreedyWork:
         # the root, the candidate's separator child and its CoA block
         assert per_candidate == [3, 3]
 
+    def test_closed_world_candidate_with_a_new_constant_stays_flat(self, scoring_lifts):
+        # CoA stores rows among c00-c07 only, so a candidate on c08-c15
+        # brings CoA a new constant: on the closed-world view it only moves
+        # impossible children out of the root's batched rest
+        db = stored_scientist_db(16)
+        stored = {args: p for args, p in db.entries("CoA") if max(args) < "c08"}
+        db = Database(db.schema, {"S": dict(db.entries("S")), "CoA": stored})
+        greedy_trace(OpenPDB(db, 0.5), MTPConstraint("CoA", 0.5), parse_ucq("S(x), CoA(x,y)", db.schema), budget=1)
+        new = [len(nodes) for a, nodes in scoring_lifts if max(t.name for t in a.args) >= "c08"]
+        assert len(new) > 100
+        assert max(new) == 3
+
     def test_repeated_variable_off_the_diagonal_touches_nothing(self, scoring_lifts):
         db = stored_scientist_db(16)
         greedy_trace(OpenPDB(db, 0.5), MTPConstraint("CoA", 0.5), parse_ucq("S(x), CoA(x,x)", db.schema), budget=2)
