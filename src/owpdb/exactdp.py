@@ -21,14 +21,20 @@ enumeration of the remaining slice when it is small, and are otherwise
 refused with :class:`NotInversionFree` so callers can route to the greedy
 bound or the brute-force oracle.
 
+Open tuples are never listed: a slice is generated lazily in canonical
+order (:meth:`_BudgetSolver.slice_of`), and an emptiness test reads one
+tuple of it, the atom rule ``B``; on ``S(x), CoA(x,y)`` a run probes each
+stored row a few times plus about ``n * (B + 1)`` absent tuples.
+Witnesses are sorted tuples of domain-index tuples until the result;
+max-convolution merges them only for the best split and its exact ties.
+
 The solver keeps no shared mutable state beyond per-run memo tables.
 """
 from __future__ import annotations
 
 import itertools
-from typing import Mapping
+from typing import Iterator, Mapping
 
-from .database import _bound_of, _match_args, _Table
 from .engine import Evaluator, Plan, _Node, conjunction_parts
 from .errors import NotInversionFree
 from .openworld import (
@@ -37,13 +43,14 @@ from .openworld import (
     MTPConstraint,
     OpenPDB,
     budget_from_mtp,
-    open_tuples,
 )
 from .query import (
     Atom,
     ConjunctiveQuery,
     Constant,
+    Placeholder,
     UCQ,
+    Variable,
     find_separator,
     independence_groups,
     is_inversion_free,
@@ -53,8 +60,15 @@ from .query import (
 
 ENUMERATION_FALLBACK_CAP = 10  # max open tuples enumerated when no rule applies
 
+# A witness: added tuples of the constrained relation as domain-index tuples,
+# sorted, which is their canonical atom order.
+_Witness = tuple[tuple[int, ...], ...]
 # A budget vector: entry b holds (best probability, witness) using at most b added tuples.
-_BVec = tuple[tuple[float, tuple[Atom, ...]], ...]
+_BVec = tuple[tuple[float, _Witness], ...]
+
+
+def _merge(w1: _Witness, w2: _Witness) -> _Witness:
+    return tuple(sorted(set(w1).union(w2))) if w1 and w2 else w1 or w2
 
 
 class _BudgetSolver:
@@ -68,37 +82,56 @@ class _BudgetSolver:
         self.lam = g.lam
         self.b_max = b_max
         self.plan = plan
-        self._open = _Table.fromkeys(tuple(t.name for t in a.args) for a in open_tuples(g, relation))
+        self._names = tuple(c.name for c in self.schema.domain)
+        self._indices = tuple(range(len(self._names)))  # product() copies a range, not a tuple
         self._eval = Evaluator(g.pdb, plan=plan)
         self._memo: dict[object, _BVec] = {}
-        self._slice_memo: dict[UCQ, frozenset[tuple[str, ...]]] = {}
+        self._open_memo: dict[UCQ, bool] = {}
 
     # -- helpers -----------------------------------------------------------
 
-    def _atom(self, args: tuple[str, ...]) -> Atom:
-        return Atom(self.rel, tuple(Constant(a) for a in args))
+    def atom(self, idx: tuple[int, ...]) -> Atom:
+        return Atom(self.rel, tuple(self.schema.domain[i] for i in idx))
 
-    def _wkey(self, witness: tuple[Atom, ...]):
-        return tuple(self.schema.atom_key(a) for a in witness)
+    def _open(self, atom: Atom, env: Mapping[str, Constant]) -> Iterator[tuple[int, ...]]:
+        """Absent tuples of the constrained relation instantiating ``atom``
+        under ``env``, in canonical order: a domain-order product over its
+        distinct terms, skipping stored rows."""
+        terms = [env[t.name] if type(t) is Placeholder else t for t in atom.args]
+        pools: list[tuple[int, ...]] = []
+        slots: dict[object, int] = {}  # term -> its pool
+        for t in terms:
+            if t not in slots:
+                if isinstance(t, Variable):
+                    pools.append(self._indices)
+                elif self.schema.has_constant(t.name):
+                    pools.append((self.schema.domain_index(t.name),))
+                else:
+                    return
+                slots[t] = len(pools) - 1
+        # a repeated term reads its first occurrence's pool
+        spread = None if len(pools) == len(terms) else [slots[t] for t in terms]
+        names, is_explicit = self._names.__getitem__, self.g.pdb.is_explicit
+        for idx in itertools.product(*pools):
+            if spread is not None:
+                idx = tuple(idx[j] for j in spread)
+            if not is_explicit(self.rel, tuple(map(names, idx))):
+                yield idx
 
-    def _merge_witness(self, w1: tuple[Atom, ...], w2: tuple[Atom, ...]) -> tuple[Atom, ...]:
-        return tuple(sorted(set(w1) | set(w2), key=self.schema.atom_key))
-
-    def slice_of(self, q: UCQ) -> frozenset[tuple[str, ...]]:
-        """Open tuples of the constrained relation that can affect ``q``.
-
-        Each atom of the relation looks up the open tuples holding its
-        constants in a lazy per-positions index over the open set, so only
-        those are tested against its pattern."""
-        cached = self._slice_memo.get(q)
-        if cached is not None:
-            return cached
-        atoms = [a for d in q.disjuncts for a in d.atoms if a.predicate == self.rel]
-        result = frozenset(
-            args for a in atoms for args, _ in self._open.rows(_bound_of(a.args)) if _match_args(a.args, args)
+    def slice_of(self, q: UCQ, env: Mapping[str, Constant]) -> Iterator[tuple[int, ...]]:
+        """Open tuples of the constrained relation that can affect ``q``
+        under ``env``, generated lazily atom by atom, each atom's in
+        canonical order (a tuple two atoms share comes twice)."""
+        return itertools.chain.from_iterable(
+            self._open(a, env) for d in q.disjuncts for a in d.atoms if a.predicate == self.rel
         )
-        self._slice_memo[q] = result
-        return result
+
+    def has_open(self, q: UCQ) -> bool:
+        """Does ``q``'s slice hold a tuple?  Reads at most its first."""
+        cached = self._open_memo.get(q)
+        if cached is None:
+            cached = self._open_memo[q] = next(self.slice_of(q, {}), None) is not None
+        return cached
 
     def _closed(self, node: _Node, env: Mapping[str, Constant]) -> float:
         """Closed-world probability of ``node`` under ``env``."""
@@ -107,24 +140,20 @@ class _BudgetSolver:
     # -- budget vector combiners --------------------------------------------
 
     def _combine(self, v1: _BVec, v2: _BVec, mode: str) -> _BVec:
-        """Max-convolution of two independent-slice budget vectors."""
+        """Max-convolution of two independent-slice budget vectors; exact
+        ties in value go to the smallest merged witness."""
+        if mode == "conj":
+            p1, p2 = [p for p, _ in v1], [p for p, _ in v2]
+        else:
+            p1, p2 = [1.0 - p for p, _ in v1], [1.0 - p for p, _ in v2]
         out = []
         for b in range(self.b_max + 1):
-            best_v, best_w = -1.0, ()
-            best_key = None
-            for k in range(b + 1):
-                p1, w1 = v1[k]
-                p2, w2 = v2[b - k]
-                val = p1 * p2 if mode == "conj" else 1.0 - (1.0 - p1) * (1.0 - p2)
-                if val > best_v:
-                    best_v, best_w = val, self._merge_witness(w1, w2)
-                    best_key = self._wkey(best_w)
-                elif val == best_v:
-                    w = self._merge_witness(w1, w2)
-                    key = self._wkey(w)
-                    if key < best_key:
-                        best_w, best_key = w, key
-            out.append((best_v, best_w))
+            if mode == "conj":
+                vals = [p1[k] * p2[b - k] for k in range(b + 1)]
+            else:
+                vals = [1.0 - p1[k] * p2[b - k] for k in range(b + 1)]
+            best = max(vals)
+            out.append((best, min(_merge(v1[k][1], v2[b - k][1]) for k in range(b + 1) if vals[k] == best)))
         return tuple(out)
 
     def _fold_vecs(self, vecs: list[_BVec], mode: str) -> _BVec:
@@ -144,9 +173,7 @@ class _BudgetSolver:
         return cached
 
     def _bopt(self, node: _Node, env: Mapping[str, Constant]) -> _BVec:
-        q = node.bound(env)
-        sl = self.slice_of(q)
-        if not sl:
+        if next(self.slice_of(node.query, env), None) is None:
             v = self._closed(node, env)
             return tuple((v, ()) for _ in range(self.b_max + 1))
         rule, arg = self.plan.expand(node)
@@ -154,18 +181,15 @@ class _BudgetSolver:
         # single atom of the constrained relation
         if rule == "atom":
             base = self._closed(node, env)
-            slice_sorted = sorted(sl, key=lambda a: self.schema.atom_key(self._atom(a)))
-            out = [(base, ())]
+            out: list[tuple[float, _Witness]] = [(base, ())]
             comp = 1.0 - base
-            witness: tuple[Atom, ...] = ()
-            for b in range(1, self.b_max + 1):
-                if b <= len(slice_sorted) and self.lam > 0.0 and comp > 0.0:
-                    comp *= 1.0 - self.lam
-                    witness = witness + (self._atom(slice_sorted[b - 1]),)
-                    out.append((1.0 - comp, witness))
-                else:
-                    out.append(out[-1])
-            return tuple(out)
+            # each added tuple, the next in canonical order, until none helps
+            for t in itertools.islice(self.slice_of(node.query, env), self.b_max):
+                if self.lam <= 0.0 or comp <= 0.0:
+                    break
+                comp *= 1.0 - self.lam
+                out.append((1.0 - comp, out[-1][1] + (t,)))
+            return tuple(out + out[-1:] * (self.b_max + 1 - len(out)))
 
         if rule == "and":
             vecs = [self.bopt(grp[0], env) if len(grp) == 1 else self._ie_family(grp, env) for grp in arg]
@@ -198,13 +222,13 @@ class _BudgetSolver:
         alpha, beta = 0.0, 1.0
         q = minimize(t)
         while True:
-            if not self.slice_of(q):
+            if not self.has_open(q):
                 return alpha + beta * self._closed(self.plan.node(q), {}), 0.0, None
             ds = q.disjuncts
             if len(ds) > 1:
                 groups = independence_groups([UCQ([d]) for d in ds])
                 if len(groups) > 1:
-                    sliced = [g for g in groups if any(self.slice_of(u) for u in g)]
+                    sliced = [g for g in groups if any(self.has_open(u) for u in g)]
                     if len(sliced) == 1:
                         free = [g for g in groups if g is not sliced[0]]
                         comp_free = 1.0
@@ -221,7 +245,7 @@ class _BudgetSolver:
             if parts is not None and len(parts) > 1:
                 groups = independence_groups(parts)
                 if len(groups) > 1:
-                    sliced = [g for g in groups if any(self.slice_of(u) for u in g)]
+                    sliced = [g for g in groups if any(self.has_open(u) for u in g)]
                     if len(sliced) == 1 and all(len(u.disjuncts) == 1 for u in sliced[0]):
                         for g in groups:
                             if g is sliced[0]:
@@ -236,17 +260,13 @@ class _BudgetSolver:
         """Per budget, the maximum of const + sum(weight * P(term)) over one
         shared completion choice."""
         const = 0.0
-        weights: dict[UCQ, float] = {}
-        order: list[UCQ] = []
+        weights: dict[UCQ, float] = {}  # in order of first use
         for w, t in terms:
             a, b, core = self._fold_term(t)
             const += w * a
             if core is not None and w * b != 0.0:
-                if core not in weights:
-                    weights[core] = 0.0
-                    order.append(core)
-                weights[core] += w * b
-        cores = [c for c in order if weights[c] != 0.0]
+                weights[core] = weights.get(core, 0.0) + w * b
+        cores = [c for c, w in weights.items() if w != 0.0]
 
         if not cores:
             return tuple((const, ()) for _ in range(self.b_max + 1))
@@ -263,26 +283,25 @@ class _BudgetSolver:
         frontier = self._pareto(tuple(cores), tuple(signs))
         out = []
         for b in range(self.b_max + 1):
-            best_v, best_w, best_key = None, (), None
+            best_v, best_w = None, ()
             for values, wit in frontier[b]:
                 total = const + sum(weights[c] * v for c, v in zip(cores, values))
-                key = self._wkey(wit)
-                if best_v is None or total > best_v or (total == best_v and key < best_key):
-                    best_v, best_w, best_key = total, wit, key
+                if best_v is None or total > best_v or (total == best_v and wit < best_w):
+                    best_v, best_w = total, wit
             out.append((best_v, best_w))
         return tuple(out)
 
     def _prune(
         self,
-        states: list[tuple[tuple[float, ...], tuple[Atom, ...]]],
+        states: list[tuple[tuple[float, ...], _Witness]],
         signs: tuple[int, ...],
-    ) -> list[tuple[tuple[float, ...], tuple[Atom, ...]]]:
+    ) -> list[tuple[tuple[float, ...], _Witness]]:
         """Keep states not dominated componentwise in each sign's preferred
         direction; equal vectors keep the lexicographically smallest witness."""
-        best_by_vec: dict[tuple[float, ...], tuple[Atom, ...]] = {}
+        best_by_vec: dict[tuple[float, ...], _Witness] = {}
         for values, wit in states:
             old = best_by_vec.get(values)
-            if old is None or self._wkey(wit) < self._wkey(old):
+            if old is None or wit < old:
                 best_by_vec[values] = wit
         unique = sorted(best_by_vec.items())
 
@@ -297,7 +316,7 @@ class _BudgetSolver:
                     return False
             return True
 
-        kept: list[tuple[tuple[float, ...], tuple[Atom, ...]]] = []
+        kept: list[tuple[tuple[float, ...], _Witness]] = []
         for values, wit in unique:
             if any(dominates(kv, values) for kv, _ in kept if kv != values):
                 continue
@@ -307,14 +326,10 @@ class _BudgetSolver:
 
     def _pareto(
         self, cores: tuple[UCQ, ...], signs: tuple[int, ...]
-    ) -> list[list[tuple[tuple[float, ...], tuple[Atom, ...]]]]:
+    ) -> list[list[tuple[tuple[float, ...], _Witness]]]:
         """Per budget: every non-dominated vector of per-core values reachable
         with one shared completion choice."""
-        combined_slice: set[tuple[str, ...]] = set()
-        for c in cores:
-            combined_slice |= self.slice_of(c)
-
-        if not combined_slice:
+        if not any(self.has_open(c) for c in cores):
             vec = tuple(self._closed(self.plan.node(c), {}) for c in cores)
             return [[(vec, ())] for _ in range(self.b_max + 1)]
 
@@ -322,32 +337,21 @@ class _BudgetSolver:
         sep = find_separator(all_disjuncts)
         if sep is not None:
             return self._pareto_separator(cores, signs, sep)
-        return self._pareto_enumerate(cores, signs, combined_slice)
+        return self._pareto_enumerate(cores, signs)
 
     def _pareto_separator(self, cores, signs, sep):
-        offsets = []
-        i = 0
-        for c in cores:
-            offsets.append(i)
-            i += len(c.disjuncts)
+        offsets = list(itertools.accumulate((len(c.disjuncts) for c in cores), initial=0))
         frontier = [[(tuple(0.0 for _ in cores), ())] for _ in range(self.b_max + 1)]
         for const in self.schema.domain:
-            alphas, betas, reduced = [], [], []
-            reduced_index: dict[UCQ, int] = {}
-            core_map = []
+            alphas, betas, core_map = [], [], []
+            reduced_index: dict[UCQ, int] = {}  # reduced core -> its component
             for ci, core in enumerate(cores):
-                local_sep = tuple(sep[offsets[ci] + j] for j in range(len(core.disjuncts)))
-                sub = substitute_separator(core, local_sep, const)
-                a, b, red = self._fold_term(sub)
+                local_sep = tuple(sep[offsets[ci]:offsets[ci + 1]])
+                a, b, red = self._fold_term(substitute_separator(core, local_sep, const))
                 alphas.append(a)
                 betas.append(b)
-                if red is None:
-                    core_map.append(None)
-                else:
-                    if red not in reduced_index:
-                        reduced_index[red] = len(reduced)
-                        reduced.append(red)
-                    core_map.append(reduced_index[red])
+                core_map.append(None if red is None else reduced_index.setdefault(red, len(reduced_index)))
+            reduced = list(reduced_index)
             if reduced:
                 # beta is a product of probabilities, so a reduced core inherits
                 # the signs of the cores that fold onto it; a clash disables
@@ -363,40 +367,31 @@ class _BudgetSolver:
 
             new_frontier: list[list] = []
             for b in range(self.b_max + 1):
-                cands: list[tuple[tuple[float, ...], tuple[Atom, ...]]] = []
+                cands: list[tuple[tuple[float, ...], _Witness]] = []
                 for k in range(b + 1):
                     for prev_vals, prev_wit in frontier[b - k]:
                         for red_vals, red_wit in sub_front[k]:
-                            vals = []
-                            for ci in range(len(cores)):
-                                ri = core_map[ci]
-                                a_val = alphas[ci] if ri is None else alphas[ci] + betas[ci] * red_vals[ri]
-                                vals.append(
-                                    1.0 - (1.0 - prev_vals[ci]) * (1.0 - a_val)
-                                )
-                            cands.append(
-                                (tuple(vals), self._merge_witness(prev_wit, red_wit))
+                            vals = tuple(
+                                1.0 - (1.0 - pv) * (1.0 - (a if ri is None else a + bt * red_vals[ri]))
+                                for pv, a, bt, ri in zip(prev_vals, alphas, betas, core_map)
                             )
+                            cands.append((vals, _merge(prev_wit, red_wit)))
                 new_frontier.append(self._prune(cands, signs))
             frontier = new_frontier
         return frontier
 
-    def _pareto_enumerate(self, cores, signs, combined_slice):
-        if len(combined_slice) > ENUMERATION_FALLBACK_CAP:
-            raise NotInversionFree(
-                f"no shared separator and the open slice has {len(combined_slice)} tuples"
-            )
-        atoms = sorted(
-            (self._atom(a) for a in combined_slice), key=self.schema.atom_key
-        )
+    def _pareto_enumerate(self, cores, signs):
+        tuples = sorted({t for c in cores for t in self.slice_of(c, {})})
+        if len(tuples) > ENUMERATION_FALLBACK_CAP:
+            raise NotInversionFree(f"no shared separator and the open slice has {len(tuples)} tuples")
         frontier: list[list] = [[] for _ in range(self.b_max + 1)]
-        for size in range(0, min(self.b_max, len(atoms)) + 1):
-            for chosen in itertools.combinations(atoms, size):
-                view = self.g.pdb.with_added(chosen, self.lam) if chosen else self.g.pdb
+        for size in range(0, min(self.b_max, len(tuples)) + 1):
+            for chosen in itertools.combinations(tuples, size):
+                view = self.g.pdb.with_added([self.atom(t) for t in chosen], self.lam) if chosen else self.g.pdb
                 ev = Evaluator(view, plan=self.plan)
                 vals = tuple(ev.probability(c).value for c in cores)
                 for b in range(size, self.b_max + 1):
-                    frontier[b].append((vals, tuple(chosen)))
+                    frontier[b].append((vals, chosen))
         return [self._prune(states, signs) for states in frontier]
 
 
@@ -428,12 +423,11 @@ def mtp_upper_exact(
     b_max = derived.max_added if budget is None else budget
     warnings = ("infeasible-constraint",) if derived.infeasible and budget is None else ()
     solver = _BudgetSolver(g, c.relation, b_max, plan)
-    vec = solver.bopt(plan.node(q), {})
-    value, witness = vec[b_max]
+    value, witness = solver.bopt(plan.node(q), {})[b_max]
     return BoundResult(
         kind="mtp_exact",
         value=value,
-        witness=CompletionChoice(frozenset(witness)),
+        witness=CompletionChoice(frozenset(map(solver.atom, witness))),
         complement_log10=None,
         warnings=warnings,
     )

@@ -223,3 +223,43 @@ class TestOracleEquivalence:
             res = mtp_upper_exact(g, c, q, budget=len(opens))
             completed = g.pdb.with_added(opens, g.lam)
             assert res.value == pytest.approx(prob_lifted(q, completed), abs=1e-9)
+
+
+def saturated_db(n=70, n_s=59, seed=1):
+    """S(x), CoA(x,y) with 2.5n CoA rows and S on n_s of the n constants:
+    the closed value is 1 - 1.1e-16, and one added tuple rounds it to 1.0."""
+    rng = random.Random(seed)
+    domain = tuple(Constant(f"c{i}") for i in range(n))
+    coa = {}
+    while len(coa) < 5 * n // 2:
+        coa[(rng.choice(domain).name, rng.choice(domain).name)] = rng.choice([0.1, 0.3, 0.7])
+    s = {(c.name,): rng.choice([0.2, 0.5, 0.9]) for c in rng.sample(domain, n_s)}
+    return Database(Schema({"S": 1, "CoA": 2}, domain), {"S": s, "CoA": coa})
+
+
+class TestSaturatedTieBreak:
+    """Once the value rounds to 1.0 every budget split ties, and constants
+    with no S row contribute all-zero vectors; the witness is decided by
+    the tie rule alone (smallest merged witness at each split), pinned here
+    as computed before budget vectors carried index tuples."""
+
+    WITNESSES = {
+        1: ["c7 c0"],
+        2: ["c7 c0", "c19 c0"],
+        3: ["c7 c0", "c19 c0", "c59 c0"],
+        4: ["c7 c0", "c19 c0", "c30 c0", "c45 c0"],
+        5: ["c7 c0", "c19 c0", "c30 c0", "c45 c0", "c59 c0"],
+        6: ["c7 c0", "c19 c0", "c30 c0", "c45 c0", "c59 c0", "c68 c0"],
+        7: ["c7 c0", "c19 c0", "c30 c0", "c45 c0", "c59 c0", "c66 c0", "c66 c1"],
+        8: ["c0 c0", "c7 c0", "c17 c0", "c19 c0", "c30 c0", "c45 c0", "c66 c0", "c66 c1"],
+    }
+
+    @pytest.mark.parametrize("budget", range(1, 9))
+    def test_witness_under_saturation(self, budget):
+        db = saturated_db()
+        q = parse_ucq("S(x), CoA(x,y)", db.schema)
+        assert prob_lifted(q, db) < 1.0
+        res = mtp_upper_exact(OpenPDB(db, 0.5), MTPConstraint("CoA", 0.5), q, budget=budget)
+        assert res.value == 1.0
+        witness = [" ".join(t.name for t in a.args) for a in res.witness.sorted_atoms(db.schema)]
+        assert witness == self.WITNESSES[budget]

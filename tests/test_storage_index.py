@@ -4,11 +4,12 @@ import random
 
 import pytest
 
-from owpdb import database, exactdp
+from owpdb import database, exactdp, openworld
 from owpdb.database import Database, LambdaCompletionView, ProbView, Schema
 from owpdb.errors import SchemaError, UnknownPredicate
-from owpdb.openworld import MTPConstraint, OpenPDB, interval_unconstrained, open_tuples
+from owpdb.openworld import MTPConstraint, OpenPDB, interval_unconstrained
 from owpdb.engine import prob_lifted
+from owpdb.oracle import mtp_upper_bruteforce
 from owpdb.query import Atom, Constant, Variable, parse_ucq
 from owpdb.randgen import rand_database, rand_schema
 
@@ -183,19 +184,32 @@ class TestWorkIsLinearInRows:
         assert yielded <= 2 * rows
         assert reads() <= 2 * rows
 
-    def test_exact_dp_matches_each_open_tuple_a_bounded_number_of_times(self, monkeypatch):
+    @pytest.mark.parametrize("budget", [2, 8])
+    def test_exact_dp_probes_a_bounded_number_of_tuples(self, monkeypatch, budget):
+        # listing every absent CoA atom would probe n^2 = 40,000 of them
         db = scientist_db(self.N)
-        g = OpenPDB(db, 0.5)
-        n_open = len(open_tuples(g, "CoA"))
-        calls = 0
-        match = exactdp._match_args
+        rows = db.relation_size("CoA")
+        probes = 0
+        is_explicit = Database.is_explicit
 
-        def counted_match(pattern, args):
-            nonlocal calls
-            calls += 1
-            return match(pattern, args)
+        def counted(self, pred, args):
+            nonlocal probes
+            probes += pred == "CoA"
+            return is_explicit(self, pred, args)
 
-        monkeypatch.setattr(exactdp, "_match_args", counted_match)
+        monkeypatch.setattr(Database, "is_explicit", counted)
         q = parse_ucq("S(x), CoA(x,y)", db.schema)
-        exactdp.mtp_upper_exact(g, MTPConstraint("CoA", 0.5), q, budget=2)
-        assert 0 < calls <= 3 * n_open
+        exactdp.mtp_upper_exact(OpenPDB(db, 0.5), MTPConstraint("CoA", 0.5), q, budget=budget)
+        assert 0 < probes <= rows + 2 * self.N * (budget + 1)
+
+    def test_exact_dp_never_lists_the_open_tuples(self, monkeypatch, coauthor_db, scientist_coauthor_query):
+        g, c = OpenPDB(coauthor_db, 0.5), MTPConstraint("CoA", 0.5)
+        expected = [mtp_upper_bruteforce(g, c, scientist_coauthor_query, budget=b).value for b in range(4)]
+
+        def refuse(*_):
+            raise AssertionError("open_tuples called")
+
+        monkeypatch.setattr(openworld, "open_tuples", refuse)
+        monkeypatch.setattr(exactdp, "open_tuples", refuse, raising=False)  # an imported name
+        got = [exactdp.mtp_upper_exact(g, c, scientist_coauthor_query, budget=b).value for b in range(4)]
+        assert got == pytest.approx(expected, abs=1e-12)

@@ -23,9 +23,16 @@ and ``mtp_upper_exact``.  Then 60 greedy runs drawn from
 stored only among three to five of them (so most candidates bring a
 constant no stored ``S`` row has), a query from ``GREEDY_QUERIES`` (with
 constants, a repeated variable, self-joins), budgets 1-3; each prints the
-closed answer and ``greedy_trace``'s picks, gains and bounds.  Witnesses are
-printed in the schema's canonical atom order, so the text does not depend
-on ``PYTHONHASHSEED``.  An error is printed as its class name and message.
+closed answer and ``greedy_trace``'s picks, gains and bounds.  Then 10
+large exact runs drawn from ``random.Random(19)``: ``LARGE_QUERIES`` over
+60-120 constants with ``CoA`` at density 0.1, and ``S(x), CoA(x,y)`` over
+250 constants with 2.5n ``CoA`` rows, whose value saturates to 1.0, each
+printing ``mtp_upper_exact`` at budget 8.  Last, ``prob_ground_detail`` for 40 chains ``R(x), S(x, y),
+T(y)`` drawn from ``random.Random(23)`` and for the unsafe ones of 400
+unions of 1-3 ``rand_cq`` conjuncts from ``random.Random(29)``.  Witnesses
+are printed in the schema's canonical atom order, so the text does not
+depend on ``PYTHONHASHSEED``.  An error is printed as its class name and
+message.
 """
 from __future__ import annotations
 
@@ -44,9 +51,17 @@ from owpdb import (
     mtp_upper_bruteforce,
     mtp_upper_exact,
 )
-from owpdb.engine import prob_lifted_detail
+from owpdb.engine import is_safe, prob_ground_detail, prob_lifted_detail
 from owpdb.query import UCQ, Constant, parse_ucq
-from owpdb.randgen import LAMBDA_GRID, PROB_GRID, rand_cq, rand_mtp_instance, rand_safe_instance, rand_schema
+from owpdb.randgen import (
+    LAMBDA_GRID,
+    PROB_GRID,
+    rand_cq,
+    rand_database,
+    rand_mtp_instance,
+    rand_safe_instance,
+    rand_schema,
+)
 
 SAFE_INSTANCES = 300
 MTP_INSTANCES = 150
@@ -77,6 +92,13 @@ GREEDY_QUERIES = GAP_QUERIES + (
     "S(x, y), S(x, {a}), R(x)",
     "S(x, y) | S({a}, z), R(z)",
 )
+
+LARGE_ARITIES = {"S": 1, "CoA": 2, "T": 1}
+LARGE_QUERIES = ("S(x), CoA(x,y)", "CoA(x,y), T(y)", "S(x), CoA(x,y), T(x)")
+LARGE_SIZES = (60, 90, 120)
+LARGE_BUDGET = 8
+CHAINS = 40
+GROUND_UNIONS = 400
 
 
 def show_bound(result, schema) -> str:
@@ -150,6 +172,41 @@ def greedy_instance(rng: random.Random):
     return OpenPDB(Database(schema, rels), rng.choice(LAMBDA_GRID)), q, rng.randint(1, 3)
 
 
+def large_instance(rng: random.Random, n: int) -> OpenPDB:
+    """``n`` constants, ``CoA`` at density 0.1 and ``S`` and ``T`` on a fifth
+    of them, with probabilities small enough that the values stay below 1."""
+    names = [f"c{i}" for i in range(n)]
+    small = (0.01, 0.02, 0.05, 0.1)
+    rels = {
+        "S": {(a,): rng.choice(small) for a in names if rng.random() < 0.2},
+        "CoA": {(a, b): rng.choice(small) for a in names for b in names if rng.random() < 0.1},
+        "T": {(a,): rng.choice(small) for a in names if rng.random() < 0.2},
+    }
+    return OpenPDB(Database(Schema(LARGE_ARITIES, tuple(map(Constant, names))), rels), rng.choice(LAMBDA_GRID))
+
+
+def scientist_instance(rng: random.Random, n: int) -> OpenPDB:
+    """``S`` on all ``n`` constants and ``CoA`` on 2.5n random pairs: the
+    value rounds to 1.0 within a few added tuples."""
+    names = [f"c{i}" for i in range(n)]
+    coa: dict[tuple[str, str], float] = {}
+    while len(coa) < 5 * n // 2:
+        coa[(rng.choice(names), rng.choice(names))] = rng.choice([0.1, 0.3, 0.7])
+    rels = {"S": {(a,): rng.choice([0.2, 0.5, 0.9]) for a in names}, "CoA": coa, "T": {}}
+    return OpenPDB(Database(Schema(LARGE_ARITIES, tuple(map(Constant, names))), rels), 0.5)
+
+
+def chain_instance(rng: random.Random) -> Database:
+    """``R`` and ``T`` on 3-6 constants, ``S`` on n-2n of their pairs."""
+    names = [f"C{i}" for i in range(rng.randint(3, 6))]
+    pairs = rng.sample([(a, b) for a in names for b in names], rng.randint(len(names), 2 * len(names)))
+    return Database(Schema({"R": 1, "S": 2, "T": 1}, tuple(map(Constant, names))), {
+        "R": {(a,): rng.choice(PROB_GRID[1:]) for a in names},
+        "S": {pair: rng.choice(PROB_GRID[1:]) for pair in pairs},
+        "T": {(a,): rng.choice(PROB_GRID[1:]) for a in names},
+    })
+
+
 def show_trace(trace) -> str:
     return repr((
         [(str(atom), gain) for atom, gain in trace.picks],
@@ -198,6 +255,28 @@ def main() -> None:
         print(f"greedy {i} {q} lam={g.lam} budget={budget} domain={' '.join(str(k) for k in g.schema.domain)}")
         print("  " + answer(lambda: prob_lifted_detail(q, g.pdb)))
         print("  " + answer(lambda: greedy_trace(g, c, q, budget=budget), show_trace))
+    rng = random.Random(19)
+    large = [(text, large_instance, n) for text in LARGE_QUERIES for n in LARGE_SIZES]
+    for i, (text, make, n) in enumerate(large + [(LARGE_QUERIES[0], scientist_instance, 250)]):
+        g = make(rng, n)
+        q = parse_ucq(text, g.schema)
+        c = MTPConstraint("CoA", 1.0)
+        print(f"large {i} {q} n={n} rows={g.pdb.relation_size('CoA')} lam={g.lam} budget={LARGE_BUDGET}")
+        print("  " + answer(lambda: mtp_upper_exact(g, c, q, budget=LARGE_BUDGET), lambda r: show_bound(r, g.schema)))
+    rng = random.Random(23)
+    for i in range(CHAINS):
+        db = chain_instance(rng)
+        q = parse_ucq("R(x), S(x, y), T(y)" if i % 2 == 0 else "R(x), S(x, y), T(y) | S(x, x)", db.schema)
+        print(f"chain {i} {q} domain={' '.join(str(k) for k in db.schema.domain)} S={sorted(db.entries('S'))}")
+        print("  " + answer(lambda: prob_ground_detail(q, db)))
+    rng = random.Random(29)
+    for i in range(GROUND_UNIONS):
+        schema = rand_schema(rng)
+        db = rand_database(rng, schema)
+        q = UCQ([rand_cq(rng, schema) for _ in range(rng.randint(1, 3))])
+        if answer(lambda: is_safe(q)) != "True":
+            print(f"ground {i} {q}")
+            print("  " + answer(lambda: prob_ground_detail(q, db)))
 
 
 if __name__ == "__main__":
