@@ -23,9 +23,11 @@ derived once per sub-union, not once per domain constant, because a
 separator binds each constant the query does not mention to a placeholder
 of one shared child.  The call's evaluators, one per database it reads,
 share that plan; each keeps its own memo table keyed by plan node and the
-constants bound to the node's placeholders.  Greedy scores a candidate
-tuple through :meth:`Evaluator.conditioned`, which reuses the round's memo
-for every node the tuple cannot touch and re-evaluates only the rest.
+constants bound to the node's placeholders.  Greedy screens every
+candidate tuple by one reverse pass over a round's memo
+(:meth:`Evaluator.gradient`) and scores the near-best exactly through
+:meth:`Evaluator.conditioned`, which reuses the round's memo for every node
+the tuple cannot touch and re-evaluates only the rest.
 "Safe" means the whole plan builds; a plan too wide to build is
 :class:`CapExceeded`, not unsafe.  Nothing outlives the call: databases
 are never mutated and plans and memo tables are per call, so concurrent
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 from typing import Callable, Iterator, Mapping
 
 from . import probability
@@ -325,6 +328,62 @@ class Evaluator:
         node's value."""
         return _Conditioned(self, atom)
 
+    def gradient(self, q: UCQ, pred: str) -> Callable[[tuple[str, ...]], float]:
+        """dP(``q``)/dp for the absent ``pred`` atoms, on a view where those
+        are impossible, as a map from an atom's argument names to the summed
+        weights of the leaf patterns it instantiates.  One reverse pass over
+        the memo that evaluating ``q`` filled, in reverse insertion (post-)
+        order, evaluates nothing new: an atom block weighs each absent
+        instance by its complement, a complement product gives each part the
+        product of the others' complements (none when it is certain),
+        independent groups the product of the others' values, and
+        inclusion-exclusion terms their signs.  A separator's batched rest
+        takes one member's adjoint, tagged with the swaps carrying its
+        representative to each member, over which a leaf expands."""
+        memo, todo, leaves = self._memo, {}, {}
+
+        def push(node: _Node, env: Mapping[str, Constant], tag: tuple, a: float) -> None:
+            adj = todo.setdefault(node.key(env), (env, {}))[1]
+            adj[tag] = adj.get(tag, 0.0) + a
+
+        push(self.plan.node(q), {}, (), 1.0)
+        for key in reversed(memo):
+            if key not in todo:
+                continue
+            env, adj = todo.pop(key)
+            node = key[0] if type(key) is tuple else key
+            rule, arg = node.rule, node.arg
+            if rule == "atom":
+                atom = _bind_atom(arg, env) if node.placeholders else arg
+                if atom.predicate == pred:
+                    w = 1.0 if atom.is_ground() else math.exp(memo[key].logc)
+                    _add_leaf(leaves, atom.args, {tag: a * w for tag, a in adj.items()})
+            elif rule == "and":
+                vals = [self._group(g, env).value for g in arg]
+                for i, g in enumerate(arg):
+                    others = math.prod(vals[:i] + vals[i + 1:])
+                    for sign, n in ((1, g[0]),) if len(g) == 1 else self.plan.terms(g):
+                        for tag, a in adj.items():
+                            push(n, env, tag, sign * a * others)
+            elif memo[key].logc > -math.inf:  # "or", "sep"; at 1 no tuple can raise P
+                children, at, swaps = [(u, env) for u in arg], -1, ()
+                if rule == "sep":
+                    children, at, rest = self._partition(node, env)
+                    swaps = ((rest[0].name, tuple(c.name for c in rest)),) if len(rest) > 1 else ()
+                for i, (child, child_env) in enumerate(children):
+                    others = math.exp(memo[key].logc - memo[child.key(child_env)].logc)
+                    for tag, a in adj.items():
+                        push(child, child_env, tag + swaps if i == at else tag, a * others)
+
+        index = [([i for i, s in enumerate(shape) if s < 0], [(i, s) for i, s in enumerate(shape) if 0 <= s != i], table)
+                 for shape, table in leaves.items()]
+
+        def screen(args: tuple[str, ...]) -> float:
+            return sum(table.get(tuple(args[i] for i in consts), 0.0)
+                       for consts, ties, table in index if all(args[i] == args[j] for i, j in ties))
+
+        return screen
+
     # -- recursion ---------------------------------------------------------
 
     def _lift(self, node: _Node, env: Mapping[str, Constant]) -> Prob:
@@ -351,24 +410,31 @@ class Evaluator:
         self.max_clamp = max(self.max_clamp, clamp)
         return result
 
-    def _separator_product(self, node: _Node, env: Mapping[str, Constant]) -> Prob:
-        """Complement product over the domain; constants that appear neither
-        in the query nor in any stored row of its predicates are
-        interchangeable and evaluated once."""
+    def _partition(self, node: _Node, env: Mapping[str, Constant]) -> tuple[list, int, list[Constant]]:
+        """The separator ``node``'s domain under ``env``: a child and its
+        environment per constant the union mentions or a stored row of its
+        predicates has, in domain order, with the first other constant's
+        child at index ``at``; and those other constants, the batched rest,
+        which are interchangeable and evaluated once."""
         mentioned, child_of = self.plan.separator(node, env)
         explicit = self.db.explicit_constants(node.arg[3])
-        parts: list[Prob] = []
-        n_rest = 0
-        rest_prob: Prob | None = None
+        children, at, rest = [], -1, []
         for const in self.db.schema.domain:
             if const.name in mentioned or const.name in explicit:
-                parts.append(self.evaluate(*child_of(const)))
-            elif rest_prob is None:
-                rest_prob, n_rest = self.evaluate(*child_of(const)), 1
+                children.append(child_of(const))
             else:
-                n_rest += 1
-        if rest_prob is not None:
-            parts.append(probability.power_disj(rest_prob, n_rest))
+                if not rest:
+                    at = len(children)
+                    children.append(child_of(const))
+                rest.append(const)
+        return children, at, rest
+
+    def _separator_product(self, node: _Node, env: Mapping[str, Constant]) -> Prob:
+        """Complement product over the domain, the batched rest last."""
+        children, at, rest = self._partition(node, env)
+        parts = [self.evaluate(*c) for c in children]
+        if rest:
+            parts.append(probability.power_disj(parts.pop(at), len(rest)))
         return probability.disj(parts)
 
     def _atom_block(self, atom: Atom) -> Prob:
@@ -388,6 +454,19 @@ class Evaluator:
         if not parts:
             return IMPOSSIBLE
         return probability.disj(parts)
+
+
+def _add_leaf(leaves: dict, args: tuple, adj: dict[tuple, float]) -> None:
+    """Add a leaf pattern's weights to ``leaves``, indexed by its shape (per
+    position -1 for a constant, else the first position of its variable)
+    and its constants, once per swap of each tag's batched rests."""
+    table = leaves.setdefault(tuple(-1 if type(t) is not Variable else args.index(t) for t in args), {})
+    for tag, w in adj.items():
+        keys = [tuple(t.name for t in args if type(t) is not Variable)]
+        for rep, members in reversed(tag):
+            keys = [tuple(m if k == rep else rep if k == m else k for k in key) for key in keys for m in members]
+        for key in keys:
+            table[key] = table.get(key, 0.0) + w
 
 
 class _Conditioned(Evaluator):

@@ -8,10 +8,11 @@ factor ``1 - 1/e`` of the optimal gain, which brackets the true optimum
 between the greedy value and ``(e * p_greedy - p_closed) / (e - 1)``.
 
 Every round picks by (gain, canonical order), so results are deterministic.
+A round screens every candidate with one gradient pass over its evaluation
+and scores exactly only the near-best (:func:`greedy_trace`).
 """
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -25,6 +26,11 @@ from .openworld import (
     open_tuples,
 )
 from .query import Atom, UCQ, has_self_join
+
+# Screening tolerance: a round conditions every candidate whose screened
+# gain is within 2 * TOL of the best one, which holds the exact argmax and
+# its exact ties whenever no screened gain is off by more than TOL.
+TOL = 1e-12
 
 
 def set_query_prob(g: OpenPDB, q: UCQ, x) -> float:
@@ -66,53 +72,51 @@ def greedy_trace(
     budget: int | None = None,
     denominator: str = "herbrand",
 ) -> GreedyTrace:
-    """Run the lazy greedy loop and report picks, gains, and bounds.
+    """Run the greedy loop and report picks, gains, and bounds.
 
     Tuples are added one at a time, each round taking the open tuple with
     the largest marginal gain (ties in canonical atom order), until the
-    budget is spent or the best gain is zero.  Stale heap entries are
-    re-evaluated on pop; submodularity makes that sound.  One lifted plan
-    serves every evaluation of the run.  Each round evaluates its database
-    once; a candidate's evaluator (:meth:`Evaluator.conditioned`) reuses that
-    round's memo for every plan node the candidate cannot change and
-    re-evaluates the rest, with the same gains, bit for bit, as a fresh
-    evaluation of the conditioned database.
+    budget is spent, the best gain is zero or the value is 1.0.  The set
+    function is multilinear, so a tuple's gain is ``lam`` times the
+    derivative of P(q) in its probability: one reverse pass over the round's
+    evaluation (:meth:`Evaluator.gradient`) screens every candidate, and
+    only those within ``2 * TOL`` of the best screened gain are scored
+    exactly, by an evaluator (:meth:`Evaluator.conditioned`) that reuses the
+    round's memo for every plan node the candidate cannot change, with
+    gains bit-identical to a fresh evaluation of the conditioned database.
+    While no screened gain is off by more than ``TOL``, that window holds
+    the best candidate and its ties, so the picks are those of scoring every
+    candidate.  One lifted plan serves every evaluation of the run.
     """
     plan = Plan().build(q)
     if budget is None:
         budget = budget_from_mtp(g, c, denominator=denominator).max_added
     guarantee = not has_self_join(q)
 
-    schema = g.schema
     lam = g.lam
     base = Evaluator(g.pdb, plan=plan)
     p_closed = base.probability(q).value
-    candidates = open_tuples(g, c.relation)
-
-    # Marginal gain of an absent tuple t at the round's database:
-    # lam * (P(q | t true) - P(q)), by conditioning on the one new tuple.
-    def gain_of(atom: Atom) -> float:
-        return lam * (base.conditioned(atom).probability(q).value - p_cur)
+    candidates = [(atom, tuple(t.name for t in atom.args)) for atom in open_tuples(g, c.relation)]
 
     picks: list[tuple[Atom, float]] = []
     p_cur = p_closed
-    if lam > 0.0 and budget > 0 and candidates:
-        heap: list[tuple[float, tuple, int, Atom]] = []
-        for atom in candidates:
-            heapq.heappush(heap, (-gain_of(atom), schema.atom_key(atom), 0, atom))
-        round_no = 0
-        while len(picks) < budget and heap:
-            neg_gain, key, stamp, atom = heapq.heappop(heap)
-            if stamp != round_no:
-                heapq.heappush(heap, (-gain_of(atom), key, round_no, atom))
-                continue
-            gain = -neg_gain
-            if gain <= 0.0:
-                break
-            picks.append((atom, gain))
-            base = Evaluator(g.pdb.with_added([a for a, _ in picks], lam), plan=plan)
-            p_cur = base.probability(q).value
-            round_no += 1
+    # at 1.0 no gain can be positive: every value is clamped to at most 1
+    while lam > 0.0 and len(picks) < budget and candidates and p_cur < 1.0:
+        screen = base.gradient(q, c.relation)
+        screened = [lam * screen(args) for _, args in candidates]
+        top = max(screened) - 2 * TOL
+        # the exact gain lam * (P(q | t true) - P(q)) of each candidate in
+        # the window; the first best, in canonical order, wins
+        gain, i = max(
+            ((lam * (base.conditioned(candidates[i][0]).probability(q).value - p_cur), i)
+             for i, s in enumerate(screened) if s >= top),
+            key=lambda pair: pair[0],
+        )
+        if gain <= 0.0:
+            break
+        picks.append((candidates.pop(i)[0], gain))
+        base = Evaluator(g.pdb.with_added([a for a, _ in picks], lam), plan=plan)
+        p_cur = base.probability(q).value
     p_greedy = p_cur
 
     upper = (math.e * p_greedy - p_closed) / (math.e - 1.0) if guarantee else None

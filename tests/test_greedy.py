@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -5,10 +6,10 @@ import pytest
 
 from owpdb.database import Database, LambdaCompletionView, Schema
 from owpdb.engine import Evaluator, Plan, prob_ground
-from owpdb.greedy import greedy_trace, greedy_upper, set_query_prob
+from owpdb.greedy import TOL, greedy_trace, greedy_upper, set_query_prob
 from owpdb.openworld import MTPConstraint, OpenPDB, interval_unconstrained, open_tuples
 from owpdb.oracle import mtp_upper_bruteforce
-from owpdb.query import Constant, parse_ucq
+from owpdb.query import Atom, Constant, parse_ucq
 from owpdb.randgen import rand_mtp_instance
 
 
@@ -126,6 +127,25 @@ class TestGreedy:
         assert res.interval is None
         assert 0.0 <= res.value <= 1.0
 
+    def test_self_join_gain_that_grows_is_picked(self):
+        # not submodular: S(C, A) gains nothing in round 0 and 0.1536 once
+        # S(C, C) is in, so a round must score it again, not trust round 0
+        schema = Schema({"R": 2, "S": 2}, tuple(Constant(n) for n in "ABC"))
+        db = Database(schema, {
+            "R": {("A", "A"): 0.3, ("B", "C"): 0.1, ("C", "A"): 0.4, ("C", "B"): 0.8, ("C", "C"): 0.2},
+            "S": {("A", "B"): 0.6, ("B", "A"): 0.0, ("B", "C"): 0.0},
+        })
+        g = OpenPDB(db, 0.8)
+        q = parse_ucq("R(z, z), S(C, z), S(y, y)", schema)
+        trace = greedy_trace(g, MTPConstraint("S", 1.0), q, budget=3)
+        picked = []
+        for atom, gain in trace.picks:
+            before = set_query_prob(g, q, picked)
+            gains = [set_query_prob(g, q, picked + [t]) - before for t in open_tuples(g, "S") if t not in picked]
+            assert gain == pytest.approx(max(gains), abs=1e-12)
+            picked.append(atom)
+        assert [str(a) for a in picked] == ["S(C, C)", "S(C, A)", "S(A, A)"]
+
     def test_upper_can_exceed_one_and_is_reported_clamped(self):
         g = empty_unary(4, lam=0.9)
         q = parse_ucq("R(x)", g.schema)
@@ -199,26 +219,25 @@ def brings_new_constant(db, atom):
     return not {t.name for t in atom.args} <= db.explicit_constants([atom.predicate])
 
 
+def sparse_db():
+    # CoA and T store rows on A-C only, so most candidates bring a new
+    # constant to CoA's stored rows
+    names = "ABCDEF"
+    schema = Schema({"R": 1, "S": 1, "T": 2, "CoA": 2}, tuple(Constant(n) for n in names))
+    return Database(schema, {
+        "R": {("A",): 0.4, ("C",): 0.7, ("E",): 0.5},
+        "S": {(n,): p for n, p in zip(names, (0.3, 0.9, 0.5, 0.2, 0.6, 0.8))},
+        "T": {("A", "B"): 0.6, ("B", "B"): 0.3, ("C", "A"): 0.8},
+        "CoA": {("A", "A"): 0.5, ("A", "B"): 0.2, ("B", "C"): 0.7, ("C", "A"): 0.4},
+    })
+
+
 class TestIncrementalGains:
     """A candidate's evaluator reuses the round's memo for the plan nodes the
     candidate cannot touch; its gains equal conditioning's bit for bit."""
 
-    ARITIES = {"R": 1, "S": 1, "T": 2, "CoA": 2}
-
-    def sparse_db(self):
-        # CoA and T store rows on A-C only, so most candidates bring a new
-        # constant to CoA's stored rows
-        names = "ABCDEF"
-        schema = Schema(self.ARITIES, tuple(Constant(n) for n in names))
-        return Database(schema, {
-            "R": {("A",): 0.4, ("C",): 0.7, ("E",): 0.5},
-            "S": {(n,): p for n, p in zip(names, (0.3, 0.9, 0.5, 0.2, 0.6, 0.8))},
-            "T": {("A", "B"): 0.6, ("B", "B"): 0.3, ("C", "A"): 0.8},
-            "CoA": {("A", "A"): 0.5, ("A", "B"): 0.2, ("B", "C"): 0.7, ("C", "A"): 0.4},
-        })
-
     def run(self, text):
-        db = self.sparse_db()
+        db = sparse_db()
         return greedy_trace(OpenPDB(db, 0.6), MTPConstraint("CoA", 0.9), parse_ucq(text, db.schema), budget=3)
 
     @pytest.mark.parametrize("self_join_free", [True, False])
@@ -228,7 +247,7 @@ class TestIncrementalGains:
             g, c, q, _ = rand_mtp_instance(rng, self_join_free=self_join_free)
             greedy_trace(g, c, q)
         first = sum(1 for db, _ in scored if isinstance(db, Database))
-        assert 0 < first < len(scored)  # heap pushes and re-scores
+        assert 0 < first < len(scored)  # round 0 reads the database, later rounds an overlay
 
     def test_candidate_with_new_constant(self, scored):
         trace = self.run("S(x), CoA(x, y)")
@@ -267,6 +286,17 @@ class TestIncrementalGains:
     def test_repeated_variable(self, scored):
         trace = self.run("S(x), CoA(x, x)")
         assert all(a.args[0] == a.args[1] for a, _ in trace.picks)
+        # greedy conditions the diagonal only; every candidate, directly
+        db = sparse_db()
+        q = parse_ucq("S(x), CoA(x, x)", db.schema)
+        picks = [a for a, _ in trace.picks]
+        plan = Plan().build(q)
+        for k in range(len(picks) + 1):
+            base = Evaluator(db.with_added(picks[:k], 0.6) if k else db, plan=plan)
+            base.probability(q)
+            for atom in open_tuples(OpenPDB(db, 0.6), "CoA"):
+                if atom not in picks[:k]:
+                    base.conditioned(atom).probability(q)
         assert any(a.args[0] != a.args[1] for _, a in scored)
 
     @pytest.mark.parametrize("text", [
@@ -277,3 +307,103 @@ class TestIncrementalGains:
         trace = self.run(text)
         assert not trace.guarantee and trace.picks
         assert any(not isinstance(db, Database) for db, _ in scored)
+
+
+def gain_errors(view, q, rel, lam, plan):
+    """|screened - exact gain| of every absent ``rel`` atom of ``view``: the
+    gradient of an evaluator of ``view``, times ``lam``, against
+    conditioning on the atom."""
+    base = Evaluator(view, plan=plan)
+    p = base.probability(q).value
+    screen = base.gradient(q, rel)
+    errors = []
+    for combo in itertools.product(view.schema.domain, repeat=view.schema.arity(rel)):
+        args = tuple(t.name for t in combo)
+        if not view.is_explicit(rel, args):
+            exact = lam * (base.conditioned(Atom(rel, combo)).probability(q).value - p)
+            errors.append(abs(lam * screen(args) - exact))
+    return errors
+
+
+def screening_errors(g, c, q, *, plan=None):
+    """:func:`gain_errors` of every round of greedy on ``(g, c, q)``."""
+    plan = plan or Plan().build(q)
+    picks = [a for a, _ in greedy_trace(g, c, q).picks]
+    views = [g.pdb] + [g.pdb.with_added(picks[:k], g.lam) for k in range(1, len(picks) + 1)]
+    return [e for view in views for e in gain_errors(view, q, c.relation, g.lam, plan)]
+
+
+def assert_screened(errors):
+    assert errors and all(e <= TOL / 100 for e in errors)  # a NaN fails too
+
+
+class TestGradientOracle:
+    """One reverse pass screens every candidate within TOL / 100 of its
+    exact gain, so the window always holds the exact argmax."""
+
+    @pytest.mark.parametrize("self_join_free", [True, False])
+    def test_random_instances(self, self_join_free):
+        rng = random.Random(71)
+        errors = []
+        for _ in range(60):
+            g, c, q, _ = rand_mtp_instance(rng, self_join_free=self_join_free)
+            errors += screening_errors(g, c, q)
+        assert_screened(errors)
+
+    @pytest.mark.parametrize("text", [
+        "R(x), CoA(x, y)",  # a batched rest: D and F have no R or CoA row
+        "CoA(x, y), CoA(x, B)",  # the rest's members are ground leaves
+        "S(z) | R(x), CoA(x, y)",  # an independent union
+        "S(x), CoA(x, C)",  # a constant, other constants in gaps around it
+        "R(x), CoA(x, B) | S(z), CoA(z, D)",
+        "S(x), CoA(x, x)",
+        "R(x), CoA(x, y) | T(x, y), CoA(x, B)",
+    ])
+    def test_pinned_shapes(self, text):
+        db = sparse_db()
+        q = parse_ucq(text, db.schema)
+        errors = screening_errors(OpenPDB(db, 0.6), MTPConstraint("CoA", 0.9), q)
+        assert_screened(errors)
+
+    def test_certain_separator(self):
+        # S(A) and CoA(A, A) are certain, so is the separator's A child and
+        # the separator: no tuple moves it, and its children take no adjoint
+        db = sparse_db()
+        rels = {pred: dict(db.entries(pred)) for pred in db.schema.predicates}
+        rels["S"][("A",)] = rels["CoA"][("A", "A")] = 1.0
+        db = Database(db.schema, rels)
+        q = parse_ucq("R(z), S(x), CoA(x, y)", db.schema)
+        errors = screening_errors(OpenPDB(db, 0.6), MTPConstraint("CoA", 0.9), q)
+        assert_screened(errors)
+
+    def test_batched_rest_with_probability(self):
+        # R and T complete at 0.3, so each of the rest's members D and F
+        # holds with probability 0.09 and both weigh on each other's gains
+        db = sparse_db()
+        q = parse_ucq("R(x), CoA(x, y) | R(x), T(x, x)", db.schema)
+        view = LambdaCompletionView(db, 0.3, relations=("R", "T"))
+        errors = gain_errors(view, q, "CoA", 0.6, Plan().build(q))
+        assert_screened(errors)
+
+    def test_nested_batched_rests(self):
+        # rows on A-C only and R, T complete at 0.3: x's rest is D-H and,
+        # under D, y's rest is E-H, so a pattern CoA(D, E) expands by the
+        # swaps of both rests (CoA(E, D) yes, CoA(E, E) no)
+        schema = Schema({"R": 1, "T": 2, "CoA": 2}, tuple(Constant(n) for n in "ABCDEFGH"))
+        db = Database(schema, {
+            "R": {("A",): 0.4},
+            "T": {("A", "B"): 0.6, ("B", "A"): 0.3},
+            "CoA": {("A", "B"): 0.2, ("C", "A"): 0.4},
+        })
+        q = parse_ucq("R(x), T(x, y), CoA(x, y)", schema)
+        view = LambdaCompletionView(db, 0.3, relations=("R", "T"))
+        errors = gain_errors(view, q, "CoA", 0.6, Plan().build(q))
+        assert_screened(errors)
+
+    @pytest.mark.parametrize("text", ["S(x), CoA(y, z)", "R(x), CoA(x, y), T(x, y)"])
+    def test_forced_inclusion_exclusion(self, text):
+        db = sparse_db()
+        q = parse_ucq(text, db.schema)
+        plan = Plan(force_inclusion_exclusion=True).build(q)
+        errors = screening_errors(OpenPDB(db, 0.6), MTPConstraint("CoA", 0.9), q, plan=plan)
+        assert_screened(errors)

@@ -11,8 +11,8 @@ from owpdb.database import Database, Schema
 from owpdb.engine import Evaluator, is_safe, prob_ground, prob_lifted, prob_lifted_detail
 from owpdb.errors import CapExceeded, UnsafeQuery
 from owpdb.exactdp import mtp_upper_exact
-from owpdb.greedy import greedy_trace, greedy_upper
-from owpdb.openworld import MTPConstraint, OpenPDB, interval_unconstrained
+from owpdb.greedy import GreedyTrace, greedy_trace, greedy_upper
+from owpdb.openworld import MTPConstraint, OpenPDB, interval_unconstrained, open_tuples
 from owpdb.probability import Prob
 from owpdb.query import UCQ, Constant, parse_ucq
 from owpdb.randgen import rand_cq, rand_schema
@@ -135,16 +135,31 @@ def scoring_lifts(monkeypatch):
     return scorings
 
 
+def condition_every_candidate(scorings, db, text, budget):
+    """Greedy on ``S``/``CoA`` at budget ``budget``, then every open ``CoA``
+    tuple conditioned on the database of each round that scores, as
+    scoring every candidate would; ``scorings`` keeps only those."""
+    g, q = OpenPDB(db, 0.5), parse_ucq(text, db.schema)
+    picks = [a for a, _ in greedy_trace(g, MTPConstraint("CoA", 0.5), q, budget=budget).picks]
+    scorings.clear()
+    plan = engine.Plan().build(q)
+    for k in range(min(len(picks) + 1, budget)):
+        base = Evaluator(db.with_added(picks[:k], 0.5) if k else db, plan=plan)
+        base.probability(q)
+        for atom in open_tuples(g, "CoA"):
+            if atom not in picks[:k]:
+                base.conditioned(atom).probability(q)
+
+
 class TestGreedyWork:
     """A candidate re-evaluates only the plan nodes its tuple can touch, so
-    its work does not grow with the domain."""
+    its work does not grow with the domain; greedy conditions only the
+    candidates its gradient screen cannot tell apart from the best."""
 
     def test_recomputed_nodes_per_candidate_are_flat(self, scoring_lifts):
         per_candidate = []
         for n in (16, 48):
-            scoring_lifts.clear()
-            db = stored_scientist_db(n)
-            greedy_trace(OpenPDB(db, 0.5), MTPConstraint("CoA", 0.5), parse_ucq("S(x), CoA(x,y)", db.schema), budget=2)
+            condition_every_candidate(scoring_lifts, stored_scientist_db(n), "S(x), CoA(x,y)", 2)
             calls = [len(nodes) for _, nodes in scoring_lifts]
             assert len(calls) > n * n // 2
             per_candidate.append(max(calls))
@@ -158,16 +173,44 @@ class TestGreedyWork:
         db = stored_scientist_db(16)
         stored = {args: p for args, p in db.entries("CoA") if max(args) < "c08"}
         db = Database(db.schema, {"S": dict(db.entries("S")), "CoA": stored})
-        greedy_trace(OpenPDB(db, 0.5), MTPConstraint("CoA", 0.5), parse_ucq("S(x), CoA(x,y)", db.schema), budget=1)
+        condition_every_candidate(scoring_lifts, db, "S(x), CoA(x,y)", 1)
         new = [len(nodes) for a, nodes in scoring_lifts if max(t.name for t in a.args) >= "c08"]
         assert len(new) > 100
         assert max(new) == 3
 
     def test_repeated_variable_off_the_diagonal_touches_nothing(self, scoring_lifts):
-        db = stored_scientist_db(16)
-        greedy_trace(OpenPDB(db, 0.5), MTPConstraint("CoA", 0.5), parse_ucq("S(x), CoA(x,x)", db.schema), budget=2)
+        condition_every_candidate(scoring_lifts, stored_scientist_db(16), "S(x), CoA(x,x)", 2)
         assert {len(nodes) for a, nodes in scoring_lifts if a.args[0] != a.args[1]} == {0}
         assert all(nodes for a, nodes in scoring_lifts if a.args[0] == a.args[1])
+
+    @pytest.mark.parametrize("n", [16, 48])
+    def test_greedy_conditions_at_most_n_candidates_per_round(self, scoring_lifts, n):
+        # a candidate CoA(a, b) screens the same for every b, so the window
+        # of the best is one row of the domain; scoring every candidate
+        # conditions more than n * n / 2 in round 0
+        db = stored_scientist_db(n)
+        screens = []
+        real = Evaluator.gradient
+
+        def gradient(self, *args):
+            screens.append(len(scoring_lifts))
+            return real(self, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Evaluator, "gradient", gradient)
+            trace = greedy_trace(OpenPDB(db, 0.5), MTPConstraint("CoA", 0.5), parse_ucq("S(x), CoA(x,y)", db.schema), budget=3)
+        per_round = [b - a for a, b in zip(screens, screens[1:] + [len(scoring_lifts)])]
+        assert sum(per_round) == len(scoring_lifts)
+        assert len(per_round) == len(trace.picks)
+        assert all(0 < k <= n for k in per_round)
+
+    def test_saturated_value_conditions_nothing(self, scoring_lifts):
+        # the closed value rounds to 1.0, so no gain can be positive: the
+        # trace is the one scoring all 5685 candidates gives, at no cost
+        db = stored_scientist_db(80)
+        trace = greedy_trace(OpenPDB(db, 0.5), MTPConstraint("CoA", 0.5), parse_ucq("S(x), CoA(x,y)", db.schema), budget=2)
+        assert trace == GreedyTrace((), 1.0, 1.0, 1.0, 1.0, 1.0, 2, True)
+        assert scoring_lifts == []
 
 
 def test_plan_build_agrees_with_probe_evaluation():

@@ -32,7 +32,12 @@ T(y)`` drawn from ``random.Random(23)`` and for the unsafe ones of 400
 unions of 1-3 ``rand_cq`` conjuncts from ``random.Random(29)``.  Witnesses
 are printed in the schema's canonical atom order, so the text does not
 depend on ``PYTHONHASHSEED``.  An error is printed as its class name and
-message.
+message.  Appended last, greedy at size: ``LARGE_QUERIES`` over 24-48
+constants drawn from ``random.Random(31)`` as for the large exact runs,
+budgets 2-4, then ``S(x), CoA(x,y)`` on a scientist instance from
+``random.Random(37)`` at 40 constants, whose value is about 1 - 1e-10, and
+at 80, whose value rounds to 1.0, both at budget 3; each prints the closed
+answer and ``greedy_trace``.
 """
 from __future__ import annotations
 
@@ -97,6 +102,7 @@ LARGE_ARITIES = {"S": 1, "CoA": 2, "T": 1}
 LARGE_QUERIES = ("S(x), CoA(x,y)", "CoA(x,y), T(y)", "S(x), CoA(x,y), T(x)")
 LARGE_SIZES = (60, 90, 120)
 LARGE_BUDGET = 8
+SIZED_SIZES = (24, 36, 48)
 CHAINS = 40
 GROUND_UNIONS = 400
 
@@ -277,6 +283,15 @@ def main() -> None:
         if answer(lambda: is_safe(q)) != "True":
             print(f"ground {i} {q}")
             print("  " + answer(lambda: prob_ground_detail(q, db)))
+    rng = random.Random(31)
+    sized = [(text, large_instance(rng, n), rng.randint(2, 4)) for text in LARGE_QUERIES for n in SIZED_SIZES]
+    sized += [(LARGE_QUERIES[0], scientist_instance(random.Random(37), n), 3) for n in (40, 80)]
+    for i, (text, g, budget) in enumerate(sized):
+        q = parse_ucq(text, g.schema)
+        c = MTPConstraint("CoA", 1.0)
+        print(f"sized {i} {q} n={len(g.schema.domain)} rows={g.pdb.relation_size('CoA')} lam={g.lam} budget={budget}")
+        print("  " + answer(lambda: prob_lifted_detail(q, g.pdb)))
+        print("  " + answer(lambda: greedy_trace(g, c, q, budget=budget), show_trace))
 
 
 if __name__ == "__main__":
