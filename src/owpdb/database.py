@@ -15,15 +15,17 @@ relations: :meth:`Database.with_added` returns an overlay.
 Every view answers one lookup, ``_rows(pred, bound)``: the stored rows of
 ``pred`` with given constants at given positions, which a database finds
 through a lazy index per (predicate, bound positions) instead of a scan.
-Databases and views are immutable once built; concurrent reads are safe,
-because an index is built into a local dict and published with one
-assignment, so a reader sees either no index (and builds one) or a whole one.
+A database loaded from files validates a relation when a read first
+reaches it, one built in memory at construction, by the same row checks.
+Databases and views are immutable once built; concurrent reads are safe:
+a relation's table (with its constants) and each index are built locally
+and published with one assignment, so a reader sees none or a whole one.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import CompletionOverlap, SchemaError, UnknownPredicate
 from .query import Atom, Constant, Term, Variable
@@ -96,25 +98,13 @@ def _args_names(atom: Atom) -> tuple[str, ...]:
     return tuple(t.name for t in atom.args)
 
 
-def _bound_of(pattern: Sequence[Term]) -> Bound:
-    return tuple((i, t.name) for i, t in enumerate(pattern) if not isinstance(t, Variable))
-
-
-def _match_args(pattern: Sequence[Term], args: tuple[str, ...]) -> bool:
-    """Does the ground argument tuple instantiate the pattern?"""
-    seen: dict[str, str] = {}
-    return all(
-        seen.setdefault(t.name, a) == a if isinstance(t, Variable) else t.name == a
-        for t, a in zip(pattern, args)
-    )
-
-
 class _Table(dict):
     """One relation's rows, ``args -> value``, filled once and then only
     read, with a lazy index per set of bound positions."""
 
     def __init__(self, *args):
         super().__init__(*args)
+        self.constants: frozenset[str] = frozenset()  # of a stored relation's rows
         self._by_positions: dict[tuple[int, ...], dict[tuple[str, ...], list]] = {}
 
     def rows(self, bound: Bound) -> Iterable[tuple[tuple[str, ...], object]]:
@@ -129,6 +119,47 @@ class _Table(dict):
                 index.setdefault(tuple(row[0][i] for i in positions), []).append(row)
             self._by_positions[positions] = index
         return index.get(tuple(name for _, name in bound), ())
+
+
+def _relation(schema: Schema, pred: str, rows: Iterable[tuple], where: Callable[[object], str]) -> _Table:
+    """The table of ``pred`` from ``(at, args, probability)`` rows, checked
+    for arity, a float probability in [0, 1] (not NaN), no duplicate args
+    and constants of the domain; an error names its row by ``where(at)``."""
+    arity, domain = schema.arity(pred), schema._index
+    table, names = _Table(), set()
+    for at, args, p in rows:
+        if len(args) != arity:
+            raise SchemaError(f"{where(at)}: expected {arity} constants and a probability")
+        try:
+            value = float(p)
+        except (TypeError, ValueError):
+            raise SchemaError(f"{where(at)}: bad probability {p!r}") from None
+        if args in table:
+            raise SchemaError(f"{where(at)}: duplicate tuple {args}")
+        names.update(args)
+        for name in args:
+            if name not in domain:
+                raise SchemaError(f"{where(at)}: constant {name!r} is not in the domain")
+        if not 0.0 <= value <= 1.0:
+            raise SchemaError(f"{where(at)}: probability {value} outside [0, 1]")
+        table[args] = value
+    table.constants = frozenset(names)
+    return table
+
+
+class _Relations(dict):
+    """``pred -> _Table``, a declared predicate's made by ``read(pred)`` on
+    first lookup and published with one assignment; others read empty."""
+
+    def __init__(self, declared: Mapping[str, int], read: Callable[[str], _Table]):
+        super().__init__()
+        self._declared, self._read = declared, read
+
+    def __missing__(self, pred: str) -> _Table:
+        if pred not in self._declared:
+            return _Table()
+        table = self[pred] = self._read(pred)
+        return table
 
 
 class ProbView:
@@ -167,17 +198,19 @@ class ProbView:
         return OverlayView(self, fixed)
 
     def pattern_entries(
-        self, pred: str, pattern: Sequence[Term]
+        self, pred: str, pattern: Sequence[Term], bound: Bound | None = None
     ) -> Iterator[tuple[tuple[str, ...], float]]:
         """Stored rows matching a pattern of constants and (possibly
         repeated) variables, in scan order: the lazy per-positions index
-        finds the constants, and only a repeated variable is tested."""
-        rows = self._rows(pred, _bound_of(pattern))
-        names = [t.name for t in pattern if isinstance(t, Variable)]
-        if len(set(names)) == len(names):
-            yield from rows
-        else:
-            yield from (row for row in rows if _match_args(pattern, row[0]))
+        finds the constants, and only a repeated variable is tested.  Given
+        the constants as ``bound``, only a repeated variable of ``pattern``
+        is read, and ``pattern`` may be empty when none repeats."""
+        if bound is None:
+            bound = tuple((i, t.name) for i, t in enumerate(pattern) if type(t) is not Variable)
+        # (position, first position of its variable) for a repeated variable
+        ties = [(i, j) for i, t in enumerate(pattern) if type(t) is Variable for j in [pattern.index(t)] if j != i]
+        rows = self._rows(pred, bound)
+        yield from (row for row in rows if all(row[0][i] == row[0][j] for i, j in ties)) if ties else rows
 
     def pattern_size(self, pred: str, pattern: Sequence[Term]) -> int:
         """Number of ground instances of the pattern over the domain."""
@@ -195,68 +228,60 @@ class Database(ProbView):
 
     def __init__(self, schema: Schema, relations: Mapping[str, Mapping[tuple[str, ...], float]] | None = None):
         self.schema = schema
-        rels: dict[str, _Table] = {p: _Table() for p in schema.predicates}
-        if relations:
-            for pred, table in relations.items():
-                arity = schema.arity(pred)
-                for args, p in table.items():
-                    if len(args) != arity:
-                        raise SchemaError(f"{pred}{args} does not match arity {arity}")
-                    for name in args:
-                        if not schema.has_constant(name):
-                            raise SchemaError(f"constant {name!r} of {pred}{args} is not in the domain")
-                    if not 0.0 <= p <= 1.0:
-                        raise SchemaError(f"probability {p} outside [0, 1] for {pred}{args}")
-                    rels[pred][args] = float(p)
-        self._rels = rels
-        self._consts: dict[str, frozenset[str]] = {
-            pred: frozenset(name for args in table for name in args)
-            for pred, table in rels.items()
-        }
+        self._rels = _Relations(schema.predicates, lambda pred: _Table())
+        for pred, table in (relations or {}).items():
+            rows = ((args, args, p) for args, p in table.items())
+            self._rels[pred] = _relation(schema, pred, rows, f"{pred}{{}}".format)
+
+    @classmethod
+    def _on_first_read(cls, schema: Schema, read: Callable[[str], tuple]) -> "Database":
+        """A database whose relation ``pred`` is validated from the rows and
+        row namer ``read(pred)`` gives, the first time a read reaches it."""
+        db = cls(schema)
+        db._rels = _Relations(schema.predicates, lambda pred: _relation(schema, pred, *read(pred)))
+        return db
 
     @classmethod
     def from_tuples(cls, schema: Schema, tuples: Iterable[ProbTuple]) -> "Database":
-        rels: dict[str, dict[tuple[str, ...], float]] = {}
+        db, rows = cls(schema), {}
         for t in tuples:
-            table = rels.setdefault(t.atom.predicate, {})
-            args = _args_names(t.atom)
-            if args in table:
-                raise SchemaError(f"duplicate tuple {t.atom}")
-            table[args] = t.p
-        return cls(schema, rels)
+            rows.setdefault(t.atom.predicate, []).append((t.atom, _args_names(t.atom), t.p))
+        for pred, table in rows.items():
+            db._rels[pred] = _relation(schema, pred, table, str)
+        return db
 
     def default_prob(self, pred: str) -> float:
         return 0.0
 
     def _rows(self, pred: str, bound: Bound) -> Iterable[tuple[tuple[str, ...], float]]:
-        return self._rels[pred].rows(bound) if pred in self._rels else ()
+        return self._rels[pred].rows(bound)
 
     def is_explicit(self, pred: str, args: tuple[str, ...]) -> bool:
-        return args in self._rels.get(pred, {})
+        return args in self._rels[pred]
 
     def prob(self, pred: str, args: tuple[str, ...]) -> float:
-        return self._rels.get(pred, {}).get(args, 0.0)
+        return self._rels[pred].get(args, 0.0)
 
     def explicit_constants(self, preds: Iterable[str]) -> frozenset[str]:
         out: set[str] = set()
         for p in preds:
-            out.update(self._consts.get(p, frozenset()))
+            out.update(self._rels[p].constants)
         return frozenset(out)
 
     def relation_mass(self, pred: str) -> float:
-        return sum(self._rels.get(pred, {}).values())
+        return sum(self._rels[pred].values())
 
     def relation_size(self, pred: str) -> int:
-        return len(self._rels.get(pred, {}))
+        return len(self._rels[pred])
 
     def support_size(self, pred: str) -> int:
         """Number of stored rows with nonzero probability."""
-        return sum(1 for p in self._rels.get(pred, {}).values() if p > 0.0)
+        return sum(1 for p in self._rels[pred].values() if p > 0.0)
 
     def uncertain_atoms(self) -> list[Atom]:
         """Stored atoms with probability strictly between 0 and 1."""
         out = []
-        for pred in sorted(self._rels):
+        for pred in sorted(self.schema.predicates):
             for args, p in sorted(self._rels[pred].items()):
                 if 0.0 < p < 1.0:
                     out.append(Atom(pred, tuple(Constant(a) for a in args)))
@@ -360,9 +385,7 @@ class LambdaCompletionView(ProbView):
         return self.base.is_explicit(pred, args)
 
     def prob(self, pred: str, args: tuple[str, ...]) -> float:
-        if self.base.is_explicit(pred, args):
-            return self.base.prob(pred, args)
-        if pred in self.relations:
+        if pred in self.relations and not self.base.is_explicit(pred, args):
             return self.lam
         return self.base.prob(pred, args)
 

@@ -3,15 +3,17 @@ matching instances.
 
 A database directory holds ``schema.txt`` (lines ``PRED/arity``),
 ``domain.txt`` (one constant per line, order significant), and one
-``<PRED>.csv`` per predicate with rows ``c1,...,ck,p``.  The domain must be
-explicit: open-world completion ranges over every constant, not just the
-mentioned ones.  ``constraints.txt`` holds exactly one ``lambda=<float>``
-line and zero or more ``mtp <PRED> <mean_bound>`` lines.
+``<PRED>.csv`` per predicate with rows ``c1,...,ck,p``, read when a request
+first reads ``PRED``.  The domain must be explicit: open-world completion
+ranges over every constant, not just the mentioned ones.
+``constraints.txt`` holds exactly one ``lambda=<float>`` line and zero or
+more ``mtp <PRED> <mean_bound>`` lines.
 """
 from __future__ import annotations
 
 import csv
 from pathlib import Path
+from typing import Iterator
 
 from .database import Database, Schema
 from .errors import SchemaError
@@ -53,32 +55,25 @@ def load_schema(directory: str | Path) -> Schema:
 
 
 def load_database(directory: str | Path) -> Database:
+    """Read ``schema.txt`` and ``domain.txt`` now and each ``<PRED>.csv``
+    when a read first reaches ``PRED``, so a request pays only for the
+    relations it reads and a bad row fails only a request that reads it."""
     directory = Path(directory)
-    schema = load_schema(directory)
-    rels: dict[str, dict[tuple[str, ...], float]] = {}
-    for pred, arity in schema.predicates.items():
+
+    def read(pred: str):
         path = directory / f"{pred}.csv"
-        if not path.is_file():
-            continue
-        table: dict[tuple[str, ...], float] = {}
+        return _csv_rows(path), f"{path}:{{}}".format
+
+    return Database._on_first_read(load_schema(directory), read)
+
+
+def _csv_rows(path: Path) -> Iterator[tuple[int, tuple[str, ...], str]]:
+    """A relation file's (row number, constants, probability text) rows."""
+    if path.is_file():
         with path.open(newline="") as fh:
             for rowno, row in enumerate(csv.reader(fh), 1):
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                if len(row) != arity + 1:
-                    raise SchemaError(
-                        f"{path}:{rowno}: expected {arity} constants and a probability"
-                    )
-                args = tuple(cell.strip() for cell in row[:-1])
-                try:
-                    p = float(row[-1])
-                except ValueError:
-                    raise SchemaError(f"{path}:{rowno}: bad probability {row[-1]!r}") from None
-                if args in table:
-                    raise SchemaError(f"{path}:{rowno}: duplicate tuple {args}")
-                table[args] = p
-        rels[pred] = table
-    return Database(schema, rels)
+                if row and (len(row) > 1 or row[0].strip()):
+                    yield rowno, tuple(map(str.strip, row[:-1])), row[-1]
 
 
 def load_constraints(directory: str | Path) -> tuple[float | None, list[MTPConstraint]]:

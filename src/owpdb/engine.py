@@ -152,14 +152,14 @@ class _Node:
     """A plan node: a minimized union, possibly over placeholders, and its
     rule, filled in by :meth:`Plan.expand` on first use."""
 
-    __slots__ = ("query", "placeholders", "patterns", "rule", "arg", "fresh")
+    __slots__ = ("query", "placeholders", "patterns", "rule", "arg", "fresh", "leaf")
 
     def __init__(self, query: UCQ):
         self.query = query
         self.placeholders = tuple(sorted(c.name for c in query.constants() if type(c) is Placeholder))
         # predicate -> argument tuples of its atoms, built on first use
         self.patterns: dict[str, list[tuple]] | None = None
-        self.rule = self.arg = self.fresh = None
+        self.rule = self.arg = self.fresh = self.leaf = None
 
     def key(self, env: Mapping[str, Constant]) -> object:
         """Memo key of this node under ``env``: the node and the constants
@@ -206,7 +206,9 @@ class Plan:
             return node.rule, node.arg
         q = node.query
         rule, arg = decompose(q)
-        if rule == "and":
+        if rule == "atom":
+            node.leaf = _leaf(arg)
+        elif rule == "and":
             if self.force_ie:
                 arg = [sorted((u for g in arg for u in g), key=_part_key)]
             arg = [tuple(self.node(u) for u in g) for g in arg]
@@ -287,6 +289,15 @@ class Plan:
 
 def _bind_atom(atom: Atom, env: Mapping[str, Constant]) -> Atom:
     return Atom(atom.predicate, tuple(env[t.name] if type(t) is Placeholder else t for t in atom.args))
+
+
+def _leaf(atom: Atom) -> tuple:
+    """An atom rule's leaf, derived once per node: predicate, (position,
+    name, is placeholder) slots of its bound positions, its terms when a
+    variable repeats (else none) and its number of distinct variables."""
+    slots = tuple((i, t.name, type(t) is Placeholder) for i, t in enumerate(atom.args) if type(t) is not Variable)
+    names = [t.name for t in atom.args if type(t) is Variable]
+    return atom.predicate, slots, atom.args if len(set(names)) < len(names) else (), len(set(names))
 
 
 class Evaluator:
@@ -389,10 +400,18 @@ class Evaluator:
     def _lift(self, node: _Node, env: Mapping[str, Constant]) -> Prob:
         rule, arg = self.plan.expand(node)
         if rule == "atom":
-            atom = _bind_atom(arg, env) if node.placeholders else arg
-            if atom.is_ground():
-                return Prob.from_value(self.db.atom_prob(atom))
-            return self._atom_block(atom)
+            # a lookup, or the complement product over the ground instances
+            db, (pred, slots, repeated, n_vars) = self.db, node.leaf
+            bound = tuple((i, env[name].name if ph else name) for i, name, ph in slots)
+            if not n_vars:
+                return Prob.from_value(db.prob(pred, tuple(name for _, name in bound)))
+            stored = [p for _, p in db.pattern_entries(pred, repeated, bound)]
+            parts = [Prob.from_value(p) for p in stored if p > 0.0]
+            n_absent = len(db.schema.domain) ** n_vars - len(stored)
+            default = db.default_prob(pred)
+            if n_absent > 0 and default > 0.0:
+                parts.append(probability.power_disj(Prob.from_value(default), n_absent))
+            return probability.disj(parts) if parts else IMPOSSIBLE
         if rule == "and":
             if len(arg) == 1:
                 return self._group(arg[0], env)
@@ -435,24 +454,6 @@ class Evaluator:
         parts = [self.evaluate(*c) for c in children]
         if rest:
             parts.append(probability.power_disj(parts.pop(at), len(rest)))
-        return probability.disj(parts)
-
-    def _atom_block(self, atom: Atom) -> Prob:
-        """P(exists bindings making one atom true): complement product over
-        all ground instances of the pattern."""
-        db = self.db
-        parts: list[Prob] = []
-        n_explicit = 0
-        for _, p in db.pattern_entries(atom.predicate, atom.args):
-            n_explicit += 1
-            if p > 0.0:
-                parts.append(Prob.from_value(p))
-        n_absent = db.pattern_size(atom.predicate, atom.args) - n_explicit
-        default = db.default_prob(atom.predicate)
-        if n_absent > 0 and default > 0.0:
-            parts.append(probability.power_disj(Prob.from_value(default), n_absent))
-        if not parts:
-            return IMPOSSIBLE
         return probability.disj(parts)
 
 

@@ -54,8 +54,9 @@ IMPOSSIBLE = Prob(0.0, 0.0)
 def conj(items: Iterable[Prob]) -> Prob:
     """Probability that independent events all occur.
 
-    The iterable is drained before any short-circuit: callers rely on every
-    factor being evaluated (safety analysis walks all branches)."""
+    The iterable is drained before any short-circuit: every factor must be
+    evaluated, because :meth:`owpdb.engine.Evaluator.gradient` reads each
+    ``and`` child from the memo while it iterates over that memo."""
     s = 0.0
     for p in list(items):
         lv = p._logv()

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import owpdb
 from owpdb import dataio
 from owpdb.cli import RunConfig, run
 from owpdb.database import Database, Schema
+from owpdb.errors import SchemaError
 from owpdb.query import Constant
 
 
@@ -190,6 +192,58 @@ class TestHashSeed:
         ]
         assert b"unsafe-query-ground-evaluation" in outs[0]
         assert outs[0] == outs[1]
+
+
+def scan_dir(tmp_path, coa_rows):
+    """S, T and CoA over three constants, CoA.csv written as given, and a
+    lambda but no mtp line (which would read CoA)."""
+    schema = Schema({"S": 1, "T": 1, "CoA": 2}, tuple(map(Constant, "ABC")))
+    db = Database(schema, {"S": {("A",): 0.5, ("B",): 0.25}, "T": {("C",): 0.5}})
+    dataio.save_database(db, tmp_path)
+    (tmp_path / "CoA.csv").write_text(coa_rows)
+    (tmp_path / "constraints.txt").write_text("lambda=0.3\n")
+    return tmp_path
+
+
+class TestLoaderContract:
+    """A relation file is parsed when a request first reads its relation:
+    a bad row fails that request with the file and row, and a request that
+    never reads the relation does not see it."""
+
+    @pytest.mark.parametrize("row, message", [
+        ("A,0.5", "expected 2 constants and a probability"),
+        ("A,B,high", "bad probability 'high'"),
+        ("A,C,0.5", "duplicate tuple ('A', 'C')"),
+        ("A,Z,0.5", "constant 'Z' is not in the domain"),
+        ("A,B,1.5", "probability 1.5 outside [0, 1]"),
+        ("A,B,-0.5", "probability -0.5 outside [0, 1]"),
+        ("A,B,nan", "probability nan outside [0, 1]"),
+    ], ids=["width", "probability", "duplicate", "domain", "above-one", "below-zero", "nan"])
+    def test_bad_row_names_its_file_and_row(self, tmp_path, row, message):
+        directory = scan_dir(tmp_path, f"A,C,0.5\n\n{row}\n")
+        for mode in ("eval", "interval"):
+            status, out = run(RunConfig(db_dir=str(directory), query="S(x), CoA(x,y)", mode=mode))
+            assert status == 1, (mode, out)
+            assert out == f"error: {directory / 'CoA.csv'}:3: {message}", mode
+
+    def test_a_relation_no_request_reads_is_not_parsed(self, tmp_path):
+        directory = str(scan_dir(tmp_path, "A,B,C,D\n"))
+        for mode, query in (("analyze", "S(x), T(y)"), ("eval", "S(x), T(y)"), ("analyze", "S(x), CoA(x,y)")):
+            status, out = run(RunConfig(db_dir=directory, query=query, mode=mode, output="json"))
+            assert status == 0, (mode, query, out)
+        status, out = run(RunConfig(db_dir=directory, query="S(x), CoA(x,y)", mode="eval"))
+        assert status == 1 and "CoA.csv:1:" in out
+
+    def test_in_memory_database_validates_at_construction(self):
+        schema = Schema({"R": 2}, tuple(map(Constant, "AB")))
+        for rows, message in (
+            ({("A",): 0.5}, "expected 2 constants"),
+            ({("A", "B"): "high"}, "bad probability"),
+            ({("A", "Z"): 0.5}, "constant 'Z' is not in the domain"),
+            ({("A", "B"): float("nan")}, "outside [0, 1]"),
+        ):
+            with pytest.raises(SchemaError, match=re.escape(message)):
+                Database(schema, {"R": rows})
 
 
 class TestExitCodes:

@@ -1,10 +1,12 @@
 """Indexed storage lookups: the same rows as a scan, and work bounded by
 the rows that match."""
 import random
+import sys
+import threading
 
 import pytest
 
-from owpdb import database, exactdp, openworld
+from owpdb import database, dataio, exactdp, openworld
 from owpdb.database import Database, LambdaCompletionView, ProbView, Schema
 from owpdb.errors import SchemaError, UnknownPredicate
 from owpdb.openworld import MTPConstraint, OpenPDB, interval_unconstrained
@@ -136,6 +138,10 @@ class CountingTable(database._Table):
 
     reads = 0
 
+    def __init__(self, table):
+        super().__init__(table)
+        self.constants = table.constants
+
     def items(self):
         for row in super().items():
             self.reads += 1
@@ -148,10 +154,10 @@ class CountingTable(database._Table):
 
 
 def count_reads(db):
-    """Swap the database's stored tables for counting ones."""
-    tables = {}
-    for pred, table in db._rels.items():
-        tables[pred] = db._rels[pred] = CountingTable(table)
+    """Swap the database's stored tables, each read through its table
+    accessor (which parses a relation on first read), for counting ones."""
+    tables = {pred: CountingTable(db._rels[pred]) for pred in db.schema.predicates}
+    db._rels.update(tables)
     return lambda: sum(t.reads for t in tables.values())
 
 
@@ -168,9 +174,9 @@ class TestWorkIsLinearInRows:
         yielded = 0
         entries = ProbView.pattern_entries
 
-        def counted_entries(self, pred, pattern):
+        def counted_entries(self, pred, pattern, bound=None):
             nonlocal yielded
-            for row in entries(self, pred, pattern):
+            for row in entries(self, pred, pattern, bound):
                 yielded += 1
                 yield row
 
@@ -213,3 +219,50 @@ class TestWorkIsLinearInRows:
         monkeypatch.setattr(exactdp, "open_tuples", refuse, raising=False)  # an imported name
         got = [exactdp.mtp_upper_exact(g, c, scientist_coauthor_query, budget=b).value for b in range(4)]
         assert got == pytest.approx(expected, abs=1e-12)
+
+
+class TestConcurrentFirstReads:
+    """Threads sharing a freshly loaded database race to parse its relations
+    and build their per-positions indexes; each table and index is
+    published whole, so every thread gets the single-threaded answers."""
+
+    QUERIES = ("S(x), CoA(x,y)", "CoA(x,y), T(y)", "S(x), CoA(x,y) | T(u)", "S(x), CoA(x,y), T(x)", "S(x), T(y)")
+    THREADS = 8
+
+    def answers(self, db, order):
+        g = OpenPDB(db, 0.3)
+        return {i: repr(interval_unconstrained(g, parse_ucq(self.QUERIES[i], db.schema))) for i in order}
+
+    def test_threads_agree_with_one_thread(self, tmp_path):
+        base = scientist_db(120, seed=4)
+        rng = random.Random(4)
+        rels = {pred: dict(base.entries(pred)) for pred in ("S", "CoA")}
+        rels["T"] = {(c.name,): rng.choice([0.2, 0.5]) for c in base.schema.domain if rng.random() < 0.5}
+        dataio.save_database(Database(Schema({"S": 1, "T": 1, "CoA": 2}, base.schema.domain), rels), tmp_path)
+        expected = self.answers(dataio.load_database(tmp_path), range(len(self.QUERIES)))
+        shared = dataio.load_database(tmp_path)
+        assert not shared._rels  # nothing read yet
+        start = threading.Barrier(self.THREADS)
+        got, errors = [None] * self.THREADS, []
+
+        def work(k):
+            try:
+                start.wait(timeout=60)
+                # each thread starts at a different query, so first reads collide
+                got[k] = self.answers(shared, [(k + i) % len(self.QUERIES) for i in range(len(self.QUERIES))])
+            except Exception as exc:  # reported below, not lost in the thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(self.THREADS)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert got == [expected] * self.THREADS

@@ -37,11 +37,19 @@ constants drawn from ``random.Random(31)`` as for the large exact runs,
 budgets 2-4, then ``S(x), CoA(x,y)`` on a scientist instance from
 ``random.Random(37)`` at 40 constants, whose value is about 1 - 1e-10, and
 at 80, whose value rounds to 1.0, both at budget 3; each prints the closed
-answer and ``greedy_trace``.
+answer and ``greedy_trace``.  Appended after that, from disk: 40
+``rand_safe_instance`` databases drawn from ``random.Random(41)``, each
+written by ``save_database`` with a ``constraints.txt`` (a lambda and a mean
+bound on one of the query's relations) into a temporary directory, and the
+``cli.run`` JSON of ``analyze``, ``eval`` and ``interval`` on each, so the
+loader and its row checks are pinned along with the answers (the directory
+prints as ``<dir>``).
 """
 from __future__ import annotations
 
 import random
+import tempfile
+from pathlib import Path
 
 from owpdb import (
     Database,
@@ -56,6 +64,8 @@ from owpdb import (
     mtp_upper_bruteforce,
     mtp_upper_exact,
 )
+from owpdb.cli import RunConfig, run
+from owpdb.dataio import save_database
 from owpdb.engine import is_safe, prob_ground_detail, prob_lifted_detail
 from owpdb.query import UCQ, Constant, parse_ucq
 from owpdb.randgen import (
@@ -105,6 +115,7 @@ LARGE_BUDGET = 8
 SIZED_SIZES = (24, 36, 48)
 CHAINS = 40
 GROUND_UNIONS = 400
+DISK_INSTANCES = 40
 
 
 def show_bound(result, schema) -> str:
@@ -292,6 +303,19 @@ def main() -> None:
         print(f"sized {i} {q} n={len(g.schema.domain)} rows={g.pdb.relation_size('CoA')} lam={g.lam} budget={budget}")
         print("  " + answer(lambda: prob_lifted_detail(q, g.pdb)))
         print("  " + answer(lambda: greedy_trace(g, c, q, budget=budget), show_trace))
+
+    rng = random.Random(41)
+    for i in range(DISK_INSTANCES):
+        schema, db, q = rand_safe_instance(rng)
+        rel = rng.choice(sorted(q.predicates()))
+        lam, mean = rng.choice(LAMBDA_GRID), rng.choice((0.1, 0.3, 0.6))
+        with tempfile.TemporaryDirectory() as directory:
+            save_database(db, directory)
+            Path(directory, "constraints.txt").write_text(f"lambda={lam!r}\nmtp {rel} {mean!r}\n")
+            print(f"disk {i} {q} lambda={lam} mtp {rel} {mean}")
+            for mode in ("analyze", "eval", "interval"):
+                status, out = run(RunConfig(db_dir=directory, query=str(q), mode=mode, output="json"))
+                print(f"  {mode} {status} {out.replace(directory, '<dir>')}")
 
 
 if __name__ == "__main__":
