@@ -43,7 +43,15 @@ written by ``save_database`` with a ``constraints.txt`` (a lambda and a mean
 bound on one of the query's relations) into a temporary directory, and the
 ``cli.run`` JSON of ``analyze``, ``eval`` and ``interval`` on each, so the
 loader and its row checks are pinned along with the answers (the directory
-prints as ``<dir>``).
+prints as ``<dir>``).  Appended after that, the report of
+``property_suites(7, 10)``, the ``--mode verify`` suites.
+
+Each unindented line opens a block named by its first word (``safe``,
+``mtp``, ``safety``, ``gap``, ``greedy``, ``large``, ``chain``,
+``ground``, ``sized``, ``disk``, ``verify``) and the indented lines under
+it belong to it.  ``tools/same_answers.sha256`` holds one SHA-256 per
+block of the output under ``PYTHONHASHSEED=0``, and
+``tests/test_answers.py`` checks them.
 """
 from __future__ import annotations
 
@@ -63,6 +71,7 @@ from owpdb import (
     interval_unconstrained,
     mtp_upper_bruteforce,
     mtp_upper_exact,
+    property_suites,
 )
 from owpdb.cli import RunConfig, run
 from owpdb.dataio import save_database
@@ -116,6 +125,8 @@ SIZED_SIZES = (24, 36, 48)
 CHAINS = 40
 GROUND_UNIONS = 400
 DISK_INSTANCES = 40
+VERIFY_SEED = 7
+VERIFY_TRIALS = 10
 
 
 def show_bound(result, schema) -> str:
@@ -316,6 +327,10 @@ def main() -> None:
             for mode in ("analyze", "eval", "interval"):
                 status, out = run(RunConfig(db_dir=directory, query=str(q), mode=mode, output="json"))
                 print(f"  {mode} {status} {out.replace(directory, '<dir>')}")
+
+    print(f"verify seed={VERIFY_SEED} trials={VERIFY_TRIALS}")
+    for line in property_suites(VERIFY_SEED, VERIFY_TRIALS).render().splitlines():
+        print("  " + line)
 
 
 if __name__ == "__main__":
