@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import dataio
 from .database import Database
-from .engine import analyze_query, prob_ground, prob_lifted
+from .engine import DEFAULT_WORLD_CAP, analyze_query, prob_ground, prob_lifted
 from .errors import CapExceeded, NotInversionFree, OwpdbError, UnsafeQuery
 from .exactdp import mtp_upper_exact
 from .greedy import greedy_upper
@@ -31,7 +31,7 @@ from .openworld import (
     budget_from_mtp,
     interval_unconstrained,
 )
-from .oracle import mtp_upper_bruteforce, property_suites, verify_maxmatch
+from .oracle import DEFAULT_SUBSET_CAP, mtp_upper_bruteforce, property_suites, verify_maxmatch
 from .query import has_self_join, parse_ucq
 
 MODES = ("analyze", "eval", "interval", "exact", "greedy", "oracle", "demo3dm", "verify")
@@ -50,8 +50,8 @@ class RunConfig:
     mode: str = "eval"
     output: str = "text"
     seed: int = 0
-    cap_worlds: int = 24
-    cap_subsets: int = 200_000
+    cap_worlds: int = DEFAULT_WORLD_CAP
+    cap_subsets: int = DEFAULT_SUBSET_CAP
     force: bool = False
     instance: str | None = None
     trials: int = 25
@@ -178,13 +178,11 @@ def run(config: RunConfig) -> tuple[int, str]:
                     "mean": constraint.mean_bound,
                     "derived_budget": derived_budget,
                 }
-            effective_budget = (
-                config.budget_override if config.budget_override is not None else derived_budget
-            )
-            payload["budget"] = effective_budget
+            payload["budget"] = config.budget_override if config.budget_override is not None else derived_budget
 
+            result = None
             if config.mode == "analyze":
-                profile = analyze_query(query, db.schema)
+                profile = analyze_query(query)
                 payload["profile"] = {
                     "hierarchical_per_cq": list(profile.hierarchical_per_cq),
                     "inversion_free": profile.inversion_free,
@@ -193,65 +191,38 @@ def run(config: RunConfig) -> tuple[int, str]:
                 }
             elif config.mode == "eval":
                 try:
-                    value = prob_lifted(query, db)
-                    result = BoundResult(kind="closed", value=value)
+                    result = BoundResult(kind="closed", value=prob_lifted(query, db))
                 except UnsafeQuery:
                     value = prob_ground(query, db, cap_worlds=config.cap_worlds)
                     notices.append("query is unsafe; evaluated by compiling its ground lineage")
                     result = BoundResult(
                         kind="closed", value=value, warnings=("unsafe-query-ground-evaluation",)
                     )
-                payload["result"] = _result_payload(db, result)
-            elif config.mode == "interval":
+            else:
                 _require(lam, "a completion probability (lambda) is required")
-                result = interval_unconstrained(g, query)
-                payload["result"] = _result_payload(db, result)
-            elif config.mode == "exact":
-                _require(lam, "a completion probability (lambda) is required")
-                c = _require(constraint, "an mtp constraint is required for exact mode")
-                try:
-                    result = mtp_upper_exact(
-                        g,
-                        c,
-                        query,
-                        budget=config.budget_override,
-                        denominator=config.mtp_denominator,
-                    )
-                except NotInversionFree:
-                    notices.append("query has an inversion; routed to the greedy bound")
-                    result = greedy_upper(
-                        g,
-                        c,
-                        query,
-                        budget=config.budget_override,
-                        denominator=config.mtp_denominator,
-                    )
-                payload["result"] = _result_payload(db, result)
-            elif config.mode == "greedy":
-                _require(lam, "a completion probability (lambda) is required")
-                c = _require(constraint, "an mtp constraint is required for greedy mode")
-                if has_self_join(query) and not config.force:
-                    raise _ValidationError(
-                        "query has a self-join, so the greedy guarantee is unproven; "
-                        "pass --force to run anyway"
-                    )
-                result = greedy_upper(
-                    g, c, query, budget=config.budget_override, denominator=config.mtp_denominator
-                )
-                payload["result"] = _result_payload(db, result)
-            elif config.mode == "oracle":
-                _require(lam, "a completion probability (lambda) is required")
-                c = _require(constraint, "an mtp constraint is required for oracle mode")
-                result = mtp_upper_bruteforce(
-                    g,
-                    c,
-                    query,
-                    budget=config.budget_override,
-                    denominator=config.mtp_denominator,
-                    cap_subsets=config.cap_subsets,
-                    cap_worlds=config.cap_worlds,
-                )
-                payload["result"] = _result_payload(db, result)
+                if config.mode == "interval":
+                    result = interval_unconstrained(g, query)
+                else:
+                    c = _require(constraint, f"an mtp constraint is required for {config.mode} mode")
+                    budget_args = {"budget": config.budget_override, "denominator": config.mtp_denominator}
+                    if config.mode == "exact":
+                        try:
+                            result = mtp_upper_exact(g, c, query, **budget_args)
+                        except NotInversionFree:
+                            notices.append("query has an inversion; routed to the greedy bound")
+                            result = greedy_upper(g, c, query, **budget_args)
+                    elif config.mode == "greedy":
+                        if has_self_join(query) and not config.force:
+                            raise _ValidationError(
+                                "query has a self-join, so the greedy guarantee is unproven; "
+                                "pass --force to run anyway"
+                            )
+                        result = greedy_upper(g, c, query, **budget_args)
+                    else:
+                        result = mtp_upper_bruteforce(
+                            g, c, query, **budget_args, cap_subsets=config.cap_subsets, cap_worlds=config.cap_worlds
+                        )
+            payload["result"] = _result_payload(db, result)
     except (_ValidationError, OwpdbError, ValueError, OSError) as exc:
         if isinstance(exc, CapExceeded):
             return 3, f"error: {exc}"
@@ -334,8 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--mode", choices=MODES, default="eval")
     parser.add_argument("--output", choices=("text", "json"), default="text")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--cap-worlds", dest="cap_worlds", type=int, default=24)
-    parser.add_argument("--cap-subsets", dest="cap_subsets", type=int, default=200_000)
+    parser.add_argument("--cap-worlds", dest="cap_worlds", type=int, default=DEFAULT_WORLD_CAP)
+    parser.add_argument("--cap-subsets", dest="cap_subsets", type=int, default=DEFAULT_SUBSET_CAP)
     parser.add_argument("--force", action="store_true", help="run greedy despite self-joins")
     parser.add_argument("--instance", help="matching instance file (demo3dm mode)")
     parser.add_argument("--trials", type=int, default=25, help="trials per suite (verify mode)")

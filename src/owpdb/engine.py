@@ -41,10 +41,11 @@ import math
 from typing import Callable, Iterator, Mapping
 
 from . import probability
-from .database import ProbView, Schema
+from .database import ProbView
 from .errors import CapExceeded, UnsafeQuery
 from .probability import CERTAIN, IMPOSSIBLE, Prob
 from .query import (
+    _drop_entailing,
     Atom,
     ConjunctiveQuery,
     Constant,
@@ -102,19 +103,8 @@ def conjunction_parts(q: UCQ, cap: int = CNF_COMBINATION_CAP) -> list[UCQ] | Non
             seen.add(u)
             parts.append(u)
     parts.sort(key=_part_key)
-    kept: list[UCQ] = []
-    for j, u in enumerate(parts):
-        absorbed = False
-        for i, v in enumerate(parts):
-            if i == j:
-                continue
-            # v entails u: u is the weaker conjunct and contributes nothing
-            if ucq_implies(v, u) and (i < j or not ucq_implies(u, v)):
-                absorbed = True
-                break
-        if not absorbed:
-            kept.append(u)
-    return kept
+    # a part another part entails is the weaker conjunct and contributes nothing
+    return _drop_entailing(parts, lambda u, v: ucq_implies(v, u))
 
 
 def _part_key(u: UCQ) -> tuple:
@@ -318,11 +308,6 @@ class Evaluator:
 
     def probability(self, q: UCQ) -> Prob:
         return self.evaluate(self.plan.node(q), {})
-
-    def conjunction(self, group: list[UCQ]) -> Prob:
-        """P(all sub-unions of ``group`` hold): one sub-union directly, more
-        by inclusion-exclusion."""
-        return self._group(tuple(self.plan.node(u) for u in group), {})
 
     def evaluate(self, node: _Node, env: Mapping[str, Constant]) -> Prob:
         """P(``node``) with its placeholders bound by ``env``."""
@@ -657,10 +642,10 @@ def _shannon_step(f: tuple[int, ...]) -> tuple[int, list]:
     return v.bit_length() - 1, [hi, lo]
 
 
-def is_safe(q: UCQ, schema: Schema | None = None) -> bool:
+def is_safe(q: UCQ) -> bool:
     """Whether lifted evaluation decomposes ``q`` fully: its whole plan
-    builds.  Safety is a property of the query syntax; ``schema`` is not
-    consulted.  A plan wider than the caps raises :class:`CapExceeded`."""
+    builds.  Safety is a property of the query syntax.  A plan wider than
+    the caps raises :class:`CapExceeded`."""
     try:
         Plan().build(q)
         return True
@@ -668,11 +653,11 @@ def is_safe(q: UCQ, schema: Schema | None = None) -> bool:
         return False
 
 
-def analyze_query(q: UCQ, schema: Schema | None = None) -> QueryProfile:
+def analyze_query(q: UCQ) -> QueryProfile:
     """Syntactic profile used to route evaluation."""
     return QueryProfile(
         hierarchical_per_cq=tuple(is_hierarchical(d) for d in q.disjuncts),
         inversion_free=is_inversion_free(q),
         self_join_free=not has_self_join(q),
-        safe=is_safe(q, schema),
+        safe=is_safe(q),
     )

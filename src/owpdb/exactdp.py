@@ -14,7 +14,9 @@ placeholder bindings, but every node returns an array over residual budgets
   the state carries the vector of per-term values and keeps every
   non-dominated vector (a Pareto front ordered by each term's sign), which
   preserves exact optimality even when budget allocations that look worse
-  for the running prefix win later.
+  for the running prefix win later.  A term peels off the factors its slice
+  misses on plan nodes (:meth:`_BudgetSolver._fold_term`), a conjunct by the
+  independent groups of the plan's ``and`` rule.
 
 Queries whose structure defeats all three rules fall back to exhaustive
 enumeration of the remaining slice when it is small, and are otherwise
@@ -33,16 +35,17 @@ The solver keeps no shared mutable state beyond per-run memo tables.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterator, Mapping
 
-from .engine import Evaluator, Plan, _Node, conjunction_parts
+from .engine import Evaluator, Plan, _Node
 from .errors import NotInversionFree
 from .openworld import (
     BoundResult,
     CompletionChoice,
     MTPConstraint,
     OpenPDB,
-    budget_from_mtp,
+    resolve_budget,
 )
 from .query import (
     Atom,
@@ -54,7 +57,6 @@ from .query import (
     find_separator,
     independence_groups,
     is_inversion_free,
-    minimize,
     substitute_separator,
 )
 
@@ -216,51 +218,45 @@ class _BudgetSolver:
             weighted[term] = weighted.get(term, 0.0) + sign
         return self._family([(w, t.bound(env)) for t, w in weighted.items() if w != 0.0])
 
-    def _fold_term(self, t: UCQ) -> tuple[float, float, UCQ | None]:
+    def _fold_term(self, t: UCQ) -> tuple[float, float, _Node | None]:
         """Express P(t) as alpha + beta * P(core) with beta >= 0 by peeling
-        off budget-independent independent factors; core None when constant."""
+        off budget-independent independent factors; core None when constant.
+        A union splits into independent groups of its disjuncts before any
+        plan rule; a conjunct peels the independent groups of the plan's
+        ``and`` rule."""
         alpha, beta = 0.0, 1.0
-        q = minimize(t)
+        node = self.plan.node(t)
         while True:
-            if not self.has_open(q):
-                return alpha + beta * self._closed(self.plan.node(q), {}), 0.0, None
-            ds = q.disjuncts
+            if not self.has_open(node.query):
+                return alpha + beta * self._closed(node, {}), 0.0, None
+            ds = node.query.disjuncts
             if len(ds) > 1:
-                groups = independence_groups([UCQ([d]) for d in ds])
-                if len(groups) > 1:
-                    sliced = [g for g in groups if any(self.has_open(u) for u in g)]
-                    if len(sliced) == 1:
-                        free = [g for g in groups if g is not sliced[0]]
-                        comp_free = 1.0
-                        for g in free:
-                            fv = self._closed(self.plan.node(UCQ([d for u in g for d in u.disjuncts])), {})
-                            comp_free *= 1.0 - fv
-                        # P = 1 - comp_free * (1 - P(core))
-                        alpha += beta * (1.0 - comp_free)
-                        beta *= comp_free
-                        q = minimize(UCQ([d for u in sliced[0] for d in u.disjuncts]))
-                        continue
-                return alpha, beta, q
-            parts = conjunction_parts(q)
-            if parts is not None and len(parts) > 1:
-                groups = independence_groups(parts)
-                if len(groups) > 1:
-                    sliced = [g for g in groups if any(self.has_open(u) for u in g)]
-                    if len(sliced) == 1 and all(len(u.disjuncts) == 1 for u in sliced[0]):
-                        for g in groups:
-                            if g is sliced[0]:
-                                continue
-                            beta *= self._eval.conjunction(g).value
-                        merged = [a for u in sliced[0] for a in u.disjuncts[0].atoms]
-                        q = minimize(UCQ([ConjunctiveQuery(merged)]))
-                        continue
-            return alpha, beta, q
+                groups = [UCQ([d for u in g for d in u.disjuncts]) for g in independence_groups([UCQ([d]) for d in ds])]
+                sliced = [u for u in groups if self.has_open(u)] if len(groups) > 1 else []
+                if len(sliced) != 1:
+                    return alpha, beta, node
+                # P = 1 - comp_free * (1 - P(core))
+                comp_free = math.prod(1.0 - self._closed(self.plan.node(u), {}) for u in groups if u is not sliced[0])
+                alpha += beta * (1.0 - comp_free)
+                beta *= comp_free
+                node = self.plan.node(sliced[0])
+                continue
+            rule, groups = self.plan.expand(node)
+            sliced = []
+            if rule == "and" and len(groups) > 1:
+                sliced = [g for g in groups if any(self.has_open(n.query) for n in g)]
+            if len(sliced) != 1:
+                return alpha, beta, node
+            for g in groups:
+                if g is not sliced[0]:
+                    beta *= self._eval._group(g, {}).value
+            node = self.plan.node(UCQ([ConjunctiveQuery([a for n in sliced[0] for a in n.query.disjuncts[0].atoms])]))
 
     def _family(self, terms: list[tuple[float, UCQ]]) -> _BVec:
         """Per budget, the maximum of const + sum(weight * P(term)) over one
         shared completion choice."""
         const = 0.0
-        weights: dict[UCQ, float] = {}  # in order of first use
+        weights: dict[_Node, float] = {}  # in order of first use
         for w, t in terms:
             a, b, core = self._fold_term(t)
             const += w * a
@@ -274,9 +270,9 @@ class _BudgetSolver:
         if len(cores) == 1:
             core, w = cores[0], weights[cores[0]]
             if w > 0.0:
-                vec = self.bopt(self.plan.node(core), {})
+                vec = self.bopt(core, {})
                 return tuple((const + w * v, wit) for v, wit in vec)
-            low = self._closed(self.plan.node(core), {})
+            low = self._closed(core, {})
             return tuple((const + w * low, ()) for _ in range(self.b_max + 1))
 
         signs = [1 if weights[c] > 0.0 else -1 for c in cores]
@@ -325,29 +321,29 @@ class _BudgetSolver:
         return kept
 
     def _pareto(
-        self, cores: tuple[UCQ, ...], signs: tuple[int, ...]
+        self, cores: tuple[_Node, ...], signs: tuple[int, ...]
     ) -> list[list[tuple[tuple[float, ...], _Witness]]]:
         """Per budget: every non-dominated vector of per-core values reachable
         with one shared completion choice."""
-        if not any(self.has_open(c) for c in cores):
-            vec = tuple(self._closed(self.plan.node(c), {}) for c in cores)
+        if not any(self.has_open(c.query) for c in cores):
+            vec = tuple(self._closed(c, {}) for c in cores)
             return [[(vec, ())] for _ in range(self.b_max + 1)]
 
-        all_disjuncts = [d.atoms for c in cores for d in c.disjuncts]
+        all_disjuncts = [d.atoms for c in cores for d in c.query.disjuncts]
         sep = find_separator(all_disjuncts)
         if sep is not None:
             return self._pareto_separator(cores, signs, sep)
         return self._pareto_enumerate(cores, signs)
 
     def _pareto_separator(self, cores, signs, sep):
-        offsets = list(itertools.accumulate((len(c.disjuncts) for c in cores), initial=0))
+        offsets = list(itertools.accumulate((len(c.query.disjuncts) for c in cores), initial=0))
         frontier = [[(tuple(0.0 for _ in cores), ())] for _ in range(self.b_max + 1)]
         for const in self.schema.domain:
             alphas, betas, core_map = [], [], []
-            reduced_index: dict[UCQ, int] = {}  # reduced core -> its component
+            reduced_index: dict[_Node, int] = {}  # reduced core -> its component
             for ci, core in enumerate(cores):
                 local_sep = tuple(sep[offsets[ci]:offsets[ci + 1]])
-                a, b, red = self._fold_term(substitute_separator(core, local_sep, const))
+                a, b, red = self._fold_term(substitute_separator(core.query, local_sep, const))
                 alphas.append(a)
                 betas.append(b)
                 core_map.append(None if red is None else reduced_index.setdefault(red, len(reduced_index)))
@@ -381,7 +377,7 @@ class _BudgetSolver:
         return frontier
 
     def _pareto_enumerate(self, cores, signs):
-        tuples = sorted({t for c in cores for t in self.slice_of(c, {})})
+        tuples = sorted({t for c in cores for t in self.slice_of(c.query, {})})
         if len(tuples) > ENUMERATION_FALLBACK_CAP:
             raise NotInversionFree(f"no shared separator and the open slice has {len(tuples)} tuples")
         frontier: list[list] = [[] for _ in range(self.b_max + 1)]
@@ -389,7 +385,7 @@ class _BudgetSolver:
             for chosen in itertools.combinations(tuples, size):
                 view = self.g.pdb.with_added([self.atom(t) for t in chosen], self.lam) if chosen else self.g.pdb
                 ev = Evaluator(view, plan=self.plan)
-                vals = tuple(ev.probability(c).value for c in cores)
+                vals = tuple(ev.evaluate(c, {}).value for c in cores)
                 for b in range(size, self.b_max + 1):
                     frontier[b].append((vals, chosen))
         return [self._prune(states, signs) for states in frontier]
@@ -419,9 +415,7 @@ def mtp_upper_exact(
     plan = Plan().build(q)
     if not is_inversion_free(q):
         raise NotInversionFree(f"{q} has an inversion")
-    derived = budget_from_mtp(g, c, denominator=denominator)
-    b_max = derived.max_added if budget is None else budget
-    warnings = ("infeasible-constraint",) if derived.infeasible and budget is None else ()
+    b_max, warnings = resolve_budget(g, c, budget, denominator)
     solver = _BudgetSolver(g, c.relation, b_max, plan)
     value, witness = solver.bopt(plan.node(q), {})[b_max]
     return BoundResult(

@@ -24,6 +24,7 @@ from .openworld import (
     OpenPDB,
     budget_from_mtp,
     open_tuples,
+    resolve_budget,
 )
 from .query import Atom, UCQ, has_self_join
 
@@ -145,15 +146,10 @@ def greedy_upper(
     For queries with self-joins the submodularity guarantee is unproven: the
     greedy value is still reported, flagged, and without an interval.
     """
-    warnings = []
-    if budget is None:
-        derived = budget_from_mtp(g, c, denominator=denominator)
-        budget = derived.max_added
-        if derived.infeasible:
-            warnings.append("infeasible-constraint")
+    budget, warnings = resolve_budget(g, c, budget, denominator)
     trace = greedy_trace(g, c, q, budget=budget)
     if not trace.guarantee:
-        warnings.append("self-join-no-guarantee")
+        warnings += ("self-join-no-guarantee",)
     value = trace.p_greedy
     comp_log10 = math.log10(1.0 - value) if value < 1.0 else None
     return BoundResult(
@@ -162,5 +158,5 @@ def greedy_upper(
         interval=(trace.lower, trace.upper_clamped) if trace.guarantee else None,
         witness=trace.witness(),
         complement_log10=comp_log10,
-        warnings=tuple(warnings),
+        warnings=warnings,
     )

@@ -184,3 +184,17 @@ def budget_from_mtp(g: OpenPDB, c: MTPConstraint, *, denominator: str = "herbran
         return Budget(c.relation, max(0, min(b, n_open)))
 
     raise ValueError(f"unknown denominator mode {denominator!r}")
+
+
+def resolve_budget(
+    g: OpenPDB, c: MTPConstraint, budget: int | None, denominator: str
+) -> tuple[int, tuple[str, ...]]:
+    """The budget an optimizer runs with and its warnings: ``budget`` when
+    given, else the derived one, flagged ``infeasible-constraint`` when the
+    relation's mass already breaks the bound.  The budget is derived either
+    way, so an unknown constrained relation fails whether or not a budget
+    is given."""
+    derived = budget_from_mtp(g, c, denominator=denominator)
+    if budget is not None:
+        return budget, ()
+    return derived.max_added, ("infeasible-constraint",) if derived.infeasible else ()

@@ -15,10 +15,11 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Sequence
 
 from .database import Database, Schema
-from .engine import Evaluator, Plan, prob_ground, prob_lifted
+from .engine import DEFAULT_WORLD_CAP, Evaluator, Plan, prob_ground, prob_lifted
 from .errors import CapExceeded, SchemaError, UnsafeQuery
 from .exactdp import mtp_upper_exact
 from .greedy import greedy_trace, set_query_prob
@@ -30,6 +31,7 @@ from .openworld import (
     budget_from_mtp,
     interval_unconstrained,
     open_tuples,
+    resolve_budget,
 )
 from .query import Atom, ConjunctiveQuery, Constant, UCQ, Variable
 from . import randgen
@@ -99,7 +101,7 @@ def mtp_upper_bruteforce(
     budget: int | None = None,
     denominator: str = "herbrand",
     cap_subsets: int = DEFAULT_SUBSET_CAP,
-    cap_worlds: int = 24,
+    cap_worlds: int = DEFAULT_WORLD_CAP,
 ) -> BoundResult:
     """Exact budgeted upper bound by enumerating every completion choice.
 
@@ -107,21 +109,17 @@ def mtp_upper_bruteforce(
     is unsafe.  The witness is the lexicographically smallest maximizer in
     canonical atom order.
     """
-    derived = budget_from_mtp(g, c, denominator=denominator)
-    b_max = derived.max_added if budget is None else budget
+    b_max, warnings = resolve_budget(g, c, budget, denominator)
     best, witness, _, plan = _bruteforce_core(
         g, c.relation, b_max, q, cap_subsets=cap_subsets, cap_worlds=cap_worlds, keep_ties=False
     )
-    warnings = []
-    if derived.infeasible and budget is None:
-        warnings.append("infeasible-constraint")
     if plan is None:
-        warnings.append("unsafe-query-ground-evaluation")
+        warnings += ("unsafe-query-ground-evaluation",)
     return BoundResult(
         kind="mtp_oracle",
         value=best,
         witness=CompletionChoice(frozenset(witness)),
-        warnings=tuple(warnings),
+        warnings=warnings,
     )
 
 
@@ -293,7 +291,7 @@ def verify_maxmatch(
     g, c, q = build_matching_reduction(inst, w)
     budget = budget_from_mtp(g, c).max_added
     best, _, ties, plan = _bruteforce_core(
-        g, "R", budget, q, cap_subsets=cap_subsets, cap_worlds=24, keep_ties=True
+        g, "R", budget, q, cap_subsets=cap_subsets, cap_worlds=DEFAULT_WORLD_CAP, keep_ties=True
     )
     mm = max_matching_size(inst)
     has_matching = mm >= inst.k
@@ -421,17 +419,30 @@ def _suite_ie_consistency(rng: random.Random, trials: int) -> list[str]:
     return failures
 
 
-def _suite_submodularity(rng: random.Random, trials: int) -> list[str]:
-    failures = []
+def _draws(rng: random.Random, trials: int, draw):
+    """``trials`` numbered instances of ``draw(rng)``, drawing again when it
+    raises :class:`RuntimeError` or returns ``None``."""
     done = 0
     while done < trials:
         try:
-            g, c, q, _ = randgen.rand_mtp_instance(rng, self_join_free=True)
+            inst = draw(rng)
         except RuntimeError:
             continue
-        opens = open_tuples(g, c.relation)
-        if len(opens) < 2:
-            continue
+        if inst is not None:
+            yield done, inst
+            done += 1
+
+
+def _submodularity_draw(rng: random.Random):
+    """A self-join-free budgeted instance with at least two open tuples."""
+    g, c, q, _ = randgen.rand_mtp_instance(rng, self_join_free=True)
+    opens = open_tuples(g, c.relation)
+    return (g, c, q, opens) if len(opens) >= 2 else None
+
+
+def _suite_submodularity(rng: random.Random, trials: int) -> list[str]:
+    failures = []
+    for t, (g, c, q, opens) in _draws(rng, trials, _submodularity_draw):
         free = rng.choice(opens)
         rest = [a for a in opens if a != free]
         y_size = rng.randint(0, len(rest))
@@ -443,97 +454,72 @@ def _suite_submodularity(rng: random.Random, trials: int) -> list[str]:
         s_ye = set_query_prob(g, q, y + [free])
         if (s_xe - s_x) < (s_ye - s_y) - 1e-12:
             failures.append(
-                f"trial={done} query={q} rel={c.relation} "
+                f"trial={t} query={q} rel={c.relation} "
                 f"gainX={s_xe - s_x!r} gainY={s_ye - s_y!r}"
             )
-        done += 1
     return failures
 
 
 def _suite_dp_vs_bruteforce(rng: random.Random, trials: int) -> list[str]:
     failures = []
-    done = 0
-    while done < trials:
-        try:
-            g, c, q, _ = randgen.rand_mtp_instance(rng, inversion_free=True)
-        except RuntimeError:
-            continue
+    for t, (g, c, q, _) in _draws(rng, trials, partial(randgen.rand_mtp_instance, inversion_free=True)):
         exact = mtp_upper_exact(g, c, q)
         brute = mtp_upper_bruteforce(g, c, q)
         if abs(exact.value - brute.value) > 1e-9:
             failures.append(
-                f"trial={done} query={q} rel={c.relation} dp={exact.value!r} brute={brute.value!r}"
+                f"trial={t} query={q} rel={c.relation} dp={exact.value!r} brute={brute.value!r}"
             )
         else:
             replay = set_query_prob(g, q, exact.witness.added)
             if abs(replay - exact.value) > 1e-12:
                 failures.append(
-                    f"trial={done} query={q} witness-replay={replay!r} dp={exact.value!r}"
+                    f"trial={t} query={q} witness-replay={replay!r} dp={exact.value!r}"
                 )
-        done += 1
     return failures
 
 
 def _suite_greedy_bounds(rng: random.Random, trials: int) -> list[str]:
     failures = []
-    done = 0
-    while done < trials:
-        try:
-            g, c, q, _ = randgen.rand_mtp_instance(rng, self_join_free=True)
-        except RuntimeError:
-            continue
+    for t, (g, c, q, _) in _draws(rng, trials, partial(randgen.rand_mtp_instance, self_join_free=True)):
         trace = greedy_trace(g, c, q)
         brute = mtp_upper_bruteforce(g, c, q)
         opt = brute.value
         gains = [gain for _, gain in trace.picks]
         if any(gains[i] < gains[i + 1] - 1e-12 for i in range(len(gains) - 1)):
-            failures.append(f"trial={done} query={q} gains not non-increasing: {gains!r}")
+            failures.append(f"trial={t} query={q} gains not non-increasing: {gains!r}")
         elif not (trace.lower - 1e-9 <= opt <= trace.upper + 1e-9):
             failures.append(
-                f"trial={done} query={q} opt={opt!r} outside [{trace.lower!r}, {trace.upper!r}]"
+                f"trial={t} query={q} opt={opt!r} outside [{trace.lower!r}, {trace.upper!r}]"
             )
         elif (trace.p_greedy - trace.p_closed) < (1 - 1 / math.e) * (opt - trace.p_closed) - 1e-9:
             failures.append(
-                f"trial={done} query={q} greedy gain below guarantee: "
+                f"trial={t} query={q} greedy gain below guarantee: "
                 f"greedy={trace.p_greedy!r} closed={trace.p_closed!r} opt={opt!r}"
             )
-        done += 1
     return failures
 
 
 def _suite_interval_ordering(rng: random.Random, trials: int) -> list[str]:
     failures = []
-    done = 0
-    while done < trials:
-        try:
-            g, c, q, _ = randgen.rand_mtp_instance(rng)
-        except RuntimeError:
-            continue
+    for t, (g, c, q, _) in _draws(rng, trials, randgen.rand_mtp_instance):
         interval = interval_unconstrained(g, q)
         brute = mtp_upper_bruteforce(g, c, q)
         lo, hi = interval.interval
         if not (lo - 1e-9 <= brute.value <= hi + 1e-9):
             failures.append(
-                f"trial={done} query={q} budgeted={brute.value!r} outside [{lo!r}, {hi!r}]"
+                f"trial={t} query={q} budgeted={brute.value!r} outside [{lo!r}, {hi!r}]"
             )
-        done += 1
     return failures
 
 
 def _suite_budget_monotonicity(rng: random.Random, trials: int) -> list[str]:
     failures = []
-    done = 0
-    while done < trials:
-        try:
-            g, c, _, _ = randgen.rand_mtp_instance(rng)
-        except RuntimeError:
-            continue
+    for t, (g, c, _, _) in _draws(rng, trials, randgen.rand_mtp_instance):
         b = budget_from_mtp(g, c).max_added
         higher = MTPConstraint(c.relation, min(1.0, c.mean_bound + 0.05))
         b_higher = budget_from_mtp(g, higher).max_added
         if b_higher < b:
-            failures.append(f"trial={done} rel={c.relation} budget drops as bound rises")
-        done += 1
+            failures.append(f"trial={t} rel={c.relation} budget drops as bound rises")
     return failures
 
 
@@ -604,28 +590,18 @@ def vertex_attainment_check(
 
 def _suite_vertex_attainment(rng: random.Random, trials: int) -> list[str]:
     failures = []
-    done = 0
-    while done < trials:
-        inst = rand_vertex_instance(rng)
-        if inst is None:
-            continue
-        g, c, q = inst
+    for t, (g, c, q) in _draws(rng, trials, rand_vertex_instance):
         ok, detail = vertex_attainment_check(g, c, q)
         if not ok:
-            failures.append(f"trial={done} query={q} rel={c.relation} {detail}")
-        done += 1
+            failures.append(f"trial={t} query={q} rel={c.relation} {detail}")
     return failures
 
 
 def rand_vertex_instance(rng: random.Random):
     """A small instance whose mean bound leaves room for an exact multiple of
-    the completion probability, as the on-off characterization expects."""
-    try:
-        g, c, q, target_b = randgen.rand_mtp_instance(
-            rng, max_open=6, max_budget=3, self_join_free=True
-        )
-    except RuntimeError:
-        return None
+    the completion probability, as the on-off characterization expects, or
+    ``None`` when the draw does not fit."""
+    g, c, q, target_b = randgen.rand_mtp_instance(rng, max_open=6, max_budget=3, self_join_free=True)
     opens = open_tuples(g, c.relation)
     if not 1 <= len(opens) <= 6 or g.lam <= 0.0:
         return None

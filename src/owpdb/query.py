@@ -510,27 +510,28 @@ def ucq_implies(u1: UCQ, u2: UCQ) -> bool:
     return all(any(cq_implies(d, e) for e in u2.disjuncts) for d in u1.disjuncts)
 
 
+def _drop_entailing(items: Sequence, implies) -> list:
+    """The items that imply no other item, in order; of equivalent items
+    the first is kept.  A union keeps its weakest disjuncts (``implies`` is
+    entailment) and a conjunction its strongest parts (``implies`` is
+    entailment reversed)."""
+    kept = []
+    for i, x in enumerate(items):
+        for j, y in enumerate(items):
+            if i != j and implies(x, y) and (j < i or not implies(y, x)):
+                break
+        else:
+            kept.append(x)
+    return kept
+
+
 def minimize(q: UCQ) -> UCQ:
     """Drop disjuncts entailed by another disjunct.
 
     Equivalent disjuncts keep their canonically smallest representative, so
     the result is deterministic.
     """
-    ds = q.disjuncts
-    if len(ds) == 1:
-        return q
-    kept: list[ConjunctiveQuery] = []
-    for i, d in enumerate(ds):
-        redundant = False
-        for j, e in enumerate(ds):
-            if i == j:
-                continue
-            if cq_implies(d, e) and (j < i or not cq_implies(e, d)):
-                redundant = True
-                break
-        if not redundant:
-            kept.append(d)
-    return UCQ(kept) if kept else UCQ([ds[0]])
+    return q if len(q.disjuncts) == 1 else UCQ(_drop_entailing(q.disjuncts, cq_implies))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from owpdb.openworld import (
     interval_unconstrained,
     open_tuples,
 )
-from owpdb.oracle import rand_vertex_instance, vertex_attainment_check
+from owpdb.oracle import _draws, rand_vertex_instance, vertex_attainment_check
 from owpdb.query import Atom, Constant, parse_ucq
 
 # Frozen with the 2^20-world ground oracle on the fully completed database.
@@ -181,16 +181,9 @@ class TestBoundResult:
 
 class TestVertexAttainment:
     def test_fractional_grid_never_beats_budgeted_vertices(self):
-        rng = random.Random(914)
-        done = 0
-        while done < 12:
-            inst = rand_vertex_instance(rng)
-            if inst is None:
-                continue
-            g, c, q = inst
+        for _, (g, c, q) in _draws(random.Random(914), 12, rand_vertex_instance):
             ok, detail = vertex_attainment_check(g, c, q)
             assert ok, detail
-            done += 1
 
 
 class TestIntervalOrdering:

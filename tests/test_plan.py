@@ -1,12 +1,13 @@
 """The lifted plan: built once per call, safe exactly when it builds, and
 independent of the domain's size."""
+import itertools
 import random
 import sys
 import weakref
 
 import pytest
 
-from owpdb import engine
+from owpdb import engine, exactdp, query
 from owpdb.database import Database, Schema
 from owpdb.engine import Evaluator, is_safe, prob_ground, prob_lifted, prob_lifted_detail
 from owpdb.errors import CapExceeded, UnsafeQuery
@@ -70,6 +71,33 @@ class TestPlanWork:
             prob_lifted(parse_ucq("S(x), CoA(x,y)", db.schema), db)
             counts.append(decompose_calls[0])
         assert counts[0] == counts[1]
+
+    def test_exact_dp_reads_its_conjunction_split_from_the_plan(self, monkeypatch):
+        # the inclusion-exclusion templates of tools/same_answers.py's GAP_QUERIES
+        templates = ("R(x), S(x, y) | T(x, y), S(x, K1)", "R(x), S(x, K1) | U(y), S(y, K2) | S(z, K1), S(z, K2)")
+        callers, folds = [], []
+        for home, name in ((engine, "conjunction_parts"), (query, "minimize")):
+            real = getattr(home, name)
+
+            def traced(*args, real=real):
+                callers.append(sys._getframe(1).f_globals["__name__"])
+                return real(*args)
+
+            for module_name, module in list(sys.modules.items()):
+                if module_name.split(".")[0] == "owpdb" and getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, traced)
+        fold = exactdp._BudgetSolver._fold_term
+        monkeypatch.setattr(exactdp._BudgetSolver, "_fold_term", lambda self, t: folds.append(t) or fold(self, t))
+        rng = random.Random(3)
+        names = [f"K{i}" for i in range(6)]
+        rels = {pred: {args: rng.choice([0.2, 0.5, 0.9]) for args in itertools.product(names, repeat=arity)
+                       if rng.random() < (0.5 if arity == 1 else 0.15)}
+                for pred, arity in {"R": 1, "U": 1, "S": 2, "T": 2}.items()}
+        db = Database(Schema({"R": 1, "U": 1, "S": 2, "T": 2}, tuple(map(Constant, names))), rels)
+        for text in templates:
+            mtp_upper_exact(OpenPDB(db, 0.5), MTPConstraint("S", 1.0), parse_ucq(text, db.schema), budget=2)
+        assert folds, "the templates reach the inclusion-exclusion families"
+        assert callers and "owpdb.exactdp" not in callers
 
     def test_greedy_shares_one_plan(self, decompose_calls):
         db = scientist_db(16)

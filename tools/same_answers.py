@@ -156,7 +156,7 @@ def closed_answers(g: OpenPDB, q) -> list[str]:
         answer(lambda: prob_lifted_detail(q, g.pdb)),
         answer(lambda: prob_lifted_detail(q, g.pdb, force_inclusion_exclusion=True)),
         answer(lambda: interval_unconstrained(g, q), lambda r: show_bound(r, schema)),
-        answer(lambda: analyze_query(q, schema)),
+        answer(lambda: analyze_query(q)),
     ]
 
 
@@ -267,7 +267,7 @@ def main() -> None:
         schema = rand_schema(rng)
         q = UCQ([rand_cq(rng, schema) for _ in range(rng.randint(1, 3))])
         print(f"safety {i} {q}")
-        print("  " + answer(lambda: analyze_query(q, schema)))
+        print("  " + answer(lambda: analyze_query(q)))
     rng = random.Random(13)
     for i in range(GAP_INSTANCES):
         g, c, q = gap_instance(rng)
