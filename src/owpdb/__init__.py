@@ -49,7 +49,6 @@ from .query import (
     QueryProfile,
     UCQ,
     Variable,
-    ground,
     has_self_join,
     is_hierarchical,
     is_inversion_free,
@@ -88,7 +87,6 @@ __all__ = [
     "build_matching_reduction",
     "greedy_trace",
     "greedy_upper",
-    "ground",
     "has_self_join",
     "interval_unconstrained",
     "is_hierarchical",

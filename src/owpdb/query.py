@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
-from .errors import ArityMismatch, CapExceeded, ParseError, UnknownPredicate
+from .errors import ArityMismatch, ParseError, UnknownPredicate
 
 _BARE_CONSTANT = re.compile(r"[A-Z][A-Za-z0-9_]*")
 _VARIABLE_NAME = re.compile(r"[a-z][A-Za-z0-9_]*")
@@ -324,33 +324,6 @@ def parse_ucq(text: str, schema) -> UCQ:
     """
     arities = schema.predicates if hasattr(schema, "predicates") else schema
     return _Parser(_tokenize(text), arities).ucq()
-
-
-# ---------------------------------------------------------------------------
-# Grounding
-# ---------------------------------------------------------------------------
-
-
-def ground(q: UCQ, domain: Sequence[Constant], cap: int = 10**6) -> list[frozenset[Atom]]:
-    """Expand a query into its ground disjunctive normal form over ``domain``.
-
-    Returns one conjunct (a set of ground atoms) per disjunct and per
-    substitution of that disjunct's variables by domain constants, in
-    deterministic order.  The list length is exactly the sum over disjuncts
-    of ``len(domain) ** #variables``.
-    """
-    if not domain:
-        raise ValueError("domain must be non-empty")
-    total = sum(len(domain) ** len(d.variables()) for d in q.disjuncts)
-    if total > cap:
-        raise CapExceeded(f"grounding would produce {total} conjuncts (cap {cap})")
-    out: list[frozenset[Atom]] = []
-    for d in q.disjuncts:
-        variables = sorted(d.variables(), key=lambda v: v.name)
-        for combo in itertools.product(domain, repeat=len(variables)):
-            mapping = dict(zip(variables, combo))
-            out.append(frozenset(a.substitute(mapping) for a in d.atoms))
-    return out
 
 
 # ---------------------------------------------------------------------------

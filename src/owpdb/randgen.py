@@ -178,17 +178,3 @@ def rand_mtp_instance(
         return g, MTPConstraint(rel, mean), q, target_b
     raise RuntimeError("could not generate a budgeted instance; widen the limits")
 
-
-def rand_3dm(rng: random.Random, *, side: int = 3, max_edges: int = 9):
-    """Node sets X/Y/Z of equal size, a random hyperedge set, and a target
-    matching size."""
-    from .oracle import ThreeDMInstance
-
-    xs = tuple(Constant(f"X{i+1}") for i in range(side))
-    ys = tuple(Constant(f"Y{i+1}") for i in range(side))
-    zs = tuple(Constant(f"Z{i+1}") for i in range(side))
-    all_edges = [(x, y, z) for x in xs for y in ys for z in zs]
-    n_edges = rng.randint(2, min(max_edges, len(all_edges)))
-    edges = frozenset(rng.sample(all_edges, n_edges))
-    k = rng.randint(1, min(3, n_edges))
-    return ThreeDMInstance(xs, ys, zs, edges, k)

@@ -1,0 +1,89 @@
+"""Test-only helpers: the world-enumeration oracle with the Herbrand
+grounding it enumerates, and random 3-dimensional matching instances."""
+import itertools
+import math
+import random
+from typing import Sequence
+
+import numpy as np
+
+from owpdb.errors import CapExceeded
+from owpdb.oracle import ThreeDMInstance
+from owpdb.probability import CERTAIN, IMPOSSIBLE, Prob
+from owpdb.query import UCQ, Atom, Constant
+
+
+def ground(q: UCQ, domain: Sequence[Constant], cap: int = 10**6) -> list[frozenset[Atom]]:
+    """Expand a query into its ground disjunctive normal form over ``domain``.
+
+    Returns one conjunct (a set of ground atoms) per disjunct and per
+    substitution of that disjunct's variables by domain constants, in
+    deterministic order.  The list length is exactly the sum over disjuncts
+    of ``len(domain) ** #variables``.
+    """
+    if not domain:
+        raise ValueError("domain must be non-empty")
+    total = sum(len(domain) ** len(d.variables()) for d in q.disjuncts)
+    if total > cap:
+        raise CapExceeded(f"grounding would produce {total} conjuncts (cap {cap})")
+    out: list[frozenset[Atom]] = []
+    for d in q.disjuncts:
+        variables = sorted(d.variables(), key=lambda v: v.name)
+        for combo in itertools.product(domain, repeat=len(variables)):
+            mapping = dict(zip(variables, combo))
+            out.append(frozenset(a.substitute(mapping) for a in d.atoms))
+    return out
+
+
+def enumerate_worlds(q, db, cap_worlds=24):
+    """P(``q``) by summing numpy arrays over every world of the uncertain
+    tuples of its Herbrand grounding: the value over the worlds where a
+    conjunct holds, the complement over the rest."""
+    live = []
+    for conj in ground(q, db.schema.domain):
+        probs = [db.atom_prob(atom) for atom in conj]
+        if min(probs) <= 0.0:
+            continue
+        uncertain = [atom for atom, p in zip(conj, probs) if p < 1.0]
+        if not uncertain:
+            return CERTAIN
+        live.append(uncertain)
+    if not live:
+        return IMPOSSIBLE
+    atoms = sorted({atom for conj in live for atom in conj}, key=db.schema.atom_key)
+    bit_of = {atom: bit for bit, atom in enumerate(atoms)}
+    masks = {sum(1 << bit_of[atom] for atom in conj) for conj in live}
+    minimal = []
+    for m in sorted(masks, key=lambda m: (bin(m).count("1"), m)):
+        if not any(m & keep == keep for keep in minimal):
+            minimal.append(m)
+    used = [bit for bit in range(len(atoms)) if any(m >> bit & 1 for m in minimal)]
+    k = len(used)
+    assert k <= cap_worlds, f"{k} uncertain tuples"
+    worlds = np.arange(1 << k, dtype=np.uint64)
+    sat = np.zeros(1 << k, dtype=bool)
+    for m in minimal:
+        mu = np.uint64(sum(1 << new for new, old in enumerate(used) if m >> old & 1))
+        sat |= (worlds & mu) == mu
+    weights = np.ones(1 << k, dtype=np.float64)
+    for new, old in enumerate(used):
+        p = db.atom_prob(atoms[old])
+        weights *= np.where((worlds >> np.uint64(new)) & np.uint64(1) == np.uint64(1), p, 1.0 - p)
+    value = min(max(float(weights[sat].sum()), 0.0), 1.0)
+    comp = float(weights[~sat].sum())
+    if comp <= 0.0:
+        return CERTAIN if value >= 1.0 else Prob.from_value(value)
+    return Prob(value, math.log(min(comp, 1.0)))
+
+
+def rand_3dm(rng: random.Random, *, side: int = 3, max_edges: int = 9) -> ThreeDMInstance:
+    """Node sets X/Y/Z of equal size, a random hyperedge set, and a target
+    matching size."""
+    xs = tuple(Constant(f"X{i+1}") for i in range(side))
+    ys = tuple(Constant(f"Y{i+1}") for i in range(side))
+    zs = tuple(Constant(f"Z{i+1}") for i in range(side))
+    all_edges = [(x, y, z) for x in xs for y in ys for z in zs]
+    n_edges = rng.randint(2, min(max_edges, len(all_edges)))
+    edges = frozenset(rng.sample(all_edges, n_edges))
+    k = rng.randint(1, min(3, n_edges))
+    return ThreeDMInstance(xs, ys, zs, edges, k)

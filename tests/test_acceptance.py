@@ -22,7 +22,9 @@ from owpdb.oracle import (
     verify_maxmatch,
 )
 from owpdb.query import Constant, parse_ucq
-from owpdb.randgen import rand_3dm, rand_mtp_instance, rand_safe_instance
+from owpdb.randgen import rand_mtp_instance, rand_safe_instance
+
+from helpers import rand_3dm
 
 
 @contextlib.contextmanager

@@ -8,7 +8,6 @@ import sys
 import textwrap
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import owpdb
@@ -18,52 +17,13 @@ from owpdb.database import Database, LambdaCompletionView, Schema
 from owpdb.engine import prob_ground, prob_ground_detail
 from owpdb.errors import CapExceeded
 from owpdb.probability import CERTAIN, IMPOSSIBLE, Prob
-from owpdb.query import UCQ, Atom, Constant, ground, parse_ucq
+from owpdb.query import UCQ, Atom, Constant, parse_ucq
 from owpdb.randgen import rand_cq, rand_database, rand_safe_instance, rand_schema
+
+from helpers import enumerate_worlds
 
 CHAIN = "R(x), S(x, y), T(y)"
 SUBPROCESS_ENV = {**os.environ, "PYTHONPATH": str(Path(owpdb.__file__).resolve().parents[1])}
-
-
-def enumerate_worlds(q, db, cap_worlds=24):
-    """P(``q``) by summing numpy arrays over every world of the uncertain
-    tuples of its Herbrand grounding: the value over the worlds where a
-    conjunct holds, the complement over the rest."""
-    live = []
-    for conj in ground(q, db.schema.domain):
-        probs = [db.atom_prob(atom) for atom in conj]
-        if min(probs) <= 0.0:
-            continue
-        uncertain = [atom for atom, p in zip(conj, probs) if p < 1.0]
-        if not uncertain:
-            return CERTAIN
-        live.append(uncertain)
-    if not live:
-        return IMPOSSIBLE
-    atoms = sorted({atom for conj in live for atom in conj}, key=db.schema.atom_key)
-    bit_of = {atom: bit for bit, atom in enumerate(atoms)}
-    masks = {sum(1 << bit_of[atom] for atom in conj) for conj in live}
-    minimal = []
-    for m in sorted(masks, key=lambda m: (bin(m).count("1"), m)):
-        if not any(m & keep == keep for keep in minimal):
-            minimal.append(m)
-    used = [bit for bit in range(len(atoms)) if any(m >> bit & 1 for m in minimal)]
-    k = len(used)
-    assert k <= cap_worlds, f"{k} uncertain tuples"
-    worlds = np.arange(1 << k, dtype=np.uint64)
-    sat = np.zeros(1 << k, dtype=bool)
-    for m in minimal:
-        mu = np.uint64(sum(1 << new for new, old in enumerate(used) if m >> old & 1))
-        sat |= (worlds & mu) == mu
-    weights = np.ones(1 << k, dtype=np.float64)
-    for new, old in enumerate(used):
-        p = db.atom_prob(atoms[old])
-        weights *= np.where((worlds >> np.uint64(new)) & np.uint64(1) == np.uint64(1), p, 1.0 - p)
-    value = min(max(float(weights[sat].sum()), 0.0), 1.0)
-    comp = float(weights[~sat].sum())
-    if comp <= 0.0:
-        return CERTAIN if value >= 1.0 else Prob.from_value(value)
-    return Prob(value, math.log(min(comp, 1.0)))
 
 
 def assert_matches_enumeration(q, db):

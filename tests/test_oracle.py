@@ -16,7 +16,8 @@ from owpdb.oracle import (
     verify_maxmatch,
 )
 from owpdb.query import Constant, parse_ucq
-from owpdb.randgen import rand_3dm
+
+from helpers import rand_3dm
 
 # Frozen by hand: with one edge and weight 0.8 the query is "at least two of
 # four independent 0.8 events": 1 - 0.2**4 - 4 * 0.8 * 0.2**3.

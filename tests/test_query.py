@@ -10,13 +10,14 @@ from owpdb.query import (
     UCQ,
     Variable,
     find_separator,
-    ground,
     has_self_join,
     is_hierarchical,
     is_inversion_free,
     minimize,
     parse_ucq,
 )
+
+from helpers import ground
 
 ARITIES = {"R": 1, "S": 2, "T": 3, "CoA": 2, "U": 1, "V": 1}
 
