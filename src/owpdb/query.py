@@ -499,7 +499,7 @@ def _drop_entailing(items: Sequence, implies) -> list:
 
 
 def minimize(q: UCQ) -> UCQ:
-    """Drop disjuncts entailed by another disjunct.
+    """Drop disjuncts that entail another disjunct.
 
     Equivalent disjuncts keep their canonically smallest representative, so
     the result is deterministic.

@@ -79,9 +79,9 @@ class TestPlanWork:
         for home, name in ((engine, "conjunction_parts"), (query, "minimize")):
             real = getattr(home, name)
 
-            def traced(*args, real=real):
+            def traced(*args, real=real, **kwargs):
                 callers.append(sys._getframe(1).f_globals["__name__"])
-                return real(*args)
+                return real(*args, **kwargs)
 
             for module_name, module in list(sys.modules.items()):
                 if module_name.split(".")[0] == "owpdb" and getattr(module, name, None) is real:
