@@ -87,8 +87,6 @@ def _load_inputs(config: RunConfig):
                 + ", ".join(sorted(relations))
             )
         # several bounds on one relation: the tightest (smallest budget) wins
-        if lam is None:
-            raise _ValidationError("a completion probability (lambda) is required")
         g_probe = OpenPDB(db, lam)
         constraint = min(
             file_constraints,

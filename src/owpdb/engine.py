@@ -20,11 +20,11 @@ of the rules above, in memory bounded by a node cap, not by the worlds.
 
 :class:`Plan` holds these choices for one public call: every rule is
 derived once per sub-union, not once per domain constant, because a
-separator binds each constant the query does not mention to a placeholder
-of one shared child.  The call's evaluators, one per database it reads,
-share that plan; each keeps its own memo table keyed by plan node and the
-constants bound to the node's placeholders.  Greedy screens every
-candidate tuple by one reverse pass over a round's memo
+separator binds every constant its union does not mention to the
+placeholder of one fresh child.  The call's evaluators, one per
+database it reads, share that plan; each keeps its own memo table keyed
+by plan node and the constants bound to the node's placeholders.  Greedy
+screens every candidate tuple by one reverse pass over a round's memo
 (:meth:`Evaluator.gradient`) and scores the near-best exactly through
 :meth:`Evaluator.conditioned`, which reuses the round's memo for every node
 the tuple cannot touch and re-evaluates only the rest.
@@ -35,7 +35,6 @@ queries against one database are safe.
 """
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from typing import Callable, Iterator, Mapping
@@ -59,7 +58,6 @@ from .query import (
     is_inversion_free,
     has_self_join,
     minimize,
-    placeholder_between,
     substitute_separator,
     term_key,
     ucq_implies,
@@ -168,10 +166,10 @@ class Plan:
     evaluators the call makes, whatever database each reads.  Nodes are
     hash-consed by minimized union and expanded on first use, so rules run,
     and refuse, in the order an evaluator reaches them.  A separator has a
-    child per constant its union mentions and, for the others, one per gap
-    between those, over a placeholder that sorts where the bound constant
-    would, so each child decomposes and sums as the substituted union
-    would.  ``force_inclusion_exclusion`` makes one group of all parts."""
+    child per constant its union mentions and one fresh child, over a
+    placeholder, for all the others: they are interchangeable, so one
+    child stands for each of them.  ``force_inclusion_exclusion`` makes one
+    group of all parts."""
 
     def __init__(self, *, force_inclusion_exclusion: bool = False):
         self.force_ie = force_inclusion_exclusion
@@ -209,35 +207,29 @@ class Plan:
             fresh = next(str(i) for i in itertools.count() if str(i) not in node.placeholders)
             children = [self.node(substitute_separator(q, arg, c)) for c in consts]
             arg = (arg, consts, children, q.predicates(), fresh)
-            node.fresh = [None] * (len(consts) + 1)
         node.rule, node.arg = rule, arg
         return rule, arg
 
-    def fresh_child(self, node: _Node, gap: int) -> _Node:
-        """The separator child for constants the union does not mention that
-        sort between its mentioned constants ``gap - 1`` and ``gap``."""
-        if node.fresh[gap] is None:
-            sep, consts, _, _, fresh = node.arg
-            lo, hi = consts[gap - 1] if gap else None, consts[gap] if gap < len(consts) else None
-            ph = placeholder_between(fresh, lo, hi)
-            node.fresh[gap] = self.node(substitute_separator(node.query, sep, ph))
-        return node.fresh[gap]
+    def fresh_child(self, node: _Node) -> _Node:
+        """The separator child for the constants the union does not mention."""
+        if node.fresh is None:
+            sep, _, _, _, fresh = node.arg
+            node.fresh = self.node(substitute_separator(node.query, sep, Placeholder(fresh)))
+        return node.fresh
 
     def separator(self, node: _Node, env: Mapping[str, Constant]) -> tuple[dict, Callable]:
         """The separator ``node``'s children under ``env``: the constant names
         its union mentions, bound, and a map from a domain constant to its
         child and that child's environment, either the mentioned child or the
-        fresh child of the constant's gap with its placeholder bound."""
+        fresh child with its placeholder bound."""
         _, consts, children, _, fresh = node.arg
-        # bound names, ascending: placeholders sort where their bindings fall
-        names = [(env[c.name] if type(c) is Placeholder else c).name for c in consts]
-        mentioned = dict(zip(names, children))
+        mentioned = {(env[c.name] if type(c) is Placeholder else c).name: n for c, n in zip(consts, children)}
 
         def child_of(const: Constant) -> tuple[_Node, Mapping[str, Constant]]:
             child = mentioned.get(const.name)
             if child is not None:
                 return child, env
-            return self.fresh_child(node, bisect.bisect(names, const.name)), {**env, fresh: const}
+            return self.fresh_child(node), {**env, fresh: const}
 
         return mentioned, child_of
 
@@ -256,9 +248,9 @@ class Plan:
         return cached
 
     def build(self, q: UCQ) -> Plan:
-        """Expand the whole plan of ``q`` (of a separator's gaps, which differ
-        only in sort order, the last) and return it.  Raises
-        :class:`UnsafeQuery` or, when too wide, :class:`CapExceeded`."""
+        """Expand the whole plan of ``q``, every separator's fresh child
+        included, and return it.  Raises :class:`UnsafeQuery` or, when too
+        wide, :class:`CapExceeded`."""
         todo, seen = [self.node(q)], set()
         while todo:
             node = todo.pop()
@@ -273,7 +265,7 @@ class Plan:
             elif rule == "or":
                 todo += reversed(arg)
             elif rule == "sep":
-                todo += reversed(arg[2] + [self.fresh_child(node, len(arg[1]))])
+                todo += reversed(arg[2] + [self.fresh_child(node)])
         return self
 
 
@@ -362,14 +354,14 @@ class Evaluator:
                         for tag, a in adj.items():
                             push(n, env, tag, sign * a * others)
             elif memo[key].logc > -math.inf:  # "or", "sep"; at 1 no tuple can raise P
-                children, at, swaps = [(u, env) for u in arg], -1, ()
-                if rule == "sep":
-                    children, at, rest = self._partition(node, env)
-                    swaps = ((rest[0].name, tuple(c.name for c in rest)),) if len(rest) > 1 else ()
-                for i, (child, child_env) in enumerate(children):
+                children, rest = ([(u, env) for u in arg], ()) if rule == "or" else self._partition(node, env)
+                # i reaches 0 at the last child: the batched rest's
+                # representative, which carries its swaps
+                swaps = ((rest[0].name, tuple(c.name for c in rest)),) if len(rest) > 1 else ()
+                for i, (child, child_env) in enumerate(children, 1 - len(children)):
                     others = math.exp(memo[key].logc - memo[child.key(child_env)].logc)
                     for tag, a in adj.items():
-                        push(child, child_env, tag + swaps if i == at else tag, a * others)
+                        push(child, child_env, tag if i else tag + swaps, a * others)
 
         index = [([i for i, s in enumerate(shape) if s < 0], [(i, s) for i, s in enumerate(shape) if 0 <= s != i], table)
                  for shape, table in leaves.items()]
@@ -414,31 +406,30 @@ class Evaluator:
         self.max_clamp = max(self.max_clamp, clamp)
         return result
 
-    def _partition(self, node: _Node, env: Mapping[str, Constant]) -> tuple[list, int, list[Constant]]:
+    def _partition(self, node: _Node, env: Mapping[str, Constant]) -> tuple[list, list[Constant]]:
         """The separator ``node``'s domain under ``env``: a child and its
         environment per constant the union mentions or a stored row of its
-        predicates has, in domain order, with the first other constant's
-        child at index ``at``; and those other constants, the batched rest,
-        which are interchangeable and evaluated once."""
+        predicates has, in domain order, then, when there are other
+        constants, the child of the first; and those other constants, the
+        batched rest, which are interchangeable and evaluated once."""
         mentioned, child_of = self.plan.separator(node, env)
         explicit = self.db.explicit_constants(node.arg[3])
-        children, at, rest = [], -1, []
+        children, rest = [], []
         for const in self.db.schema.domain:
             if const.name in mentioned or const.name in explicit:
                 children.append(child_of(const))
             else:
-                if not rest:
-                    at = len(children)
-                    children.append(child_of(const))
                 rest.append(const)
-        return children, at, rest
+        if rest:
+            children.append(child_of(rest[0]))
+        return children, rest
 
     def _separator_product(self, node: _Node, env: Mapping[str, Constant]) -> Prob:
         """Complement product over the domain, the batched rest last."""
-        children, at, rest = self._partition(node, env)
+        children, rest = self._partition(node, env)
         parts = [self.evaluate(*c) for c in children]
         if rest:
-            parts.append(probability.power_disj(parts.pop(at), len(rest)))
+            parts.append(probability.power_disj(parts.pop(), len(rest)))
         return probability.disj(parts)
 
 

@@ -325,10 +325,6 @@ class _BudgetSolver:
     ) -> list[list[tuple[tuple[float, ...], _Witness]]]:
         """Per budget: every non-dominated vector of per-core values reachable
         with one shared completion choice."""
-        if not any(self.has_open(c.query) for c in cores):
-            vec = tuple(self._closed(c, {}) for c in cores)
-            return [[(vec, ())] for _ in range(self.b_max + 1)]
-
         all_disjuncts = [d.atoms for c in cores for d in c.query.disjuncts]
         sep = find_separator(all_disjuncts)
         if sep is not None:

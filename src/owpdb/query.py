@@ -46,11 +46,9 @@ class Constant:
 
 @dataclass(frozen=True, slots=True)
 class Placeholder(Constant):
-    """A constant a query does not mention, bound at evaluation time; ``key``
-    sorts it where its binding falls among the query's constants.  Equality
-    includes the class: it never equals a user constant of any name."""
-
-    key: tuple
+    """A constant a query does not mention, bound at evaluation time.
+    Equality includes the class: it never equals a user constant of any
+    name."""
 
     def __str__(self) -> str:
         return f"?{self.name}"
@@ -60,23 +58,13 @@ Term = Variable | Constant
 
 
 def term_key(term: Term) -> tuple:
-    """Total order on terms: constants before variables, each by name; a
-    placeholder carries its own key among the constants."""
+    """Total order on terms: constants, then placeholders, then variables,
+    each by name."""
     if type(term) is Variable:
         return (1, term.name)
     if type(term) is Constant:
         return (0, term.name)
-    return term.key
-
-
-def placeholder_between(name: str, lo: Constant | None, hi: Constant | None) -> Placeholder:
-    """A placeholder that sorts strictly between the constants ``lo`` and
-    ``hi`` (``None``: no bound on that side).  Its key ``(0, below, f)``
-    follows the user constant ``below`` and precedes the next one; ``f`` in
-    (0, 1) orders the placeholders of one gap."""
-    below, f_lo = ("", 0.0) if lo is None else (lo.name, 0.0) if type(lo) is Constant else lo.key[1:]
-    f_hi = hi.key[2] if type(hi) is Placeholder and hi.key[1] == below else 1.0
-    return Placeholder(name, (0, below, (f_lo + f_hi) / 2))
+    return (0, "\U0010ffff", term.name)
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,9 +131,6 @@ class ConjunctiveQuery:
         for a in self.atoms:
             out.update(a.constants())
         return frozenset(out)
-
-    def is_ground(self) -> bool:
-        return all(a.is_ground() for a in self.atoms)
 
     def substitute(self, mapping: Mapping[Variable, Term]) -> "ConjunctiveQuery":
         return ConjunctiveQuery([a.substitute(mapping) for a in self.atoms])
@@ -633,8 +618,8 @@ def _jointly_decomposable(units: list[ConjunctiveQuery], depth: int) -> bool:
     # Substitute every constant the components mention, plus one fresh
     # representative: structure after substitution can depend on whether the
     # substituted constant already occurs in the query.
-    mentioned = sorted({c.name for comp in comps for c in comp.constants()})
-    probes = [Constant(n) for n in mentioned] + [Constant(f"§{depth}")]
+    mentioned = sorted({c for comp in comps for c in comp.constants()}, key=term_key)
+    probes = mentioned + [Placeholder(str(depth))]
     for const in probes:
         sub = [c.substitute({v: const}) for c, v in zip(comps, sep)]
         if not _jointly_decomposable(sub, depth + 1):

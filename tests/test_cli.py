@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -9,10 +11,15 @@ import pytest
 
 import owpdb
 from owpdb import dataio
-from owpdb.cli import RunConfig, run
+from owpdb.cli import RunConfig, _result_payload, main, run
 from owpdb.database import Database, Schema
-from owpdb.errors import SchemaError
-from owpdb.query import Constant
+from owpdb.errors import NotInversionFree, SchemaError
+from owpdb.exactdp import mtp_upper_exact
+from owpdb.greedy import greedy_upper
+from owpdb.openworld import MTPConstraint, OpenPDB
+from owpdb.query import Constant, parse_ucq
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -315,3 +322,120 @@ class TestExitCodes:
         status, out = run(RunConfig(**base, force=True, output="json"))
         assert status == 0
         assert "self-join-no-guarantee" in json.loads(out)["result"]["warnings"]
+
+
+class TestTextOutput:
+    """The default text report, line by line, on the coauthor database."""
+
+    HEADER = ["query: CoA(x, y), S(x)", "lambda: 0.3", "mtp: CoA < 0.4 (derived budget 13)"]
+
+    def lines(self, db_dir, **config):
+        status, out = run(RunConfig(db_dir=db_dir, **config))
+        assert status == 0, out
+        return out.splitlines()
+
+    def test_analyze(self, db_dir):
+        assert self.lines(db_dir, query="S(x), CoA(x,y)", mode="analyze") == ["mode: analyze", *self.HEADER, "budget: 13",
+            "profile: hierarchical_per_cq=True inversion_free=True self_join_free=True safe=True"]
+
+    def test_interval(self, db_dir):
+        assert self.lines(db_dir, query="S(x), CoA(x,y)", mode="interval") == ["mode: interval", *self.HEADER, "budget: 13",
+            "kind: open_upper",
+            "value: 0.9874962453870028",
+            "interval: [0.9445600000000001, 0.9874962453870028]",
+            "complement_log10: -1.9029595579628718"]
+
+    def test_exact(self, db_dir):
+        assert self.lines(db_dir, query="S(x), CoA(x,y)", mode="exact", budget_override=2) == ["mode: exact", *self.HEADER,
+            "budget: 2",
+            "kind: mtp_exact",
+            "value: 0.9676936",
+            "witness: CoA(VonNeumann, Erdos), CoA(VonNeumann, VonNeumann)"]
+
+    def test_unsafe_eval(self, db_dir):
+        assert self.lines(db_dir, query="S(x), CoA(x,y), S(y)", mode="eval") == ["mode: eval",
+            "query: CoA(x, y), S(x), S(y)", *self.HEADER[1:], "budget: 13",
+            "notice: query is unsafe; evaluated by compiling its ground lineage",
+            "kind: closed",
+            "value: 0.8230400000000001",
+            "warning: unsafe-query-ground-evaluation"]
+
+    def test_report(self, instance_file):
+        _, out = run(RunConfig(mode="demo3dm", instance=instance_file, output="json"))
+        lines = self.lines(None, mode="demo3dm", instance=instance_file)
+        assert lines == ["mode: demo3dm", "lambda: 0.8", *json.loads(out)["report"]]
+
+    def test_timings_add_only_their_field(self, db_dir):
+        config = dict(db_dir=db_dir, query="S(x), CoA(x,y)", mode="interval")
+        plain = json.loads(run(RunConfig(**config, output="json"))[1])
+        timed = json.loads(run(RunConfig(**config, output="json", timings=True))[1])
+        assert plain["timings_ms"] is None and timed.pop("timings_ms")["total"] >= 0.0
+        assert timed == {k: v for k, v in plain.items() if k != "timings_ms"}
+        lines = self.lines(**config, timings=True)
+        assert lines[:-1] == self.lines(**config) and re.fullmatch(r"timings_ms: [0-9.]+", lines[-1])
+
+
+class TestUsageErrors:
+    def test_db_is_required(self):
+        status, out = run(RunConfig(query="S(x)", mode="eval"))
+        assert (status, out) == (1, "error: --db is required for this mode")
+
+    def test_one_constrained_relation_per_run(self, db_dir):
+        (Path(db_dir) / "constraints.txt").write_text("lambda=0.3\nmtp S 0.5\nmtp CoA 0.4\n")
+        status, out = run(RunConfig(db_dir=db_dir, query="S(x), CoA(x,y)", mode="exact"))
+        assert (status, out) == (1, "error: one constrained relation per run; constraints.txt names CoA, S")
+
+    @pytest.mark.parametrize("mtp, message", [("CoA", "expected REL=MEAN"), ("CoA=high", "bad mean bound 'high'")])
+    def test_mtp_parse_errors(self, db_dir, capsys, mtp, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["--db", db_dir, "--query", "S(x), CoA(x,y)", "--mode", "exact", "--mtp", mtp])
+        assert exc.value.code == 2 and message in capsys.readouterr().err
+
+    def test_mtp_flag(self, db_dir, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--db", db_dir, "--query", "S(x), CoA(x,y)", "--mode", "analyze", "--mtp", " CoA =0.25"])
+        assert exc.value.code == 0
+        assert "mtp: CoA < 0.25 (derived budget 6)" in capsys.readouterr().out.splitlines()
+
+
+def gap_instance(i):
+    """``tools/same_answers.py``'s gap instance ``i``."""
+    spec = importlib.util.spec_from_file_location("same_answers", ROOT / "tools" / "same_answers.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    rng = random.Random(13)
+    for _ in range(i + 1):
+        g, c, q = tool.gap_instance(rng)
+    return g, c, q
+
+
+class TestExactReroutesToGreedy:
+    """Exact mode answers a query the DP refuses with the greedy bound."""
+
+    def check(self, tmp_path, g, c, q, refusal):
+        with pytest.raises(NotInversionFree, match=refusal):
+            mtp_upper_exact(g, c, q)
+        dataio.save_database(g.pdb, tmp_path)
+        (tmp_path / "constraints.txt").write_text(f"lambda={g.lam!r}\nmtp {c.relation} {c.mean_bound!r}\n")
+        config = dict(db_dir=str(tmp_path), query=str(q), mode="exact")
+        status, out = run(RunConfig(**config))
+        assert status == 0 and "notice: query has an inversion; routed to the greedy bound" in out.splitlines()
+        status, out = run(RunConfig(**config, output="json"))
+        result = json.loads(out)["result"]
+        assert status == 0 and result["kind"] == "mtp_greedy"
+        assert result == json.loads(json.dumps(_result_payload(g.pdb, greedy_upper(g, c, q))))
+
+    def test_static_gate(self, tmp_path):
+        schema = Schema({"S": 2}, tuple(map(Constant, "ABC")))
+        db = Database(schema, {"S": {("A", "B"): 0.5, ("B", "C"): 0.7, ("C", "A"): 0.2, ("A", "A"): 0.9}})
+        q = parse_ucq("S(x, y), S(y, z) | S(z, x), S(z, y)", schema)
+        self.check(tmp_path, OpenPDB(db, 0.4), MTPConstraint("S", 0.5), q, "has an inversion")
+        _, out = run(RunConfig(db_dir=str(tmp_path), query=str(q), mode="analyze", output="json"))
+        profile = json.loads(out)["profile"]
+        assert (profile["inversion_free"], profile["safe"]) == (False, True)
+
+    def test_dp_refusal(self, tmp_path):
+        # inversion-free, but the DP finds no shared separator and its open
+        # slice is too large to enumerate
+        g, c, q = gap_instance(7)
+        self.check(tmp_path, g, c, q, "no shared separator and the open slice has 13 tuples")

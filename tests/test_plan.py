@@ -255,7 +255,8 @@ def test_plan_build_agrees_with_probe_evaluation():
 
 class TestPlaceholder:
     """A placeholder never equals a user constant, whatever its name, and
-    sorts where its binding falls."""
+    one fresh child over one placeholder stands for every constant a
+    separator's union does not mention."""
 
     ARITIES = {"S": 1, "CoA": 2}
     QUERY = 'S(x), CoA(x, "§a") | CoA(x, "§b")'
@@ -282,10 +283,11 @@ class TestPlaceholder:
         q = parse_ucq(self.QUERY, db.schema)
         assert prob_lifted(q, db) == pytest.approx(prob_ground(q, db), abs=1e-12)
 
-    def test_sorts_where_its_binding_falls(self):
-        # Substituting each constant gives these bits.  A placeholder that
-        # sorted after every constant would sum the same factors in another
-        # order and give 0.390664 instead.
+    def test_one_fresh_child_bits(self):
+        # The fresh child's placeholder sorts after every constant, so it
+        # sums the same factors in another order than substituting each
+        # constant does (that gives 0.3906640000000001); both agree with the
+        # ground value.
         schema = Schema({"R": 1, "S": 3, "T": 3, "U": 3}, tuple(Constant(n) for n in "ABC"))
         db = Database(schema, {
             "R": {("A",): 0.9, ("C",): 0.9},
@@ -296,7 +298,20 @@ class TestPlaceholder:
         q = parse_ucq(
             "R(y), S(y, B, z) | S(x, x, y), S(x, z, y), U(C, x, x) | S(x, x, y), T(z, z, x)", schema
         )
-        assert prob_lifted_detail(q, db) == Prob(0.3906640000000001, -0.49538543927811307)
+        assert prob_lifted_detail(q, db) == Prob(0.390664, -0.49538543927811285)
+        assert prob_lifted(q, db) == pytest.approx(prob_ground(q, db), abs=1e-12)
+
+    def test_one_fresh_child_whatever_the_gaps(self):
+        # stored rows on both sides of C put the unmentioned constants in
+        # two gaps between the mentioned ones; one fresh child serves both
+        schema = Schema(self.ARITIES, tuple(Constant(n) for n in "ABCDE"))
+        db = Database(schema, {"S": {("A",): 0.6, ("E",): 0.5}, "CoA": {("A", "C"): 0.3, ("E", "C"): 0.7}})
+        q = parse_ucq("S(x), CoA(x, C)", schema)
+        ev = Evaluator(db)
+        assert ev.probability(q).value == pytest.approx(prob_ground(q, db), abs=1e-12)
+        # the root, the children of C and of the fresh placeholder, and
+        # their four atoms
+        assert len(set(ev.plan._nodes.values())) == 7
 
     def test_safety_does_not_depend_on_the_name(self):
         q = parse_ucq(self.QUERY, self.ARITIES)
