@@ -21,13 +21,14 @@ of the rules above, in memory bounded by a node cap, not by the worlds.
 :class:`Plan` holds these choices for one public call: every rule is
 derived once per sub-union, not once per domain constant, because a
 separator binds every constant its union does not mention to the
-placeholder of one fresh child.  The call's evaluators, one per
-database it reads, share that plan; each keeps its own memo table keyed
-by plan node and the constants bound to the node's placeholders.  Greedy
-screens every candidate tuple by one reverse pass over a round's memo
-(:meth:`Evaluator.gradient`) and scores the near-best exactly through
-:meth:`Evaluator.conditioned`, which reuses the round's memo for every node
-the tuple cannot touch and re-evaluates only the rest.
+placeholder of one fresh child, evaluated for all of them set at a time
+where its shape allows (:meth:`Evaluator._evaluate_many`).  The call's
+evaluators, one per database it reads, share that plan; each keeps its own
+memo table keyed by plan node and the constants bound to the node's
+placeholders.  Greedy screens every candidate tuple by one reverse pass
+over a round's memo (:meth:`Evaluator.gradient`) and scores the near-best
+exactly through :meth:`Evaluator.conditioned`, which reuses the round's
+memo for every node the tuple cannot touch and re-evaluates only the rest.
 "Safe" means the whole plan builds; a plan too wide to build is
 :class:`CapExceeded`, not unsafe.  Nothing outlives the call: databases
 are never mutated and plans and memo tables are per call, so concurrent
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import probability
 from .database import ProbView
@@ -355,6 +356,9 @@ class Evaluator:
                             push(n, env, tag, sign * a * others)
             elif memo[key].logc > -math.inf:  # "or", "sep"; at 1 no tuple can raise P
                 children, rest = ([(u, env) for u in arg], ()) if rule == "or" else self._partition(node, env)
+                if rule == "sep":  # (constant, child) slots to (child, environment) pairs
+                    child_of = self.plan.separator(node, env)[1]
+                    children = [child_of(c) for c, _ in children]
                 # i reaches 0 at the last child: the batched rest's
                 # representative, which carries its swaps
                 swaps = ((rest[0].name, tuple(c.name for c in rest)),) if len(rest) > 1 else ()
@@ -377,18 +381,7 @@ class Evaluator:
     def _lift(self, node: _Node, env: Mapping[str, Constant]) -> Prob:
         rule, arg = self.plan.expand(node)
         if rule == "atom":
-            # a lookup, or the complement product over the ground instances
-            db, (pred, slots, repeated, n_vars) = self.db, node.leaf
-            bound = tuple((i, env[name].name if ph else name) for i, name, ph in slots)
-            if not n_vars:
-                return Prob.from_value(db.prob(pred, tuple(name for _, name in bound)))
-            stored = [p for _, p in db.pattern_entries(pred, repeated, bound)]
-            parts = [Prob.from_value(p) for p in stored if p > 0.0]
-            n_absent = len(db.schema.domain) ** n_vars - len(stored)
-            default = db.default_prob(pred)
-            if n_absent > 0 and default > 0.0:
-                parts.append(probability.power_disj(Prob.from_value(default), n_absent))
-            return probability.disj(parts) if parts else IMPOSSIBLE
+            return self._leaf_probs(node, env)[0]
         if rule == "and":
             if len(arg) == 1:
                 return self._group(arg[0], env)
@@ -406,31 +399,94 @@ class Evaluator:
         self.max_clamp = max(self.max_clamp, clamp)
         return result
 
+    def _leaf_probs(self, node: _Node, env: Mapping[str, Constant], name: str | None = None,
+                    consts: Sequence[Constant | None] = (None,)) -> list[Prob]:
+        """P of the atom leaf ``node`` under ``env``, with ``name`` bound to each of ``consts`` if given."""
+        db, (pred, slots, repeated, n_vars) = self.db, node.leaf
+        names = [(None if t == name else env[t].name) if ph else t for _, t, ph in slots]
+        holes, bound = [k for k, t in enumerate(names) if t is None], []
+        for c in consts:
+            for k in holes:
+                names[k] = c.name
+            bound.append(tuple(names))
+        if not n_vars:
+            return [Prob.from_value(db.prob(pred, args)) for args in bound]
+        positions, n_atoms, default = [i for i, _, _ in slots], len(db.schema.domain) ** n_vars, db.default_prob(pred)
+        return [_complement_product(db.pattern_entries(pred, repeated, b) if repeated else db._rows(pred, b),
+                                    n_atoms, default) for b in (tuple(zip(positions, args)) for args in bound)]
+
     def _partition(self, node: _Node, env: Mapping[str, Constant]) -> tuple[list, list[Constant]]:
-        """The separator ``node``'s domain under ``env``: a child and its
-        environment per constant the union mentions or a stored row of its
-        predicates has, in domain order, then, when there are other
-        constants, the child of the first; and those other constants, the
-        batched rest, which are interchangeable and evaluated once."""
-        mentioned, child_of = self.plan.separator(node, env)
-        explicit = self.db.explicit_constants(node.arg[3])
-        children, rest = [], []
+        """The separator ``node``'s domain under ``env``: (constant, mentioned
+        child or ``None`` for the fresh child) per constant the union mentions
+        or a stored row of its predicates has, in domain order, then the first
+        other constant; and the others, the batched rest, evaluated once."""
+        mentioned, explicit = self.plan.separator(node, env)[0], self.db.explicit_constants(node.arg[3])
+        slots, rest = [], []
         for const in self.db.schema.domain:
-            if const.name in mentioned or const.name in explicit:
-                children.append(child_of(const))
+            child = mentioned.get(const.name)
+            if child is not None or const.name in explicit:
+                slots.append((const, child))
             else:
                 rest.append(const)
-        if rest:
-            children.append(child_of(rest[0]))
-        return children, rest
+        return slots + [(c, None) for c in rest[:1]], rest
 
     def _separator_product(self, node: _Node, env: Mapping[str, Constant]) -> Prob:
-        """Complement product over the domain, the batched rest last."""
-        children, rest = self._partition(node, env)
-        parts = [self.evaluate(*c) for c in children]
+        """Complement product over the domain, the batched rest last; the fresh
+        child's constants in one call, made where the first of them falls."""
+        slots, rest = self._partition(node, env)
+
+        def fresh() -> Iterator[Prob]:  # runs at its first next()
+            yield from self._evaluate_many(self.plan.fresh_child(node), env, node.arg[4],
+                                           [c for c, child in slots if child is None])
+
+        batch = fresh()
+        parts = [next(batch) if child is None else self.evaluate(child, env) for _, child in slots]
         if rest:
             parts.append(probability.power_disj(parts.pop(), len(rest)))
         return probability.disj(parts)
+
+    def _evaluate_many(self, node: _Node, env: Mapping[str, Constant], name: str, consts: list) -> list[Prob]:
+        """P(``node``) under ``env`` with placeholder ``name`` bound to each of
+        ``consts``: a column per node for an atom leaf without a repeated
+        variable and an ``and`` of single nodes, every other shape node by
+        node.  The memo gets the entries a node-by-node walk writes, post-order."""
+        rule, arg = self.plan.expand(node)
+        if not (rule == "atom" and not node.leaf[2] or rule == "and" and all(len(g) == 1 for g in arg)):
+            return self._each(node, env, name, consts)
+        at = node.placeholders.index(name)
+        before, after = (tuple(env[p].name for p in ps) for ps in (node.placeholders[:at], node.placeholders[at + 1:]))
+        keys = [(node, before + (c.name,) + after) for c in consts]
+        todo = [(key, c) for key, c in zip(keys, consts) if key not in self._memo]
+        if todo:
+            todo_consts = [c for _, c in todo]
+            if rule == "atom":
+                values = self._leaf_probs(node, env, name, todo_consts)
+            else:
+                cols = [self._evaluate_many(child, env, name, todo_consts) for child, in arg]
+                values = cols[0] if len(cols) == 1 else [probability.conj(ps) for ps in zip(*cols)]
+            self._memo.update(zip([key for key, _ in todo], values))
+        return [self._memo[key] for key in keys]
+
+    def _each(self, node: _Node, env: Mapping[str, Constant], name: str, consts: list) -> list[Prob]:
+        return [self.evaluate(node, {**env, name: c}) for c in consts]
+
+
+def _complement_product(rows: Iterable[tuple[tuple[str, ...], float]], n_atoms: int, default: float) -> Prob:
+    """P(one of ``n_atoms`` independent atoms), the stored ones' ``rows`` (a pinned
+    zero among them) and the rest at ``default``, in the bits of ``disj`` over
+    ``Prob.from_value`` per row and ``power_disj`` for the rest."""
+    s, stored = 0.0, 0
+    for _, p in rows:
+        stored += 1
+        if p > 0.0:
+            if p >= 1.0:
+                return CERTAIN
+            s += math.log1p(-p)
+    if n_atoms > stored and default > 0.0:
+        if default >= 1.0:
+            return CERTAIN
+        s += (n_atoms - stored) * math.log1p(-default)
+    return Prob(-math.expm1(s), s) if s else IMPOSSIBLE
 
 
 def _add_leaf(leaves: dict, args: tuple, adj: dict[tuple, float]) -> None:
@@ -456,7 +512,10 @@ class _Conditioned(Evaluator):
     takes the parent's memo entry, which is exact for it; every other node
     is re-evaluated from children that fold in the same order, so values
     are bit-identical to a fresh evaluator's.  The parent's memo is only
-    read."""
+    read.  A separator's fresh child is evaluated node by node: a batch
+    would recompute every constant's child, not only the touched ones."""
+
+    _evaluate_many = Evaluator._each
 
     def __init__(self, parent: Evaluator, atom: Atom):
         super().__init__(parent.db.with_overrides({atom: True}), plan=parent.plan)

@@ -7,15 +7,15 @@ import weakref
 
 import pytest
 
-from owpdb import engine, exactdp, query
-from owpdb.database import Database, Schema
+from owpdb import engine, exactdp, probability, query
+from owpdb.database import Database, LambdaCompletionView, Schema
 from owpdb.engine import Evaluator, is_safe, prob_ground, prob_lifted, prob_lifted_detail
 from owpdb.errors import CapExceeded, UnsafeQuery
 from owpdb.exactdp import mtp_upper_exact
 from owpdb.greedy import GreedyTrace, greedy_trace, greedy_upper
 from owpdb.openworld import MTPConstraint, OpenPDB, interval_unconstrained, open_tuples
-from owpdb.probability import Prob
-from owpdb.query import UCQ, Constant, parse_ucq
+from owpdb.probability import IMPOSSIBLE, Prob
+from owpdb.query import UCQ, Atom, Constant, parse_ucq
 from owpdb.randgen import rand_cq, rand_schema
 
 
@@ -317,3 +317,123 @@ class TestPlaceholder:
         q = parse_ucq(self.QUERY, self.ARITIES)
         renamed = parse_ucq(self.QUERY.replace('"§a"', "A"), self.ARITIES)
         assert is_safe(q) == is_safe(renamed)
+
+
+class NodeByNode(Evaluator):
+    """The reference evaluator: a separator's fresh child node by node, and
+    a leaf a ``Prob`` per row folded by ``disj``."""
+
+    _evaluate_many = Evaluator._each
+
+    def _leaf_probs(self, node, env, name=None, consts=(None,)):
+        assert name is None
+        db, (pred, slots, repeated, n_vars) = self.db, node.leaf
+        bound = tuple((i, env[t].name if ph else t) for i, t, ph in slots)
+        if not n_vars:
+            return [Prob.from_value(db.prob(pred, tuple(t for _, t in bound)))]
+        stored = [p for _, p in db.pattern_entries(pred, repeated, bound)]
+        parts = [Prob.from_value(p) for p in stored if p > 0.0]
+        n_absent = len(db.schema.domain) ** n_vars - len(stored)
+        if n_absent > 0 and db.default_prob(pred) > 0.0:
+            parts.append(probability.power_disj(Prob.from_value(db.default_prob(pred)), n_absent))
+        return [probability.disj(parts) if parts else IMPOSSIBLE]
+
+
+def child_keys(ev, key):
+    """The memo keys of the children a memo entry was computed from."""
+    node, names = key if type(key) is tuple else (key, ())
+    env = dict(zip(node.placeholders, map(Constant, names)))
+    if node.rule == "and":
+        children = [(n, env) for g in node.arg for n in (g if len(g) == 1 else [t for _, t in ev.plan.terms(g)])]
+    elif node.rule == "or":
+        children = [(u, env) for u in node.arg]
+    elif node.rule == "sep":
+        child_of = ev.plan.separator(node, env)[1]
+        children = [child_of(c) for c, _ in ev._partition(node, env)[0]]
+    else:
+        children = []
+    return [n.key(e) for n, e in children]
+
+
+def pinned_db(seed=4):
+    """Rows among six of nine constants, C among them; every relation has a
+    row pinned at 0 and, but for S, a row at 1."""
+    rng = random.Random(seed)
+    names = [f"c{i}" for i in range(8)] + ["C"]
+    arities = {"S": 1, "T": 1, "CoA": 2, "U": 2, "R": 3}
+    rels = {pred: {args: rng.choice([0.1, 0.3, 0.6, 0.9])
+                   for args in itertools.product(names[:5] + ["C"], repeat=arity) if rng.random() < 0.6 / arity}
+            for pred, arity in arities.items()}
+    for pred, rows in rels.items():
+        first, second = list(rows)[:2]
+        rows[first], rows[second] = 0.0, 0.5 if pred == "S" else 1.0
+    return Database(Schema(arities, tuple(map(Constant, names))), rels)
+
+
+def views():
+    """``pinned_db``, an overlay that shadows a stored row and adds three, and
+    its completions."""
+    db = pinned_db()
+    stored, c = next(iter(db.entries("CoA")))[0], Constant
+    overlay = db.with_overrides({Atom("CoA", tuple(map(c, stored))): 0.4, Atom("CoA", (c("c6"), c("c7"))): 0.7,
+                                 Atom("S", (c("c7"),)): True, Atom("T", (c("c6"),)): 0.0})
+    return [("db", db), ("overlay", overlay)] + [(f"lambda={lam}", LambdaCompletionView(db, lam)) for lam in (0, 0.3, 1)]
+
+
+class TestSetAtATime:
+    """Evaluating a separator's fresh child set at a time gives the bits, the
+    memo and the gradient screens of evaluating it node by node."""
+
+    QUERIES = (
+        "S(x), CoA(x,y)",  # the five scan shapes
+        "CoA(x,y), T(y)",
+        "S(x), CoA(x,y) | T(u)",
+        "S(x), CoA(x,y), T(x)",
+        "S(x), T(y)",
+        "CoA(x, C), S(x)",  # a constant beside the placeholder
+        "CoA(x, x), S(x)",  # the placeholder at two positions
+        "S(x), R(x, y, y)",  # a repeated variable: node by node
+        "CoA(x, C), S(x) | CoA(x, c1), T(x)",  # an inclusion-exclusion group: node by node
+        "CoA(x,y), U(x,y)",  # a nested separator: node by node, then two placeholders
+    )
+
+    @pytest.mark.parametrize("text", QUERIES)
+    @pytest.mark.parametrize("name, view", views(), ids=[name for name, _ in views()])
+    def test_same_bits_memo_and_screens(self, text, name, view):
+        q = parse_ucq(text, view.schema)
+        plan = engine.Plan().build(q)
+        batched, reference = Evaluator(view, plan=plan), NodeByNode(view, plan=plan)
+        assert repr(batched.probability(q)) == repr(reference.probability(q))
+        assert batched._memo.keys() == reference._memo.keys()
+        assert all(repr(value) == repr(reference._memo[key]) for key, value in batched._memo.items())
+        at = {key: i for i, key in enumerate(batched._memo)}
+        assert all(at[child] < at[key] for key in at for child in child_keys(batched, key))
+        domain = [c.name for c in view.schema.domain]
+        for pred in view.schema.predicates:
+            screens = batched.gradient(q, pred), reference.gradient(q, pred)
+            for args in itertools.product(domain, repeat=view.schema.predicates[pred]):
+                assert screens[0](args) == screens[1](args), (pred, args)
+
+    def test_only_the_fallback_shapes_go_node_by_node(self, monkeypatch):
+        db, each = pinned_db(), []
+        real = Evaluator._each
+        monkeypatch.setattr(Evaluator, "_each", lambda self, node, *args: each.append(node.rule) or real(self, node, *args))
+        rules = []
+        for text in self.QUERIES:
+            each.clear()
+            Evaluator(db).probability(parse_ucq(text, db.schema))
+            rules.append(each[:])
+        assert rules == [[]] * 7 + [["atom"], ["and"], ["sep"]]
+
+    def test_lifts_per_query_are_flat_in_domain_size(self, monkeypatch):
+        # node by node, a lift per separator child and per leaf: about 3 per constant
+        lifts = []
+        real = Evaluator._lift
+        monkeypatch.setattr(Evaluator, "_lift", lambda self, node, env: lifts.append(node) or real(self, node, env))
+        counts = []
+        for n in (50, 200):
+            db = stored_scientist_db(n)
+            lifts.clear()
+            prob_lifted(parse_ucq("S(x), CoA(x,y)", db.schema), db)
+            counts.append(len(lifts))
+        assert counts[0] == counts[1]

@@ -171,8 +171,8 @@ class TestWorkIsLinearInRows:
         db = scientist_db(self.N)
         rows = db.relation_size("S") + db.relation_size("CoA")
         reads = count_reads(db)
-        yielded = 0
-        entries = ProbView.pattern_entries
+        yielded = returned = 0
+        entries, database_rows = ProbView.pattern_entries, Database._rows
 
         def counted_entries(self, pred, pattern, bound=None):
             nonlocal yielded
@@ -180,14 +180,24 @@ class TestWorkIsLinearInRows:
                 yielded += 1
                 yield row
 
+        def counted_rows(self, pred, bound):
+            # the lookup under pattern_entries, and the one lifted leaves use
+            nonlocal returned
+            out = list(database_rows(self, pred, bound))
+            returned += len(out)
+            return out
+
         monkeypatch.setattr(ProbView, "pattern_entries", counted_entries)
+        monkeypatch.setattr(Database, "_rows", counted_rows)
         q = parse_ucq("S(x), CoA(x,y)", db.schema)
         prob_lifted(q, db)
         assert yielded <= rows
+        assert 0 < returned <= rows
         assert reads() <= rows
-        yielded = 0
+        yielded = returned = 0
         interval_unconstrained(OpenPDB(db, 0.5), q)
         assert yielded <= 2 * rows
+        assert 0 < returned <= 2 * rows
         assert reads() <= 2 * rows
 
     @pytest.mark.parametrize("budget", [2, 8])
