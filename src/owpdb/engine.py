@@ -434,13 +434,12 @@ class Evaluator:
         """Complement product over the domain, the batched rest last; the fresh
         child's constants in one call, made where the first of them falls."""
         slots, rest = self._partition(node, env)
-
-        def fresh() -> Iterator[Prob]:  # runs at its first next()
-            yield from self._evaluate_many(self.plan.fresh_child(node), env, node.arg[4],
-                                           [c for c, child in slots if child is None])
-
-        batch = fresh()
-        parts = [next(batch) if child is None else self.evaluate(child, env) for _, child in slots]
+        parts, batch = [], None
+        for _, child in slots:
+            if child is None and batch is None:
+                batch = iter(self._evaluate_many(self.plan.fresh_child(node), env, node.arg[4],
+                                                 [c for c, other in slots if other is None]))
+            parts.append(next(batch) if child is None else self.evaluate(child, env))
         if rest:
             parts.append(probability.power_disj(parts.pop(), len(rest)))
         return probability.disj(parts)
@@ -456,15 +455,13 @@ class Evaluator:
         at = node.placeholders.index(name)
         before, after = (tuple(env[p].name for p in ps) for ps in (node.placeholders[:at], node.placeholders[at + 1:]))
         keys = [(node, before + (c.name,) + after) for c in consts]
-        todo = [(key, c) for key, c in zip(keys, consts) if key not in self._memo]
-        if todo:
-            todo_consts = [c for _, c in todo]
-            if rule == "atom":
-                values = self._leaf_probs(node, env, name, todo_consts)
-            else:
-                cols = [self._evaluate_many(child, env, name, todo_consts) for child, in arg]
-                values = cols[0] if len(cols) == 1 else [probability.conj(ps) for ps in zip(*cols)]
-            self._memo.update(zip([key for key, _ in todo], values))
+        missing = {key: c for key, c in zip(keys, consts) if key not in self._memo}
+        if rule == "atom":
+            values = self._leaf_probs(node, env, name, list(missing.values()))
+        else:
+            cols = [self._evaluate_many(child, env, name, list(missing.values())) for child, in arg]
+            values = cols[0] if len(cols) == 1 else [probability.conj(ps) for ps in zip(*cols)]
+        self._memo.update(zip(missing, values))
         return [self._memo[key] for key in keys]
 
     def _each(self, node: _Node, env: Mapping[str, Constant], name: str, consts: list) -> list[Prob]:
@@ -479,14 +476,10 @@ def _complement_product(rows: Iterable[tuple[tuple[str, ...], float]], n_atoms: 
     for _, p in rows:
         stored += 1
         if p > 0.0:
-            if p >= 1.0:
-                return CERTAIN
-            s += math.log1p(-p)
+            s += math.log1p(-p) if p < 1.0 else -math.inf
     if n_atoms > stored and default > 0.0:
-        if default >= 1.0:
-            return CERTAIN
-        s += (n_atoms - stored) * math.log1p(-default)
-    return Prob(-math.expm1(s), s) if s else IMPOSSIBLE
+        s += (n_atoms - stored) * (math.log1p(-default) if default < 1.0 else -math.inf)
+    return Prob(-math.expm1(s), s) if s else IMPOSSIBLE  # at s = -inf, CERTAIN
 
 
 def _add_leaf(leaves: dict, args: tuple, adj: dict[tuple, float]) -> None:
