@@ -14,9 +14,11 @@ relations: :meth:`Database.with_added` returns an overlay.
 
 Every view answers one lookup, ``_rows(pred, bound)``: the stored rows of
 ``pred`` with given constants at given positions, which a database finds
-through a lazy index per (predicate, bound positions) instead of a scan.
+through a lazy index per (predicate, bound positions) instead of a scan
+(a batched leaf reads once with fewer positions bound and groups the rows).
 A database loaded from files validates a relation when a read first
-reaches it, one built in memory at construction, by the same row checks.
+reaches it, one built in memory at construction, by the same whole-column
+checks, with a row loop naming the first bad row when one fails.
 Databases and views are immutable once built; concurrent reads are safe:
 a relation's table (with its constants) and each index are built locally
 and published with one assignment, so a reader sees none or a whole one.
@@ -111,21 +113,32 @@ class _Table(dict):
         """The rows with the ``bound`` constants, in insertion order."""
         if not bound:
             return self.items()
-        positions = tuple(i for i, _ in bound)
+        positions, key = zip(*bound)
         index = self._by_positions.get(positions)
         if index is None:
             index = {}
             for row in self.items():
-                index.setdefault(tuple(row[0][i] for i in positions), []).append(row)
+                index.setdefault(tuple(map(row[0].__getitem__, positions)), []).append(row)
             self._by_positions[positions] = index
-        return index.get(tuple(name for _, name in bound), ())
+        return index.get(key, ())
 
 
-def _relation(schema: Schema, pred: str, rows: Iterable[tuple], where: Callable[[object], str]) -> _Table:
-    """The table of ``pred`` from ``(at, args, probability)`` rows, checked
-    for arity, a float probability in [0, 1] (not NaN), no duplicate args
-    and constants of the domain; an error names its row by ``where(at)``."""
+def _relation(schema: Schema, pred: str, rows: Sequence[tuple], where: Callable[[object], str]) -> _Table:
+    """The table of ``pred`` from a list of ``(at, args, probability)``
+    rows, checked for arity, a float probability in [0, 1] (not NaN), no
+    duplicate args and constants of the domain.  The checks run on whole
+    columns; only when one fails does the row loop below find the first bad
+    row, so an error names that row by ``where(at)``."""
     arity, domain = schema.arity(pred), schema._index
+    _, names, ps = zip(*rows) if rows else ((), (), ())
+    try:
+        table = _Table(zip(names, map(float, ps)))
+        table.constants = frozenset(chain.from_iterable(names))
+        if (len(table) == len(rows) and set(map(len, names)) <= {arity} and table.constants <= domain.keys()
+                and all(map((0.0).__le__, table.values())) and all(map((1.0).__ge__, table.values()))):
+            return table
+    except (TypeError, ValueError, OverflowError):
+        pass
     table, names = _Table(), set()
     for at, args, p in rows:
         if len(args) != arity:
@@ -230,7 +243,7 @@ class Database(ProbView):
         self.schema = schema
         self._rels = _Relations(schema.predicates, lambda pred: _Table())
         for pred, table in (relations or {}).items():
-            rows = ((args, args, p) for args, p in table.items())
+            rows = [(args, args, p) for args, p in table.items()]
             self._rels[pred] = _relation(schema, pred, rows, f"{pred}{{}}".format)
 
     @classmethod

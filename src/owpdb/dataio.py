@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Iterator
 
 from .database import Database, Schema
 from .errors import SchemaError
@@ -67,13 +66,13 @@ def load_database(directory: str | Path) -> Database:
     return Database._on_first_read(load_schema(directory), read)
 
 
-def _csv_rows(path: Path) -> Iterator[tuple[int, tuple[str, ...], str]]:
+def _csv_rows(path: Path) -> list[tuple[int, tuple[str, ...], str]]:
     """A relation file's (row number, constants, probability text) rows."""
-    if path.is_file():
-        with path.open(newline="") as fh:
-            for rowno, row in enumerate(csv.reader(fh), 1):
-                if row and (len(row) > 1 or row[0].strip()):
-                    yield rowno, tuple(map(str.strip, row[:-1])), row[-1]
+    if not path.is_file():
+        return []
+    with path.open(newline="") as fh:
+        return [(rowno, tuple(map(str.strip, row[:-1])), row[-1])
+                for rowno, row in enumerate(csv.reader(fh), 1) if row and (len(row) > 1 or row[0].strip())]
 
 
 def load_constraints(directory: str | Path) -> tuple[float | None, list[MTPConstraint]]:

@@ -22,7 +22,8 @@ of the rules above, in memory bounded by a node cap, not by the worlds.
 derived once per sub-union, not once per domain constant, because a
 separator binds every constant its union does not mention to the
 placeholder of one fresh child, evaluated for all of them set at a time
-where its shape allows (:meth:`Evaluator._evaluate_many`).  The call's
+where its shape allows (:meth:`Evaluator._evaluate_many`), each atom leaf
+from one lookup of its rows grouped by the constant.  The call's
 evaluators, one per database it reads, share that plan; each keeps its own
 memo table keyed by plan node and the constants bound to the node's
 placeholders.  Greedy screens every candidate tuple by one reverse pass
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import probability
@@ -289,7 +291,13 @@ class Evaluator:
     the node's placeholders.  ``force_inclusion_exclusion`` selects the
     plan's conjunction rule: the full inclusion-exclusion sum instead of the
     independent-product shortcut; results must agree either way.
+    The arithmetic goes through hooks (``conj``, ``disj``, ``power_disj``,
+    ``signed_sum``, :meth:`_ground`, :meth:`_finish`) that a subclass may
+    override to walk other values, as :class:`owpdb.openworld.IntervalEvaluator` does.
     """
+
+    conj, disj = staticmethod(probability.conj), staticmethod(probability.disj)
+    power_disj, signed_sum = staticmethod(probability.power_disj), staticmethod(probability.signed_sum)
 
     def __init__(self, db: ProbView, *, force_inclusion_exclusion: bool = False, plan: Plan | None = None):
         self.db = db
@@ -385,9 +393,9 @@ class Evaluator:
         if rule == "and":
             if len(arg) == 1:
                 return self._group(arg[0], env)
-            return probability.conj(self._group(g, env) for g in arg)
+            return self.conj(self._group(g, env) for g in arg)
         if rule == "or":
-            return probability.disj(self.evaluate(u, env) for u in arg)
+            return self.disj(self.evaluate(u, env) for u in arg)
         if rule == "sep":
             return self._separator_product(node, env)
         raise UnsafeQuery(f"no decomposition applies to {node.bound(env)}")
@@ -395,25 +403,43 @@ class Evaluator:
     def _group(self, group: tuple[_Node, ...], env: Mapping[str, Constant]) -> Prob:
         if len(group) == 1:
             return self.evaluate(group[0], env)
-        result, clamp = probability.signed_sum([(s, self.evaluate(n, env)) for s, n in self.plan.terms(group)])
+        result, clamp = self.signed_sum([(s, self.evaluate(n, env)) for s, n in self.plan.terms(group)])
         self.max_clamp = max(self.max_clamp, clamp)
         return result
 
     def _leaf_probs(self, node: _Node, env: Mapping[str, Constant], name: str | None = None,
                     consts: Sequence[Constant | None] = (None,)) -> list[Prob]:
-        """P of the atom leaf ``node`` under ``env``, with ``name`` bound to each of ``consts`` if given."""
+        """P of the atom leaf ``node`` under ``env``, with ``name`` bound to
+        each of ``consts`` if given: then one lookup of its other bound
+        positions, grouped by ``name``'s, gives each constant its rows in order."""
         db, (pred, slots, repeated, n_vars) = self.db, node.leaf
-        names = [(None if t == name else env[t].name) if ph else t for _, t, ph in slots]
-        holes, bound = [k for k, t in enumerate(names) if t is None], []
-        for c in consts:
-            for k in holes:
-                names[k] = c.name
-            bound.append(tuple(names))
         if not n_vars:
-            return [Prob.from_value(db.prob(pred, args)) for args in bound]
-        positions, n_atoms, default = [i for i, _, _ in slots], len(db.schema.domain) ** n_vars, db.default_prob(pred)
-        return [_complement_product(db.pattern_entries(pred, repeated, b) if repeated else db._rows(pred, b),
-                                    n_atoms, default) for b in (tuple(zip(positions, args)) for args in bound)]
+            names = [(None if t == name else env[t].name) if ph else t for _, t, ph in slots]
+            holes, values = [k for k, t in enumerate(names) if t is None], []
+            for c in consts:
+                for k in holes:
+                    names[k] = c.name
+                values.append(self._ground(pred, tuple(names)))
+            return values
+        n_atoms = len(db.schema.domain) ** n_vars
+        fixed = tuple((i, env[t].name if ph else t) for i, t, ph in slots if not (ph and t == name))
+        if name is None:
+            rows = db.pattern_entries(pred, repeated, fixed) if repeated else db._rows(pred, fixed)
+            return [self._finish(pred, n_atoms, rows)]
+        holes = [i for i, t, ph in slots if ph and t == name]
+        key, groups = operator.itemgetter(*holes), {}
+        for row in db._rows(pred, fixed):
+            groups.setdefault(key(row[0]), []).append(row)
+        return [self._finish(pred, n_atoms, groups.get(c.name if len(holes) == 1 else (c.name,) * len(holes), ()))
+                for c in consts]
+
+    def _ground(self, pred: str, args: tuple[str, ...]) -> Prob:
+        """P of the ground atom ``pred(args)``."""
+        return Prob.from_value(self.db.prob(pred, args))
+
+    def _finish(self, pred: str, n_atoms: int, rows: Iterable) -> Prob:
+        """P of a leaf over ``n_atoms`` atoms of ``pred`` with the stored ``rows``."""
+        return _complement_product(rows, n_atoms, self.db.default_prob(pred))[0]
 
     def _partition(self, node: _Node, env: Mapping[str, Constant]) -> tuple[list, list[Constant]]:
         """The separator ``node``'s domain under ``env``: (constant, mentioned
@@ -441,8 +467,8 @@ class Evaluator:
                                                  [c for c, other in slots if other is None]))
             parts.append(next(batch) if child is None else self.evaluate(child, env))
         if rest:
-            parts.append(probability.power_disj(parts.pop(), len(rest)))
-        return probability.disj(parts)
+            parts.append(self.power_disj(parts.pop(), len(rest)))
+        return self.disj(parts)
 
     def _evaluate_many(self, node: _Node, env: Mapping[str, Constant], name: str, consts: list) -> list[Prob]:
         """P(``node``) under ``env`` with placeholder ``name`` bound to each of
@@ -460,7 +486,7 @@ class Evaluator:
             values = self._leaf_probs(node, env, name, list(missing.values()))
         else:
             cols = [self._evaluate_many(child, env, name, list(missing.values())) for child, in arg]
-            values = cols[0] if len(cols) == 1 else [probability.conj(ps) for ps in zip(*cols)]
+            values = cols[0] if len(cols) == 1 else [self.conj(ps) for ps in zip(*cols)]
         self._memo.update(zip(missing, values))
         return [self._memo[key] for key in keys]
 
@@ -468,18 +494,22 @@ class Evaluator:
         return [self.evaluate(node, {**env, name: c}) for c in consts]
 
 
-def _complement_product(rows: Iterable[tuple[tuple[str, ...], float]], n_atoms: int, default: float) -> Prob:
-    """P(one of ``n_atoms`` independent atoms), the stored ones' ``rows`` (a pinned
-    zero among them) and the rest at ``default``, in the bits of ``disj`` over
-    ``Prob.from_value`` per row and ``power_disj`` for the rest."""
-    s, stored = 0.0, 0
+def _complement_product(rows: Iterable[tuple[tuple[str, ...], float]], n_atoms: int, *defaults: float) -> list[Prob]:
+    """P(one of ``n_atoms`` independent atoms), the stored ones' ``rows`` (a
+    pinned zero among them), folded once, and the rest at each of
+    ``defaults``, in the bits of ``disj`` over ``Prob.from_value`` per row
+    and ``power_disj`` for the rest."""
+    s, stored, probs = 0.0, 0, []
     for _, p in rows:
         stored += 1
         if p > 0.0:
             s += math.log1p(-p) if p < 1.0 else -math.inf
-    if n_atoms > stored and default > 0.0:
-        s += (n_atoms - stored) * (math.log1p(-default) if default < 1.0 else -math.inf)
-    return Prob(-math.expm1(s), s) if s else IMPOSSIBLE  # at s = -inf, CERTAIN
+    for default in defaults:
+        total = s
+        if n_atoms > stored and default > 0.0:
+            total += (n_atoms - stored) * (math.log1p(-default) if default < 1.0 else -math.inf)
+        probs.append(Prob(-math.expm1(total), total) if total else IMPOSSIBLE)  # at -inf, CERTAIN
+    return probs
 
 
 def _add_leaf(leaves: dict, args: tuple, adj: dict[tuple, float]) -> None:

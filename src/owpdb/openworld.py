@@ -16,9 +16,11 @@ import math
 from dataclasses import dataclass
 from itertools import product
 
+from . import probability
 from .database import Database, LambdaCompletionView, ProbView, Schema
-from .engine import Plan, prob_lifted_detail
+from .engine import Evaluator, _complement_product
 from .errors import SchemaError
+from .probability import Prob
 from .query import Atom, UCQ
 
 # Slack absorbing float noise when a mean bound lands exactly on a budget
@@ -125,15 +127,38 @@ def apply_completion(g: OpenPDB, choice: CompletionChoice) -> ProbView:
     return g.pdb.with_added(sorted(choice.added, key=g.schema.atom_key), g.lam)
 
 
+class IntervalEvaluator(Evaluator):
+    """Both ends of the open-world interval in one walk, each value a (closed
+    world, full completion) pair.  The ends share the stored rows and every
+    separator's partition, so only the hooks act per end; a leaf folds its
+    rows once and adds each end's absent-atom term: the bits of two walks."""
+
+    conj = staticmethod(lambda items: tuple(map(probability.conj, zip(*items))))
+    disj = staticmethod(lambda items: tuple(map(probability.disj, zip(*items))))
+    power_disj = staticmethod(lambda p, n: (probability.power_disj(p[0], n), probability.power_disj(p[1], n)))
+
+    def __init__(self, db: ProbView, lam: float):
+        super().__init__(db)
+        self.upper = LambdaCompletionView(db, lam)
+
+    @staticmethod
+    def signed_sum(terms):
+        (lower, lc), (upper, uc) = (probability.signed_sum([(s, p[i]) for s, p in terms]) for i in (0, 1))
+        return (lower, upper), max(lc, uc)
+
+    def _ground(self, pred, args):
+        return Prob.from_value(self.db.prob(pred, args)), Prob.from_value(self.upper.prob(pred, args))
+
+    def _finish(self, pred, n_atoms, rows):
+        return tuple(_complement_product(rows, n_atoms, self.db.default_prob(pred), self.upper.default_prob(pred)))
+
+
 def interval_unconstrained(g: OpenPDB, q: UCQ) -> BoundResult:
     """Probability interval without mean constraints: closed world below,
-    full completion above.
-
-    The full completion stays symbolic (a view); completed relation blocks
-    are never materialized atom by atom.  Both ends share one lifted plan."""
-    plan = Plan()
-    lower = prob_lifted_detail(q, g.pdb, plan=plan)
-    upper = prob_lifted_detail(q, LambdaCompletionView(g.pdb, g.lam), plan=plan)
+    full completion above, both from one walk that reads each stored row
+    once (:class:`IntervalEvaluator`).  The full completion stays symbolic
+    (a view); completed relation blocks are never materialized."""
+    lower, upper = IntervalEvaluator(g.pdb, g.lam).probability(q)
     return BoundResult(
         kind="open_upper",
         value=upper.value,

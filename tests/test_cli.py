@@ -12,12 +12,12 @@ import pytest
 import owpdb
 from owpdb import dataio
 from owpdb.cli import RunConfig, _result_payload, main, run
-from owpdb.database import Database, Schema
+from owpdb.database import Database, ProbTuple, Schema
 from owpdb.errors import NotInversionFree, SchemaError
 from owpdb.exactdp import mtp_upper_exact
 from owpdb.greedy import greedy_upper
 from owpdb.openworld import MTPConstraint, OpenPDB
-from owpdb.query import Constant, parse_ucq
+from owpdb.query import Atom, Constant, parse_ucq
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -232,6 +232,33 @@ class TestLoaderContract:
             status, out = run(RunConfig(db_dir=str(directory), query="S(x), CoA(x,y)", mode=mode))
             assert status == 1, (mode, out)
             assert out == f"error: {directory / 'CoA.csv'}:3: {message}", mode
+
+    @pytest.mark.parametrize("rows, message", [
+        ("A,B,1.5\nA,Z,0.5", "probability 1.5 outside [0, 1]"),
+        ("A,C,0.5\nA,B,high", "duplicate tuple ('A', 'C')"),
+    ], ids=["range-before-domain", "duplicate-before-probability"])
+    def test_the_first_bad_row_wins(self, tmp_path, rows, message):
+        # row 4's kind of fault is the one the whole-relation checks find first
+        directory = scan_dir(tmp_path, f"A,C,0.5\n\n{rows}\n")
+        status, out = run(RunConfig(db_dir=str(directory), query="S(x), CoA(x,y)", mode="eval"))
+        assert status == 1
+        assert out == f"error: {directory / 'CoA.csv'}:3: {message}"
+
+    def test_the_first_bad_row_wins_in_memory(self):
+        # a dict holds no duplicate and a ProbTuple no probability outside [0, 1]
+        schema = Schema({"R": 2}, tuple(map(Constant, "AB")))
+        for rows, message in (
+            ({("A", "A"): 0.5, ("A", "B"): 1.5, ("A", "Z"): 0.5}, "R('A', 'B'): probability 1.5 outside [0, 1]"),
+            ({("A", "A"): 0.5, ("B",): 0.5, ("A", "B"): "high"}, "R('B',): expected 2 constants and a probability"),
+        ):
+            with pytest.raises(SchemaError) as info:
+                Database(schema, {"R": rows})
+            assert str(info.value) == message
+        atom = lambda *args: Atom("R", tuple(map(Constant, args)))  # noqa: E731
+        tuples = [ProbTuple(atom("A", "A"), 0.5), ProbTuple(atom("A", "A"), 0.25), ProbTuple(atom("A", "Z"), 0.5)]
+        with pytest.raises(SchemaError) as info:
+            Database.from_tuples(schema, tuples)
+        assert str(info.value) == "R(A, A): duplicate tuple ('A', 'A')"
 
     def test_a_relation_no_request_reads_is_not_parsed(self, tmp_path):
         directory = str(scan_dir(tmp_path, "A,B,C,D\n"))

@@ -13,10 +13,10 @@ from owpdb.engine import Evaluator, is_safe, prob_ground, prob_lifted, prob_lift
 from owpdb.errors import CapExceeded, UnsafeQuery
 from owpdb.exactdp import mtp_upper_exact
 from owpdb.greedy import GreedyTrace, greedy_trace, greedy_upper
-from owpdb.openworld import MTPConstraint, OpenPDB, interval_unconstrained, open_tuples
+from owpdb.openworld import IntervalEvaluator, MTPConstraint, OpenPDB, interval_unconstrained, open_tuples
 from owpdb.probability import IMPOSSIBLE, Prob
 from owpdb.query import UCQ, Atom, Constant, parse_ucq
-from owpdb.randgen import rand_cq, rand_schema
+from owpdb.randgen import rand_cq, rand_database, rand_schema
 
 
 def probe_is_safe(q):
@@ -437,3 +437,57 @@ class TestSetAtATime:
             prob_lifted(parse_ucq("S(x), CoA(x,y)", db.schema), db)
             counts.append(len(lifts))
         assert counts[0] == counts[1]
+
+
+class TestOneWalkInterval:
+    """Both interval ends from one walk have the bits of a closed walk and a
+    completion walk, and where a walk refuses it raises what they raise."""
+
+    @staticmethod
+    def outcome(walk):
+        try:
+            return [(p.value, p.logc) for p in walk()]
+        except (UnsafeQuery, CapExceeded) as exc:
+            return type(exc), str(exc)
+
+    def check(self, q, db, lam):
+        one = self.outcome(lambda: IntervalEvaluator(db, lam).probability(q))
+        two = self.outcome(lambda: (prob_lifted_detail(q, db), prob_lifted_detail(q, LambdaCompletionView(db, lam))))
+        assert one == two, (str(q), lam)
+        return one
+
+    def test_one_walk_equals_two_walks(self):
+        rng, shapes, refusals = random.Random(8), set(), set()
+        for _ in range(40):
+            schema = rand_schema(rng, domain_sizes=(2, 3, 5))
+            db = rand_database(rng, schema, density=rng.choice([0.2, 0.5, 0.9]))
+            stored = [Atom(pred, tuple(map(Constant, args))) for pred in schema.predicates for args, _ in db.entries(pred)]
+            views = [db] + ([db.with_overrides({stored[0]: 0.4})] if stored else [])
+            for _ in range(25):
+                q = UCQ([rand_cq(rng, schema, constant_rate=0.25) for _ in range(rng.randint(1, 3))])
+                plan = engine.Plan()
+                for view in views:
+                    got = self.check(q, view, rng.choice([0.0, 0.3, 1.0]))
+                    if type(got) is tuple:
+                        refusals.add(got[0])
+                try:
+                    plan.build(q)
+                except (UnsafeQuery, CapExceeded):
+                    continue
+                for node in set(plan._nodes.values()):
+                    shapes |= {
+                        "repeated variable": node.rule == "atom" and bool(node.leaf[2]),
+                        "inclusion-exclusion": node.rule == "and" and any(len(g) > 1 for g in node.arg),
+                        "or": node.rule == "or",
+                        "nested separator": node.rule == "sep" and bool(node.placeholders),
+                        "mentioned constant": node.rule == "sep" and bool(node.arg[1]),
+                    }.items()
+        assert {name for name, hit in shapes if hit} == {
+            "repeated variable", "inclusion-exclusion", "or", "nested separator", "mentioned constant"}
+        assert UnsafeQuery in refusals
+
+    def test_a_too_wide_plan_is_refused_alike(self):
+        preds = {f"{r}{i}": 1 for i in range(10) for r in "PQ"}
+        db = Database(Schema(preds, (Constant("A"), Constant("B"))), {"P0": {("A",): 0.5}})
+        q = parse_ucq(" | ".join(f"P{i}(x), Q{i}(y)" for i in range(10)), db.schema)
+        assert self.check(q, db, 0.5)[0] is CapExceeded

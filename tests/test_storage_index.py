@@ -200,6 +200,24 @@ class TestWorkIsLinearInRows:
         assert 0 < returned <= 2 * rows
         assert reads() <= 2 * rows
 
+    def test_row_lookups_are_flat_in_domain_size(self, monkeypatch):
+        # a lookup per separator constant would make about n of them
+        calls = []
+        database_rows = Database._rows
+        monkeypatch.setattr(Database, "_rows", lambda self, pred, bound: calls.append(pred) or database_rows(self, pred, bound))
+        counts = []
+        for n in (50, 200):
+            db = scientist_db(n)
+            q = parse_ucq("S(x), CoA(x,y)", db.schema)
+            calls.clear()
+            prob_lifted(q, db)
+            lifted = len(calls)
+            calls.clear()
+            interval_unconstrained(OpenPDB(db, 0.5), q)
+            counts.append((lifted, len(calls)))
+        assert counts[0][0] == counts[1][0]
+        assert all(0 < interval <= lifted for lifted, interval in counts)
+
     @pytest.mark.parametrize("budget", [2, 8])
     def test_exact_dp_probes_a_bounded_number_of_tuples(self, monkeypatch, budget):
         # listing every absent CoA atom would probe n^2 = 40,000 of them
