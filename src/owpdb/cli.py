@@ -135,17 +135,8 @@ def _result_payload(db: Database, result: BoundResult | None) -> dict | None:
 def run(config: RunConfig) -> tuple[int, str]:
     """Execute one configuration; returns (exit status, rendered report)."""
     started = time.perf_counter()
-    payload: dict = {
-        "mode": config.mode,
-        "query": None,
-        "lambda": None,
-        "mtp": None,
-        "budget": None,
-        "result": None,
-        "profile": None,
-        "report": None,
-        "timings_ms": None,
-    }
+    payload: dict = {"mode": config.mode,
+                     **dict.fromkeys(("query", "lambda", "mtp", "budget", "result", "profile", "report", "timings_ms"))}
     notices: list[str] = []
     db: Database | None = None
 

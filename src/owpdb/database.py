@@ -18,7 +18,10 @@ through a lazy index per (predicate, bound positions) instead of a scan
 (a batched leaf reads once with fewer positions bound and groups the rows).
 A database loaded from files validates a relation when a read first
 reaches it, one built in memory at construction, by the same whole-column
-checks, with a row loop naming the first bad row when one fails.
+checks on its columns of args and probabilities as given (a file's fields
+unstripped); only when one fails does a row loop run, over rows a file
+gives with its constants stripped, to name the first bad row or build the
+table.
 Databases and views are immutable once built; concurrent reads are safe:
 a relation's table (with its constants) and each index are built locally
 and published with one assignment, so a reader sees none or a whole one.
@@ -26,8 +29,9 @@ and published with one assignment, so a reader sees none or a whole one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import CompletionOverlap, SchemaError, UnknownPredicate
 from .query import Atom, Constant, Term, Variable
@@ -51,16 +55,13 @@ class Schema:
     def __post_init__(self):
         if not self.domain:
             raise SchemaError("domain must be non-empty")
-        names = [c.name for c in self.domain]
-        if len(set(names)) != len(names):
+        object.__setattr__(self, "_index", {c.name: i for i, c in enumerate(self.domain)})
+        if len(self._index) != len(self.domain):
             raise SchemaError("domain contains duplicate constants")
         for pred, arity in self.predicates.items():
             if arity < 1:
                 raise SchemaError(f"predicate {pred!r} must have arity >= 1")
         object.__setattr__(self, "predicates", dict(self.predicates))
-        object.__setattr__(
-            self, "_index", {c.name: i for i, c in enumerate(self.domain)}
-        )
 
     def arity(self, pred: str) -> int:
         try:
@@ -123,24 +124,25 @@ class _Table(dict):
         return index.get(key, ())
 
 
-def _relation(schema: Schema, pred: str, rows: Sequence[tuple], where: Callable[[object], str]) -> _Table:
-    """The table of ``pred`` from a list of ``(at, args, probability)``
-    rows, checked for arity, a float probability in [0, 1] (not NaN), no
+def _relation(schema: Schema, pred: str, names: Collection[tuple[str, ...]], ps: Iterable[object],
+              rows: Callable[[], Iterable[tuple]], where: Callable[[object], str]) -> _Table:
+    """The table of ``pred`` from its columns of args and probabilities,
+    checked for arity, a float probability in [0, 1] (not NaN), no
     duplicate args and constants of the domain.  The checks run on whole
-    columns; only when one fails does the row loop below find the first bad
-    row, so an error names that row by ``where(at)``."""
+    columns; only when one fails does the row loop below run, over the
+    ``(at, args, probability)`` rows of ``rows()``, to build the table or
+    name the first bad row by ``where(at)``."""
     arity, domain = schema.arity(pred), schema._index
-    _, names, ps = zip(*rows) if rows else ((), (), ())
     try:
         table = _Table(zip(names, map(float, ps)))
         table.constants = frozenset(chain.from_iterable(names))
-        if (len(table) == len(rows) and set(map(len, names)) <= {arity} and table.constants <= domain.keys()
+        if (len(table) == len(names) and set(map(len, names)) <= {arity} and table.constants <= domain.keys()
                 and all(map((0.0).__le__, table.values())) and all(map((1.0).__ge__, table.values()))):
             return table
     except (TypeError, ValueError, OverflowError):
         pass
-    table, names = _Table(), set()
-    for at, args, p in rows:
+    table = _Table()
+    for at, args, p in rows():
         if len(args) != arity:
             raise SchemaError(f"{where(at)}: expected {arity} constants and a probability")
         try:
@@ -149,14 +151,13 @@ def _relation(schema: Schema, pred: str, rows: Sequence[tuple], where: Callable[
             raise SchemaError(f"{where(at)}: bad probability {p!r}") from None
         if args in table:
             raise SchemaError(f"{where(at)}: duplicate tuple {args}")
-        names.update(args)
         for name in args:
             if name not in domain:
                 raise SchemaError(f"{where(at)}: constant {name!r} is not in the domain")
         if not 0.0 <= value <= 1.0:
             raise SchemaError(f"{where(at)}: probability {value} outside [0, 1]")
         table[args] = value
-    table.constants = frozenset(names)
+    table.constants = frozenset(chain.from_iterable(table))
     return table
 
 
@@ -243,13 +244,13 @@ class Database(ProbView):
         self.schema = schema
         self._rels = _Relations(schema.predicates, lambda pred: _Table())
         for pred, table in (relations or {}).items():
-            rows = [(args, args, p) for args, p in table.items()]
-            self._rels[pred] = _relation(schema, pred, rows, f"{pred}{{}}".format)
+            rows = partial(zip, table, table, table.values())
+            self._rels[pred] = _relation(schema, pred, table.keys(), table.values(), rows, f"{pred}{{}}".format)
 
     @classmethod
     def _on_first_read(cls, schema: Schema, read: Callable[[str], tuple]) -> "Database":
-        """A database whose relation ``pred`` is validated from the rows and
-        row namer ``read(pred)`` gives, the first time a read reaches it."""
+        """A database whose relation ``pred`` is validated from what
+        ``read(pred)`` gives, the first time a read reaches it."""
         db = cls(schema)
         db._rels = _Relations(schema.predicates, lambda pred: _relation(schema, pred, *read(pred)))
         return db
@@ -260,7 +261,8 @@ class Database(ProbView):
         for t in tuples:
             rows.setdefault(t.atom.predicate, []).append((t.atom, _args_names(t.atom), t.p))
         for pred, table in rows.items():
-            db._rels[pred] = _relation(schema, pred, table, str)
+            _, names, ps = zip(*table)
+            db._rels[pred] = _relation(schema, pred, names, ps, partial(iter, table), str)
         return db
 
     def default_prob(self, pred: str) -> float:
@@ -276,10 +278,7 @@ class Database(ProbView):
         return self._rels[pred].get(args, 0.0)
 
     def explicit_constants(self, preds: Iterable[str]) -> frozenset[str]:
-        out: set[str] = set()
-        for p in preds:
-            out.update(self._rels[p].constants)
-        return frozenset(out)
+        return frozenset().union(*(self._rels[p].constants for p in preds))
 
     def relation_mass(self, pred: str) -> float:
         return sum(self._rels[pred].values())
@@ -293,12 +292,8 @@ class Database(ProbView):
 
     def uncertain_atoms(self) -> list[Atom]:
         """Stored atoms with probability strictly between 0 and 1."""
-        out = []
-        for pred in sorted(self.schema.predicates):
-            for args, p in sorted(self._rels[pred].items()):
-                if 0.0 < p < 1.0:
-                    out.append(Atom(pred, tuple(Constant(a) for a in args)))
-        return out
+        return [Atom(pred, tuple(map(Constant, args))) for pred in sorted(self.schema.predicates)
+                for args, p in sorted(self._rels[pred].items()) if 0.0 < p < 1.0]
 
     def with_added(self, atoms: Iterable[Atom], p: float) -> "OverlayView":
         """A view with ``atoms`` inserted at probability ``p``.

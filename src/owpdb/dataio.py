@@ -4,7 +4,10 @@ matching instances.
 A database directory holds ``schema.txt`` (lines ``PRED/arity``),
 ``domain.txt`` (one constant per line, order significant), and one
 ``<PRED>.csv`` per predicate with rows ``c1,...,ck,p``, read when a request
-first reads ``PRED``.  The domain must be explicit: open-world completion
+first reads ``PRED`` in one pass of the ``csv`` module's excel dialect (so
+quoted fields as :func:`save_database` writes them, and any line ends),
+blank lines skipped; constants are stripped and the probability text goes
+to ``float``.  The domain must be explicit: open-world completion
 ranges over every constant, not just the mentioned ones.
 ``constraints.txt`` holds exactly one ``lambda=<float>`` line and zero or
 more ``mtp <PRED> <mean_bound>`` lines.
@@ -12,6 +15,8 @@ more ``mtp <PRED> <mean_bound>`` lines.
 from __future__ import annotations
 
 import csv
+import io
+from functools import partial
 from pathlib import Path
 
 from .database import Database, Schema
@@ -25,12 +30,11 @@ def load_schema(directory: str | Path) -> Schema:
     directory = Path(directory)
     schema_path = directory / "schema.txt"
     domain_path = directory / "domain.txt"
-    if not schema_path.is_file():
-        raise SchemaError(f"missing {schema_path}")
-    if not domain_path.is_file():
-        raise SchemaError(f"missing {domain_path}")
+    for path in (schema_path, domain_path):
+        if not path.is_file():
+            raise SchemaError(f"missing {path}")
     preds: dict[str, int] = {}
-    for lineno, raw in enumerate(schema_path.read_text().splitlines(), 1):
+    for lineno, raw in enumerate(_text(schema_path).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -45,12 +49,8 @@ def load_schema(directory: str | Path) -> Schema:
         if name in preds:
             raise SchemaError(f"{schema_path}:{lineno}: duplicate predicate {name!r}")
         preds[name] = arity
-    domain = []
-    for raw in domain_path.read_text().splitlines():
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            domain.append(Constant(line))
-    return Schema(preds, tuple(domain))
+    lines = map(str.strip, _text(domain_path).splitlines())
+    return Schema(preds, tuple(Constant(line) for line in lines if line and line[0] != "#"))
 
 
 def load_database(directory: str | Path) -> Database:
@@ -60,19 +60,42 @@ def load_database(directory: str | Path) -> Database:
     directory = Path(directory)
 
     def read(pred: str):
+        # the constants and probability-text columns, each field as read
         path = directory / f"{pred}.csv"
-        return _csv_rows(path), f"{path}:{{}}".format
+        rows = list(filter(None, _csv_records(path)))
+        ps = list(map(list.pop, rows))
+        return list(map(tuple, rows)), ps, partial(_csv_rows, path), f"{path}:{{}}".format
 
     return Database._on_first_read(load_schema(directory), read)
 
 
-def _csv_rows(path: Path) -> list[tuple[int, tuple[str, ...], str]]:
-    """A relation file's (row number, constants, probability text) rows."""
+def _text(path: Path, newline: str | None = None) -> str:
+    """The text of ``path``; an undecodable byte names the file and line."""
+    try:
+        with path.open(newline=newline) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        lineno = exc.object[:exc.start].count(b"\n") + 1
+        raise SchemaError(f"{path}:{lineno}: {exc}") from None
+
+
+def _csv_records(path: Path) -> list[list[str]]:
+    """A relation file's records as the ``csv`` module's excel dialect reads
+    them, a blank line as ``[]``; a malformed one names the file and line."""
     if not path.is_file():
         return []
-    with path.open(newline="") as fh:
-        return [(rowno, tuple(map(str.strip, row[:-1])), row[-1])
-                for rowno, row in enumerate(csv.reader(fh), 1) if row and (len(row) > 1 or row[0].strip())]
+    reader = csv.reader(io.StringIO(_text(path, newline=""), newline=""))
+    try:
+        return list(reader)
+    except csv.Error as exc:
+        raise SchemaError(f"{path}:{reader.line_num}: {exc}") from None
+
+
+def _csv_rows(path: Path) -> list[tuple[int, tuple[str, ...], str]]:
+    """A relation file's (row number, stripped constants, probability text)
+    rows, blank and whitespace-only lines left out, for the row loop."""
+    return [(rowno, tuple(map(str.strip, row[:-1])), row[-1])
+            for rowno, row in enumerate(_csv_records(path), 1) if row and (len(row) > 1 or row[0].strip())]
 
 
 def load_constraints(directory: str | Path) -> tuple[float | None, list[MTPConstraint]]:
@@ -83,21 +106,24 @@ def load_constraints(directory: str | Path) -> tuple[float | None, list[MTPConst
         return None, []
     lam: float | None = None
     constraints: list[MTPConstraint] = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), 1):
+    for lineno, raw in enumerate(_text(path).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("lambda="):
-            if lam is not None:
-                raise SchemaError(f"{path}:{lineno}: lambda given twice")
-            lam = float(line.partition("=")[2])
-        elif line.startswith("mtp "):
-            parts = line.split()
-            if len(parts) != 3:
-                raise SchemaError(f"{path}:{lineno}: expected 'mtp PRED mean'")
-            constraints.append(MTPConstraint(parts[1], float(parts[2])))
-        else:
-            raise SchemaError(f"{path}:{lineno}: unrecognized line {line!r}")
+        try:
+            if line.startswith("lambda="):
+                if lam is not None:
+                    raise SchemaError("lambda given twice")
+                lam = float(line.partition("=")[2])
+            elif line.startswith("mtp "):
+                parts = line.split()
+                if len(parts) != 3:
+                    raise SchemaError("expected 'mtp PRED mean'")
+                constraints.append(MTPConstraint(parts[1], float(parts[2])))
+            else:
+                raise SchemaError(f"unrecognized line {line!r}")
+        except (SchemaError, ValueError) as exc:
+            raise SchemaError(f"{path}:{lineno}: {exc}") from None
     if lam is None:
         raise SchemaError(f"{path}: missing lambda=<float> line")
     return lam, constraints
@@ -126,23 +152,17 @@ def load_3dm(path: str | Path) -> ThreeDMInstance:
     """Instance file: ``X a b c`` / ``Y ...`` / ``Z ...`` node lines,
     ``E x,y,z`` per hyperedge, and ``k <int>``."""
     path = Path(path)
-    xs: list[Constant] = []
-    ys: list[Constant] = []
-    zs: list[Constant] = []
+    nodes: dict[str, list[Constant]] = {"X": [], "Y": [], "Z": []}
     edges: list[tuple[Constant, Constant, Constant]] = []
     k: int | None = None
-    for lineno, raw in enumerate(path.read_text().splitlines(), 1):
+    for lineno, raw in enumerate(_text(path).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         tag, _, rest = line.partition(" ")
         rest = rest.strip()
-        if tag == "X":
-            xs.extend(Constant(t) for t in rest.split())
-        elif tag == "Y":
-            ys.extend(Constant(t) for t in rest.split())
-        elif tag == "Z":
-            zs.extend(Constant(t) for t in rest.split())
+        if tag in nodes:
+            nodes[tag].extend(Constant(t) for t in rest.split())
         elif tag == "E":
             parts = [t.strip() for t in rest.split(",")]
             if len(parts) != 3:
@@ -154,4 +174,4 @@ def load_3dm(path: str | Path) -> ThreeDMInstance:
             raise SchemaError(f"{path}:{lineno}: unrecognized line {line!r}")
     if k is None:
         raise SchemaError(f"{path}: missing 'k <int>' line")
-    return ThreeDMInstance(tuple(xs), tuple(ys), tuple(zs), frozenset(edges), k)
+    return ThreeDMInstance(tuple(nodes["X"]), tuple(nodes["Y"]), tuple(nodes["Z"]), frozenset(edges), k)

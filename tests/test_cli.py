@@ -207,7 +207,7 @@ def scan_dir(tmp_path, coa_rows):
     schema = Schema({"S": 1, "T": 1, "CoA": 2}, tuple(map(Constant, "ABC")))
     db = Database(schema, {"S": {("A",): 0.5, ("B",): 0.25}, "T": {("C",): 0.5}})
     dataio.save_database(db, tmp_path)
-    (tmp_path / "CoA.csv").write_text(coa_rows)
+    (tmp_path / "CoA.csv").write_text(coa_rows, errors="surrogateescape")  # "\udcff" writes the byte 0xff
     (tmp_path / "constraints.txt").write_text("lambda=0.3\n")
     return tmp_path
 
@@ -225,7 +225,9 @@ class TestLoaderContract:
         ("A,B,1.5", "probability 1.5 outside [0, 1]"),
         ("A,B,-0.5", "probability -0.5 outside [0, 1]"),
         ("A,B,nan", "probability nan outside [0, 1]"),
-    ], ids=["width", "probability", "duplicate", "domain", "above-one", "below-zero", "nan"])
+        ("\udcff,B,0.5", "'utf-8' codec can't decode byte 0xff in position 9: invalid start byte"),
+        (f"A,{'B' * 131073},0.5", "field larger than field limit (131072)"),
+    ], ids=["width", "probability", "duplicate", "domain", "above-one", "below-zero", "nan", "undecodable", "oversized"])
     def test_bad_row_names_its_file_and_row(self, tmp_path, row, message):
         directory = scan_dir(tmp_path, f"A,C,0.5\n\n{row}\n")
         for mode in ("eval", "interval"):
@@ -243,6 +245,38 @@ class TestLoaderContract:
         status, out = run(RunConfig(db_dir=str(directory), query="S(x), CoA(x,y)", mode="eval"))
         assert status == 1
         assert out == f"error: {directory / 'CoA.csv'}:3: {message}"
+
+    @pytest.mark.parametrize("lines, message", [
+        ("lambda=abc", "1: could not convert string to float: 'abc'"),
+        ("lambda=0.3\nmtp CoA abc", "2: could not convert string to float: 'abc'"),
+        ("lambda=0.3\nmtp CoA 2", "2: mean bound 2.0 outside (0, 1]"),
+        ("lambda=0.3\nlambda=0.5", "2: lambda given twice"),
+        ("lambda=0.3\nmtp CoA", "2: expected 'mtp PRED mean'"),
+        ("lambda=0.3\nbudget 3", "2: unrecognized line 'budget 3'"),
+        ("# no lambda", " missing lambda=<float> line"),
+        ("lambda=0.3\n\udcff", "2: 'utf-8' codec can't decode byte 0xff in position 11: invalid start byte"),
+    ], ids=["lambda", "mean", "mean-range", "lambda-twice", "mtp-width", "unrecognized", "no-lambda", "undecodable"])
+    def test_bad_constraints_name_their_file_and_line(self, tmp_path, lines, message):
+        path = scan_dir(tmp_path, "A,C,0.5\n") / "constraints.txt"
+        path.write_text(f"{lines}\n", errors="surrogateescape")
+        status, out = run(RunConfig(db_dir=str(tmp_path), query="S(x)", mode="analyze"))
+        assert (status, out) == (1, f"error: {path}:{message}")
+
+    def test_the_parse_contract(self, tmp_path):
+        # quoted constants as save_database writes them, CRLF line ends,
+        # padding, a blank and a whitespace-only line, no final newline
+        schema = Schema({"R": 2}, tuple(map(Constant, ["A", "B", "Smith, J.", 'the "Don"'])))
+        rows = {("Smith, J.", "A"): 0.5, ("A", "B"): 0.25, ("B", 'the "Don"'): 1.0, ("A", "Smith, J."): 0.0}
+        memory = Database(schema, {"R": rows})
+        dataio.save_database(memory, tmp_path)
+        (tmp_path / "R.csv").write_bytes(
+            b'"Smith, J.",A,0.5\r\n\r\n \t \r\n A ,B , 0.25\r\nB,"the ""Don""",1\r\nA,"Smith, J.",0')
+        loaded = dataio.load_database(tmp_path)
+        assert list(loaded.entries("R")) == list(memory.entries("R"))
+        assert loaded.explicit_constants(["R"]) == memory.explicit_constants(["R"])
+        directory = scan_dir(tmp_path / "padded", "A,C,0.5\nA, C,0.25\n")
+        status, out = run(RunConfig(db_dir=str(directory), query="S(x), CoA(x,y)", mode="eval"))
+        assert (status, out) == (1, f"error: {directory / 'CoA.csv'}:2: duplicate tuple ('A', 'C')")
 
     def test_the_first_bad_row_wins_in_memory(self):
         # a dict holds no duplicate and a ProbTuple no probability outside [0, 1]

@@ -294,3 +294,33 @@ class TestConcurrentFirstReads:
         assert not any(thread.is_alive() for thread in threads)
         assert not errors
         assert got == [expected] * self.THREADS
+
+
+class TestOneCsvPass:
+    """A clean relation file is read in one pass, as columns; the reader of
+    numbered rows runs only when a whole-column check fails."""
+
+    @pytest.fixture
+    def row_reads(self, monkeypatch):
+        calls = []
+        real = dataio._csv_rows
+        monkeypatch.setattr(dataio, "_csv_rows", lambda path: calls.append(path.name) or real(path))
+        return calls
+
+    def test_a_clean_file_makes_no_row_read(self, tmp_path, row_reads):
+        db = scientist_db(250)  # the scan workload's shape: 250 constants, 625 CoA rows
+        dataio.save_database(db, tmp_path)
+        loaded = dataio.load_database(tmp_path)
+        for pred in ("S", "CoA"):
+            assert list(loaded.entries(pred)) == sorted(db.entries(pred))
+        assert row_reads == []
+
+    def test_padding_alone_makes_one_row_read_and_loads(self, tmp_path, row_reads):
+        db = scientist_db(250)
+        dataio.save_database(db, tmp_path)
+        path = tmp_path / "CoA.csv"
+        path.write_text(path.read_text().replace(",", " , ", 1))
+        loaded = dataio.load_database(tmp_path)
+        assert list(loaded.entries("CoA")) == sorted(db.entries("CoA"))
+        assert loaded.explicit_constants(["CoA"]) == db.explicit_constants(["CoA"])
+        assert row_reads == ["CoA.csv"]
