@@ -115,6 +115,8 @@ def load_constraints(directory: str | Path) -> tuple[float | None, list[MTPConst
                 if lam is not None:
                     raise SchemaError("lambda given twice")
                 lam = float(line.partition("=")[2])
+                if not 0.0 <= lam <= 1.0:
+                    raise SchemaError(f"completion probability {lam} outside [0, 1]")
             elif line.startswith("mtp "):
                 parts = line.split()
                 if len(parts) != 3:
@@ -169,7 +171,10 @@ def load_3dm(path: str | Path) -> ThreeDMInstance:
                 raise SchemaError(f"{path}:{lineno}: expected 'E x,y,z'")
             edges.append(tuple(Constant(t) for t in parts))
         elif tag == "k":
-            k = int(rest)
+            try:
+                k = int(rest)
+            except ValueError as exc:
+                raise SchemaError(f"{path}:{lineno}: {exc}") from None
         else:
             raise SchemaError(f"{path}:{lineno}: unrecognized line {line!r}")
     if k is None:

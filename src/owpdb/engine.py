@@ -27,13 +27,10 @@ from one lookup of its rows grouped by the constant.  The call's
 evaluators, one per database it reads, share that plan; each keeps its own
 memo table keyed by plan node and the constants bound to the node's
 placeholders.  Greedy screens every candidate tuple by one reverse pass
-over a round's memo (:meth:`Evaluator.gradient`) and scores the near-best
-exactly through :meth:`Evaluator.conditioned`, which reuses the round's
-memo for every node the tuple cannot touch and re-evaluates only the rest.
-"Safe" means the whole plan builds; a plan too wide to build is
-:class:`CapExceeded`, not unsafe.  Nothing outlives the call: databases
-are never mutated and plans and memo tables are per call, so concurrent
-queries against one database are safe.
+over a round's memo (:meth:`Evaluator.gradient`).  "Safe" means the whole
+plan builds; a plan too wide to build is :class:`CapExceeded`, not unsafe.
+Nothing outlives the call: databases are never mutated and plans and memo
+tables are per call, so concurrent queries against one database are safe.
 """
 from __future__ import annotations
 
@@ -143,13 +140,11 @@ class _Node:
     """A plan node: a minimized union, possibly over placeholders, and its
     rule, filled in by :meth:`Plan.expand` on first use."""
 
-    __slots__ = ("query", "placeholders", "patterns", "rule", "arg", "fresh", "leaf")
+    __slots__ = ("query", "placeholders", "rule", "arg", "fresh", "leaf")
 
     def __init__(self, query: UCQ):
         self.query = query
         self.placeholders = tuple(sorted(c.name for c in query.constants() if type(c) is Placeholder))
-        # predicate -> argument tuples of its atoms, built on first use
-        self.patterns: dict[str, list[tuple]] | None = None
         self.rule = self.arg = self.fresh = self.leaf = None
 
     def key(self, env: Mapping[str, Constant]) -> object:
@@ -318,12 +313,6 @@ class Evaluator:
             cached = self._lift(node, env)
             self._memo[key] = cached
         return cached
-
-    def conditioned(self, atom: Atom) -> Evaluator:
-        """An evaluator of this database with ``atom`` true, on the same plan,
-        that reuses this evaluator's memo wherever ``atom`` cannot change a
-        node's value."""
-        return _Conditioned(self, atom)
 
     def gradient(self, q: UCQ, pred: str) -> Callable[[tuple[str, ...]], float]:
         """dP(``q``)/dp for the absent ``pred`` atoms, on a view where those
@@ -523,66 +512,6 @@ def _add_leaf(leaves: dict, args: tuple, adj: dict[tuple, float]) -> None:
             keys = [tuple(m if k == rep else rep if k == m else k for k in key) for key in keys for m in members]
         for key in keys:
             table[key] = table.get(key, 0.0) + w
-
-
-class _Conditioned(Evaluator):
-    """An evaluator of ``parent.db`` with one atom set true.  A node under an
-    environment is untouched when no atom of its bound union matches the
-    atom and the atom adds no constant to the stored rows of a predicate
-    under the node (that would rebatch a separator's constants), unless the
-    view gives absent atoms of the node's predicates probability 0: then
-    every rebatched child is impossible and moves no bit.  An untouched node
-    takes the parent's memo entry, which is exact for it; every other node
-    is re-evaluated from children that fold in the same order, so values
-    are bit-identical to a fresh evaluator's.  The parent's memo is only
-    read.  A separator's fresh child is evaluated node by node: a batch
-    would recompute every constant's child, not only the touched ones."""
-
-    _evaluate_many = Evaluator._each
-
-    def __init__(self, parent: Evaluator, atom: Atom):
-        super().__init__(parent.db.with_overrides({atom: True}), plan=parent.plan)
-        self._parent = parent._memo
-        self._pred = atom.predicate
-        self._args = tuple(t.name for t in atom.args)
-        self._new_constant = not set(self._args) <= parent.db.explicit_constants((atom.predicate,))
-        self._open = {p for p in parent.db.schema.predicates if parent.db.default_prob(p) > 0.0}
-
-    def evaluate(self, node: _Node, env: Mapping[str, Constant]) -> Prob:
-        key = node.key(env)
-        cached = self._memo.get(key)
-        if cached is None:
-            cached = self._parent.get(key)
-            if cached is None or self._touches(node, env):
-                cached = self._memo[key] = self._lift(node, env)
-        return cached
-
-    def _touches(self, node: _Node, env: Mapping[str, Constant]) -> bool:
-        """Whether the atom can change P(``node``) under ``env``: it matches
-        one of the node's atoms with placeholders bound (a repeated variable
-        must meet one constant), or it brings a new constant to a predicate
-        the node reads and the node reads one with absent atoms possible."""
-        if node.patterns is None:
-            node.patterns = {}
-            for a in node.query.all_atoms():
-                node.patterns.setdefault(a.predicate, []).append(a.args)
-        patterns = node.patterns.get(self._pred)
-        if patterns is None:
-            return False
-        if self._new_constant and not self._open.isdisjoint(node.patterns):
-            return True
-        for args in patterns:
-            seen = {}
-            for t, name in zip(args, self._args):
-                kind = type(t)
-                if kind is Variable:
-                    if seen.setdefault(t.name, name) != name:
-                        break
-                elif (env[t.name] if kind is Placeholder else t).name != name:
-                    break
-            else:
-                return True
-        return False
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,26 @@ classic consequence: picking the best tuple ``B`` times lands within a
 factor ``1 - 1/e`` of the optimal gain, which brackets the true optimum
 between the greedy value and ``(e * p_greedy - p_closed) / (e - 1)``.
 
-Every round picks by (gain, canonical order), so results are deterministic.
 A round screens every candidate with one gradient pass over its evaluation
-and scores exactly only the near-best (:func:`greedy_trace`).
+and scores exactly only the one it picks: the first in canonical order
+whose screen is within :data:`WINDOW` of the best (:func:`greedy_trace`),
+so results are deterministic.
+
+The window is relative, ``best - WINDOW * |best|``, and sized by the
+screen's rounding error.  Each plan level the reverse pass crosses
+multiplies an adjoint by values or complements computed to a few ulps
+(``eps = 2**-53``, about 1.1e-16), so a product path of ``d`` levels is off
+by a relative ``4 * d * eps`` or so, and a complement summed from ``m`` logs
+by about ``m * eps * |log complement|``.  An inclusion-exclusion group, at
+most ``2**12`` terms under the plan's cap, is off by about ``2**12 * eps``
+times the sum of its terms' absolute values.  ``WINDOW = 1e-9`` covers
+product paths of a million levels and inclusion-exclusion sums whose
+absolute terms outweigh the best gain up to 2000 times; exact ties land in
+it whatever the rounding.  A pick within the window gives up at most
+``WINDOW * lam`` of gain against the exact best, so the bracket holds up to
+``B * WINDOW * lam`` (``e / (e - 1)`` times that at its upper end).  Where
+a screen's error exceeds the window (gains near 0 under a wide
+inclusion-exclusion), a round gives up at most that error instead.
 """
 from __future__ import annotations
 
@@ -28,10 +45,8 @@ from .openworld import (
 )
 from .query import Atom, UCQ, has_self_join
 
-# Screening tolerance: a round conditions every candidate whose screened
-# gain is within 2 * TOL of the best one, which holds the exact argmax and
-# its exact ties whenever no screened gain is off by more than TOL.
-TOL = 1e-12
+# Relative width of a round's pick window, sized in the module docstring.
+WINDOW = 1e-9
 
 
 def set_query_prob(g: OpenPDB, q: UCQ, x) -> float:
@@ -75,19 +90,20 @@ def greedy_trace(
 ) -> GreedyTrace:
     """Run the greedy loop and report picks, gains, and bounds.
 
-    Tuples are added one at a time, each round taking the open tuple with
-    the largest marginal gain (ties in canonical atom order), until the
-    budget is spent, the best gain is zero or the value is 1.0.  The set
-    function is multilinear, so a tuple's gain is ``lam`` times the
-    derivative of P(q) in its probability: one reverse pass over the round's
-    evaluation (:meth:`Evaluator.gradient`) screens every candidate, and
-    only those within ``2 * TOL`` of the best screened gain are scored
-    exactly, by an evaluator (:meth:`Evaluator.conditioned`) that reuses the
-    round's memo for every plan node the candidate cannot change, with
-    gains bit-identical to a fresh evaluation of the conditioned database.
-    While no screened gain is off by more than ``TOL``, that window holds
-    the best candidate and its ties, so the picks are those of scoring every
-    candidate.  One lifted plan serves every evaluation of the run.
+    Tuples are added one at a time until the budget is spent, the pick's
+    gain is zero or the value is 1.0.  P(q) is multilinear in each tuple's
+    probability, so a tuple's gain is ``lam`` times the derivative of P(q)
+    in its probability (Calinescu, Chekuri, Pal & Vondrak, SIAM J. Comput.
+    2011): one reverse pass over the round's evaluation
+    (:meth:`Evaluator.gradient`) screens every candidate.  The round picks
+    the first candidate in canonical atom order whose screen is at least
+    ``best - WINDOW * |best|``, and scores only that one exactly, as
+    ``lam * (P(q | tuple true) - P(q))`` from a fresh evaluator of the
+    database with the tuple true; that is the gain the trace reports.  The
+    pick differs from the exact best only when the two true gains are
+    within the window, so the bracket holds up to ``budget * WINDOW * lam``
+    (the module docstring sizes the window).  One lifted plan serves every
+    evaluation of the run.
     """
     plan = Plan().build(q)
     if budget is None:
@@ -104,18 +120,14 @@ def greedy_trace(
     # at 1.0 no gain can be positive: every value is clamped to at most 1
     while lam > 0.0 and len(picks) < budget and candidates and p_cur < 1.0:
         screen = base.gradient(q, c.relation)
-        screened = [lam * screen(args) for _, args in candidates]
-        top = max(screened) - 2 * TOL
-        # the exact gain lam * (P(q | t true) - P(q)) of each candidate in
-        # the window; the first best, in canonical order, wins
-        gain, i = max(
-            ((lam * (base.conditioned(candidates[i][0]).probability(q).value - p_cur), i)
-             for i, s in enumerate(screened) if s >= top),
-            key=lambda pair: pair[0],
-        )
+        screened = [screen(args) for _, args in candidates]
+        best = max(screened)
+        i = next(i for i, s in enumerate(screened) if s >= best - WINDOW * abs(best))
+        atom = candidates.pop(i)[0]
+        gain = lam * (Evaluator(base.db.with_overrides({atom: True}), plan=plan).probability(q).value - p_cur)
         if gain <= 0.0:
             break
-        picks.append((candidates.pop(i)[0], gain))
+        picks.append((atom, gain))
         base = Evaluator(g.pdb.with_added([a for a, _ in picks], lam), plan=plan)
         p_cur = base.probability(q).value
     p_greedy = p_cur

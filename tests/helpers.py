@@ -1,13 +1,16 @@
 """Test-only helpers: the world-enumeration oracle with the Herbrand
-grounding it enumerates, and random 3-dimensional matching instances."""
+grounding it enumerates, its exact rational form with greedy over exact
+gains, and random 3-dimensional matching instances."""
 import itertools
 import math
 import random
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from owpdb.errors import CapExceeded
+from owpdb.openworld import open_tuples
 from owpdb.oracle import ThreeDMInstance
 from owpdb.probability import CERTAIN, IMPOSSIBLE, Prob
 from owpdb.query import UCQ, Atom, Constant
@@ -74,6 +77,54 @@ def enumerate_worlds(q, db, cap_worlds=24):
     if comp <= 0.0:
         return CERTAIN if value >= 1.0 else Prob.from_value(value)
     return Prob(value, math.log(min(comp, 1.0)))
+
+
+def exact_prob(q, db) -> Fraction:
+    """P(``q``) as the exact fraction of ``db``'s float probabilities: the
+    worlds of the uncertain tuples of its Herbrand grounding, enumerated in
+    canonical atom order, a branch cut off once its partial world decides
+    ``q``.  Stdlib only: no rounding anywhere."""
+    clauses = set()
+    for conj in ground(q, db.schema.domain):
+        probs = {atom: db.atom_prob(atom) for atom in conj}
+        if min(probs.values()) > 0.0:
+            clauses.add(frozenset(atom for atom, p in probs.items() if p < 1.0))
+    atoms = sorted(set().union(*clauses), key=db.schema.atom_key)
+    probs = [Fraction(db.atom_prob(atom)) for atom in atoms]
+    bit = {atom: 1 << i for i, atom in enumerate(atoms)}
+
+    def worlds(i, masks):
+        # masks: the clauses no earlier tuple falsified, less the true ones
+        if 0 in masks:
+            return Fraction(1)
+        if not masks:
+            return Fraction(0)
+        b = 1 << i
+        if not any(m & b for m in masks):
+            return worlds(i + 1, masks)
+        true, false = frozenset(m & ~b for m in masks), frozenset(m for m in masks if not m & b)
+        return probs[i] * worlds(i + 1, true) + (1 - probs[i]) * worlds(i + 1, false)
+
+    return worlds(0, frozenset(sum(map(bit.get, c)) for c in clauses))
+
+
+def rational_greedy(g, c, q, budget):
+    """Greedy over exact rational gains, the reference for ``greedy_trace``:
+    per round, the pick (the first open tuple in canonical order with the
+    best gain) and every remaining open tuple's gain ``lam * (P(q | t
+    true) - P(q))`` by :func:`exact_prob`.  Stops at the budget or when no
+    gain is positive."""
+    lam, opens, picked, rounds = Fraction(g.lam), open_tuples(g, c.relation), [], []
+    while len(picked) < budget:
+        view = g.pdb.with_added(picked, g.lam) if picked else g.pdb
+        p = exact_prob(q, view)
+        gains = {t: lam * (exact_prob(q, view.with_overrides({t: True})) - p) for t in opens if t not in picked}
+        best = max(gains.values(), default=0)
+        if best <= 0:
+            break
+        picked.append(next(t for t, gain in gains.items() if gain == best))
+        rounds.append((picked[-1], gains))
+    return rounds
 
 
 def rand_3dm(rng: random.Random, *, side: int = 3, max_edges: int = 9) -> ThreeDMInstance:

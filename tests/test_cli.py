@@ -248,6 +248,7 @@ class TestLoaderContract:
 
     @pytest.mark.parametrize("lines, message", [
         ("lambda=abc", "1: could not convert string to float: 'abc'"),
+        ("lambda=2", "1: completion probability 2.0 outside [0, 1]"),
         ("lambda=0.3\nmtp CoA abc", "2: could not convert string to float: 'abc'"),
         ("lambda=0.3\nmtp CoA 2", "2: mean bound 2.0 outside (0, 1]"),
         ("lambda=0.3\nlambda=0.5", "2: lambda given twice"),
@@ -255,11 +256,23 @@ class TestLoaderContract:
         ("lambda=0.3\nbudget 3", "2: unrecognized line 'budget 3'"),
         ("# no lambda", " missing lambda=<float> line"),
         ("lambda=0.3\n\udcff", "2: 'utf-8' codec can't decode byte 0xff in position 11: invalid start byte"),
-    ], ids=["lambda", "mean", "mean-range", "lambda-twice", "mtp-width", "unrecognized", "no-lambda", "undecodable"])
+    ], ids=["lambda", "lambda-range", "mean", "mean-range", "lambda-twice", "mtp-width", "unrecognized", "no-lambda", "undecodable"])
     def test_bad_constraints_name_their_file_and_line(self, tmp_path, lines, message):
         path = scan_dir(tmp_path, "A,C,0.5\n") / "constraints.txt"
         path.write_text(f"{lines}\n", errors="surrogateescape")
         status, out = run(RunConfig(db_dir=str(tmp_path), query="S(x)", mode="analyze"))
+        assert (status, out) == (1, f"error: {path}:{message}")
+
+    @pytest.mark.parametrize("lines, message", [
+        ("k abc", "6: invalid literal for int() with base 10: 'abc'"),
+        ("E X1,Y1", "6: expected 'E x,y,z'"),
+        ("W X1", "6: unrecognized line 'W X1'"),
+        ("", " missing 'k <int>' line"),
+    ], ids=["k", "edge-width", "unrecognized", "no-k"])
+    def test_bad_instance_names_its_file_and_line(self, tmp_path, lines, message):
+        path = tmp_path / "matching.txt"
+        path.write_text(f"X X1 X2\nY Y1 Y2\nZ Z1 Z2\nE X1,Y1,Z1\nE X2,Y2,Z2\n{lines}\n")
+        status, out = run(RunConfig(mode="demo3dm", instance=str(path)))
         assert (status, out) == (1, f"error: {path}:{message}")
 
     def test_the_parse_contract(self, tmp_path):

@@ -1,21 +1,33 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from owpdb.database import Database, LambdaCompletionView, Schema
 from owpdb.engine import Evaluator, Plan, prob_ground
-from owpdb.greedy import TOL, greedy_trace, greedy_upper, set_query_prob
+from owpdb.greedy import WINDOW, greedy_trace, greedy_upper, set_query_prob
 from owpdb.openworld import MTPConstraint, OpenPDB, interval_unconstrained, open_tuples
 from owpdb.oracle import mtp_upper_bruteforce
 from owpdb.query import Atom, Constant, parse_ucq
 from owpdb.randgen import rand_mtp_instance
 
+from helpers import rational_greedy
+
 
 def empty_unary(n=2, lam=0.5):
     schema = Schema({"R": 1}, tuple(Constant(c) for c in "ABCDEF"[:n]))
     return OpenPDB(Database(schema), lam)
+
+
+def self_join_instance():
+    schema = Schema({"R": 2, "S": 2}, tuple(Constant(n) for n in "ABC"))
+    db = Database(schema, {
+        "R": {("A", "A"): 0.3, ("B", "C"): 0.1, ("C", "A"): 0.4, ("C", "B"): 0.8, ("C", "C"): 0.2},
+        "S": {("A", "B"): 0.6, ("B", "A"): 0.0, ("B", "C"): 0.0},
+    })
+    return OpenPDB(db, 0.8), parse_ucq("R(z, z), S(C, z), S(y, y)", schema)
 
 
 class TestSetFunction:
@@ -130,13 +142,7 @@ class TestGreedy:
     def test_self_join_gain_that_grows_is_picked(self):
         # not submodular: S(C, A) gains nothing in round 0 and 0.1536 once
         # S(C, C) is in, so a round must score it again, not trust round 0
-        schema = Schema({"R": 2, "S": 2}, tuple(Constant(n) for n in "ABC"))
-        db = Database(schema, {
-            "R": {("A", "A"): 0.3, ("B", "C"): 0.1, ("C", "A"): 0.4, ("C", "B"): 0.8, ("C", "C"): 0.2},
-            "S": {("A", "B"): 0.6, ("B", "A"): 0.0, ("B", "C"): 0.0},
-        })
-        g = OpenPDB(db, 0.8)
-        q = parse_ucq("R(z, z), S(C, z), S(y, y)", schema)
+        g, q = self_join_instance()
         trace = greedy_trace(g, MTPConstraint("S", 1.0), q, budget=3)
         picked = []
         for atom, gain in trace.picks:
@@ -189,30 +195,17 @@ class TestSubmodularity:
             checked += 1
 
 
-@pytest.fixture
-def scored(monkeypatch):
-    """Checks every candidate evaluator greedy builds against the
-    conditioning oracle, a fresh evaluator of the conditioned database on
-    the same plan, with ``==``; records (round database, candidate) per
-    check."""
-    seen = []
-    real = Evaluator.conditioned
-
-    def conditioned(self, atom):
-        derived = real(self, atom)
-        probability = derived.probability
-
-        def checked(q):
-            got = probability(q)
-            assert got == Evaluator(self.db.with_overrides({atom: True}), plan=self.plan).probability(q), atom
-            seen.append((self.db, atom))
-            return got
-
-        derived.probability = checked
-        return derived
-
-    monkeypatch.setattr(Evaluator, "conditioned", conditioned)
-    return seen
+def assert_conditioning_gains(g, q, trace):
+    """Every gain ``trace`` reports is ``lam * (P(q | t true) - P(q))`` on
+    its round's database, each P from a fresh evaluator, bit for bit;
+    returns those databases."""
+    plan = Plan().build(q)
+    picks = [a for a, _ in trace.picks]
+    views = [g.pdb] + [g.pdb.with_added(picks[:k], g.lam) for k in range(1, len(picks))]
+    for view, (atom, gain) in zip(views, trace.picks):
+        p = Evaluator(view, plan=plan).probability(q).value
+        assert gain == g.lam * (Evaluator(view.with_overrides({atom: True}), plan=plan).probability(q).value - p), atom
+    return views
 
 
 def brings_new_constant(db, atom):
@@ -233,32 +226,35 @@ def sparse_db():
 
 
 class TestIncrementalGains:
-    """A candidate's evaluator reuses the round's memo for the plan nodes the
-    candidate cannot touch; its gains equal conditioning's bit for bit."""
+    """A round scores only its pick, and the gain it reports is that of
+    conditioning on the pick, bit for bit."""
 
     def run(self, text):
         db = sparse_db()
-        return greedy_trace(OpenPDB(db, 0.6), MTPConstraint("CoA", 0.9), parse_ucq(text, db.schema), budget=3)
+        g, q = OpenPDB(db, 0.6), parse_ucq(text, db.schema)
+        trace = greedy_trace(g, MTPConstraint("CoA", 0.9), q, budget=3)
+        return trace, assert_conditioning_gains(g, q, trace)
 
     @pytest.mark.parametrize("self_join_free", [True, False])
-    def test_random_instances(self, scored, self_join_free):
+    def test_random_instances(self, self_join_free):
         rng = random.Random(70)
+        views = []
         for _ in range(60):
             g, c, q, _ = rand_mtp_instance(rng, self_join_free=self_join_free)
-            greedy_trace(g, c, q)
-        first = sum(1 for db, _ in scored if isinstance(db, Database))
-        assert 0 < first < len(scored)  # round 0 reads the database, later rounds an overlay
+            views += assert_conditioning_gains(g, q, greedy_trace(g, c, q))
+        first = sum(1 for db in views if isinstance(db, Database))
+        assert 0 < first < len(views)  # round 0 reads the database, later rounds an overlay
 
-    def test_candidate_with_new_constant(self, scored):
-        trace = self.run("S(x), CoA(x, y)")
+    def test_candidate_with_new_constant(self):
+        trace, views = self.run("S(x), CoA(x, y)")
         assert len(trace.picks) == 3
-        assert any(brings_new_constant(db, atom) for db, atom in scored)
-        assert any(not brings_new_constant(db, atom) for db, atom in scored)
+        assert any(brings_new_constant(db, atom) for db, (atom, _) in zip(views, trace.picks))
 
     def test_new_constant_rebatches_a_completed_separator(self):
         # With completed relations the constants of no stored row carry
         # probability, and a candidate that makes one explicit moves it out
-        # of the batched rest: the root's factors fold in another order.
+        # of the batched rest: an evaluator on the plan greedy shares across
+        # its rounds gives the bits of one on a plan of its own.
         schema = Schema({"S": 1, "CoA": 2}, tuple(Constant(n) for n in "ABCDEFG"))
         db = Database(schema, {
             "S": {("A",): 0.3, ("B",): 0.1, ("C",): 0.9},
@@ -267,46 +263,98 @@ class TestIncrementalGains:
         q = parse_ucq("S(x), CoA(x, x)", schema)
         view = LambdaCompletionView(db, 0.3)
         plan = Plan().build(q)
-        base = Evaluator(view, plan=plan)
-        base.probability(q)
+        Evaluator(view, plan=plan).probability(q)
         candidates = open_tuples(OpenPDB(db, 0.3), "CoA")
         assert any(brings_new_constant(db, t) for t in candidates)
         for t in candidates:
-            assert base.conditioned(t).probability(q) == Evaluator(view.with_overrides({t: True}), plan=plan).probability(q), t
+            conditioned = view.with_overrides({t: True})
+            assert Evaluator(conditioned, plan=plan).probability(q) == Evaluator(conditioned).probability(q), t
 
     @pytest.mark.parametrize("text", [
         "S(x), CoA(x, C)",
         "CoA(x, B) | CoA(x, D)",
         "R(x), CoA(x, B) | S(z), CoA(z, D)",
     ])
-    def test_query_with_constants(self, scored, text):
-        self.run(text)
-        assert scored
+    def test_query_with_constants(self, text):
+        trace, _ = self.run(text)
+        assert trace.picks
 
-    def test_repeated_variable(self, scored):
-        trace = self.run("S(x), CoA(x, x)")
+    def test_repeated_variable(self):
+        trace, views = self.run("S(x), CoA(x, x)")
         assert all(a.args[0] == a.args[1] for a, _ in trace.picks)
-        # greedy conditions the diagonal only; every candidate, directly
+        # off the diagonal a candidate screens 0 and conditioning on it
+        # leaves P unchanged, in every round
         db = sparse_db()
         q = parse_ucq("S(x), CoA(x, x)", db.schema)
-        picks = [a for a, _ in trace.picks]
         plan = Plan().build(q)
-        for k in range(len(picks) + 1):
-            base = Evaluator(db.with_added(picks[:k], 0.6) if k else db, plan=plan)
-            base.probability(q)
+        for view in views:
+            base = Evaluator(view, plan=plan)
+            p = base.probability(q)
+            screen = base.gradient(q, "CoA")
             for atom in open_tuples(OpenPDB(db, 0.6), "CoA"):
-                if atom not in picks[:k]:
-                    base.conditioned(atom).probability(q)
-        assert any(a.args[0] != a.args[1] for _, a in scored)
+                if atom.args[0] != atom.args[1] and not view.is_explicit("CoA", tuple(t.name for t in atom.args)):
+                    assert screen(tuple(t.name for t in atom.args)) == 0.0, atom
+                    assert Evaluator(view.with_overrides({atom: True}), plan=plan).probability(q) == p, atom
 
     @pytest.mark.parametrize("text", [
         "R(x), CoA(x, y) | T(x, y), CoA(x, B)",
         "CoA(x, y), CoA(A, y)",
     ])
-    def test_self_join(self, scored, text):
-        trace = self.run(text)
+    def test_self_join(self, text):
+        trace, views = self.run(text)
         assert not trace.guarantee and trace.picks
-        assert any(not isinstance(db, Database) for db, _ in scored)
+        assert any(not isinstance(db, Database) for db in views)
+
+
+class TestRationalReference:
+    """Greedy picks what greedy over exact rational gains picks, wherever
+    no other gain lies strictly between the best and twice the window
+    below it, and reports each gain to within rounding."""
+
+    def assert_matches(self, g, c, q, budget):
+        trace = greedy_trace(g, c, q, budget=budget)
+        rounds = rational_greedy(g, c, q, budget)
+        for k, (pick, gains) in enumerate(rounds):
+            best = gains[pick]
+            if any(best * (1 - 2 * Fraction(WINDOW)) < gain < best for gain in gains.values()):
+                return k  # a near tie: the two rules may part here
+            assert k < len(trace.picks), (k, pick)
+            assert trace.picks[k][0] == pick, k
+            assert trace.picks[k][1] == pytest.approx(float(best), rel=1e-12, abs=1e-15)
+        assert len(trace.picks) == len(rounds)
+        return len(rounds)
+
+    @pytest.mark.parametrize("self_join_free", [True, False])
+    def test_random_instances(self, self_join_free):
+        rng = random.Random(72)
+        compared = 0
+        for _ in range(200):
+            g, c, q, budget = rand_mtp_instance(rng, self_join_free=self_join_free)
+            compared += self.assert_matches(g, c, q, budget)
+        assert compared > 140  # rounds
+
+    def test_exact_tie_goes_to_canonical_order(self):
+        # test_self_join_gain_that_grows_is_picked's instance: in round 2
+        # S(A, A) and S(B, B) tie exactly
+        g, q = self_join_instance()
+        rounds = rational_greedy(g, MTPConstraint("S", 1.0), q, 3)
+        last_pick, last_gains = rounds[2]
+        assert str(last_pick) == "S(A, A)"
+        assert last_gains[last_pick] == last_gains[Atom("S", (Constant("B"), Constant("B")))]
+        assert self.assert_matches(g, MTPConstraint("S", 1.0), q, 3) == 3
+
+    def test_gains_apart_by_more_than_the_window(self):
+        # R(B)'s gain beats R(A)'s by a relative 2e-7: the later tuple wins
+        schema = Schema({"R": 1, "S": 1}, (Constant("A"), Constant("B")))
+        g = OpenPDB(Database(schema, {"S": {("A",): 0.5, ("B",): 0.5000001}}), 0.5)
+        q = parse_ucq("S(x), R(x)", schema)
+        assert self.assert_matches(g, MTPConstraint("R", 0.9), q, 1) == 1
+        assert str(greedy_trace(g, MTPConstraint("R", 0.9), q, budget=1).picks[0][0]) == "R(B)"
+
+    def test_symmetric_unary(self):
+        g = empty_unary(4, lam=0.5)
+        q = parse_ucq("R(x)", g.schema)
+        assert self.assert_matches(g, MTPConstraint("R", 0.9), q, 3) == 3
 
 
 def gain_errors(view, q, rel, lam, plan):
@@ -320,7 +368,8 @@ def gain_errors(view, q, rel, lam, plan):
     for combo in itertools.product(view.schema.domain, repeat=view.schema.arity(rel)):
         args = tuple(t.name for t in combo)
         if not view.is_explicit(rel, args):
-            exact = lam * (base.conditioned(Atom(rel, combo)).probability(q).value - p)
+            conditioned = Evaluator(view.with_overrides({Atom(rel, combo): True}), plan=plan)
+            exact = lam * (conditioned.probability(q).value - p)
             errors.append(abs(lam * screen(args) - exact))
     return errors
 
@@ -334,12 +383,12 @@ def screening_errors(g, c, q, *, plan=None):
 
 
 def assert_screened(errors):
-    assert errors and all(e <= TOL / 100 for e in errors)  # a NaN fails too
+    assert errors and all(e <= 1e-14 for e in errors)  # a NaN fails too
 
 
 class TestGradientOracle:
-    """One reverse pass screens every candidate within TOL / 100 of its
-    exact gain, so the window always holds the exact argmax."""
+    """One reverse pass screens every candidate within 1e-14 of its exact
+    gain, well inside the pick window on these gains."""
 
     @pytest.mark.parametrize("self_join_free", [True, False])
     def test_random_instances(self, self_join_free):

@@ -3,7 +3,6 @@ independent of the domain's size."""
 import itertools
 import random
 import sys
-import weakref
 
 import pytest
 
@@ -13,7 +12,7 @@ from owpdb.engine import Evaluator, is_safe, prob_ground, prob_lifted, prob_lift
 from owpdb.errors import CapExceeded, UnsafeQuery
 from owpdb.exactdp import mtp_upper_exact
 from owpdb.greedy import GreedyTrace, greedy_trace, greedy_upper
-from owpdb.openworld import IntervalEvaluator, MTPConstraint, OpenPDB, interval_unconstrained, open_tuples
+from owpdb.openworld import IntervalEvaluator, MTPConstraint, OpenPDB, interval_unconstrained
 from owpdb.probability import IMPOSSIBLE, Prob
 from owpdb.query import UCQ, Atom, Constant, parse_ucq
 from owpdb.randgen import rand_cq, rand_database, rand_schema
@@ -140,105 +139,82 @@ def stored_scientist_db(n, seed=1):
 
 
 @pytest.fixture
-def scoring_lifts(monkeypatch):
-    """``Evaluator._lift`` calls made by candidate evaluators: per scored
-    candidate, the candidate and the plan nodes it re-evaluated."""
-    scorings: list[tuple] = []
-    by_evaluator = weakref.WeakKeyDictionary()
-    real_lift, real_conditioned = Evaluator._lift, Evaluator.conditioned
+def greedy_work(monkeypatch):
+    """What greedy builds: per ``Evaluator``, its database and the plan
+    nodes it lifts; and a count of screening rounds (gradient passes)."""
+    evaluators, rounds = [], [0]
+    real_init, real_lift, real_gradient = Evaluator.__init__, Evaluator._lift, Evaluator.gradient
 
-    def conditioned(self, atom):
-        derived = real_conditioned(self, atom)
-        scorings.append((atom, []))
-        by_evaluator[derived] = scorings[-1][1]
-        return derived
+    def init(self, db, **kwargs):
+        evaluators.append((db, []))
+        self._lifts = evaluators[-1][1]
+        real_init(self, db, **kwargs)
 
     def lift(self, node, env):
-        if self in by_evaluator:
-            by_evaluator[self].append(node)
+        self._lifts.append(node)
         return real_lift(self, node, env)
 
-    monkeypatch.setattr(Evaluator, "conditioned", conditioned)
+    def gradient(self, *args):
+        rounds[0] += 1
+        return real_gradient(self, *args)
+
+    monkeypatch.setattr(Evaluator, "__init__", init)
     monkeypatch.setattr(Evaluator, "_lift", lift)
-    return scorings
+    monkeypatch.setattr(Evaluator, "gradient", gradient)
+    return evaluators, rounds
 
 
-def condition_every_candidate(scorings, db, text, budget):
-    """Greedy on ``S``/``CoA`` at budget ``budget``, then every open ``CoA``
-    tuple conditioned on the database of each round that scores, as
-    scoring every candidate would; ``scorings`` keeps only those."""
-    g, q = OpenPDB(db, 0.5), parse_ucq(text, db.schema)
-    picks = [a for a, _ in greedy_trace(g, MTPConstraint("CoA", 0.5), q, budget=budget).picks]
-    scorings.clear()
-    plan = engine.Plan().build(q)
-    for k in range(min(len(picks) + 1, budget)):
-        base = Evaluator(db.with_added(picks[:k], 0.5) if k else db, plan=plan)
-        base.probability(q)
-        for atom in open_tuples(g, "CoA"):
-            if atom not in picks[:k]:
-                base.conditioned(atom).probability(q)
+def greedy_on(db, budget):
+    q = parse_ucq("S(x), CoA(x,y)", db.schema)
+    return greedy_trace(OpenPDB(db, 0.5), MTPConstraint("CoA", 0.5), q, budget=budget)
 
 
 class TestGreedyWork:
-    """A candidate re-evaluates only the plan nodes its tuple can touch, so
-    its work does not grow with the domain; greedy conditions only the
-    candidates its gradient screen cannot tell apart from the best."""
+    """A round screens every candidate with one gradient pass and evaluates
+    only its pick, so a run builds two evaluators per round besides the
+    first, each lifting as many plan nodes whatever the domain size."""
 
-    def test_recomputed_nodes_per_candidate_are_flat(self, scoring_lifts):
-        per_candidate = []
-        for n in (16, 48):
-            condition_every_candidate(scoring_lifts, stored_scientist_db(n), "S(x), CoA(x,y)", 2)
-            calls = [len(nodes) for _, nodes in scoring_lifts]
-            assert len(calls) > n * n // 2
-            per_candidate.append(max(calls))
-        # the root, the candidate's separator child and its CoA block
-        assert per_candidate == [3, 3]
-
-    def test_closed_world_candidate_with_a_new_constant_stays_flat(self, scoring_lifts):
-        # CoA stores rows among c00-c07 only, so a candidate on c08-c15
-        # brings CoA a new constant: on the closed-world view it only moves
-        # impossible children out of the root's batched rest
-        db = stored_scientist_db(16)
-        stored = {args: p for args, p in db.entries("CoA") if max(args) < "c08"}
-        db = Database(db.schema, {"S": dict(db.entries("S")), "CoA": stored})
-        condition_every_candidate(scoring_lifts, db, "S(x), CoA(x,y)", 1)
-        new = [len(nodes) for a, nodes in scoring_lifts if max(t.name for t in a.args) >= "c08"]
-        assert len(new) > 100
-        assert max(new) == 3
-
-    def test_repeated_variable_off_the_diagonal_touches_nothing(self, scoring_lifts):
-        condition_every_candidate(scoring_lifts, stored_scientist_db(16), "S(x), CoA(x,x)", 2)
-        assert {len(nodes) for a, nodes in scoring_lifts if a.args[0] != a.args[1]} == {0}
-        assert all(nodes for a, nodes in scoring_lifts if a.args[0] == a.args[1])
+    def test_recomputed_nodes_per_candidate_are_flat(self, greedy_work):
+        evaluators, _ = greedy_work
+        per_evaluator = []
+        for n in (16, 40):
+            evaluators.clear()
+            greedy_on(stored_scientist_db(n), 2)
+            assert len(evaluators) == 5
+            per_evaluator.append([len(nodes) for _, nodes in evaluators])
+        assert per_evaluator[0] == per_evaluator[1]
 
     @pytest.mark.parametrize("n", [16, 48])
-    def test_greedy_conditions_at_most_n_candidates_per_round(self, scoring_lifts, n):
-        # a candidate CoA(a, b) screens the same for every b, so the window
-        # of the best is one row of the domain; scoring every candidate
-        # conditions more than n * n / 2 in round 0
-        db = stored_scientist_db(n)
-        screens = []
-        real = Evaluator.gradient
+    def test_greedy_conditions_at_most_n_candidates_per_round(self, greedy_work, n):
+        # a candidate CoA(a, b) screens the same for every b, so scoring
+        # every candidate in the window of the best would score a row of
+        # the domain per round; one evaluator scores the pick (at n = 48
+        # the closed value rounds to 1.0 and no round runs)
+        evaluators, rounds = greedy_work
+        trace = greedy_on(stored_scientist_db(n), 3)
+        assert rounds[0] == len(trace.picks) <= 3
+        assert len(evaluators) <= 1 + 2 * rounds[0]
 
-        def gradient(self, *args):
-            screens.append(len(scoring_lifts))
-            return real(self, *args)
+    def test_near_saturated_value_builds_two_evaluators_per_round(self, greedy_work):
+        # every gain is below 7e-12, so an absolute window of 2e-12 about
+        # the best held 104 of the 1414 candidates in round 0 and scoring
+        # them all took over a second; the witness is the one that gave
+        evaluators, rounds = greedy_work
+        trace = greedy_on(stored_scientist_db(40), 8)
+        assert sorted(str(a) for a, _ in trace.picks) == [
+            f'CoA("{a}", "{b}")' for a, b in [("c03", "c00"), ("c04", "c00"), ("c04", "c02"), ("c04", "c04"),
+                                               ("c15", "c00"), ("c24", "c00"), ("c32", "c00"), ("c32", "c01")]]
+        assert rounds[0] == 8
+        assert len(evaluators) <= 1 + 2 * rounds[0]
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(Evaluator, "gradient", gradient)
-            trace = greedy_trace(OpenPDB(db, 0.5), MTPConstraint("CoA", 0.5), parse_ucq("S(x), CoA(x,y)", db.schema), budget=3)
-        per_round = [b - a for a, b in zip(screens, screens[1:] + [len(scoring_lifts)])]
-        assert sum(per_round) == len(scoring_lifts)
-        assert len(per_round) == len(trace.picks)
-        assert all(0 < k <= n for k in per_round)
-
-    def test_saturated_value_conditions_nothing(self, scoring_lifts):
+    def test_saturated_value_conditions_nothing(self, greedy_work):
         # the closed value rounds to 1.0, so no gain can be positive: the
         # trace is the one scoring all 5685 candidates gives, at no cost
+        evaluators, rounds = greedy_work
         db = stored_scientist_db(80)
-        trace = greedy_trace(OpenPDB(db, 0.5), MTPConstraint("CoA", 0.5), parse_ucq("S(x), CoA(x,y)", db.schema), budget=2)
+        trace = greedy_on(db, 2)
         assert trace == GreedyTrace((), 1.0, 1.0, 1.0, 1.0, 1.0, 2, True)
-        assert scoring_lifts == []
+        assert [view for view, _ in evaluators] == [db] and rounds[0] == 0
 
 
 def test_plan_build_agrees_with_probe_evaluation():
