@@ -12,7 +12,8 @@ The lifted evaluator decomposes a union of conjunctive queries recursively:
   domain, with interchangeable constants batched symbolically.
 
 :func:`decompose` picks the first of these rules that applies; the budget
-optimizer in :mod:`owpdb.exactdp` walks the same plan.  If no rule applies
+optimizer in :mod:`owpdb.exactdp` is an :class:`Evaluator` over budget
+vectors and walks the same plan by the same code.  If no rule applies
 the query is refused with :class:`UnsafeQuery`; the ground evaluator is the
 fallback and the correctness oracle.  It joins the stored rows into the
 query's lineage and compiles that by Shannon expansion, the ground analogue
@@ -283,20 +284,21 @@ def _leaf(atom: Atom) -> tuple:
 class Evaluator:
     """One lifted evaluation context: a database, a plan (its own unless one
     is passed), and a memo keyed by plan node and the constants bound to
-    the node's placeholders.  ``force_inclusion_exclusion`` selects the
-    plan's conjunction rule: the full inclusion-exclusion sum instead of the
-    independent-product shortcut; results must agree either way.
-    The arithmetic goes through hooks (``conj``, ``disj``, ``power_disj``,
-    ``signed_sum``, :meth:`_ground`, :meth:`_finish`) that a subclass may
-    override to walk other values, as :class:`owpdb.openworld.IntervalEvaluator` does.
+    the node's placeholders.  The walk goes through hooks that a subclass
+    overrides to walk other values: :class:`owpdb.openworld.IntervalEvaluator`
+    replaces the arithmetic (``conj``, ``disj``, ``power_disj``,
+    ``signed_sum``, :meth:`_ground`, :meth:`_finish`); the exact DP's
+    :class:`owpdb.exactdp._BudgetSolver` replaces ``conj`` and ``disj`` and
+    the rules' hooks (:meth:`_lift`, :meth:`_leaf_probs`, :meth:`_group`,
+    :meth:`_separator_product`).
     """
 
     conj, disj = staticmethod(probability.conj), staticmethod(probability.disj)
     power_disj, signed_sum = staticmethod(probability.power_disj), staticmethod(probability.signed_sum)
 
-    def __init__(self, db: ProbView, *, force_inclusion_exclusion: bool = False, plan: Plan | None = None):
+    def __init__(self, db: ProbView, *, plan: Plan | None = None):
         self.db = db
-        self.plan = plan if plan is not None else Plan(force_inclusion_exclusion=force_inclusion_exclusion)
+        self.plan = plan if plan is not None else Plan()
         self._memo: dict[object, Prob] = {}
         self.max_clamp = 0.0
 
@@ -524,14 +526,17 @@ def prob_lifted(q: UCQ, db: ProbView, *, force_inclusion_exclusion: bool = False
 
     Raises :class:`UnsafeQuery` when no decomposition rule applies; the
     caller should fall back to :func:`prob_ground` or an approximate bound.
+    ``force_inclusion_exclusion`` selects the plan's conjunction rule: the
+    full inclusion-exclusion sum instead of the independent-product
+    shortcut; results must agree either way.
     """
-    return Evaluator(db, force_inclusion_exclusion=force_inclusion_exclusion).probability(q).value
+    return Evaluator(db, plan=Plan(force_inclusion_exclusion=force_inclusion_exclusion)).probability(q).value
 
 
-def prob_lifted_detail(q: UCQ, db: ProbView, **kwargs) -> Prob:
+def prob_lifted_detail(q: UCQ, db: ProbView, *, force_inclusion_exclusion: bool = False) -> Prob:
     """Like :func:`prob_lifted` but returns the value together with the log
     of its complement."""
-    return Evaluator(db, **kwargs).probability(q)
+    return Evaluator(db, plan=Plan(force_inclusion_exclusion=force_inclusion_exclusion)).probability(q)
 
 
 def prob_ground(q: UCQ, db: ProbView, *, cap_worlds: int = DEFAULT_WORLD_CAP) -> float:

@@ -1,15 +1,18 @@
 """Exact budgeted upper bounds for inversion-free queries.
 
-The optimizer is a second interpreter of the lifted evaluator's plan
-(:class:`owpdb.engine.Plan`): it walks the same nodes with the same
-placeholder bindings, but every node returns an array over residual budgets
-0..B of the best reachable probability together with a witness completion:
+The optimizer is an :class:`owpdb.engine.Evaluator` whose values are budget
+vectors: it walks the lifted plan (:class:`owpdb.engine.Plan`) with the
+evaluator's walk, memo and rule dispatch, but every node returns an array
+over residual budgets 0..B of the best reachable probability together with
+a witness completion.  It overrides only the hooks (``conj``, ``disj``,
+``_lift``, ``_leaf_probs``, ``_group``, ``_separator_product``):
 
 * decompositions into independent factors split the budget by max-convolution
   (their open-tuple slices are disjoint, so allocations are independent);
 * a separator variable turns the union into a constant-elimination dynamic
   program: the budget is divided among the domain constants, whose slices
-  are again disjoint;
+  are again disjoint, folded one by one in domain order (not batched by
+  ``power_disj``: in the union fold ``1 - (1 - x)`` need not be ``x``);
 * inclusion-exclusion terms share one slice, so they are optimized jointly:
   the state carries the vector of per-term values and keeps every
   non-dominated vector (a Pareto front ordered by each term's sign), which
@@ -29,14 +32,13 @@ tuple of it, the atom rule ``B``; on ``S(x), CoA(x,y)`` a run probes each
 stored row a few times plus about ``n * (B + 1)`` absent tuples.
 Witnesses are sorted tuples of domain-index tuples until the result;
 max-convolution merges them only for the best split and its exact ties.
-
-The solver keeps no shared mutable state beyond per-run memo tables.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .engine import Evaluator, Plan, _Node
 from .errors import NotInversionFree
@@ -73,21 +75,20 @@ def _merge(w1: _Witness, w2: _Witness) -> _Witness:
     return tuple(sorted(set(w1).union(w2))) if w1 and w2 else w1 or w2
 
 
-class _BudgetSolver:
-    """Budgeted optimization context for one run: base database, constrained
-    relation, completion probability, maximum budget, and the query's plan."""
+class _BudgetSolver(Evaluator):
+    """Budgeted optimization context for one run: an :class:`Evaluator` of
+    the base database on the query's plan whose values are budget vectors,
+    with the constrained relation, completion probability and maximum budget."""
 
     def __init__(self, g: OpenPDB, relation: str, b_max: int, plan: Plan):
-        self.g = g
+        super().__init__(g.pdb, plan=plan)
         self.schema = g.schema
         self.rel = relation
         self.lam = g.lam
         self.b_max = b_max
-        self.plan = plan
         self._names = tuple(c.name for c in self.schema.domain)
         self._indices = tuple(range(len(self._names)))  # product() copies a range, not a tuple
         self._eval = Evaluator(g.pdb, plan=plan)
-        self._memo: dict[object, _BVec] = {}
         self._open_memo: dict[UCQ, bool] = {}
 
     # -- helpers -----------------------------------------------------------
@@ -113,7 +114,7 @@ class _BudgetSolver:
                 slots[t] = len(pools) - 1
         # a repeated term reads its first occurrence's pool
         spread = None if len(pools) == len(terms) else [slots[t] for t in terms]
-        names, is_explicit = self._names.__getitem__, self.g.pdb.is_explicit
+        names, is_explicit = self._names.__getitem__, self.db.is_explicit
         for idx in itertools.product(*pools):
             if spread is not None:
                 idx = tuple(idx[j] for j in spread)
@@ -158,54 +159,46 @@ class _BudgetSolver:
             out.append((best, min(_merge(v1[k][1], v2[b - k][1]) for k in range(b + 1) if vals[k] == best)))
         return tuple(out)
 
-    def _fold_vecs(self, vecs: list[_BVec], mode: str) -> _BVec:
-        acc = vecs[0]
-        for v in vecs[1:]:
-            acc = self._combine(acc, v, mode)
-        return acc
+    # -- the evaluator's hooks, over budget vectors ---------------------------
 
-    # -- main recursion ------------------------------------------------------
+    def conj(self, vecs: Iterable[_BVec]) -> _BVec:
+        return functools.reduce(lambda acc, v: self._combine(acc, v, "conj"), vecs)
 
-    def bopt(self, node: _Node, env: Mapping[str, Constant]) -> _BVec:
-        key = node.key(env)
-        cached = self._memo.get(key)
-        if cached is None:
-            cached = self._bopt(node, env)
-            self._memo[key] = cached
-        return cached
+    def disj(self, vecs: Iterable[_BVec]) -> _BVec:
+        return functools.reduce(lambda acc, v: self._combine(acc, v, "disj"), vecs)
 
-    def _bopt(self, node: _Node, env: Mapping[str, Constant]) -> _BVec:
+    def _lift(self, node: _Node, env: Mapping[str, Constant]) -> _BVec:
+        """An empty slice keeps the closed value at every budget; any other
+        node goes through its plan rule."""
         if next(self.slice_of(node.query, env), None) is None:
             v = self._closed(node, env)
             return tuple((v, ()) for _ in range(self.b_max + 1))
-        rule, arg = self.plan.expand(node)
+        return super()._lift(node, env)
 
-        # single atom of the constrained relation
-        if rule == "atom":
-            base = self._closed(node, env)
-            out: list[tuple[float, _Witness]] = [(base, ())]
-            comp = 1.0 - base
-            # each added tuple, the next in canonical order, until none helps
-            for t in itertools.islice(self.slice_of(node.query, env), self.b_max):
-                if self.lam <= 0.0 or comp <= 0.0:
-                    break
-                comp *= 1.0 - self.lam
-                out.append((1.0 - comp, out[-1][1] + (t,)))
-            return tuple(out + out[-1:] * (self.b_max + 1 - len(out)))
+    def _leaf_probs(self, node: _Node, env: Mapping[str, Constant]) -> list[_BVec]:
+        """A single atom of the constrained relation: each added tuple, the
+        next of its slice in canonical order, until none helps."""
+        base = self._closed(node, env)
+        out: list[tuple[float, _Witness]] = [(base, ())]
+        comp = 1.0 - base
+        for t in itertools.islice(self.slice_of(node.query, env), self.b_max):
+            if self.lam <= 0.0 or comp <= 0.0:
+                break
+            comp *= 1.0 - self.lam
+            out.append((1.0 - comp, out[-1][1] + (t,)))
+        return [tuple(out + out[-1:] * (self.b_max + 1 - len(out)))]
 
-        if rule == "and":
-            vecs = [self.bopt(grp[0], env) if len(grp) == 1 else self._ie_family(grp, env) for grp in arg]
-            return vecs[0] if len(vecs) == 1 else self._fold_vecs(vecs, "conj")
+    def _group(self, group: tuple[_Node, ...], env: Mapping[str, Constant]) -> _BVec:
+        return self._ie_family(group, env) if len(group) > 1 else self.evaluate(group[0], env)
 
-        if rule == "or":
-            return self._fold_vecs([self.bopt(u, env) for u in arg], "disj")
-
-        if rule == "sep":
-            _, child_of = self.plan.separator(node, env)
-            acc = tuple((0.0, ()) for _ in range(self.b_max + 1))
-            for const in self.schema.domain:
-                acc = self._combine(acc, self.bopt(*child_of(const)), "disj")
-            return acc
+    def _separator_product(self, node: _Node, env: Mapping[str, Constant]) -> _BVec:
+        """The budget divided among the domain constants, folded in domain
+        order from the zero vector; their slices are disjoint."""
+        _, child_of = self.plan.separator(node, env)
+        acc = tuple((0.0, ()) for _ in range(self.b_max + 1))
+        for const in self.schema.domain:
+            acc = self._combine(acc, self.evaluate(*child_of(const)), "disj")
+        return acc
 
     # -- inclusion-exclusion families ---------------------------------------
 
@@ -270,7 +263,7 @@ class _BudgetSolver:
         if len(cores) == 1:
             core, w = cores[0], weights[cores[0]]
             if w > 0.0:
-                vec = self.bopt(core, {})
+                vec = self.evaluate(core, {})
                 return tuple((const + w * v, wit) for v, wit in vec)
             low = self._closed(core, {})
             return tuple((const + w * low, ()) for _ in range(self.b_max + 1))
@@ -379,7 +372,7 @@ class _BudgetSolver:
         frontier: list[list] = [[] for _ in range(self.b_max + 1)]
         for size in range(0, min(self.b_max, len(tuples)) + 1):
             for chosen in itertools.combinations(tuples, size):
-                view = self.g.pdb.with_added([self.atom(t) for t in chosen], self.lam) if chosen else self.g.pdb
+                view = self.db.with_added([self.atom(t) for t in chosen], self.lam) if chosen else self.db
                 ev = Evaluator(view, plan=self.plan)
                 vals = tuple(ev.evaluate(c, {}).value for c in cores)
                 for b in range(size, self.b_max + 1):
@@ -413,7 +406,7 @@ def mtp_upper_exact(
         raise NotInversionFree(f"{q} has an inversion")
     b_max, warnings = resolve_budget(g, c, budget, denominator)
     solver = _BudgetSolver(g, c.relation, b_max, plan)
-    value, witness = solver.bopt(plan.node(q), {})[b_max]
+    value, witness = solver.evaluate(plan.node(q), {})[b_max]
     return BoundResult(
         kind="mtp_exact",
         value=value,

@@ -116,7 +116,22 @@ class TestPlanWork:
         interval_unconstrained(OpenPDB(db, 0.5), q)
         assert 0 < decompose_calls[0] <= lifted
 
-    def test_exact_dp_walks_the_plan(self, decompose_calls):
+    def test_exact_dp_walks_the_plan(self, decompose_calls, monkeypatch):
+        # the solver is an Evaluator: every memo entry comes from one
+        # _lift that Evaluator.evaluate dispatched, none from a walk of its own
+        solvers, lifts = [], []
+        real_init, real_lift = exactdp._BudgetSolver.__init__, exactdp._BudgetSolver._lift
+
+        def init(self, *args):
+            solvers.append(self)
+            real_init(self, *args)
+
+        def lift(self, node, env):
+            lifts.append(self)
+            return real_lift(self, node, env)
+
+        monkeypatch.setattr(exactdp._BudgetSolver, "__init__", init)
+        monkeypatch.setattr(exactdp._BudgetSolver, "_lift", lift)
         counts = []
         for n in (25, 100):
             db = scientist_db(n)
@@ -124,17 +139,20 @@ class TestPlanWork:
             q = parse_ucq("S(x), CoA(x,y)", db.schema)
             mtp_upper_exact(OpenPDB(db, 0.5), MTPConstraint("CoA", 0.5), q, budget=2)
             counts.append(decompose_calls[0])
-        assert counts[0] == counts[1]
+            assert len(solvers) == 1 and 0 < lifts.count(solvers[0]) == len(solvers[0]._memo)
+            solvers.clear()
+        assert counts == [4, 4]
 
 
-def stored_scientist_db(n, seed=1):
+def stored_scientist_db(n, seed=1, s_scale=1.0):
     """``scientist_db``'s shape at CoA density 0.1, with a CoA row on a
-    cycle through the domain, so that every constant is stored in CoA."""
+    cycle through the domain, so that every constant is stored in CoA, and
+    every S probability multiplied by ``s_scale``."""
     rng = random.Random(seed)
     names = [f"c{i:02d}" for i in range(n)]
     coa = {(a, b): rng.choice([0.1, 0.3, 0.7]) for a in names for b in names if rng.random() < 0.1}
     coa.update({(a, names[i - 1]): 0.5 for i, a in enumerate(names) if (a, names[i - 1]) not in coa})
-    s = {(c,): rng.choice([0.2, 0.5, 0.9]) for c in names}
+    s = {(c,): s_scale * rng.choice([0.2, 0.5, 0.9]) for c in names}
     return Database(Schema({"S": 1, "CoA": 2}, tuple(Constant(c) for c in names)), {"S": s, "CoA": coa})
 
 
@@ -184,15 +202,15 @@ class TestGreedyWork:
             per_evaluator.append([len(nodes) for _, nodes in evaluators])
         assert per_evaluator[0] == per_evaluator[1]
 
-    @pytest.mark.parametrize("n", [16, 48])
-    def test_greedy_conditions_at_most_n_candidates_per_round(self, greedy_work, n):
+    @pytest.mark.parametrize("n, s_scale", [pytest.param(16, 1.0, id="16"), pytest.param(48, 0.1, id="48")])
+    def test_greedy_conditions_at_most_n_candidates_per_round(self, greedy_work, n, s_scale):
         # a candidate CoA(a, b) screens the same for every b, so scoring
         # every candidate in the window of the best would score a row of
         # the domain per round; one evaluator scores the pick (at n = 48
-        # the closed value rounds to 1.0 and no round runs)
+        # S is scaled so that the closed value, 0.907, stays below 1.0)
         evaluators, rounds = greedy_work
-        trace = greedy_on(stored_scientist_db(n), 3)
-        assert rounds[0] == len(trace.picks) <= 3
+        trace = greedy_on(stored_scientist_db(n, s_scale=s_scale), 3)
+        assert 1 <= rounds[0] == len(trace.picks) <= 3
         assert len(evaluators) <= 1 + 2 * rounds[0]
 
     def test_near_saturated_value_builds_two_evaluators_per_round(self, greedy_work):
