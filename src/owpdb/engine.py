@@ -23,15 +23,17 @@ of the rules above, in memory bounded by a node cap, not by the worlds.
 derived once per sub-union, not once per domain constant, because a
 separator binds every constant its union does not mention to the
 placeholder of one fresh child, evaluated for all of them set at a time
-where its shape allows (:meth:`Evaluator._evaluate_many`), each atom leaf
-from one lookup of its rows grouped by the constant.  The call's
-evaluators, one per database it reads, share that plan; each keeps its own
-memo table keyed by plan node and the constants bound to the node's
-placeholders.  Greedy screens every candidate tuple by one reverse pass
-over a round's memo (:meth:`Evaluator.gradient`).  "Safe" means the whole
-plan builds; a plan too wide to build is :class:`CapExceeded`, not unsafe.
-Nothing outlives the call: databases are never mutated and plans and memo
-tables are per call, so concurrent queries against one database are safe.
+where its shape allows (:meth:`Evaluator._evaluate_many`): as columns of
+values and log-complements, one memo entry per batch, each atom leaf from
+one lookup of its rows grouped by the constant, in the bits of the
+node-by-node walk.  The call's evaluators, one per database it reads,
+share that plan; each keeps its own memo table keyed by plan node and the
+constants bound to the node's placeholders.  Greedy screens every
+candidate tuple by one reverse pass over a round's memo
+(:meth:`Evaluator.gradient`).  "Safe" means the whole plan builds; a plan
+too wide to build is :class:`CapExceeded`, not unsafe.  Nothing outlives
+the call: databases are never mutated and plans and memo tables are per
+call, so concurrent queries against one database are safe.
 """
 from __future__ import annotations
 
@@ -284,22 +286,25 @@ def _leaf(atom: Atom) -> tuple:
 class Evaluator:
     """One lifted evaluation context: a database, a plan (its own unless one
     is passed), and a memo keyed by plan node and the constants bound to
-    the node's placeholders.  The walk goes through hooks that a subclass
+    the node's placeholders, or, for a batch, by the node, the bindings of
+    its other placeholders and the batched constants.  The walk reads one
+    view per end (``views``) and goes through hooks that a subclass
     overrides to walk other values: :class:`owpdb.openworld.IntervalEvaluator`
-    replaces the arithmetic (``conj``, ``disj``, ``power_disj``,
-    ``signed_sum``, :meth:`_ground`, :meth:`_finish`); the exact DP's
+    reads two ends and replaces the node-by-node arithmetic (``conj``,
+    ``disj``, ``signed_sum``); the exact DP's
     :class:`owpdb.exactdp._BudgetSolver` replaces ``conj`` and ``disj`` and
-    the rules' hooks (:meth:`_lift`, :meth:`_leaf_probs`, :meth:`_group`,
+    the rules' hooks (:meth:`_lift`, :meth:`_leaf_value`, :meth:`_group`,
     :meth:`_separator_product`).
     """
 
     conj, disj = staticmethod(probability.conj), staticmethod(probability.disj)
-    power_disj, signed_sum = staticmethod(probability.power_disj), staticmethod(probability.signed_sum)
+    signed_sum = staticmethod(probability.signed_sum)
 
     def __init__(self, db: ProbView, *, plan: Plan | None = None):
         self.db = db
+        self.views: tuple[ProbView, ...] = (db,)
         self.plan = plan if plan is not None else Plan()
-        self._memo: dict[object, Prob] = {}
+        self._memo: dict[object, object] = {}
         self.max_clamp = 0.0
 
     # -- public entry ------------------------------------------------------
@@ -320,40 +325,41 @@ class Evaluator:
         """dP(``q``)/dp for the absent ``pred`` atoms, on a view where those
         are impossible, as a map from an atom's argument names to the summed
         weights of the leaf patterns it instantiates.  One reverse pass over
-        the memo that evaluating ``q`` filled, in reverse insertion (post-)
-        order, evaluates nothing new: an atom block weighs each absent
+        the memo that evaluating ``q`` filled (:meth:`_flat`), in reverse
+        post-order, evaluates nothing new: an atom block weighs each absent
         instance by its complement, a complement product gives each part the
         product of the others' complements (none when it is certain),
         independent groups the product of the others' values, and
         inclusion-exclusion terms their signs.  A separator's batched rest
         takes one member's adjoint, tagged with the swaps carrying its
         representative to each member, over which a leaf expands."""
-        memo, todo, leaves = self._memo, {}, {}
+        flat, todo, leaves = self._flat(), {}, {}
 
         def push(node: _Node, env: Mapping[str, Constant], tag: tuple, a: float) -> None:
             adj = todo.setdefault(node.key(env), (env, {}))[1]
             adj[tag] = adj.get(tag, 0.0) + a
 
         push(self.plan.node(q), {}, (), 1.0)
-        for key in reversed(memo):
+        for key in reversed(flat):
             if key not in todo:
                 continue
             env, adj = todo.pop(key)
             node = key[0] if type(key) is tuple else key
             rule, arg = node.rule, node.arg
+            logc = flat[key][1]
             if rule == "atom":
                 atom = _bind_atom(arg, env) if node.placeholders else arg
                 if atom.predicate == pred:
-                    w = 1.0 if atom.is_ground() else math.exp(memo[key].logc)
+                    w = 1.0 if atom.is_ground() else math.exp(logc)
                     _add_leaf(leaves, atom.args, {tag: a * w for tag, a in adj.items()})
             elif rule == "and":
-                vals = [self._group(g, env).value for g in arg]
+                vals = [flat[g[0].key(env)][0] if len(g) == 1 else self._group(g, env).value for g in arg]
                 for i, g in enumerate(arg):
                     others = math.prod(vals[:i] + vals[i + 1:])
                     for sign, n in ((1, g[0]),) if len(g) == 1 else self.plan.terms(g):
                         for tag, a in adj.items():
                             push(n, env, tag, sign * a * others)
-            elif memo[key].logc > -math.inf:  # "or", "sep"; at 1 no tuple can raise P
+            elif logc > -math.inf:  # "or", "sep"; at 1 no tuple can raise P
                 children, rest = ([(u, env) for u in arg], ()) if rule == "or" else self._partition(node, env)
                 if rule == "sep":  # (constant, child) slots to (child, environment) pairs
                     child_of = self.plan.separator(node, env)[1]
@@ -362,7 +368,7 @@ class Evaluator:
                 # representative, which carries its swaps
                 swaps = ((rest[0].name, tuple(c.name for c in rest)),) if len(rest) > 1 else ()
                 for i, (child, child_env) in enumerate(children, 1 - len(children)):
-                    others = math.exp(memo[key].logc - memo[child.key(child_env)].logc)
+                    others = math.exp(logc - flat[child.key(child_env)][1])
                     for tag, a in adj.items():
                         push(child, child_env, tag if i else tag + swaps, a * others)
 
@@ -380,7 +386,7 @@ class Evaluator:
     def _lift(self, node: _Node, env: Mapping[str, Constant]) -> Prob:
         rule, arg = self.plan.expand(node)
         if rule == "atom":
-            return self._leaf_probs(node, env)[0]
+            return self._leaf_value(node, env)
         if rule == "and":
             if len(arg) == 1:
                 return self._group(arg[0], env)
@@ -398,39 +404,17 @@ class Evaluator:
         self.max_clamp = max(self.max_clamp, clamp)
         return result
 
-    def _leaf_probs(self, node: _Node, env: Mapping[str, Constant], name: str | None = None,
-                    consts: Sequence[Constant | None] = (None,)) -> list[Prob]:
-        """P of the atom leaf ``node`` under ``env``, with ``name`` bound to
-        each of ``consts`` if given: then one lookup of its other bound
-        positions, grouped by ``name``'s, gives each constant its rows in order."""
-        db, (pred, slots, repeated, n_vars) = self.db, node.leaf
-        if not n_vars:
-            names = [(None if t == name else env[t].name) if ph else t for _, t, ph in slots]
-            holes, values = [k for k, t in enumerate(names) if t is None], []
-            for c in consts:
-                for k in holes:
-                    names[k] = c.name
-                values.append(self._ground(pred, tuple(names)))
-            return values
-        n_atoms = len(db.schema.domain) ** n_vars
-        fixed = tuple((i, env[t].name if ph else t) for i, t, ph in slots if not (ph and t == name))
-        if name is None:
-            rows = db.pattern_entries(pred, repeated, fixed) if repeated else db._rows(pred, fixed)
-            return [self._finish(pred, n_atoms, rows)]
-        holes = [i for i, t, ph in slots if ph and t == name]
-        key, groups = operator.itemgetter(*holes), {}
-        for row in db._rows(pred, fixed):
-            groups.setdefault(key(row[0]), []).append(row)
-        return [self._finish(pred, n_atoms, groups.get(c.name if len(holes) == 1 else (c.name,) * len(holes), ()))
-                for c in consts]
+    def _pack(self, probs: list[Prob]) -> Prob:
+        """A value from one ``Prob`` per end: a tuple when there are several."""
+        return probs[0] if len(self.views) == 1 else tuple(probs)
 
-    def _ground(self, pred: str, args: tuple[str, ...]) -> Prob:
-        """P of the ground atom ``pred(args)``."""
-        return Prob.from_value(self.db.prob(pred, args))
+    def _ends(self, value: Prob) -> Sequence[Prob]:
+        """The inverse of :meth:`_pack`."""
+        return (value,) if len(self.views) == 1 else value
 
-    def _finish(self, pred: str, n_atoms: int, rows: Iterable) -> Prob:
-        """P of a leaf over ``n_atoms`` atoms of ``pred`` with the stored ``rows``."""
-        return _complement_product(rows, n_atoms, self.db.default_prob(pred))[0]
+    def _leaf_value(self, node: _Node, env: Mapping[str, Constant]) -> Prob:
+        """P of the atom leaf ``node`` under ``env``, from one lookup of its rows."""
+        return self._pack([Prob(values[0], logcs[0]) for values, logcs in self._leaf_column(node, env)])
 
     def _partition(self, node: _Node, env: Mapping[str, Constant]) -> tuple[list, list[Constant]]:
         """The separator ``node``'s domain under ``env``: (constant, mentioned
@@ -448,59 +432,150 @@ class Evaluator:
         return slots + [(c, None) for c in rest[:1]], rest
 
     def _separator_product(self, node: _Node, env: Mapping[str, Constant]) -> Prob:
-        """Complement product over the domain, the batched rest last; the fresh
-        child's constants in one call, made where the first of them falls."""
+        """Complement product over the domain, the batched rest last: per end,
+        the slots' logcs summed in domain order, the rest's raised to its
+        size first, in the bits of ``disj`` after ``power_disj``.  The fresh
+        child's constants are one column, made where the first of them falls."""
         slots, rest = self._partition(node, env)
         parts, batch = [], None
         for _, child in slots:
-            if child is None and batch is None:
-                batch = iter(self._evaluate_many(self.plan.fresh_child(node), env, node.arg[4],
-                                                 [c for c, other in slots if other is None]))
-            parts.append(next(batch) if child is None else self.evaluate(child, env))
+            if child is not None:
+                parts.append([p.logc for p in self._ends(self.evaluate(child, env))])
+                continue
+            if batch is None:
+                column = self._evaluate_many(self.plan.fresh_child(node), env, node.arg[4],
+                                             [c for c, other in slots if other is None])
+                batch = zip(*(logcs for _, logcs in column))
+            parts.append(next(batch))
         if rest:
-            parts.append(self.power_disj(parts.pop(), len(rest)))
-        return self.disj(parts)
+            parts[-1] = [len(rest) * logc or 0.0 for logc in parts[-1]]
+        ends = []
+        for end in range(len(self.views)):
+            s = 0.0
+            for logcs in parts:
+                s += logcs[end]
+            ends.append(Prob(-math.expm1(s), s) if s else IMPOSSIBLE)  # at -inf, CERTAIN
+        return self._pack(ends)
 
-    def _evaluate_many(self, node: _Node, env: Mapping[str, Constant], name: str, consts: list) -> list[Prob]:
-        """P(``node``) under ``env`` with placeholder ``name`` bound to each of
-        ``consts``: a column per node for an atom leaf without a repeated
-        variable and an ``and`` of single nodes, every other shape node by
-        node.  The memo gets the entries a node-by-node walk writes, post-order."""
+    def _evaluate_many(self, node: _Node, env: Mapping[str, Constant], name: str, consts: list) -> list:
+        """The column of ``node`` under ``env`` with placeholder ``name`` bound
+        to each of ``consts``: per end, their values and their logcs.  An atom
+        leaf without a repeated variable and an ``and`` of single nodes are
+        one memo entry per batch, after their children's, the ``and`` in the
+        bits of ``conj`` per constant; every other shape goes node by node."""
         rule, arg = self.plan.expand(node)
         if not (rule == "atom" and not node.leaf[2] or rule == "and" and all(len(g) == 1 for g in arg)):
-            return self._each(node, env, name, consts)
-        at = node.placeholders.index(name)
-        before, after = (tuple(env[p].name for p in ps) for ps in (node.placeholders[:at], node.placeholders[at + 1:]))
-        keys = [(node, before + (c.name,) + after) for c in consts]
-        missing = {key: c for key, c in zip(keys, consts) if key not in self._memo}
-        if rule == "atom":
-            values = self._leaf_probs(node, env, name, list(missing.values()))
-        else:
-            cols = [self._evaluate_many(child, env, name, list(missing.values())) for child, in arg]
-            values = cols[0] if len(cols) == 1 else [self.conj(ps) for ps in zip(*cols)]
-        self._memo.update(zip(missing, values))
-        return [self._memo[key] for key in keys]
+            return self._column(self._each(node, env, name, consts))
+        key = (node, tuple(None if p == name else env[p].name for p in node.placeholders),
+               tuple(map(operator.attrgetter("name"), consts)))
+        column = self._memo.get(key)
+        if column is None:
+            if rule == "atom":
+                column = self._leaf_column(node, env, name, key[2])
+            else:
+                columns = [self._evaluate_many(child, env, name, consts) for child, in arg]
+                column = columns[0] if len(columns) == 1 else [_conj_column(ends) for ends in zip(*columns)]
+            self._memo[key] = column
+        return column
 
     def _each(self, node: _Node, env: Mapping[str, Constant], name: str, consts: list) -> list[Prob]:
         return [self.evaluate(node, {**env, name: c}) for c in consts]
 
+    def _column(self, values: list[Prob]) -> list[tuple[list[float], list[float]]]:
+        """The column of node-by-node ``values``."""
+        return [([p.value for p in ps], [p.logc for p in ps]) for ps in zip(*map(self._ends, values))]
 
-def _complement_product(rows: Iterable[tuple[tuple[str, ...], float]], n_atoms: int, *defaults: float) -> list[Prob]:
-    """P(one of ``n_atoms`` independent atoms), the stored ones' ``rows`` (a
-    pinned zero among them), folded once, and the rest at each of
-    ``defaults``, in the bits of ``disj`` over ``Prob.from_value`` per row
-    and ``power_disj`` for the rest."""
-    s, stored, probs = 0.0, 0, []
-    for _, p in rows:
-        stored += 1
-        if p > 0.0:
-            s += math.log1p(-p) if p < 1.0 else -math.inf
+    def _flat(self) -> dict[object, tuple[float, float]]:
+        """The memo as the walk node by node writes it, (value, logc) per
+        key: a batch's constants each under their own key, at the first
+        entry that holds it.  One end only."""
+        flat = {}
+        for key, value in self._memo.items():
+            if type(key) is tuple and len(key) == 3:  # a batch
+                node, names, consts = key
+                at = names.index(None)
+                (values, logcs), = value
+                for c, v, lc in zip(consts, values, logcs):
+                    flat.setdefault((node, names[:at] + (c,) + names[at + 1:]), (v, lc))
+            else:
+                flat.setdefault(key, (value.value, value.logc))
+        return flat
+
+    def _leaf_column(self, node: _Node, env: Mapping[str, Constant], name: str | None = None,
+                     names: Sequence[str | None] = (None,)) -> list:
+        """The column of the atom leaf ``node`` under ``env``, with ``name``
+        bound to each of ``names`` if given: one lookup of its other bound
+        positions, its rows grouped by ``name``'s.  A ground atom takes its
+        row's or else the default, in ``Prob.from_value``'s cases."""
+        db, (pred, slots, repeated, n_vars) = self.db, node.leaf
+        fixed = tuple((i, env[t].name if ph else t) for i, t, ph in slots if not (ph and t == name))
+        holes = [i for i, t, ph in slots if ph and t == name]
+        if not (n_vars or holes):
+            return [_from_values([view.prob(pred, tuple(t for _, t in fixed))]) for view in self.views]
+        rows = db.pattern_entries(pred, repeated, fixed) if repeated else db._rows(pred, fixed)
+        group = operator.itemgetter(*holes) if holes else None
+        keys = names if len(holes) <= 1 else [(c,) * len(holes) for c in names]
+        defaults = [view.default_prob(pred) for view in self.views]
+        if n_vars:
+            return _complement_columns(rows, group, keys, len(db.schema.domain) ** n_vars, defaults)
+        stored = {group(args): p for args, p in rows}
+        return [_from_values([stored.get(k, default) for k in keys]) for default in defaults]
+
+
+def _from_values(ps: list[float]) -> tuple[list[float], list[float]]:
+    """The values and logcs of ``Prob.from_value`` of each of ``ps``."""
+    return ([1.0 if p >= 1.0 else 0.0 if p <= 0.0 else p for p in ps],
+            [-math.inf if p >= 1.0 else 0.0 if p <= 0.0 else math.log1p(-p) for p in ps])
+
+
+def _complement_columns(rows: Iterable[tuple[tuple[str, ...], float]], group: Callable | None, keys: Sequence,
+                        n_atoms: int, defaults: Sequence[float]) -> list[tuple[list[float], list[float]]]:
+    """Per default, the values and logcs of P(one of ``n_atoms`` independent
+    atoms) for each of ``keys``: the stored ones are the ``rows`` whose
+    arguments ``group`` maps to the key (all of them, key ``None``, without
+    ``group``), a pinned zero among them, folded once in row order, and the
+    rest are at the default, in the bits of ``disj`` over
+    ``Prob.from_value`` per row and ``power_disj`` for the rest."""
+    if group is None:
+        groups = {None: [p for _, p in rows]}
+    else:
+        groups = {}
+        for args, p in rows:
+            groups.setdefault(group(args), []).append(p)
+    folded = {}
+    for k, ps in groups.items():
+        s = 0.0
+        for p in ps:
+            if p > 0.0:
+                s += math.log1p(-p) if p < 1.0 else -math.inf
+        folded[k] = s, len(ps)
+    ends = []
     for default in defaults:
-        total = s
-        if n_atoms > stored and default > 0.0:
-            total += (n_atoms - stored) * (math.log1p(-default) if default < 1.0 else -math.inf)
-        probs.append(Prob(-math.expm1(total), total) if total else IMPOSSIBLE)  # at -inf, CERTAIN
-    return probs
+        absent, values, logcs = math.log1p(-default) if default < 1.0 else -math.inf, [], []
+        for k in keys:
+            total, stored = folded.get(k, (0.0, 0))
+            if n_atoms > stored and default > 0.0:
+                total += (n_atoms - stored) * absent
+            values.append(-math.expm1(total) if total else 0.0)  # at -inf, 1.0
+            logcs.append(total if total else 0.0)
+        ends.append((values, logcs))
+    return ends
+
+
+def _conj_column(children: Sequence[tuple[list[float], list[float]]]) -> tuple[list[float], list[float]]:
+    """Per index, ``conj`` of the ``children``'s (values, logcs) columns in
+    its bits: each child's ``Prob._logv``, summed in child order."""
+    logvs = [[-math.inf if v <= 0.0 else math.log1p(-math.exp(lc)) if lc < -0.5 else math.log(v)
+              for v, lc in zip(*child)] for child in children]
+    values, logcs = [], []
+    for row in zip(*logvs):
+        s = 0.0
+        for lv in row:
+            s += lv
+        c = -math.expm1(s)  # 1 - exp(s), accurate when s is tiny
+        values.append(math.exp(s))
+        logcs.append(math.log(c) if c > 0.0 else -math.inf)
+    return values, logcs
 
 
 def _add_leaf(leaves: dict, args: tuple, adj: dict[tuple, float]) -> None:

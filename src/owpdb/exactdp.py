@@ -5,7 +5,7 @@ vectors: it walks the lifted plan (:class:`owpdb.engine.Plan`) with the
 evaluator's walk, memo and rule dispatch, but every node returns an array
 over residual budgets 0..B of the best reachable probability together with
 a witness completion.  It overrides only the hooks (``conj``, ``disj``,
-``_lift``, ``_leaf_probs``, ``_group``, ``_separator_product``):
+``_lift``, ``_leaf_value``, ``_group``, ``_separator_product``):
 
 * decompositions into independent factors split the budget by max-convolution
   (their open-tuple slices are disjoint, so allocations are independent);
@@ -175,7 +175,7 @@ class _BudgetSolver(Evaluator):
             return tuple((v, ()) for _ in range(self.b_max + 1))
         return super()._lift(node, env)
 
-    def _leaf_probs(self, node: _Node, env: Mapping[str, Constant]) -> list[_BVec]:
+    def _leaf_value(self, node: _Node, env: Mapping[str, Constant]) -> _BVec:
         """A single atom of the constrained relation: each added tuple, the
         next of its slice in canonical order, until none helps."""
         base = self._closed(node, env)
@@ -186,7 +186,7 @@ class _BudgetSolver(Evaluator):
                 break
             comp *= 1.0 - self.lam
             out.append((1.0 - comp, out[-1][1] + (t,)))
-        return [tuple(out + out[-1:] * (self.b_max + 1 - len(out)))]
+        return tuple(out + out[-1:] * (self.b_max + 1 - len(out)))
 
     def _group(self, group: tuple[_Node, ...], env: Mapping[str, Constant]) -> _BVec:
         return self._ie_family(group, env) if len(group) > 1 else self.evaluate(group[0], env)

@@ -18,9 +18,8 @@ from itertools import product
 
 from . import probability
 from .database import Database, LambdaCompletionView, ProbView, Schema
-from .engine import Evaluator, _complement_product
+from .engine import Evaluator
 from .errors import SchemaError
-from .probability import Prob
 from .query import Atom, UCQ
 
 # Slack absorbing float noise when a mean bound lands exactly on a budget
@@ -129,28 +128,24 @@ def apply_completion(g: OpenPDB, choice: CompletionChoice) -> ProbView:
 
 class IntervalEvaluator(Evaluator):
     """Both ends of the open-world interval in one walk, each value a (closed
-    world, full completion) pair.  The ends share the stored rows and every
-    separator's partition, so only the hooks act per end; a leaf folds its
-    rows once and adds each end's absent-atom term: the bits of two walks."""
+    world, full completion) pair: the views are the database and its full
+    completion.  The ends share the stored rows and every separator's
+    partition, and a batch's column holds both; node by node, only the
+    arithmetic hooks (``conj``, ``disj``, ``signed_sum``) act per end.  A
+    leaf folds its rows once and adds each end's absent-atom term: the bits
+    of two walks."""
 
     conj = staticmethod(lambda items: tuple(map(probability.conj, zip(*items))))
     disj = staticmethod(lambda items: tuple(map(probability.disj, zip(*items))))
-    power_disj = staticmethod(lambda p, n: (probability.power_disj(p[0], n), probability.power_disj(p[1], n)))
 
     def __init__(self, db: ProbView, lam: float):
         super().__init__(db)
-        self.upper = LambdaCompletionView(db, lam)
+        self.views = (db, LambdaCompletionView(db, lam))
 
     @staticmethod
     def signed_sum(terms):
         (lower, lc), (upper, uc) = (probability.signed_sum([(s, p[i]) for s, p in terms]) for i in (0, 1))
         return (lower, upper), max(lc, uc)
-
-    def _ground(self, pred, args):
-        return Prob.from_value(self.db.prob(pred, args)), Prob.from_value(self.upper.prob(pred, args))
-
-    def _finish(self, pred, n_atoms, rows):
-        return tuple(_complement_product(rows, n_atoms, self.db.default_prob(pred), self.upper.default_prob(pred)))
 
 
 def interval_unconstrained(g: OpenPDB, q: UCQ) -> BoundResult:

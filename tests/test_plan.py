@@ -314,27 +314,44 @@ class TestPlaceholder:
 
 
 class NodeByNode(Evaluator):
-    """The reference evaluator: a separator's fresh child node by node, and
-    a leaf a ``Prob`` per row folded by ``disj``."""
+    """The reference evaluator: a separator's fresh child node by node, its
+    column built from the per-constant values, and a leaf a ``Prob`` per row
+    folded by ``disj``."""
 
-    _evaluate_many = Evaluator._each
+    def _evaluate_many(self, node, env, name, consts):
+        return self._column(self._each(node, env, name, consts))
 
-    def _leaf_probs(self, node, env, name=None, consts=(None,)):
-        assert name is None
+    def _leaf_value(self, node, env):
         db, (pred, slots, repeated, n_vars) = self.db, node.leaf
         bound = tuple((i, env[t].name if ph else t) for i, t, ph in slots)
         if not n_vars:
-            return [Prob.from_value(db.prob(pred, tuple(t for _, t in bound)))]
+            return Prob.from_value(db.prob(pred, tuple(t for _, t in bound)))
         stored = [p for _, p in db.pattern_entries(pred, repeated, bound)]
         parts = [Prob.from_value(p) for p in stored if p > 0.0]
         n_absent = len(db.schema.domain) ** n_vars - len(stored)
         if n_absent > 0 and db.default_prob(pred) > 0.0:
             parts.append(probability.power_disj(Prob.from_value(db.default_prob(pred)), n_absent))
-        return [probability.disj(parts) if parts else IMPOSSIBLE]
+        return probability.disj(parts) if parts else IMPOSSIBLE
+
+
+def flat_memo(ev):
+    """The memo as a node-by-node walk writes it: each batch flattened into
+    per-constant (node, bound names) keys, each mapped to its (value,
+    logc) and to the position of the first entry that holds it."""
+    flat = {}
+    for at, (key, value) in enumerate(ev._memo.items()):
+        if type(key) is tuple and len(key) == 3:
+            node, names, consts = key
+            (values, logcs), = value
+            for c, v, lc in zip(consts, values, logcs):
+                flat.setdefault((node, tuple(c if n is None else n for n in names)), ((v, lc), at))
+        else:
+            flat.setdefault(key, ((value.value, value.logc), at))
+    return flat
 
 
 def child_keys(ev, key):
-    """The memo keys of the children a memo entry was computed from."""
+    """The per-constant memo keys of the children a memo entry was computed from."""
     node, names = key if type(key) is tuple else (key, ())
     env = dict(zip(node.placeholders, map(Constant, names)))
     if node.rule == "and":
@@ -398,15 +415,41 @@ class TestSetAtATime:
         plan = engine.Plan().build(q)
         batched, reference = Evaluator(view, plan=plan), NodeByNode(view, plan=plan)
         assert repr(batched.probability(q)) == repr(reference.probability(q))
-        assert batched._memo.keys() == reference._memo.keys()
-        assert all(repr(value) == repr(reference._memo[key]) for key, value in batched._memo.items())
-        at = {key: i for i, key in enumerate(batched._memo)}
+        flat = flat_memo(batched)
+        assert flat.keys() == reference._memo.keys()
+        assert all(repr(pair) == repr((p.value, p.logc)) for key, p in reference._memo.items()
+                   for pair in [flat[key][0]])
+        # post-order over entries and batches: every child's first entry
+        # comes before its parent's
+        at = {key: i for key, (_, i) in flat.items()}
         assert all(at[child] < at[key] for key in at for child in child_keys(batched, key))
         domain = [c.name for c in view.schema.domain]
         for pred in view.schema.predicates:
             screens = batched.gradient(q, pred), reference.gradient(q, pred)
             for args in itertools.product(domain, repeat=view.schema.predicates[pred]):
                 assert screens[0](args) == screens[1](args), (pred, args)
+
+    def test_random_queries_same_bits_and_screens(self):
+        # inclusion-exclusion terms batch a shared node under different
+        # partitions: the screens must still sum each (node, constant) once,
+        # in the order of the walk node by node
+        rng = random.Random(1)
+        for _ in range(40):
+            schema = rand_schema(rng, domain_sizes=(2, 3, 4))
+            db = rand_database(rng, schema, density=rng.choice([0.2, 0.5, 0.9]))
+            for _ in range(10):
+                q = UCQ([rand_cq(rng, schema, constant_rate=0.25) for _ in range(rng.randint(1, 3))])
+                try:
+                    plan = engine.Plan().build(q)
+                except (UnsafeQuery, CapExceeded):
+                    continue
+                for view in (db, LambdaCompletionView(db, 0.3)):
+                    batched, reference = Evaluator(view, plan=plan), NodeByNode(view, plan=plan)
+                    assert repr(batched.probability(q)) == repr(reference.probability(q)), str(q)
+                    for pred, arity in schema.predicates.items():
+                        screens = batched.gradient(q, pred), reference.gradient(q, pred)
+                        for args in itertools.product([c.name for c in schema.domain], repeat=arity):
+                            assert screens[0](args) == screens[1](args), (str(q), pred, args)
 
     def test_only_the_fallback_shapes_go_node_by_node(self, monkeypatch):
         db, each = pinned_db(), []
@@ -430,6 +473,24 @@ class TestSetAtATime:
             lifts.clear()
             prob_lifted(parse_ucq("S(x), CoA(x,y)", db.schema), db)
             counts.append(len(lifts))
+        assert counts[0] == counts[1]
+
+    def test_probs_per_query_are_flat_in_domain_size(self, monkeypatch):
+        # a batch is columns of floats: the Prob objects come from the plan
+        # nodes above it, not from the constants in it
+        built = []
+        real = Prob.__init__
+        monkeypatch.setattr(Prob, "__init__", lambda self, *args: built.append(self) or real(self, *args))
+        counts = []
+        for n in (50, 200):
+            db = stored_scientist_db(n)
+            q = parse_ucq("S(x), CoA(x,y)", db.schema)
+            built.clear()
+            prob_lifted(q, db)
+            lifted = len(built)
+            built.clear()
+            interval_unconstrained(OpenPDB(db, 0.5), q)
+            counts.append((lifted, len(built)))
         assert counts[0] == counts[1]
 
 
