@@ -28,12 +28,15 @@ values and log-complements, one memo entry per batch, each atom leaf from
 one lookup of its rows grouped by the constant, in the bits of the
 node-by-node walk.  The call's evaluators, one per database it reads,
 share that plan; each keeps its own memo table keyed by plan node and the
-constants bound to the node's placeholders.  Greedy screens every
-candidate tuple by one reverse pass over a round's memo
-(:meth:`Evaluator.gradient`).  "Safe" means the whole plan builds; a plan
-too wide to build is :class:`CapExceeded`, not unsafe.  Nothing outlives
-the call: databases are never mutated and plans and memo tables are per
-call, so concurrent queries against one database are safe.
+constants bound to the node's placeholders.  An evaluator's value is one
+``Prob`` per view it reads: the database alone for a closed-world answer,
+the database and its full completion for both ends of an open-world
+interval in one walk.  Greedy screens every candidate tuple by one
+reverse pass over a round's memo (:meth:`Evaluator.gradient`).  "Safe"
+means the whole plan builds; a plan too wide to build is
+:class:`CapExceeded`, not unsafe.  Nothing outlives the call: databases
+are never mutated and plans and memo tables are per call, so concurrent
+queries against one database are safe.
 """
 from __future__ import annotations
 
@@ -287,33 +290,44 @@ class Evaluator:
     """One lifted evaluation context: a database, a plan (its own unless one
     is passed), and a memo keyed by plan node and the constants bound to
     the node's placeholders, or, for a batch, by the node, the bindings of
-    its other placeholders and the batched constants.  The walk reads one
-    view per end (``views``) and goes through hooks that a subclass
-    overrides to walk other values: :class:`owpdb.openworld.IntervalEvaluator`
-    reads two ends and replaces the node-by-node arithmetic (``conj``,
-    ``disj``, ``signed_sum``); the exact DP's
-    :class:`owpdb.exactdp._BudgetSolver` replaces ``conj`` and ``disj`` and
-    the rules' hooks (:meth:`_lift`, :meth:`_leaf_value`, :meth:`_group`,
-    :meth:`_separator_product`).
+    its other placeholders and the batched constants.  A value is a tuple
+    of one ``Prob`` per view: ``db``, which supplies the stored rows, the
+    schema and every separator's partition, then each of ``more_views``
+    (an open-world interval reads the database and its full completion).
+    The walk goes through hooks; the node-by-node arithmetic (``conj``,
+    ``disj``, ``signed_sum``) maps :mod:`owpdb.probability`'s over the
+    views.  The one subclass, the exact DP's
+    :class:`owpdb.exactdp._BudgetSolver`, walks budget vectors: it replaces
+    ``conj`` and ``disj`` and the rules' hooks (:meth:`_lift`,
+    :meth:`_leaf_value`, :meth:`_group`, :meth:`_separator_product`).
     """
 
-    conj, disj = staticmethod(probability.conj), staticmethod(probability.disj)
-    signed_sum = staticmethod(probability.signed_sum)
-
-    def __init__(self, db: ProbView, *, plan: Plan | None = None):
+    def __init__(self, db: ProbView, *more_views: ProbView, plan: Plan | None = None):
         self.db = db
-        self.views: tuple[ProbView, ...] = (db,)
+        self.views: tuple[ProbView, ...] = (db, *more_views)
         self.plan = plan if plan is not None else Plan()
         self._memo: dict[object, object] = {}
         self.max_clamp = 0.0
 
+    def conj(self, items: Iterable[tuple[Prob, ...]]) -> tuple[Prob, ...]:
+        return tuple(map(probability.conj, zip(*items)))
+
+    def disj(self, items: Iterable[tuple[Prob, ...]]) -> tuple[Prob, ...]:
+        return tuple(map(probability.disj, zip(*items)))
+
+    def signed_sum(self, terms: list[tuple[int, tuple[Prob, ...]]]) -> tuple[tuple[Prob, ...], float]:
+        ends = [probability.signed_sum([(s, p[i]) for s, p in terms]) for i in range(len(self.views))]
+        return tuple(p for p, _ in ends), max(clamp for _, clamp in ends)
+
     # -- public entry ------------------------------------------------------
 
-    def probability(self, q: UCQ) -> Prob:
-        return self.evaluate(self.plan.node(q), {})
+    def probability(self, q: UCQ) -> Prob | tuple[Prob, ...]:
+        """P(``q``): a ``Prob`` for one view, else one per view."""
+        ends = self.evaluate(self.plan.node(q), {})
+        return ends[0] if len(ends) == 1 else ends
 
-    def evaluate(self, node: _Node, env: Mapping[str, Constant]) -> Prob:
-        """P(``node``) with its placeholders bound by ``env``."""
+    def evaluate(self, node: _Node, env: Mapping[str, Constant]) -> tuple[Prob, ...]:
+        """P(``node``) per view, with its placeholders bound by ``env``."""
         key = node.key(env)
         cached = self._memo.get(key)
         if cached is None:
@@ -353,7 +367,7 @@ class Evaluator:
                     w = 1.0 if atom.is_ground() else math.exp(logc)
                     _add_leaf(leaves, atom.args, {tag: a * w for tag, a in adj.items()})
             elif rule == "and":
-                vals = [flat[g[0].key(env)][0] if len(g) == 1 else self._group(g, env).value for g in arg]
+                vals = [flat[g[0].key(env)][0] if len(g) == 1 else self._group(g, env)[0].value for g in arg]
                 for i, g in enumerate(arg):
                     others = math.prod(vals[:i] + vals[i + 1:])
                     for sign, n in ((1, g[0]),) if len(g) == 1 else self.plan.terms(g):
@@ -383,7 +397,7 @@ class Evaluator:
 
     # -- recursion ---------------------------------------------------------
 
-    def _lift(self, node: _Node, env: Mapping[str, Constant]) -> Prob:
+    def _lift(self, node: _Node, env: Mapping[str, Constant]) -> tuple[Prob, ...]:
         rule, arg = self.plan.expand(node)
         if rule == "atom":
             return self._leaf_value(node, env)
@@ -397,24 +411,16 @@ class Evaluator:
             return self._separator_product(node, env)
         raise UnsafeQuery(f"no decomposition applies to {node.bound(env)}")
 
-    def _group(self, group: tuple[_Node, ...], env: Mapping[str, Constant]) -> Prob:
+    def _group(self, group: tuple[_Node, ...], env: Mapping[str, Constant]) -> tuple[Prob, ...]:
         if len(group) == 1:
             return self.evaluate(group[0], env)
         result, clamp = self.signed_sum([(s, self.evaluate(n, env)) for s, n in self.plan.terms(group)])
         self.max_clamp = max(self.max_clamp, clamp)
         return result
 
-    def _pack(self, probs: list[Prob]) -> Prob:
-        """A value from one ``Prob`` per end: a tuple when there are several."""
-        return probs[0] if len(self.views) == 1 else tuple(probs)
-
-    def _ends(self, value: Prob) -> Sequence[Prob]:
-        """The inverse of :meth:`_pack`."""
-        return (value,) if len(self.views) == 1 else value
-
-    def _leaf_value(self, node: _Node, env: Mapping[str, Constant]) -> Prob:
-        """P of the atom leaf ``node`` under ``env``, from one lookup of its rows."""
-        return self._pack([Prob(values[0], logcs[0]) for values, logcs in self._leaf_column(node, env)])
+    def _leaf_value(self, node: _Node, env: Mapping[str, Constant]) -> tuple[Prob, ...]:
+        """P of the atom leaf ``node`` under ``env`` per view, from one lookup of its rows."""
+        return tuple(Prob(values[0], logcs[0]) for values, logcs in self._leaf_column(node, env))
 
     def _partition(self, node: _Node, env: Mapping[str, Constant]) -> tuple[list, list[Constant]]:
         """The separator ``node``'s domain under ``env``: (constant, mentioned
@@ -431,8 +437,8 @@ class Evaluator:
                 rest.append(const)
         return slots + [(c, None) for c in rest[:1]], rest
 
-    def _separator_product(self, node: _Node, env: Mapping[str, Constant]) -> Prob:
-        """Complement product over the domain, the batched rest last: per end,
+    def _separator_product(self, node: _Node, env: Mapping[str, Constant]) -> tuple[Prob, ...]:
+        """Complement product over the domain, the batched rest last: per view,
         the slots' logcs summed in domain order, the rest's raised to its
         size first, in the bits of ``disj`` after ``power_disj``.  The fresh
         child's constants are one column, made where the first of them falls."""
@@ -440,7 +446,7 @@ class Evaluator:
         parts, batch = [], None
         for _, child in slots:
             if child is not None:
-                parts.append([p.logc for p in self._ends(self.evaluate(child, env))])
+                parts.append([p.logc for p in self.evaluate(child, env)])
                 continue
             if batch is None:
                 column = self._evaluate_many(self.plan.fresh_child(node), env, node.arg[4],
@@ -455,11 +461,11 @@ class Evaluator:
             for logcs in parts:
                 s += logcs[end]
             ends.append(Prob(-math.expm1(s), s) if s else IMPOSSIBLE)  # at -inf, CERTAIN
-        return self._pack(ends)
+        return tuple(ends)
 
     def _evaluate_many(self, node: _Node, env: Mapping[str, Constant], name: str, consts: list) -> list:
         """The column of ``node`` under ``env`` with placeholder ``name`` bound
-        to each of ``consts``: per end, their values and their logcs.  An atom
+        to each of ``consts``: per view, their values and their logcs.  An atom
         leaf without a repeated variable and an ``and`` of single nodes are
         one memo entry per batch, after their children's, the ``and`` in the
         bits of ``conj`` per constant; every other shape goes node by node."""
@@ -478,17 +484,17 @@ class Evaluator:
             self._memo[key] = column
         return column
 
-    def _each(self, node: _Node, env: Mapping[str, Constant], name: str, consts: list) -> list[Prob]:
+    def _each(self, node: _Node, env: Mapping[str, Constant], name: str, consts: list) -> list[tuple[Prob, ...]]:
         return [self.evaluate(node, {**env, name: c}) for c in consts]
 
-    def _column(self, values: list[Prob]) -> list[tuple[list[float], list[float]]]:
+    def _column(self, values: list[tuple[Prob, ...]]) -> list[tuple[list[float], list[float]]]:
         """The column of node-by-node ``values``."""
-        return [([p.value for p in ps], [p.logc for p in ps]) for ps in zip(*map(self._ends, values))]
+        return [([p.value for p in ps], [p.logc for p in ps]) for ps in zip(*values)]
 
     def _flat(self) -> dict[object, tuple[float, float]]:
         """The memo as the walk node by node writes it, (value, logc) per
         key: a batch's constants each under their own key, at the first
-        entry that holds it.  One end only."""
+        entry that holds it.  One view only."""
         flat = {}
         for key, value in self._memo.items():
             if type(key) is tuple and len(key) == 3:  # a batch
@@ -498,7 +504,7 @@ class Evaluator:
                 for c, v, lc in zip(consts, values, logcs):
                     flat.setdefault((node, names[:at] + (c,) + names[at + 1:]), (v, lc))
             else:
-                flat.setdefault(key, (value.value, value.logc))
+                flat.setdefault(key, (value[0].value, value[0].logc))
         return flat
 
     def _leaf_column(self, node: _Node, env: Mapping[str, Constant], name: str | None = None,

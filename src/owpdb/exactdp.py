@@ -138,7 +138,7 @@ class _BudgetSolver(Evaluator):
 
     def _closed(self, node: _Node, env: Mapping[str, Constant]) -> float:
         """Closed-world probability of ``node`` under ``env``."""
-        return self._eval.evaluate(node, env).value
+        return self._eval.evaluate(node, env)[0].value
 
     # -- budget vector combiners --------------------------------------------
 
@@ -242,7 +242,7 @@ class _BudgetSolver(Evaluator):
                 return alpha, beta, node
             for g in groups:
                 if g is not sliced[0]:
-                    beta *= self._eval._group(g, {}).value
+                    beta *= self._eval._group(g, {})[0].value
             node = self.plan.node(UCQ([ConjunctiveQuery([a for n in sliced[0] for a in n.query.disjuncts[0].atoms])]))
 
     def _family(self, terms: list[tuple[float, UCQ]]) -> _BVec:
@@ -374,7 +374,7 @@ class _BudgetSolver(Evaluator):
             for chosen in itertools.combinations(tuples, size):
                 view = self.db.with_added([self.atom(t) for t in chosen], self.lam) if chosen else self.db
                 ev = Evaluator(view, plan=self.plan)
-                vals = tuple(ev.evaluate(c, {}).value for c in cores)
+                vals = tuple(ev.evaluate(c, {})[0].value for c in cores)
                 for b in range(size, self.b_max + 1):
                     frontier[b].append((vals, chosen))
         return [self._prune(states, signs) for states in frontier]

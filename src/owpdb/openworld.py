@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 from itertools import product
 
-from . import probability
 from .database import Database, LambdaCompletionView, ProbView, Schema
 from .engine import Evaluator
 from .errors import SchemaError
@@ -126,34 +125,13 @@ def apply_completion(g: OpenPDB, choice: CompletionChoice) -> ProbView:
     return g.pdb.with_added(sorted(choice.added, key=g.schema.atom_key), g.lam)
 
 
-class IntervalEvaluator(Evaluator):
-    """Both ends of the open-world interval in one walk, each value a (closed
-    world, full completion) pair: the views are the database and its full
-    completion.  The ends share the stored rows and every separator's
-    partition, and a batch's column holds both; node by node, only the
-    arithmetic hooks (``conj``, ``disj``, ``signed_sum``) act per end.  A
-    leaf folds its rows once and adds each end's absent-atom term: the bits
-    of two walks."""
-
-    conj = staticmethod(lambda items: tuple(map(probability.conj, zip(*items))))
-    disj = staticmethod(lambda items: tuple(map(probability.disj, zip(*items))))
-
-    def __init__(self, db: ProbView, lam: float):
-        super().__init__(db)
-        self.views = (db, LambdaCompletionView(db, lam))
-
-    @staticmethod
-    def signed_sum(terms):
-        (lower, lc), (upper, uc) = (probability.signed_sum([(s, p[i]) for s, p in terms]) for i in (0, 1))
-        return (lower, upper), max(lc, uc)
-
-
 def interval_unconstrained(g: OpenPDB, q: UCQ) -> BoundResult:
     """Probability interval without mean constraints: closed world below,
     full completion above, both from one walk that reads each stored row
-    once (:class:`IntervalEvaluator`).  The full completion stays symbolic
-    (a view); completed relation blocks are never materialized."""
-    lower, upper = IntervalEvaluator(g.pdb, g.lam).probability(q)
+    once: an :class:`Evaluator` over the two views, whose ends share the
+    rows and every separator's partition.  The full completion stays
+    symbolic (a view); completed relation blocks are never materialized."""
+    lower, upper = Evaluator(g.pdb, LambdaCompletionView(g.pdb, g.lam)).probability(q)
     return BoundResult(
         kind="open_upper",
         value=upper.value,

@@ -276,9 +276,6 @@ class MatchingReport:
         ]
         return "\n".join(lines)
 
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return self.render()
-
 
 def verify_maxmatch(
     inst: ThreeDMInstance,
@@ -376,9 +373,6 @@ class PropertyReport:
             for f in s.failures:
                 lines.append(f"  {f}")
         return "\n".join(lines)
-
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return self.render()
 
 
 def _suite_lifted_ground(rng: random.Random, trials: int) -> list[str]:

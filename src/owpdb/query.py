@@ -390,30 +390,10 @@ def independence_groups(units: Sequence[UCQ]) -> list[list[UCQ]]:
 
 def variable_components(cq: ConjunctiveQuery) -> list[tuple[Atom, ...]]:
     """Split a conjunct into maximal groups of atoms linked by shared
-    variables.  Ground atoms are singleton components."""
-    atoms = cq.atoms
-    n = len(atoms)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    seen: dict[Variable, int] = {}
-    for i, a in enumerate(atoms):
-        for v in a.variables():
-            if v in seen:
-                parent[find(i)] = find(seen[v])
-            else:
-                seen[v] = i
-    groups: dict[int, list[Atom]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(atoms[i])
-    comps = [tuple(g) for g in groups.values()]
-    comps.sort(key=lambda g: g[0].key())
-    return comps
+    variables, ordered by first atom.  Ground atoms are singleton
+    components."""
+    groups = _dependence_groups(cq.atoms, lambda a, b: not a.variables().isdisjoint(b.args))
+    return sorted(map(tuple, groups), key=lambda g: g[0].key())
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from owpdb.engine import Evaluator, is_safe, prob_ground, prob_lifted, prob_lift
 from owpdb.errors import CapExceeded, UnsafeQuery
 from owpdb.exactdp import mtp_upper_exact
 from owpdb.greedy import GreedyTrace, greedy_trace, greedy_upper
-from owpdb.openworld import IntervalEvaluator, MTPConstraint, OpenPDB, interval_unconstrained
+from owpdb.openworld import MTPConstraint, OpenPDB, interval_unconstrained
 from owpdb.probability import IMPOSSIBLE, Prob
 from owpdb.query import UCQ, Atom, Constant, parse_ucq
 from owpdb.randgen import rand_cq, rand_database, rand_schema
@@ -325,13 +325,13 @@ class NodeByNode(Evaluator):
         db, (pred, slots, repeated, n_vars) = self.db, node.leaf
         bound = tuple((i, env[t].name if ph else t) for i, t, ph in slots)
         if not n_vars:
-            return Prob.from_value(db.prob(pred, tuple(t for _, t in bound)))
+            return (Prob.from_value(db.prob(pred, tuple(t for _, t in bound))),)
         stored = [p for _, p in db.pattern_entries(pred, repeated, bound)]
         parts = [Prob.from_value(p) for p in stored if p > 0.0]
         n_absent = len(db.schema.domain) ** n_vars - len(stored)
         if n_absent > 0 and db.default_prob(pred) > 0.0:
             parts.append(probability.power_disj(Prob.from_value(db.default_prob(pred)), n_absent))
-        return probability.disj(parts) if parts else IMPOSSIBLE
+        return (probability.disj(parts) if parts else IMPOSSIBLE,)
 
 
 def flat_memo(ev):
@@ -346,7 +346,7 @@ def flat_memo(ev):
             for c, v, lc in zip(consts, values, logcs):
                 flat.setdefault((node, tuple(c if n is None else n for n in names)), ((v, lc), at))
         else:
-            flat.setdefault(key, ((value.value, value.logc), at))
+            flat.setdefault(key, ((value[0].value, value[0].logc), at))
     return flat
 
 
@@ -417,7 +417,7 @@ class TestSetAtATime:
         assert repr(batched.probability(q)) == repr(reference.probability(q))
         flat = flat_memo(batched)
         assert flat.keys() == reference._memo.keys()
-        assert all(repr(pair) == repr((p.value, p.logc)) for key, p in reference._memo.items()
+        assert all(repr(pair) == repr((p.value, p.logc)) for key, (p,) in reference._memo.items()
                    for pair in [flat[key][0]])
         # post-order over entries and batches: every child's first entry
         # comes before its parent's
@@ -506,7 +506,7 @@ class TestOneWalkInterval:
             return type(exc), str(exc)
 
     def check(self, q, db, lam):
-        one = self.outcome(lambda: IntervalEvaluator(db, lam).probability(q))
+        one = self.outcome(lambda: Evaluator(db, LambdaCompletionView(db, lam)).probability(q))
         two = self.outcome(lambda: (prob_lifted_detail(q, db), prob_lifted_detail(q, LambdaCompletionView(db, lam))))
         assert one == two, (str(q), lam)
         return one
@@ -546,3 +546,14 @@ class TestOneWalkInterval:
         db = Database(Schema(preds, (Constant("A"), Constant("B"))), {"P0": {("A",): 0.5}})
         q = parse_ucq(" | ".join(f"P{i}(x), Q{i}(y)" for i in range(10)), db.schema)
         assert self.check(q, db, 0.5)[0] is CapExceeded
+
+
+def test_the_hooks_look_up_the_arithmetic_when_called(monkeypatch):
+    # a traced run wraps owpdb.probability's functions in place; the
+    # node-by-node hooks must reach the wrapper, not a copy taken at import
+    calls = []
+    real = probability.conj
+    monkeypatch.setattr(probability, "conj", lambda items: calls.append(1) or real(items))
+    db = Database(Schema({"S": 1, "T": 1}, (Constant("A"), Constant("B"))), {"S": {("A",): 0.5}, "T": {("B",): 0.4}})
+    assert prob_lifted(parse_ucq("S(x), T(y)", db.schema), db) == pytest.approx(0.2)
+    assert len(calls) == 1
