@@ -8,7 +8,7 @@ approximation for safe self-join-free queries, and by brute force on small
 instances.
 """
 
-from .database import Database, ProbTuple, Schema
+from .database import Database, Schema
 from .engine import analyze_query, is_safe, prob_ground, prob_lifted
 from .errors import (
     ArityMismatch,
@@ -72,7 +72,6 @@ __all__ = [
     "OpenPDB",
     "OwpdbError",
     "ParseError",
-    "ProbTuple",
     "QueryProfile",
     "Schema",
     "SchemaError",

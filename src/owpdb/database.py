@@ -83,20 +83,6 @@ class Schema:
         return (atom.predicate, tuple(self.domain_index(t.name) for t in atom.args))
 
 
-@dataclass(frozen=True, slots=True)
-class ProbTuple:
-    """A ground atom with its marginal probability."""
-
-    atom: Atom
-    p: float
-
-    def __post_init__(self):
-        if not self.atom.is_ground():
-            raise SchemaError(f"tuple atom must be ground: {self.atom}")
-        if not 0.0 <= self.p <= 1.0:
-            raise SchemaError(f"probability {self.p} outside [0, 1] for {self.atom}")
-
-
 def _args_names(atom: Atom) -> tuple[str, ...]:
     return tuple(t.name for t in atom.args)
 
@@ -236,8 +222,10 @@ class Database(ProbView):
     """A tuple-independent probabilistic database.
 
     Each ground atom appears at most once; absent atoms carry probability
-    zero.  Instances are immutable; :meth:`with_added` and
-    :meth:`with_overrides` return :class:`OverlayView` views over them.
+    zero.  Built in memory from ``relations`` (``pred -> {args: p}``) or
+    loaded from files (:func:`owpdb.dataio.load_database`).  Instances are
+    immutable; :meth:`with_added` and :meth:`with_overrides` return
+    :class:`OverlayView` views over them.
     """
 
     def __init__(self, schema: Schema, relations: Mapping[str, Mapping[tuple[str, ...], float]] | None = None):
@@ -253,16 +241,6 @@ class Database(ProbView):
         ``read(pred)`` gives, the first time a read reaches it."""
         db = cls(schema)
         db._rels = _Relations(schema.predicates, lambda pred: _relation(schema, pred, *read(pred)))
-        return db
-
-    @classmethod
-    def from_tuples(cls, schema: Schema, tuples: Iterable[ProbTuple]) -> "Database":
-        db, rows = cls(schema), {}
-        for t in tuples:
-            rows.setdefault(t.atom.predicate, []).append((t.atom, _args_names(t.atom), t.p))
-        for pred, table in rows.items():
-            _, names, ps = zip(*table)
-            db._rels[pred] = _relation(schema, pred, names, ps, partial(iter, table), str)
         return db
 
     def default_prob(self, pred: str) -> float:

@@ -193,7 +193,8 @@ class Plan:
     def expand(self, node: _Node) -> tuple[str | None, object]:
         """:func:`decompose` with sub-unions as nodes: ``and`` groups are
         tuples of nodes; ``sep`` is (separator, mentioned constants in term
-        order, their children, predicates, fresh placeholder name)."""
+        order, their children, predicates, fresh placeholder name), and its
+        child over that placeholder, for the other constants, is ``node.fresh``."""
         if node.rule is not None:
             return node.rule, node.arg
         q = node.query
@@ -210,16 +211,10 @@ class Plan:
             consts = sorted(q.constants(), key=term_key)
             fresh = next(str(i) for i in itertools.count() if str(i) not in node.placeholders)
             children = [self.node(substitute_separator(q, arg, c)) for c in consts]
+            node.fresh = self.node(substitute_separator(q, arg, Placeholder(fresh)))
             arg = (arg, consts, children, q.predicates(), fresh)
         node.rule, node.arg = rule, arg
         return rule, arg
-
-    def fresh_child(self, node: _Node) -> _Node:
-        """The separator child for the constants the union does not mention."""
-        if node.fresh is None:
-            sep, _, _, _, fresh = node.arg
-            node.fresh = self.node(substitute_separator(node.query, sep, Placeholder(fresh)))
-        return node.fresh
 
     def separator(self, node: _Node, env: Mapping[str, Constant]) -> tuple[dict, Callable]:
         """The separator ``node``'s children under ``env``: the constant names
@@ -233,7 +228,7 @@ class Plan:
             child = mentioned.get(const.name)
             if child is not None:
                 return child, env
-            return self.fresh_child(node), {**env, fresh: const}
+            return node.fresh, {**env, fresh: const}
 
         return mentioned, child_of
 
@@ -269,7 +264,7 @@ class Plan:
             elif rule == "or":
                 todo += reversed(arg)
             elif rule == "sep":
-                todo += reversed(arg[2] + [self.fresh_child(node)])
+                todo += reversed(arg[2] + [node.fresh])
         return self
 
 
@@ -449,7 +444,7 @@ class Evaluator:
                 parts.append([p.logc for p in self.evaluate(child, env)])
                 continue
             if batch is None:
-                column = self._evaluate_many(self.plan.fresh_child(node), env, node.arg[4],
+                column = self._evaluate_many(node.fresh, env, node.arg[4],
                                              [c for c, other in slots if other is None])
                 batch = zip(*(logcs for _, logcs in column))
             parts.append(next(batch))

@@ -47,6 +47,7 @@ from .openworld import (
     CompletionChoice,
     MTPConstraint,
     OpenPDB,
+    apply_completion,
     resolve_budget,
 )
 from .query import (
@@ -82,6 +83,7 @@ class _BudgetSolver(Evaluator):
 
     def __init__(self, g: OpenPDB, relation: str, b_max: int, plan: Plan):
         super().__init__(g.pdb, plan=plan)
+        self.g = g
         self.schema = g.schema
         self.rel = relation
         self.lam = g.lam
@@ -372,8 +374,7 @@ class _BudgetSolver(Evaluator):
         frontier: list[list] = [[] for _ in range(self.b_max + 1)]
         for size in range(0, min(self.b_max, len(tuples)) + 1):
             for chosen in itertools.combinations(tuples, size):
-                view = self.db.with_added([self.atom(t) for t in chosen], self.lam) if chosen else self.db
-                ev = Evaluator(view, plan=self.plan)
+                ev = Evaluator(apply_completion(self.g, map(self.atom, chosen)), plan=self.plan)
                 vals = tuple(ev.evaluate(c, {})[0].value for c in cores)
                 for b in range(size, self.b_max + 1):
                     frontier[b].append((vals, chosen))

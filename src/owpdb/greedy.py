@@ -39,6 +39,7 @@ from .openworld import (
     CompletionChoice,
     MTPConstraint,
     OpenPDB,
+    apply_completion,
     budget_from_mtp,
     open_tuples,
     resolve_budget,
@@ -53,9 +54,7 @@ def set_query_prob(g: OpenPDB, q: UCQ, x) -> float:
     """Query probability after adding the tuples in ``x`` at the completion
     probability: the set function whose maximization is the budgeted upper
     bound."""
-    atoms = sorted(x, key=g.schema.atom_key)
-    db = g.pdb.with_added(atoms, g.lam) if atoms else g.pdb
-    return Evaluator(db).probability(q).value
+    return Evaluator(apply_completion(g, x)).probability(q).value
 
 
 @dataclass(frozen=True)
@@ -128,7 +127,7 @@ def greedy_trace(
         if gain <= 0.0:
             break
         picks.append((atom, gain))
-        base = Evaluator(g.pdb.with_added([a for a, _ in picks], lam), plan=plan)
+        base = Evaluator(apply_completion(g, [a for a, _ in picks]), plan=plan)
         p_cur = base.probability(q).value
     p_greedy = p_cur
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
+from typing import Iterable
 
 from .database import Database, LambdaCompletionView, ProbView, Schema
 from .engine import Evaluator
@@ -119,10 +120,15 @@ def open_tuples(g: OpenPDB, rel: str) -> list[Atom]:
     return out
 
 
-def apply_completion(g: OpenPDB, choice: CompletionChoice) -> ProbView:
-    """The database extended with the chosen atoms at the completion
-    probability, as a view.  Rejects overlaps with existing tuples."""
-    return g.pdb.with_added(sorted(choice.added, key=g.schema.atom_key), g.lam)
+def apply_completion(g: OpenPDB, atoms: Iterable[Atom]) -> ProbView:
+    """The database with ``atoms`` added at the completion probability, in
+    canonical atom order, as an overlay view; the database itself when there
+    are none.  Rejects an atom already stored or given twice
+    (:class:`CompletionOverlap`).  Every added row carries the same
+    probability and follows the stored rows, so the order the atoms come in
+    moves no bit of an evaluation."""
+    atoms = sorted(atoms, key=g.schema.atom_key)
+    return g.pdb.with_added(atoms, g.lam) if atoms else g.pdb
 
 
 def interval_unconstrained(g: OpenPDB, q: UCQ) -> BoundResult:

@@ -28,12 +28,13 @@ from .openworld import (
     CompletionChoice,
     MTPConstraint,
     OpenPDB,
+    apply_completion,
     budget_from_mtp,
     interval_unconstrained,
     open_tuples,
     resolve_budget,
 )
-from .query import Atom, ConjunctiveQuery, Constant, UCQ, Variable
+from .query import Atom, Constant, UCQ, parse_ucq
 from . import randgen
 
 DEFAULT_SUBSET_CAP = 200_000
@@ -66,7 +67,7 @@ def _bruteforce_core(
         plan = None
 
     def value_of(subset: Sequence[Atom]) -> float:
-        db = g.pdb.with_added(subset, g.lam) if subset else g.pdb
+        db = apply_completion(g, subset)
         if plan is not None:
             return Evaluator(db, plan=plan).probability(q).value
         return prob_ground(q, db, cap_worlds=cap_worlds)
@@ -176,58 +177,31 @@ def max_matching_size(inst: ThreeDMInstance) -> int:
     return grow(0, frozenset(), frozenset(), frozenset())
 
 
+_ARITIES = {"R": 3, "U": 1, "V": 1, "W": 1}
+
+
 def matching_reduction_query() -> UCQ:
     """The six-way union whose budgeted optimum forces a matching: an edge
     paired with a marked node in each of the three roles, plus every pair of
     marked roles."""
-    x, y, z = Variable("x"), Variable("y"), Variable("z")
-    r = Atom("R", (x, y, z))
-    u, v, w = Atom("U", (x,)), Atom("V", (y,)), Atom("W", (z,))
-    return UCQ(
-        [
-            ConjunctiveQuery([r, u]),
-            ConjunctiveQuery([r, v]),
-            ConjunctiveQuery([r, w]),
-            ConjunctiveQuery([u, v]),
-            ConjunctiveQuery([u, w]),
-            ConjunctiveQuery([v, w]),
-        ]
-    )
+    return parse_ucq("R(x, y, z), U(x) | R(x, y, z), V(y) | R(x, y, z), W(z) | U(x), V(y) | U(x), W(z)"
+                     " | V(y), W(z)", _ARITIES)
 
 
-def _reduction_schema(inst: ThreeDMInstance) -> Schema:
+def _reduction_database(inst: ThreeDMInstance, weight: float) -> Database:
+    """The hardness gadget: marked-node tables at ``weight`` on their own
+    sets and pinned to zero elsewhere, and an edge relation open (absent)
+    exactly on the hyperedges and pinned to zero on every other triple."""
     domain = inst.x_nodes + inst.y_nodes + inst.z_nodes
-    return Schema({"R": 3, "U": 1, "V": 1, "W": 1}, domain)
-
-
-def _reduction_database(
-    inst: ThreeDMInstance, weight: float, r_support: Iterable[tuple[Constant, Constant, Constant]]
-) -> Database:
-    """Marked-node tables at ``weight`` on their own sets and pinned to zero
-    elsewhere; the edge relation carries ``r_support`` at ``weight`` and is
-    pinned to zero on every other triple."""
-    schema = _reduction_schema(inst)
-    support = {tuple(c.name for c in e) for e in r_support}
-    unary = {
-        "U": {c.name for c in inst.x_nodes},
-        "V": {c.name for c in inst.y_nodes},
-        "W": {c.name for c in inst.z_nodes},
-    }
     rels: dict[str, dict[tuple[str, ...], float]] = {
-        pred: {(c.name,): (weight if c.name in members else 0.0) for c in schema.domain}
-        for pred, members in unary.items()
+        pred: {(c.name,): (weight if c in members else 0.0) for c in domain}
+        for pred, members in (("U", inst.x_nodes), ("V", inst.y_nodes), ("W", inst.z_nodes))
     }
-    r_table: dict[tuple[str, ...], float] = {}
-    open_edges = {tuple(c.name for c in e) for e in inst.hyperedges}
-    for combo in itertools.product(schema.domain, repeat=3):
-        args = tuple(c.name for c in combo)
-        if args in support:
-            r_table[args] = weight
-        elif args not in open_edges:
-            r_table[args] = 0.0
-        # open hyperedges stay absent
-    rels["R"] = r_table
-    return Database(schema, rels)
+    rels["R"] = {
+        tuple(c.name for c in combo): 0.0
+        for combo in itertools.product(domain, repeat=3) if combo not in inst.hyperedges
+    }
+    return Database(Schema(_ARITIES, domain), rels)
 
 
 def build_matching_reduction(
@@ -242,9 +216,8 @@ def build_matching_reduction(
     """
     if not 0.0 < w < 1.0:
         raise SchemaError("tuple weight must be strictly between 0 and 1")
-    db = _reduction_database(inst, w, r_support=())
-    schema = db.schema
-    n_total = len(schema.domain) ** 3
+    db = _reduction_database(inst, w)
+    n_total = len(db.schema.domain) ** 3
     mean = (inst.k + 0.5) * w / n_total
     g = OpenPDB(db, w)
     return g, MTPConstraint("R", mean), matching_reduction_query()
@@ -293,14 +266,17 @@ def verify_maxmatch(
     mm = max_matching_size(inst)
     has_matching = mm >= inst.k
 
+    def value_with(edges) -> float:
+        """The query's value with ``edges`` in the edge relation at ``w``."""
+        view = g.pdb.with_overrides({Atom("R", e): w for e in edges})
+        return Evaluator(view, plan=plan).probability(q).value
+
     # Value any k disjoint edges would achieve, from a synthetic matching on
     # the same node sets.
     k_for_value = min(inst.k, len(inst.x_nodes), len(inst.y_nodes), len(inst.z_nodes))
-    synthetic = [
+    matching_value = value_with(
         (inst.x_nodes[i], inst.y_nodes[i], inst.z_nodes[i]) for i in range(k_for_value)
-    ]
-    db_match = _reduction_database(inst, w, r_support=synthetic)
-    matching_value = Evaluator(db_match, plan=plan).probability(q).value
+    )
 
     if has_matching:
         optimal_are_matchings = all(is_matching([a.args for a in s]) for v, s in ties)
@@ -316,13 +292,8 @@ def verify_maxmatch(
         x1, x2 = inst.x_nodes[0], inst.x_nodes[1]
         y1, y2 = inst.y_nodes[0], inst.y_nodes[1]
         z1, z2 = inst.z_nodes[0], inst.z_nodes[1]
-        base = [(x2, y2, z2)]
-        fresh_x = Evaluator(
-            _reduction_database(inst, w, base + [(x1, y1, z1)]), plan=plan
-        ).probability(q).value
-        reused_x = Evaluator(
-            _reduction_database(inst, w, base + [(x2, y1, z1)]), plan=plan
-        ).probability(q).value
+        fresh_x = value_with([(x2, y2, z2), (x1, y1, z1)])
+        reused_x = value_with([(x2, y2, z2), (x2, y1, z1)])
         swap_ok = fresh_x > reused_x
 
     ok = optimal_are_matchings and agrees and drops and (swap_ok is not False)

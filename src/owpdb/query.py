@@ -288,12 +288,8 @@ class _Parser:
         if tok.kind == "string":
             self.take("string")
             return Constant(tok.text)
-        tok = self.take("ident")
-        if _VARIABLE_NAME.fullmatch(tok.text):
-            return Variable(tok.text)
-        if _BARE_CONSTANT.fullmatch(tok.text):
-            return Constant(tok.text)
-        raise ParseError(f"{tok.text!r} is neither a variable nor a constant", tok.pos)
+        name = self.take("ident").text  # a letter first: lower case names a variable
+        return Variable(name) if _VARIABLE_NAME.fullmatch(name) else Constant(name)
 
 
 def parse_ucq(text: str, schema) -> UCQ:

@@ -12,12 +12,12 @@ import pytest
 import owpdb
 from owpdb import dataio
 from owpdb.cli import RunConfig, _result_payload, main, run
-from owpdb.database import Database, ProbTuple, Schema
+from owpdb.database import Database, Schema
 from owpdb.errors import NotInversionFree, SchemaError
 from owpdb.exactdp import mtp_upper_exact
 from owpdb.greedy import greedy_upper
 from owpdb.openworld import MTPConstraint, OpenPDB
-from owpdb.query import Atom, Constant, parse_ucq
+from owpdb.query import Constant, parse_ucq
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -275,6 +275,22 @@ class TestLoaderContract:
         status, out = run(RunConfig(mode="demo3dm", instance=str(path)))
         assert (status, out) == (1, f"error: {path}:{message}")
 
+    @pytest.mark.parametrize("schema_text, message", [
+        (None, "missing {path}"),
+        ("S/1\nCoA 2\n", "{path}:2: expected PRED/arity, got 'CoA 2'"),
+        ("S/1\n# note\nT/one\n", "{path}:3: bad arity 'one'"),
+        ("S/1\nT/1\nS/2\n", "{path}:3: duplicate predicate 'S'"),
+    ], ids=["missing", "no-slash", "arity", "duplicate"])
+    def test_bad_schema_names_its_file_and_line(self, tmp_path, schema_text, message):
+        path = scan_dir(tmp_path, "A,C,0.5\n") / "schema.txt"
+        if schema_text is None:
+            path.unlink()
+        else:
+            path.write_text(schema_text)
+        with pytest.raises(SchemaError) as err:
+            dataio.load_database(tmp_path)
+        assert str(err.value) == message.format(path=path)
+
     def test_the_parse_contract(self, tmp_path):
         # quoted constants as save_database writes them, CRLF line ends,
         # padding, a blank and a whitespace-only line, no final newline
@@ -292,7 +308,7 @@ class TestLoaderContract:
         assert (status, out) == (1, f"error: {directory / 'CoA.csv'}:2: duplicate tuple ('A', 'C')")
 
     def test_the_first_bad_row_wins_in_memory(self):
-        # a dict holds no duplicate and a ProbTuple no probability outside [0, 1]
+        # a dict holds no duplicate
         schema = Schema({"R": 2}, tuple(map(Constant, "AB")))
         for rows, message in (
             ({("A", "A"): 0.5, ("A", "B"): 1.5, ("A", "Z"): 0.5}, "R('A', 'B'): probability 1.5 outside [0, 1]"),
@@ -301,11 +317,6 @@ class TestLoaderContract:
             with pytest.raises(SchemaError) as info:
                 Database(schema, {"R": rows})
             assert str(info.value) == message
-        atom = lambda *args: Atom("R", tuple(map(Constant, args)))  # noqa: E731
-        tuples = [ProbTuple(atom("A", "A"), 0.5), ProbTuple(atom("A", "A"), 0.25), ProbTuple(atom("A", "Z"), 0.5)]
-        with pytest.raises(SchemaError) as info:
-            Database.from_tuples(schema, tuples)
-        assert str(info.value) == "R(A, A): duplicate tuple ('A', 'A')"
 
     def test_a_relation_no_request_reads_is_not_parsed(self, tmp_path):
         directory = str(scan_dir(tmp_path, "A,B,C,D\n"))
@@ -464,6 +475,15 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["--db", db_dir, "--query", "S(x), CoA(x,y)", "--mode", "exact", "--mtp", mtp])
         assert exc.value.code == 2 and message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"mode": "explain"}, "unknown mode 'explain'"),
+        ({"budget_override": -1}, "budget override must be non-negative"),
+    ], ids=["mode", "negative-budget"])
+    def test_bad_run_config_is_refused(self, fields, message):
+        with pytest.raises(ValueError) as err:
+            RunConfig(**fields)
+        assert str(err.value) == message
 
     def test_mtp_flag(self, db_dir, capsys):
         with pytest.raises(SystemExit) as exc:

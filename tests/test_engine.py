@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from owpdb.database import Database, Schema
+from owpdb.database import Database, LambdaCompletionView, Schema
 from owpdb.engine import (
     Evaluator,
     analyze_query,
@@ -14,8 +14,8 @@ from owpdb.engine import (
     prob_lifted,
     prob_lifted_detail,
 )
-from owpdb.errors import CapExceeded, UnsafeQuery
-from owpdb.query import Atom, Constant, minimize, parse_ucq
+from owpdb.errors import CapExceeded, SchemaError, UnsafeQuery
+from owpdb.query import Atom, Constant, Variable, minimize, parse_ucq
 from owpdb.randgen import rand_safe_instance
 
 # Frozen with the world-enumeration oracle over the seven stored tuples.
@@ -105,38 +105,27 @@ class TestWithAdded:
 
 
 class TestDatabaseConstruction:
-    def test_from_tuples(self):
-        from owpdb.database import ProbTuple
-
+    def test_in_memory_reads(self):
         schema = Schema({"R": 1}, (Constant("A"), Constant("B")))
-        db = Database.from_tuples(
-            schema,
-            [ProbTuple(Atom("R", (Constant("A"),)), 0.25)],
-        )
+        db = Database(schema, {"R": {("A",): 0.25}})
         assert db.prob("R", ("A",)) == 0.25
         assert db.prob("R", ("B",)) == 0.0
 
-    def test_tuple_validation(self):
-        from owpdb.database import ProbTuple
-        from owpdb.errors import SchemaError
-        from owpdb.query import Variable
-
-        with pytest.raises(SchemaError):
-            ProbTuple(Atom("R", (Variable("x"),)), 0.5)
-        with pytest.raises(SchemaError):
-            ProbTuple(Atom("R", (Constant("A"),)), 1.5)
-
-    def test_duplicate_tuple_rejected(self):
-        from owpdb.database import ProbTuple
-        from owpdb.errors import SchemaError
-
-        schema = Schema({"R": 1}, (Constant("A"),))
-        atoms = [
-            ProbTuple(Atom("R", (Constant("A"),)), 0.5),
-            ProbTuple(Atom("R", (Constant("A"),)), 0.6),
-        ]
-        with pytest.raises(SchemaError):
-            Database.from_tuples(schema, atoms)
+    @pytest.mark.parametrize("build, message", [
+        (lambda db: Schema({"R": 1}, ()), "domain must be non-empty"),
+        (lambda db: Schema({"R": 1}, (Constant("A"), Constant("A"))), "domain contains duplicate constants"),
+        (lambda db: Schema({"R": 0}, (Constant("A"),)), "predicate 'R' must have arity >= 1"),
+        (lambda db: db.with_overrides({Atom("R", (Variable("x"),)): 0.5}), "override atom must be ground: R(x)"),
+        (lambda db: db.with_overrides({Atom("R", (Constant("B"),)): 1.5}), "override probability 1.5 outside [0, 1]"),
+        (lambda db: LambdaCompletionView(db, 1.5), "completion probability 1.5 outside [0, 1]"),
+        (lambda db: LambdaCompletionView(db, -0.5), "completion probability -0.5 outside [0, 1]"),
+    ], ids=["empty-domain", "duplicate-constant", "arity-zero", "non-ground-override", "override-range",
+            "lambda-above-one", "lambda-below-zero"])
+    def test_bad_schemas_and_views_are_refused(self, build, message):
+        db = Database(Schema({"R": 1}, (Constant("A"), Constant("B"))), {"R": {("A",): 0.25}})
+        with pytest.raises(SchemaError) as err:
+            build(db)
+        assert str(err.value) == message
 
 
 class TestGroundEvaluator:

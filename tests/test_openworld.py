@@ -8,8 +8,8 @@ from owpdb.database import Database, LambdaCompletionView, Schema
 from owpdb.engine import prob_ground
 from owpdb.errors import CompletionOverlap, SchemaError
 from owpdb.openworld import (
+    BUDGET_EPSILON,
     BoundResult,
-    CompletionChoice,
     MTPConstraint,
     OpenPDB,
     apply_completion,
@@ -107,10 +107,28 @@ class TestBudget:
         assert budget_from_mtp(g, MTPConstraint("R", 0.5)).max_added == 0
 
     def test_support_denominator(self):
-        g = unary_pdb(10, {("A",): 0.9, ("B",): 0.7}, lam=0.5)
-        b = budget_from_mtp(g, MTPConstraint("R", 0.9), denominator="support")
-        # mean over nonzero rows: (1.6 + 0.5 b) / (2 + b) <= 0.9 + eps
-        assert b.max_added == 8
+        # each budget is the largest count b whose mean over nonzero rows,
+        # (mass + lam b) / (n0 + b), stays within the bound; no count lands
+        # within 0.1 of it, so strict and non-strict readings agree
+        for n, existing, lam, mean, want in [
+            (10, {("A",): 0.9, ("B",): 0.7}, 0.5, 0.9, 8),  # lam below the mean bound
+            (10, {("A",): 0.9, ("B",): 0.7}, 0.5, 0.5, 0),  # infeasible
+            (10, {("A",): 0.2}, 0.0, 0.5, 0),  # a tuple added at 0 stays outside the support
+            (10, {("A",): 0.1, ("B",): 0.2}, 0.9, 0.5, 1),  # lam above the mean bound
+            (3, {("A",): 0.1}, 0.7, 0.6, 2),  # lam above it, every open tuple fits
+        ]:
+            g = unary_pdb(n, existing, lam=lam)
+            b = budget_from_mtp(g, MTPConstraint("R", mean), denominator="support")
+            mass, n0 = sum(existing.values()), len(existing)
+            fits = [k for k in range(n - n0 + 1) if mass + k * lam <= mean * (n0 + k) + BUDGET_EPSILON]
+            assert (b.max_added, b.infeasible) == (want, not fits), (existing, lam, mean)
+            assert want == (max(fits, default=0) if lam > 0.0 else 0)
+
+    @pytest.mark.parametrize("lam", [-0.1, 1.5])
+    def test_completion_probability_outside_the_unit_interval_is_refused(self, lam):
+        with pytest.raises(SchemaError) as err:
+            unary_pdb(2, lam=lam)
+        assert str(err.value) == f"completion probability {lam} outside [0, 1]"
 
     @given(
         st.integers(min_value=1, max_value=9).map(lambda i: i / 10),
@@ -140,7 +158,8 @@ class TestBudget:
 class TestApplyCompletion:
     def test_empty_choice_is_noop(self, coauthor_db, scientist_coauthor_query):
         g = OpenPDB(coauthor_db, 0.3)
-        db = apply_completion(g, CompletionChoice(frozenset()))
+        db = apply_completion(g, [])
+        assert db is coauthor_db
         from owpdb.engine import prob_lifted
 
         assert prob_lifted(scientist_coauthor_query, db) == prob_lifted(
@@ -149,12 +168,12 @@ class TestApplyCompletion:
 
     def test_single_addition(self):
         g = unary_pdb(2, {("A",): 0.7}, lam=0.4)
-        db = apply_completion(g, CompletionChoice(frozenset({Atom("R", (Constant("B"),))})))
+        db = apply_completion(g, [Atom("R", (Constant("B"),))])
         assert db.prob("R", ("B",)) == 0.4
 
     def test_all_open_tuples_match_full_completion(self, coauthor_db, scientist_coauthor_query):
         g = OpenPDB(coauthor_db, 0.3)
-        db = apply_completion(g, CompletionChoice(frozenset(open_tuples(g, "CoA"))))
+        db = apply_completion(g, open_tuples(g, "CoA"))
         from owpdb.engine import prob_lifted
 
         # S is fully stored, so completing CoA alone reaches the interval upper
@@ -166,7 +185,9 @@ class TestApplyCompletion:
     def test_overlap_rejected(self):
         g = unary_pdb(2, {("A",): 0.7})
         with pytest.raises(CompletionOverlap):
-            apply_completion(g, CompletionChoice(frozenset({Atom("R", (Constant("A"),))})))
+            apply_completion(g, [Atom("R", (Constant("A"),))])
+        with pytest.raises(CompletionOverlap):
+            apply_completion(g, [Atom("R", (Constant("B"),))] * 2)
 
 
 class TestBoundResult:

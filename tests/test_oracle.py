@@ -76,7 +76,7 @@ class TestBruteforce:
         res = mtp_upper_bruteforce(g, MTPConstraint("S", 0.4), q)
         assert "unsafe-query-ground-evaluation" in res.warnings
         # replaying the witness against the ground oracle reproduces the value
-        replay = prob_ground(q, apply_completion(g, res.witness))
+        replay = prob_ground(q, apply_completion(g, res.witness.added))
         assert replay == pytest.approx(res.value, abs=1e-12)
 
 

@@ -51,9 +51,16 @@ class TestParser:
             q("Nope(x)")
 
     def test_syntax_error_carries_position(self):
-        with pytest.raises(ParseError) as err:
-            q("R(x,, y)")
-        assert err.value.position == 4
+        for text, message, position in [
+            ("R(x,, y)", "expected 'ident', found ','", 4),
+            ('R("abc)', "unterminated string constant", 2),
+            ('R("")', "empty string constant", 2),
+            ("R(x) & S(x, y)", "unexpected character '&'", 5),
+            ("R(x) | S(x, _y)", "unexpected character '_'", 12),  # so every name is a variable or a constant
+        ]:
+            with pytest.raises(ParseError) as err:
+                q(text)
+            assert (str(err.value), err.value.position) == (f"{message} (at position {position})", position), text
 
     def test_quoted_constant(self):
         query = q('R("von Neumann")')

@@ -44,11 +44,15 @@ bound on one of the query's relations) into a temporary directory, and the
 ``cli.run`` JSON of ``analyze``, ``eval`` and ``interval`` on each, so the
 loader and its row checks are pinned along with the answers (the directory
 prints as ``<dir>``).  Appended after that, the report of
-``property_suites(7, 10)``, the ``--mode verify`` suites.
+``property_suites(7, 10)``, the ``--mode verify`` suites.  Last, the
+``--mode demo3dm`` reports: ``verify_maxmatch`` on 40 matching instances
+drawn from ``random.Random(43)``, with 2-3 nodes per side, 3-8 hyperedges
+and a target size of 1-3.
 
 Each unindented line opens a block named by its first word (``safe``,
 ``mtp``, ``safety``, ``gap``, ``greedy``, ``large``, ``chain``,
-``ground``, ``sized``, ``disk``, ``verify``) and the indented lines under
+``ground``, ``sized``, ``disk``, ``verify``, ``matching``) and the
+indented lines under
 it belong to it.  ``tools/same_answers.sha256`` holds one SHA-256 per
 block of the output under ``PYTHONHASHSEED=0``, and
 ``tests/test_answers.py`` checks them.
@@ -65,6 +69,7 @@ from owpdb import (
     OpenPDB,
     Schema,
     OwpdbError,
+    ThreeDMInstance,
     analyze_query,
     greedy_trace,
     greedy_upper,
@@ -72,6 +77,7 @@ from owpdb import (
     mtp_upper_bruteforce,
     mtp_upper_exact,
     property_suites,
+    verify_maxmatch,
 )
 from owpdb.cli import RunConfig, run
 from owpdb.dataio import save_database
@@ -127,6 +133,7 @@ GROUND_UNIONS = 400
 DISK_INSTANCES = 40
 VERIFY_SEED = 7
 VERIFY_TRIALS = 10
+MATCHING_INSTANCES = 40
 
 
 def show_bound(result, schema) -> str:
@@ -235,6 +242,15 @@ def chain_instance(rng: random.Random) -> Database:
     })
 
 
+def matching_instance(rng: random.Random) -> ThreeDMInstance:
+    """2-3 nodes on each side, 3-8 of their triples as hyperedges and a
+    target matching size of 1-3."""
+    xs, ys, zs = (tuple(Constant(f"{side}{i + 1}") for i in range(rng.randint(2, 3))) for side in "XYZ")
+    triples = [(x, y, z) for x in xs for y in ys for z in zs]
+    edges = rng.sample(triples, rng.randint(3, 8))
+    return ThreeDMInstance(xs, ys, zs, frozenset(edges), rng.randint(1, 3))
+
+
 def show_trace(trace) -> str:
     return repr((
         [(str(atom), gain) for atom, gain in trace.picks],
@@ -331,6 +347,14 @@ def main() -> None:
     print(f"verify seed={VERIFY_SEED} trials={VERIFY_TRIALS}")
     for line in property_suites(VERIFY_SEED, VERIFY_TRIALS).render().splitlines():
         print("  " + line)
+
+    rng = random.Random(43)
+    for i in range(MATCHING_INSTANCES):
+        inst = matching_instance(rng)
+        edges = sorted(" ".join(c.name for c in e) for e in inst.hyperedges)
+        print(f"matching {i} k={inst.k} edges={edges}")
+        for line in verify_maxmatch(inst).render().splitlines():
+            print("  " + line)
 
 
 if __name__ == "__main__":
