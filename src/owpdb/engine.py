@@ -11,7 +11,7 @@ The lifted evaluator decomposes a union of conjunctive queries recursively:
 * a separator variable turns the query into a complement product over the
   domain, with interchangeable constants batched symbolically.
 
-:func:`decompose` picks the first of these rules that applies; the budget
+:meth:`Plan.expand` picks the first of these rules that applies; the budget
 optimizer in :mod:`owpdb.exactdp` is an :class:`Evaluator` over budget
 vectors and walks the same plan by the same code.  If no rule applies
 the query is refused with :class:`UnsafeQuery`; the ground evaluator is the
@@ -34,7 +34,8 @@ the database and its full completion for both ends of an open-world
 interval in one walk.  Greedy screens every candidate tuple by one
 reverse pass over a round's memo (:meth:`Evaluator.gradient`).  "Safe"
 means the whole plan builds; a plan too wide to build is
-:class:`CapExceeded`, not unsafe.  Nothing outlives the call: databases
+:class:`CapExceeded`, not unsafe, refused when the too-wide node is
+expanded.  Nothing outlives the call: databases
 are never mutated and plans and memo tables are per call, so concurrent
 queries against one database are safe.
 """
@@ -115,43 +116,17 @@ def _part_key(u: UCQ) -> tuple:
     return tuple(d.key() for d in u.disjuncts)
 
 
-def decompose(q: UCQ) -> tuple[str | None, object]:
-    """The first lifted rule that applies to the minimized union ``q``:
-
-    * ``("atom", atom)`` for a single one-atom disjunct;
-    * ``("and", groups)`` for a conjunction of sub-unions, split into
-      mutually independent groups (each a list of sub-unions in
-      :func:`conjunction_parts` order);
-    * ``("or", unions)`` for a union of mutually independent sub-unions;
-    * ``("sep", separator)`` for a separator variable (one per disjunct);
-    * ``(None, None)`` when no rule applies.
-    """
-    ds = q.disjuncts
-    if len(ds) == 1 and len(ds[0].atoms) == 1:
-        return "atom", ds[0].atoms[0]
-    parts = conjunction_parts(q)
-    if parts is not None:
-        return "and", independence_groups(parts)
-    if len(ds) > 1:
-        groups = independence_groups([UCQ([d]) for d in ds])
-        if len(groups) > 1:
-            return "or", [UCQ([d for u in g for d in u.disjuncts]) for g in groups]
-    sep = find_separator([d.atoms for d in ds])
-    if sep is not None:
-        return "sep", sep
-    return None, None
-
-
 class _Node:
     """A plan node: a minimized union, possibly over placeholders, and its
-    rule, filled in by :meth:`Plan.expand` on first use."""
+    rule and the nodes that rule reads, filled in by :meth:`Plan.expand` on
+    first use."""
 
-    __slots__ = ("query", "placeholders", "rule", "arg", "fresh", "leaf")
+    __slots__ = ("query", "placeholders", "rule", "arg", "children", "fresh", "leaf")
 
     def __init__(self, query: UCQ):
         self.query = query
         self.placeholders = tuple(sorted(c.name for c in query.constants() if type(c) is Placeholder))
-        self.rule = self.arg = self.fresh = self.leaf = None
+        self.rule = self.arg = self.children = self.fresh = self.leaf = None
 
     def key(self, env: Mapping[str, Constant]) -> object:
         """Memo key of this node under ``env``: the node and the constants
@@ -169,11 +144,12 @@ class Plan:
     """The lifted plan of one public call's queries, shared by all the
     evaluators the call makes, whatever database each reads.  Nodes are
     hash-consed by minimized union and expanded on first use, so rules run,
-    and refuse, in the order an evaluator reaches them.  A separator has a
-    child per constant its union mentions and one fresh child, over a
-    placeholder, for all the others: they are interchangeable, so one
-    child stands for each of them.  ``force_inclusion_exclusion`` makes one
-    group of all parts."""
+    and refuse, in the order an evaluator reaches them; :meth:`build` walks
+    the children :meth:`expand` records.  A separator has a child per
+    constant its union mentions and one fresh child, over a placeholder,
+    for all the others: they are interchangeable, so one child stands for
+    each of them.  ``force_inclusion_exclusion`` makes one group of all
+    parts."""
 
     def __init__(self, *, force_inclusion_exclusion: bool = False):
         self.force_ie = force_inclusion_exclusion
@@ -191,29 +167,42 @@ class Plan:
         return node
 
     def expand(self, node: _Node) -> tuple[str | None, object]:
-        """:func:`decompose` with sub-unions as nodes: ``and`` groups are
-        tuples of nodes; ``sep`` is (separator, mentioned constants in term
-        order, their children, predicates, fresh placeholder name), and its
-        child over that placeholder, for the other constants, is ``node.fresh``."""
+        """The first lifted rule that applies to ``node``'s union, derived
+        once and recorded with the nodes it reads, ``node.children``:
+
+        * ``("atom", atom)`` for a single one-atom disjunct;
+        * ``("and", groups)`` for a conjunction of sub-unions, in mutually
+          independent groups of nodes; its children are each group's node
+          or terms (:meth:`terms`), so a group too wide refuses here;
+        * ``("or", nodes)`` for a union of mutually independent sub-unions;
+        * ``("sep", (separator, mentioned constants in term order, their
+          children, predicates, fresh placeholder name))``; the child over
+          that placeholder, for the other constants, is ``node.fresh``;
+        * ``(None, None)`` when no rule applies; the node stays unexpanded.
+        """
         if node.rule is not None:
             return node.rule, node.arg
         q = node.query
-        rule, arg = decompose(q)
-        if rule == "atom":
+        ds = q.disjuncts
+        if len(ds) == 1 and len(ds[0].atoms) == 1:
+            rule, arg, children = "atom", ds[0].atoms[0], []
             node.leaf = _leaf(arg)
-        elif rule == "and":
-            if self.force_ie:
-                arg = [sorted((u for g in arg for u in g), key=_part_key)]
-            arg = [tuple(self.node(u) for u in g) for g in arg]
-        elif rule == "or":
-            arg = [self.node(u) for u in arg]
-        elif rule == "sep":
+        elif (parts := conjunction_parts(q)) is not None:
+            groups = [parts] if self.force_ie else independence_groups(parts)
+            rule, arg = "and", [tuple(map(self.node, g)) for g in groups]
+            children = [n for g in arg for n in (g if len(g) == 1 else [t for _, t in self.terms(g)])]
+        elif len(ds) > 1 and len(groups := independence_groups([UCQ([d]) for d in ds])) > 1:
+            rule = "or"
+            arg = children = [self.node(UCQ([d for u in g for d in u.disjuncts])) for g in groups]
+        elif (sep := find_separator([d.atoms for d in ds])) is not None:
             consts = sorted(q.constants(), key=term_key)
             fresh = next(str(i) for i in itertools.count() if str(i) not in node.placeholders)
-            children = [self.node(substitute_separator(q, arg, c)) for c in consts]
-            node.fresh = self.node(substitute_separator(q, arg, Placeholder(fresh)))
-            arg = (arg, consts, children, q.predicates(), fresh)
-        node.rule, node.arg = rule, arg
+            mentioned = [self.node(substitute_separator(q, sep, c)) for c in consts]
+            node.fresh = self.node(substitute_separator(q, sep, Placeholder(fresh)))
+            rule, arg, children = "sep", (sep, consts, mentioned, q.predicates(), fresh), mentioned + [node.fresh]
+        else:
+            return None, None
+        node.rule, node.arg, node.children = rule, arg, children
         return rule, arg
 
     def separator(self, node: _Node, env: Mapping[str, Constant]) -> tuple[dict, Callable]:
@@ -256,15 +245,9 @@ class Plan:
             if node in seen:
                 continue
             seen.add(node)
-            rule, arg = self.expand(node)
-            if rule is None:
+            if self.expand(node)[0] is None:
                 raise UnsafeQuery(f"{q} admits no lifted evaluation")
-            if rule == "and":
-                todo += reversed([n for g in arg for n in (g if len(g) == 1 else [t for _, t in self.terms(g)])])
-            elif rule == "or":
-                todo += reversed(arg)
-            elif rule == "sep":
-                todo += reversed(arg[2] + [node.fresh])
+            todo += reversed(node.children)
         return self
 
 

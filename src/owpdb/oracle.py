@@ -56,11 +56,12 @@ def _bruteforce_core(
     cap_worlds: int,
     keep_ties: bool,
 ):
-    candidates = open_tuples(g, relation)
-    n = len(candidates)
+    # counted, not listed, so that a refusal builds no candidate
+    n = len(g.schema.domain) ** g.schema.arity(relation) - g.pdb.relation_size(relation)
     total = sum(math.comb(n, k) for k in range(0, min(b_max, n) + 1))
     if total > cap_subsets:
         raise CapExceeded(f"{total} completion subsets exceed the cap {cap_subsets}")
+    candidates = open_tuples(g, relation)
     try:
         plan = Plan().build(q)
     except (UnsafeQuery, CapExceeded):
@@ -453,13 +454,9 @@ def _suite_greedy_bounds(rng: random.Random, trials: int) -> list[str]:
         if any(gains[i] < gains[i + 1] - 1e-12 for i in range(len(gains) - 1)):
             failures.append(f"trial={t} query={q} gains not non-increasing: {gains!r}")
         elif not (trace.lower - 1e-9 <= opt <= trace.upper + 1e-9):
+            # the upper end is the 1 - 1/e guarantee on greedy's gain solved for opt
             failures.append(
                 f"trial={t} query={q} opt={opt!r} outside [{trace.lower!r}, {trace.upper!r}]"
-            )
-        elif (trace.p_greedy - trace.p_closed) < (1 - 1 / math.e) * (opt - trace.p_closed) - 1e-9:
-            failures.append(
-                f"trial={t} query={q} greedy gain below guarantee: "
-                f"greedy={trace.p_greedy!r} closed={trace.p_closed!r} opt={opt!r}"
             )
     return failures
 

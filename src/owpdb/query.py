@@ -236,9 +236,10 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], arities: Mapping[str, int]):
+    def __init__(self, tokens: list[_Token], arities: Mapping[str, int], known=None):
         self.tokens = tokens
         self.arities = arities
+        self.known = known  # whether a constant name is in the domain, when one is given
         self.i = 0
 
     def peek(self) -> _Token:
@@ -284,12 +285,13 @@ class _Parser:
         return Atom(pred, tuple(args))
 
     def term(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "string":
-            self.take("string")
-            return Constant(tok.text)
-        name = self.take("ident").text  # a letter first: lower case names a variable
-        return Variable(name) if _VARIABLE_NAME.fullmatch(name) else Constant(name)
+        tok = self.take("string" if self.peek().kind == "string" else "ident")
+        # a name starts with a letter: lower case names a variable
+        if tok.kind == "ident" and _VARIABLE_NAME.fullmatch(tok.text):
+            return Variable(tok.text)
+        if self.known is not None and not self.known(tok.text):
+            raise ParseError(f"constant {tok.text!r} is not in the domain", tok.pos)
+        return Constant(tok.text)
 
 
 def parse_ucq(text: str, schema) -> UCQ:
@@ -300,11 +302,11 @@ def parse_ucq(text: str, schema) -> UCQ:
     ``[a-z][A-Za-z0-9_]*``; constants match ``[A-Z][A-Za-z0-9_]*`` or a
     double-quoted string.  Whitespace is insignificant.
 
-    ``schema`` may be a :class:`~owpdb.database.Schema` or any mapping from
-    predicate name to arity.
+    ``schema`` may be a :class:`~owpdb.database.Schema`, whose domain then
+    holds every constant, or any mapping from predicate name to arity.
     """
     arities = schema.predicates if hasattr(schema, "predicates") else schema
-    return _Parser(_tokenize(text), arities).ucq()
+    return _Parser(_tokenize(text), arities, getattr(schema, "has_constant", None)).ucq()
 
 
 # ---------------------------------------------------------------------------

@@ -343,6 +343,11 @@ class TestExitCodes:
         status, out = run(RunConfig(db_dir=db_dir, query="S(x, y)", mode="eval"))
         assert status == 1 and "error" in out
 
+    def test_constant_outside_the_domain(self, db_dir):
+        for mode in ("analyze", "eval", "interval", "exact", "greedy", "oracle"):
+            status, out = run(RunConfig(db_dir=db_dir, query="S(x), CoA(x, Z)", mode=mode))
+            assert (status, out) == (1, "error: constant 'Z' is not in the domain (at position 13)"), mode
+
     def test_unsafe_without_fallback(self, tmp_path):
         schema = Schema({"R": 1, "S": 2, "T": 1}, (Constant("A"), Constant("B")))
         db = Database(schema, {"R": {("A",): 0.5}, "S": {("A", "B"): 0.5}, "T": {("B",): 0.5}})
@@ -386,15 +391,27 @@ class TestExitCodes:
         )
         assert status == 3
 
+    TOO_WIDE = [
+        # (arities, domain, rows, constrained relation, query, message)
+        ({f"{r}{i}": 1 for i in range(10) for r in "PQ"}, ["A", "B"], {"P0": {("A",): 0.5}}, "P0",
+         " | ".join(f"P{i}(x), Q{i}(y)" for i in range(10)), "cap 512"),
+        # an unsafe chain whose group sorts first, then 13 mutually dependent
+        # parts: refused when the conjunction is expanded, before the chain
+        # is evaluated, so eval never tries ground evaluation
+        ({"A0": 1, "B0": 2, "C0": 1, "R": 2, "S": 1}, [f"A{i}" for i in range(1, 14)] + ["E"],
+         {"A0": {("E",): 0.5}, "B0": {("E", "A1"): 0.4}, "C0": {("A1",): 0.3}, "R": {("E", "A1"): 0.6},
+          "S": {("E",): 0.7}}, "S",
+         "A0(y), B0(y, z), C0(z), " + ", ".join(f"R(x{i}, A{i + 1}), S(x{i})" for i in range(13)), "cap 12"),
+    ]
+
     def test_too_wide_is_cap_exceeded(self, tmp_path):
-        preds = {f"{r}{i}": 1 for i in range(10) for r in "PQ"}
-        db = Database(Schema(preds, (Constant("A"), Constant("B"))), {"P0": {("A",): 0.5}})
-        dataio.save_database(db, tmp_path)
-        (tmp_path / "constraints.txt").write_text("lambda=0.5\nmtp P0 0.9\n")
-        query = " | ".join(f"P{i}(x), Q{i}(y)" for i in range(10))
-        for mode in ("analyze", "eval", "greedy", "exact"):
-            status, out = run(RunConfig(db_dir=str(tmp_path), query=query, mode=mode))
-            assert status == 3 and "cap 512" in out, (mode, out)
+        for i, (arities, names, rows, constrained, query, message) in enumerate(self.TOO_WIDE):
+            case = tmp_path / str(i)
+            dataio.save_database(Database(Schema(arities, tuple(map(Constant, names))), rows), case)
+            (case / "constraints.txt").write_text(f"lambda=0.5\nmtp {constrained} 0.9\n")
+            for mode in ("analyze", "eval", "interval", "exact", "greedy"):
+                status, out = run(RunConfig(db_dir=str(case), query=query, mode=mode, force=True))
+                assert status == 3 and message in out, (query, mode, out)
 
     def test_greedy_self_join_needs_force(self, tmp_path):
         schema = Schema({"R": 2}, (Constant("A"), Constant("B")))

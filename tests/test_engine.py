@@ -6,8 +6,8 @@ import pytest
 from owpdb.database import Database, LambdaCompletionView, Schema
 from owpdb.engine import (
     Evaluator,
+    Plan,
     analyze_query,
-    decompose,
     is_safe,
     prob_ground,
     prob_ground_detail,
@@ -209,7 +209,8 @@ class TestSafety:
         ],
     )
     def test_decompose_rule(self, text, arities, rule):
-        got = decompose(minimize(parse_ucq(text, arities)))
+        plan = Plan()
+        got = plan.expand(plan.node(minimize(parse_ucq(text, arities))))
         assert got[0] == rule
         if rule is None:
             assert got == (None, None)

@@ -1,11 +1,13 @@
+import dataclasses
 import random
 
 import pytest
 
+from owpdb import oracle
 from owpdb.database import Database, Schema
 from owpdb.engine import prob_ground
 from owpdb.errors import CapExceeded
-from owpdb.openworld import MTPConstraint, OpenPDB, apply_completion, budget_from_mtp
+from owpdb.openworld import Budget, MTPConstraint, OpenPDB, apply_completion, budget_from_mtp
 from owpdb.oracle import (
     ThreeDMInstance,
     build_matching_reduction,
@@ -15,7 +17,7 @@ from owpdb.oracle import (
     property_suites,
     verify_maxmatch,
 )
-from owpdb.query import Constant, parse_ucq
+from owpdb.query import Atom, Constant, parse_ucq
 
 from helpers import rand_3dm
 
@@ -55,6 +57,19 @@ class TestBruteforce:
             mtp_upper_bruteforce(
                 g, MTPConstraint("R", 0.9), parse_ucq("R(x)", schema), budget=10, cap_subsets=100
             )
+
+    def test_refusal_builds_no_candidate(self, monkeypatch):
+        # the subsets are counted from the open tuples, never listed first
+        names = [f"C{i}" for i in range(30)]
+        schema = Schema({"S": 1, "CoA": 2}, tuple(map(Constant, names)))
+        db = Database(schema, {"S": {("C0",): 0.5}, "CoA": {(a, b): 0.3 for a, b in zip(names, names[1:])}})
+        q = parse_ucq("S(x), CoA(x, y)", schema)
+        built = []
+        real = Atom.__init__
+        monkeypatch.setattr(Atom, "__init__", lambda self, pred, args: built.append(pred) or real(self, pred, args))
+        with pytest.raises(CapExceeded, match="completion subsets exceed the cap 1000"):
+            mtp_upper_bruteforce(OpenPDB(db, 0.5), MTPConstraint("CoA", 0.9), q, budget=2, cap_subsets=1000)
+        assert "CoA" not in built
 
     def test_witness_replay_reproduces_value(self):
         rng = random.Random(906)
@@ -183,3 +198,45 @@ class TestPropertySuites:
     def test_default_run_passes(self):
         report = property_suites(5, 6)
         assert report.passed, report.render()
+
+
+def _shifted(real, delta, when=lambda *args, **kwargs: True):
+    return lambda *args, **kwargs: real(*args, **kwargs) + delta * when(*args, **kwargs)
+
+
+def _valued(real, value):
+    return lambda *args, **kwargs: dataclasses.replace(real(*args, **kwargs), value=value)
+
+
+# (suite, name it calls in owpdb.oracle, planted fault of the real function, text of its failure line)
+PLANTS = [
+    ("lifted_ground_equivalence", "prob_ground", lambda real: _shifted(real, 0.5), "ground="),
+    ("monotonicity", "prob_lifted",
+     lambda real: _shifted(real, -1.0, lambda q, db, **kw: type(db) is not Database), "after="),
+    ("inclusion_exclusion_consistency", "prob_lifted",
+     lambda real: _shifted(real, 0.5, lambda q, db, force_inclusion_exclusion=False: force_inclusion_exclusion),
+     "forced="),
+    ("submodularity", "set_query_prob", lambda real: lambda g, q, added: len(added) ** 3, "gainY="),
+    ("vertex_attainment", "vertex_attainment_check", lambda real: lambda *args, **kw: (False, "planted"), "planted"),
+    ("dp_vs_bruteforce", "mtp_upper_exact", lambda real: _valued(real, -1.0), "dp=-1.0"),
+    ("dp_vs_bruteforce", "set_query_prob", lambda real: _shifted(real, 1.0), "witness-replay="),
+    ("greedy_bounds", "greedy_trace",
+     lambda real: lambda *args: dataclasses.replace(real(*args), picks=((None, 0.1), (None, 0.2))),
+     "gains not non-increasing"),
+    ("greedy_bounds", "mtp_upper_bruteforce", lambda real: _valued(real, 2.0), "opt=2.0 outside"),
+    ("interval_ordering", "mtp_upper_bruteforce", lambda real: _valued(real, 2.0), "budgeted=2.0 outside"),
+    ("budget_monotonicity", "budget_from_mtp",
+     lambda real: lambda g, c, **kw: Budget(c.relation, round(100 * (1.0 - c.mean_bound))), "budget drops"),
+]
+
+
+@pytest.mark.parametrize("suite, name, plant, text", PLANTS, ids=[f"{s}-{n}" for s, n, _, _ in PLANTS])
+def test_every_suite_reports_a_planted_fault(monkeypatch, suite, name, plant, text):
+    monkeypatch.setattr(oracle, name, plant(getattr(oracle, name)))
+    report = property_suites(7, 4)
+    (failures,) = [s.failures for s in report.suites if s.name == suite]
+    assert 0 < len(failures) <= 3
+    assert failures[0].startswith("trial=0 ") and text in failures[0], failures
+    lines = report.render().splitlines()
+    at = lines.index(f"suite={suite} trials=4 failures={len(failures)}")
+    assert lines[at + 1:at + 1 + len(failures)] == [f"  {f}" for f in failures]

@@ -43,18 +43,15 @@ def scientist_db(n, seed=1):
 
 @pytest.fixture
 def decompose_calls(monkeypatch):
-    """Rule derivations: ``decompose`` calls through every owpdb module that
-    binds the name."""
+    """Rule derivations: :meth:`Plan.expand` calls on a node not yet expanded."""
     calls = [0]
-    real = engine.decompose
+    real = engine.Plan.expand
 
-    def counted(q):
-        calls[0] += 1
-        return real(q)
+    def counted(self, node):
+        calls[0] += node.rule is None
+        return real(self, node)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "owpdb" and getattr(module, "decompose", None) is real:
-            monkeypatch.setattr(module, "decompose", counted)
+    monkeypatch.setattr(engine.Plan, "expand", counted)
     return calls
 
 
@@ -354,15 +351,11 @@ def child_keys(ev, key):
     """The per-constant memo keys of the children a memo entry was computed from."""
     node, names = key if type(key) is tuple else (key, ())
     env = dict(zip(node.placeholders, map(Constant, names)))
-    if node.rule == "and":
-        children = [(n, env) for g in node.arg for n in (g if len(g) == 1 else [t for _, t in ev.plan.terms(g)])]
-    elif node.rule == "or":
-        children = [(u, env) for u in node.arg]
-    elif node.rule == "sep":
+    if node.rule == "sep":
         child_of = ev.plan.separator(node, env)[1]
         children = [child_of(c) for c, _ in ev._partition(node, env)[0]]
     else:
-        children = []
+        children = [(n, env) for n in node.children]
     return [n.key(e) for n, e in children]
 
 

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from owpdb.database import Schema
 from owpdb.errors import ArityMismatch, CapExceeded, ParseError, UnknownPredicate
 from owpdb.query import (
     Atom,
@@ -57,9 +58,11 @@ class TestParser:
             ('R("")', "empty string constant", 2),
             ("R(x) & S(x, y)", "unexpected character '&'", 5),
             ("R(x) | S(x, _y)", "unexpected character '_'", 12),  # so every name is a variable or a constant
+            ("R(x), CoA(x, Z)", "constant 'Z' is not in the domain", 13),
+            ('R("von Neumann")', "constant 'von Neumann' is not in the domain", 2),
         ]:
             with pytest.raises(ParseError) as err:
-                q(text)
+                parse_ucq(text, Schema(ARITIES, (Constant("A"), Constant("B"))))
             assert (str(err.value), err.value.position) == (f"{message} (at position {position})", position), text
 
     def test_quoted_constant(self):
