@@ -236,7 +236,7 @@ def _render_text(payload: dict, notices: list[str]) -> str:
     if payload["mtp"] is not None:
         m = payload["mtp"]
         lines.append(
-            f"mtp: {m['relation']} < {m['mean']} (derived budget {m['derived_budget']})"
+            f"mtp: {m['relation']} <= {m['mean']} (derived budget {m['derived_budget']})"
         )
     if payload["budget"] is not None:
         lines.append(f"budget: {payload['budget']}")

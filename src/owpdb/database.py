@@ -55,7 +55,8 @@ class Schema:
     def __post_init__(self):
         if not self.domain:
             raise SchemaError("domain must be non-empty")
-        object.__setattr__(self, "_index", {c.name: i for i, c in enumerate(self.domain)})
+        object.__setattr__(self, "_names", tuple(c.name for c in self.domain))
+        object.__setattr__(self, "_index", {name: i for i, name in enumerate(self._names)})
         if len(self._index) != len(self.domain):
             raise SchemaError("domain contains duplicate constants")
         for pred, arity in self.predicates.items():

@@ -81,7 +81,7 @@ DEFAULT_WORLD_CAP = 24
 LINEAGE_CAP = 10**6
 
 
-def conjunction_parts(q: UCQ, cap: int = CNF_COMBINATION_CAP) -> list[UCQ] | None:
+def conjunction_parts(q: UCQ) -> list[UCQ] | None:
     """Rewrite ``q`` as a conjunction of sub-unions, or return ``None`` when
     every disjunct is a single variable-connected component.
 
@@ -96,9 +96,9 @@ def conjunction_parts(q: UCQ, cap: int = CNF_COMBINATION_CAP) -> list[UCQ] | Non
     n_combos = 1
     for comps in per_disjunct:
         n_combos *= len(comps)
-        if n_combos > cap:
+        if n_combos > CNF_COMBINATION_CAP:
             raise CapExceeded(
-                f"conjunction rewriting needs {n_combos}+ combinations (cap {cap})"
+                f"conjunction rewriting needs {n_combos}+ combinations (cap {CNF_COMBINATION_CAP})"
             )
     seen: set[UCQ] = set()
     parts: list[UCQ] = []

@@ -27,7 +27,7 @@ refused with :class:`NotInversionFree` so callers can route to the greedy
 bound or the brute-force oracle.
 
 Open tuples are never listed: a slice is generated lazily in canonical
-order (:meth:`_BudgetSolver.slice_of`), and an emptiness test reads one
+order (:func:`owpdb.openworld.open_args`), and an emptiness test reads one
 tuple of it, the atom rule ``B``; on ``S(x), CoA(x,y)`` a run probes each
 stored row a few times plus about ``n * (B + 1)`` absent tuples.
 Witnesses are sorted tuples of domain-index tuples until the result;
@@ -48,6 +48,7 @@ from .openworld import (
     MTPConstraint,
     OpenPDB,
     apply_completion,
+    open_args,
     resolve_budget,
 )
 from .query import (
@@ -56,7 +57,6 @@ from .query import (
     Constant,
     Placeholder,
     UCQ,
-    Variable,
     find_separator,
     independence_groups,
     is_inversion_free,
@@ -88,8 +88,6 @@ class _BudgetSolver(Evaluator):
         self.rel = relation
         self.lam = g.lam
         self.b_max = b_max
-        self._names = tuple(c.name for c in self.schema.domain)
-        self._indices = tuple(range(len(self._names)))  # product() copies a range, not a tuple
         self._eval = Evaluator(g.pdb, plan=plan)
         self._open_memo: dict[UCQ, bool] = {}
 
@@ -98,38 +96,14 @@ class _BudgetSolver(Evaluator):
     def atom(self, idx: tuple[int, ...]) -> Atom:
         return Atom(self.rel, tuple(self.schema.domain[i] for i in idx))
 
-    def _open(self, atom: Atom, env: Mapping[str, Constant]) -> Iterator[tuple[int, ...]]:
-        """Absent tuples of the constrained relation instantiating ``atom``
-        under ``env``, in canonical order: a domain-order product over its
-        distinct terms, skipping stored rows."""
-        terms = [env[t.name] if type(t) is Placeholder else t for t in atom.args]
-        pools: list[tuple[int, ...]] = []
-        slots: dict[object, int] = {}  # term -> its pool
-        for t in terms:
-            if t not in slots:
-                if isinstance(t, Variable):
-                    pools.append(self._indices)
-                elif self.schema.has_constant(t.name):
-                    pools.append((self.schema.domain_index(t.name),))
-                else:
-                    return
-                slots[t] = len(pools) - 1
-        # a repeated term reads its first occurrence's pool
-        spread = None if len(pools) == len(terms) else [slots[t] for t in terms]
-        names, is_explicit = self._names.__getitem__, self.db.is_explicit
-        for idx in itertools.product(*pools):
-            if spread is not None:
-                idx = tuple(idx[j] for j in spread)
-            if not is_explicit(self.rel, tuple(map(names, idx))):
-                yield idx
-
     def slice_of(self, q: UCQ, env: Mapping[str, Constant]) -> Iterator[tuple[int, ...]]:
         """Open tuples of the constrained relation that can affect ``q``
-        under ``env``, generated lazily atom by atom, each atom's in
-        canonical order (a tuple two atoms share comes twice)."""
-        return itertools.chain.from_iterable(
-            self._open(a, env) for d in q.disjuncts for a in d.atoms if a.predicate == self.rel
-        )
+        under ``env``, as domain-index tuples: each atom's :func:`open_args`
+        in turn, lazily (a tuple two atoms share comes twice)."""
+        index = self.schema._index.__getitem__
+        atoms = (a for d in q.disjuncts for a in d.atoms if a.predicate == self.rel)
+        bound = ([env[t.name] if type(t) is Placeholder else t for t in a.args] for a in atoms)
+        return (tuple(map(index, args)) for terms in bound for args in open_args(self.db, self.rel, terms))
 
     def has_open(self, q: UCQ) -> bool:
         """Does ``q``'s slice hold a tuple?  Reads at most its first."""

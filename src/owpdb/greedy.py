@@ -41,10 +41,10 @@ from .openworld import (
     OpenPDB,
     apply_completion,
     budget_from_mtp,
-    open_tuples,
+    open_args,
     resolve_budget,
 )
-from .query import Atom, UCQ, has_self_join
+from .query import Atom, Constant, UCQ, Variable, has_self_join
 
 # Relative width of a round's pick window, sized in the module docstring.
 WINDOW = 1e-9
@@ -94,15 +94,16 @@ def greedy_trace(
     probability, so a tuple's gain is ``lam`` times the derivative of P(q)
     in its probability (Calinescu, Chekuri, Pal & Vondrak, SIAM J. Comput.
     2011): one reverse pass over the round's evaluation
-    (:meth:`Evaluator.gradient`) screens every candidate.  The round picks
-    the first candidate in canonical atom order whose screen is at least
-    ``best - WINDOW * |best|``, and scores only that one exactly, as
-    ``lam * (P(q | tuple true) - P(q))`` from a fresh evaluator of the
-    database with the tuple true; that is the gain the trace reports.  The
-    pick differs from the exact best only when the two true gains are
-    within the window, so the bracket holds up to ``budget * WINDOW * lam``
-    (the module docstring sizes the window).  One lifted plan serves every
-    evaluation of the run.
+    (:meth:`Evaluator.gradient`) screens every candidate, streamed from
+    :func:`open_args` over the round's database, whose stored rows include
+    the picks.  The round picks the first candidate in canonical atom order
+    whose screen is at least ``best - WINDOW * |best|``, and scores only
+    that one exactly, as ``lam * (P(q | tuple true) - P(q))`` from a fresh
+    evaluator of the database with the tuple true; that is the gain the
+    trace reports.  The pick differs from the exact best only when the two
+    true gains are within the window, so the bracket holds up to
+    ``budget * WINDOW * lam`` (the module docstring sizes the window).  One
+    lifted plan serves every evaluation of the run.
     """
     plan = Plan().build(q)
     if budget is None:
@@ -112,17 +113,27 @@ def greedy_trace(
     lam = g.lam
     base = Evaluator(g.pdb, plan=plan)
     p_closed = base.probability(q).value
-    candidates = [(atom, tuple(t.name for t in atom.args)) for atom in open_tuples(g, c.relation)]
+    free = [Variable(f"x{i}") for i in range(g.schema.arity(c.relation))]
 
     picks: list[tuple[Atom, float]] = []
     p_cur = p_closed
     # at 1.0 no gain can be positive: every value is clamped to at most 1
-    while lam > 0.0 and len(picks) < budget and candidates and p_cur < 1.0:
+    while lam > 0.0 and len(picks) < budget and p_cur < 1.0:
         screen = base.gradient(q, c.relation)
-        screened = [screen(args) for _, args in candidates]
-        best = max(screened)
-        i = next(i for i, s in enumerate(screened) if s >= best - WINDOW * abs(best))
-        atom = candidates.pop(i)[0]
+        # the candidates within the window of the best screen so far, whose floor only rises
+        best = floor = -math.inf
+        near = []
+        for args in open_args(base.db, c.relation, free):
+            s = screen(args)
+            if s > best:
+                best = s
+                floor = s - WINDOW * abs(s)
+                near = [e for e in near if e[0] >= floor]
+            if s >= floor:
+                near.append((s, args))
+        if not near:
+            break
+        atom = Atom(c.relation, tuple(map(Constant, near[0][1])))
         gain = lam * (Evaluator(base.db.with_overrides({atom: True}), plan=plan).probability(q).value - p_cur)
         if gain <= 0.0:
             break

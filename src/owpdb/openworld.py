@@ -15,12 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 from .database import Database, LambdaCompletionView, ProbView, Schema
 from .engine import Evaluator
 from .errors import SchemaError
-from .query import Atom, UCQ
+from .query import Atom, Constant, Term, UCQ, Variable
 
 # Slack absorbing float noise when a mean bound lands exactly on a budget
 # boundary; exact multiples of ``lam`` resolve to the intended whole budget.
@@ -45,7 +45,7 @@ class OpenPDB:
 
 @dataclass(frozen=True, slots=True)
 class MTPConstraint:
-    """Strict upper bound on the mean tuple probability of one relation."""
+    """Inclusive upper bound on the mean tuple probability of one relation."""
 
     relation: str
     mean_bound: float
@@ -107,17 +107,30 @@ class BoundResult:
                 )
 
 
+def open_args(view: ProbView, rel: str, terms: Sequence[Term]) -> Iterator[tuple[str, ...]]:
+    """Argument names of the atoms of ``rel`` absent from ``view`` that
+    instantiate ``terms``, lazily, in canonical (domain-order lexicographic)
+    order: a product over the distinct terms' pools, skipping stored rows;
+    none when a constant is outside the domain."""
+    distinct = list(dict.fromkeys(terms))
+    if not all(isinstance(t, Variable) or view.schema.has_constant(t.name) for t in distinct):
+        return
+    # a tuple of names per distinct term (product() copies no tuple); a
+    # repeated term reads its first occurrence's pool
+    pools = [view.schema._names if isinstance(t, Variable) else (t.name,) for t in distinct]
+    spread = None if len(distinct) == len(terms) else [distinct.index(t) for t in terms]
+    is_explicit = view.is_explicit
+    for args in product(*pools):
+        if spread is not None:
+            args = tuple(args[j] for j in spread)
+        if not is_explicit(rel, args):
+            yield args
+
+
 def open_tuples(g: OpenPDB, rel: str) -> list[Atom]:
-    """All ground atoms of ``rel`` absent from the database, in canonical
-    (domain-order lexicographic) order."""
-    schema = g.schema
-    arity = schema.arity(rel)
-    out: list[Atom] = []
-    for combo in product(schema.domain, repeat=arity):
-        args = tuple(c.name for c in combo)
-        if not g.pdb.is_explicit(rel, args):
-            out.append(Atom(rel, combo))
-    return out
+    """All ground atoms of ``rel`` absent from the database, in canonical order."""
+    free = [Variable(f"x{i}") for i in range(g.schema.arity(rel))]
+    return [Atom(rel, tuple(map(Constant, args))) for args in open_args(g.pdb, rel, free)]
 
 
 def apply_completion(g: OpenPDB, atoms: Iterable[Atom]) -> ProbView:
@@ -148,7 +161,7 @@ def interval_unconstrained(g: OpenPDB, q: UCQ) -> BoundResult:
 
 def budget_from_mtp(g: OpenPDB, c: MTPConstraint, *, denominator: str = "herbrand") -> Budget:
     """Largest number of completion-probability tuples addable to the
-    constrained relation while keeping its mean below the bound.
+    constrained relation while keeping its mean at most the bound.
 
     ``denominator`` selects what counts as the relation's tuple space:
     ``herbrand`` (default) uses all ground atoms of the relation over the

@@ -39,6 +39,7 @@ from . import randgen
 
 DEFAULT_SUBSET_CAP = 200_000
 _TIE_TOL = 1e-12
+_GRID_STEPS = 10  # steps from 0 to lam per open tuple in the vertex check
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +150,8 @@ class ThreeDMInstance:
                 raise SchemaError(f"hyperedge ({x}, {y}, {z}) leaves the node sets")
         if not 0 <= self.k <= len(self.hyperedges):
             raise SchemaError("k must be between 0 and the number of hyperedges")
+        if self.k > min(len(xs), len(ys), len(zs)):
+            raise SchemaError("k must be at most the size of the smallest node set")
 
 
 def is_matching(edges: Iterable[tuple[Constant, Constant, Constant]]) -> bool:
@@ -274,10 +277,7 @@ def verify_maxmatch(
 
     # Value any k disjoint edges would achieve, from a synthetic matching on
     # the same node sets.
-    k_for_value = min(inst.k, len(inst.x_nodes), len(inst.y_nodes), len(inst.z_nodes))
-    matching_value = value_with(
-        (inst.x_nodes[i], inst.y_nodes[i], inst.z_nodes[i]) for i in range(k_for_value)
-    )
+    matching_value = value_with(zip(inst.x_nodes[:inst.k], inst.y_nodes, inst.z_nodes))
 
     if has_matching:
         optimal_are_matchings = all(is_matching([a.args for a in s]) for v, s in ties)
@@ -485,9 +485,7 @@ def _suite_budget_monotonicity(rng: random.Random, trials: int) -> list[str]:
     return failures
 
 
-def vertex_attainment_check(
-    g: OpenPDB, c: MTPConstraint, q: UCQ, *, grid_steps: int = 10
-) -> tuple[bool, str]:
+def vertex_attainment_check(g: OpenPDB, c: MTPConstraint, q: UCQ) -> tuple[bool, str]:
     """Grid-search all fractional completions of the constrained relation
     against the best on-off completion within the derived budget.
 
@@ -514,32 +512,32 @@ def vertex_attainment_check(
         idx = tuple(bits >> i & 1 for i in range(n))
         corners[idx] = prob_ground(q, g.pdb.with_overrides(fixed))
 
-    probs = lam * np.arange(grid_steps + 1) / grid_steps
+    probs = lam * np.arange(_GRID_STEPS + 1) / _GRID_STEPS
     mat = np.stack([1.0 - probs, probs], axis=1)  # (grid, corner)
     values = corners
     for _ in range(n):
         values = np.tensordot(values, mat, axes=([0], [1]))
     # axis i of `values` is now the grid index of opens[i]
 
-    grids = np.indices((grid_steps + 1,) * n)
-    masses = (lam / grid_steps) * grids.sum(axis=0)
+    grids = np.indices((_GRID_STEPS + 1,) * n)
+    masses = (lam / _GRID_STEPS) * grids.sum(axis=0)
     feasible = masses <= room + 1e-9
     if not feasible.any():
         return True, "no feasible grid point"
     grid_max = float(values[feasible].max())
 
-    corner_idx = np.ix_(*([[0, grid_steps]] * n))
+    corner_idx = np.ix_(*([[0, _GRID_STEPS]] * n))
     vertex_vals = values[corner_idx]
     counts = np.indices((2,) * n).sum(axis=0)
     within = counts <= budget
     budget_best = float(vertex_vals[within].max())
 
     closed = float(corners[(0,) * n])
-    single_gains = [float(values[tuple(grid_steps if j == i else 0 for j in range(n))]) - closed for i in range(n)]
+    single_gains = [float(values[tuple(_GRID_STEPS if j == i else 0 for j in range(n))]) - closed for i in range(n)]
     slack = lam * max(single_gains + [0.0]) + 1e-9
 
     maximizers = feasible & (values >= grid_max - _TIE_TOL)
-    interior = ((grids > 0) & (grids < grid_steps)).sum(axis=0)
+    interior = ((grids > 0) & (grids < _GRID_STEPS)).sum(axis=0)
     min_interior = int(interior[maximizers].min())
 
     ok = grid_max <= budget_best + slack and min_interior <= 1

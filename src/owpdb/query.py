@@ -314,7 +314,7 @@ def parse_ucq(text: str, schema) -> UCQ:
 # ---------------------------------------------------------------------------
 
 
-def atoms_unifiable(a1: Atom, a2: Atom, scope1=0, scope2=1) -> bool:
+def atoms_unifiable(a1: Atom, a2: Atom, scope1, scope2) -> bool:
     """True iff the two atoms have a common ground instance.
 
     Variables are scoped by the given tags, so identically named variables

@@ -32,8 +32,8 @@ _VAR_NAMES = ("x", "y", "z")
 _CONST_NAMES = ("A", "B", "C", "D")
 
 
-def rand_schema(rng: random.Random, *, max_preds: int = 4, max_arity: int = 3, domain_sizes=(2, 3, 4)) -> Schema:
-    n_preds = rng.randint(2, max_preds)
+def rand_schema(rng: random.Random, *, max_arity: int = 3, domain_sizes=(2, 3, 4)) -> Schema:
+    n_preds = rng.randint(2, 4)
     preds = {name: rng.randint(1, max_arity) for name in _PRED_NAMES[:n_preds]}
     size = rng.choice(domain_sizes)
     return Schema(preds, tuple(Constant(n) for n in _CONST_NAMES[:size]))
@@ -71,15 +71,13 @@ def rand_cq(
     rng: random.Random,
     schema: Schema,
     *,
-    max_atoms: int = 3,
     allow_repeat_pred: bool = True,
     constant_rate: float = 0.1,
 ) -> ConjunctiveQuery:
     preds = sorted(schema.predicates)
-    n_atoms = rng.randint(1, max_atoms)
     atoms = []
     used: list[str] = []
-    for _ in range(n_atoms):
+    for _ in range(rng.randint(1, 3)):
         pool = preds if allow_repeat_pred else [p for p in preds if p not in used]
         if not pool:
             break
@@ -99,19 +97,16 @@ def rand_safe_ucq(
     rng: random.Random,
     schema: Schema,
     *,
-    max_disjuncts: int = 2,
-    max_atoms: int = 3,
     self_join_free: bool = False,
     require_pred: str | None = None,
     tries: int = 200,
 ) -> UCQ:
     """Rejection-sample a query that the lifted evaluator accepts."""
     for _ in range(tries):
-        n_d = rng.randint(1, max_disjuncts)
         try:
             q = UCQ([
-                rand_cq(rng, schema, max_atoms=max_atoms, allow_repeat_pred=not self_join_free)
-                for _ in range(n_d)
+                rand_cq(rng, schema, allow_repeat_pred=not self_join_free)
+                for _ in range(rng.randint(1, 2))
             ])
         except ValueError:
             continue
@@ -124,16 +119,10 @@ def rand_safe_ucq(
     raise RuntimeError("could not generate a safe query; widen the limits")
 
 
-def rand_safe_instance(
-    rng: random.Random,
-    *,
-    max_uncertain: int = 12,
-    self_join_free: bool = False,
-    max_disjuncts: int = 2,
-) -> tuple[Schema, Database, UCQ]:
+def rand_safe_instance(rng: random.Random) -> tuple[Schema, Database, UCQ]:
     schema = rand_schema(rng)
-    db = rand_database(rng, schema, max_uncertain=max_uncertain)
-    q = rand_safe_ucq(rng, schema, max_disjuncts=max_disjuncts, self_join_free=self_join_free)
+    db = rand_database(rng, schema)
+    q = rand_safe_ucq(rng, schema)
     return schema, db, q
 
 
@@ -144,12 +133,11 @@ def rand_mtp_instance(
     max_budget: int = 4,
     inversion_free: bool = False,
     self_join_free: bool = False,
-    tries: int = 400,
 ) -> tuple[OpenPDB, MTPConstraint, UCQ, int]:
     """An open database, a mean constraint whose derived budget is a chosen
     target, and a safe query mentioning the constrained relation."""
-    for _ in range(tries):
-        schema = rand_schema(rng, max_arity=2, domain_sizes=(2, 3, 4))
+    for _ in range(400):
+        schema = rand_schema(rng, max_arity=2)
         db = rand_database(rng, schema, max_uncertain=6)
         lam = rng.choice(LAMBDA_GRID)
         g = OpenPDB(db, lam)

@@ -275,6 +275,16 @@ class TestLoaderContract:
         status, out = run(RunConfig(mode="demo3dm", instance=str(path)))
         assert (status, out) == (1, f"error: {path}:{message}")
 
+    def test_demo3dm_refuses_k_above_the_smallest_node_set(self, tmp_path, capsys):
+        # three edges, but two Y nodes: no 3-matching can exist
+        path = tmp_path / "matching.txt"
+        path.write_text("X X1 X2 X3\nY Y1 Y2\nZ Z1 Z2 Z3\nE X1,Y1,Z1\nE X2,Y2,Z2\nE X3,Y1,Z3\nk 3\n")
+        status, out = run(RunConfig(mode="demo3dm", instance=str(path)))
+        assert (status, out) == (1, "error: k must be at most the size of the smallest node set")
+        with pytest.raises(SystemExit) as exc:
+            main(["--mode", "demo3dm", "--instance", str(path)])
+        assert exc.value.code == 1 and capsys.readouterr().out == f"{out}\n"
+
     @pytest.mark.parametrize("schema_text, message", [
         (None, "missing {path}"),
         ("S/1\nCoA 2\n", "{path}:2: expected PRED/arity, got 'CoA 2'"),
@@ -429,7 +439,7 @@ class TestExitCodes:
 class TestTextOutput:
     """The default text report, line by line, on the coauthor database."""
 
-    HEADER = ["query: CoA(x, y), S(x)", "lambda: 0.3", "mtp: CoA < 0.4 (derived budget 13)"]
+    HEADER = ["query: CoA(x, y), S(x)", "lambda: 0.3", "mtp: CoA <= 0.4 (derived budget 13)"]
 
     def lines(self, db_dir, **config):
         status, out = run(RunConfig(db_dir=db_dir, **config))
@@ -506,7 +516,7 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["--db", db_dir, "--query", "S(x), CoA(x,y)", "--mode", "analyze", "--mtp", " CoA =0.25"])
         assert exc.value.code == 0
-        assert "mtp: CoA < 0.25 (derived budget 6)" in capsys.readouterr().out.splitlines()
+        assert "mtp: CoA <= 0.25 (derived budget 6)" in capsys.readouterr().out.splitlines()
 
 
 def gap_instance(i):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -94,6 +95,13 @@ class TestGreedy:
         assert res.interval[1] == pytest.approx((e * 0.5 - 0.0) / (e - 1), abs=1e-12)
         # the true optimum (0.5) lies inside the reported interval
         assert res.interval[0] <= 0.5 <= res.interval[1]
+
+    def test_budget_above_the_open_tuples_stops_when_none_is_left(self):
+        g = empty_unary(2, lam=0.5)
+        q = parse_ucq("R(x)", g.schema)
+        trace = greedy_trace(g, MTPConstraint("R", 0.4), q, budget=3)
+        assert [str(a) for a, _ in trace.picks] == ["R(A)", "R(B)"]
+        assert trace.p_greedy == 0.75
 
     def test_trace_gains_match_full_reevaluation(self):
         rng = random.Random(60)
@@ -456,3 +464,35 @@ class TestGradientOracle:
         plan = Plan(force_inclusion_exclusion=True).build(q)
         errors = screening_errors(OpenPDB(db, 0.6), MTPConstraint("CoA", 0.9), q, plan=plan)
         assert_screened(errors)
+
+
+def fixed_rows_db(n, seed=1):
+    """150 ``CoA`` rows and an ``S`` row per constant on the first 60 of
+    ``n`` constants, so that only the domain grows with ``n``."""
+    rng = random.Random(seed)
+    domain = tuple(Constant(f"c{i}") for i in range(n))
+    first = [c.name for c in domain[:60]]
+    coa = {}
+    while len(coa) < 150:
+        coa[(rng.choice(first), rng.choice(first))] = rng.choice([0.001, 0.005, 0.009])
+    s = {(a,): rng.choice([0.001, 0.005, 0.009]) for a in first}
+    return Database(Schema({"S": 1, "CoA": 2}, domain), {"S": s, "CoA": coa})
+
+
+class TestGreedyMemory:
+    def test_peak_memory_does_not_grow_with_the_open_tuples(self):
+        # a list of the n^2 open CoA atoms would grow 4x from n=100 to n=200
+        def run(n):
+            db = fixed_rows_db(n)
+            q = parse_ucq("S(x), CoA(x,y)", db.schema)
+            tracemalloc.start()
+            try:
+                trace = greedy_trace(OpenPDB(db, 0.3), MTPConstraint("CoA", 0.9), q, budget=1)
+                return tracemalloc.get_traced_memory()[1], [str(a) for a, _ in trace.picks]
+            finally:
+                tracemalloc.stop()
+
+        run(100)  # allocations made once per process are not the run's
+        (small, picks), (large, large_picks) = run(100), run(200)
+        assert picks == large_picks and len(picks) == 1
+        assert large < 2 * small, (small, large)

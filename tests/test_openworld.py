@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -15,10 +16,11 @@ from owpdb.openworld import (
     apply_completion,
     budget_from_mtp,
     interval_unconstrained,
+    open_args,
     open_tuples,
 )
 from owpdb.oracle import _draws, rand_vertex_instance, vertex_attainment_check
-from owpdb.query import Atom, Constant, parse_ucq
+from owpdb.query import Atom, Constant, Variable, parse_ucq
 
 # Frozen with the 2^20-world ground oracle on the fully completed database.
 COAUTHOR_UPPER_LAM_03 = 0.9874962453870028
@@ -50,6 +52,44 @@ class TestOpenTuples:
     def test_domain_order(self):
         g = unary_pdb(3)
         assert [a.args[0].name for a in open_tuples(g, "R")] == ["A", "B", "C"]
+
+
+class TestOpenArgs:
+    X, Y = Variable("x"), Variable("y")
+
+    def test_constant_outside_the_domain_yields_nothing(self, coauthor_db):
+        assert list(open_args(coauthor_db, "CoA", [Constant("Nowhere"), self.X])) == []
+        assert list(open_args(coauthor_db, "CoA", [self.X, Constant("Nowhere")])) == []
+
+    def test_constant_fixes_its_position(self, coauthor_db):
+        got = list(open_args(coauthor_db, "CoA", [Constant("Erdos"), self.X]))
+        assert got == [("Erdos", "Einstein"), ("Erdos", "Erdos"), ("Erdos", "Shakespeare")]
+
+    def test_repeated_variable_yields_the_diagonal(self):
+        schema = Schema({"E": 2}, tuple(Constant(c) for c in "ABC"))
+        db = Database(schema, {"E": {("B", "B"): 0.5, ("A", "C"): 0.5}})
+        assert list(open_args(db, "E", [self.X, self.X])) == [("A", "A"), ("C", "C")]
+
+    def test_an_overlays_added_rows_are_skipped(self, coauthor_db):
+        g = OpenPDB(coauthor_db, 0.3)
+        added = [Atom("CoA", (Constant("Erdos"), Constant("Einstein"))), Atom("CoA", (Constant("Einstein"),) * 2)]
+        view = apply_completion(g, added)
+        before = list(open_args(coauthor_db, "CoA", [self.X, self.Y]))
+        after = list(open_args(view, "CoA", [self.X, self.Y]))
+        assert after == [args for args in before if args not in {("Erdos", "Einstein"), ("Einstein", "Einstein")}]
+        assert len(after) == 11
+
+    def test_distinct_variables_give_open_tuples_in_atom_key_order(self, coauthor_db):
+        g = OpenPDB(coauthor_db, 0.3)
+        schema = coauthor_db.schema
+        want = sorted(
+            (Atom("CoA", combo) for combo in product(schema.domain, repeat=2)
+             if not coauthor_db.is_explicit("CoA", tuple(c.name for c in combo))),
+            key=schema.atom_key,
+        )
+        got = list(open_args(coauthor_db, "CoA", [self.X, self.Y]))
+        assert got == [tuple(c.name for c in a.args) for a in want]
+        assert open_tuples(g, "CoA") == want
 
 
 class TestInterval:
@@ -108,14 +148,16 @@ class TestBudget:
 
     def test_support_denominator(self):
         # each budget is the largest count b whose mean over nonzero rows,
-        # (mass + lam b) / (n0 + b), stays within the bound; no count lands
-        # within 0.1 of it, so strict and non-strict readings agree
+        # (mass + lam b) / (n0 + b), is at most the bound; the last row's
+        # budget lands exactly on it (dyadic values, so no rounding), which a
+        # strict reading would refuse
         for n, existing, lam, mean, want in [
             (10, {("A",): 0.9, ("B",): 0.7}, 0.5, 0.9, 8),  # lam below the mean bound
             (10, {("A",): 0.9, ("B",): 0.7}, 0.5, 0.5, 0),  # infeasible
             (10, {("A",): 0.2}, 0.0, 0.5, 0),  # a tuple added at 0 stays outside the support
             (10, {("A",): 0.1, ("B",): 0.2}, 0.9, 0.5, 1),  # lam above the mean bound
             (3, {("A",): 0.1}, 0.7, 0.6, 2),  # lam above it, every open tuple fits
+            (10, {("A",): 0.25, ("B",): 0.25}, 0.75, 0.5, 2),  # (0.5 + 2 * 0.75) / 4 == 0.5
         ]:
             g = unary_pdb(n, existing, lam=lam)
             b = budget_from_mtp(g, MTPConstraint("R", mean), denominator="support")

@@ -6,7 +6,7 @@ import pytest
 from owpdb import oracle
 from owpdb.database import Database, Schema
 from owpdb.engine import prob_ground
-from owpdb.errors import CapExceeded
+from owpdb.errors import CapExceeded, SchemaError
 from owpdb.openworld import Budget, MTPConstraint, OpenPDB, apply_completion, budget_from_mtp
 from owpdb.oracle import (
     ThreeDMInstance,
@@ -93,6 +93,31 @@ class TestBruteforce:
         # replaying the witness against the ground oracle reproduces the value
         replay = prob_ground(q, apply_completion(g, res.witness.added))
         assert replay == pytest.approx(res.value, abs=1e-12)
+
+
+def nodes(side, n):
+    return tuple(Constant(f"{side}{i + 1}") for i in range(n))
+
+
+class TestThreeDMInstance:
+    XS, YS, ZS = nodes("X", 3), nodes("Y", 2), nodes("Z", 3)
+    EDGES = frozenset({(XS[0], YS[0], ZS[0]), (XS[1], YS[1], ZS[1]), (XS[2], YS[0], ZS[2])})
+
+    @pytest.mark.parametrize("xs, ys, edges, k, message", [
+        (XS, XS[:2], EDGES, 1, "node sets must be disjoint"),
+        (XS[:2], YS, EDGES, 1, "hyperedge (X3, Y1, Z3) leaves the node sets"),
+        (XS, YS, EDGES, 4, "k must be between 0 and the number of hyperedges"),
+        (XS, YS, EDGES, -1, "k must be between 0 and the number of hyperedges"),
+        # three edges, but no 3-matching can exist with two Y nodes
+        (XS, YS, EDGES, 3, "k must be at most the size of the smallest node set"),
+    ], ids=["overlap", "edge-outside", "k-above-edges", "negative-k", "k-above-a-side"])
+    def test_refuses(self, xs, ys, edges, k, message):
+        with pytest.raises(SchemaError) as err:
+            ThreeDMInstance(xs, ys, self.ZS, edges, k)
+        assert str(err.value) == message
+
+    def test_k_up_to_the_smallest_side_is_accepted(self):
+        assert ThreeDMInstance(self.XS, self.YS, self.ZS, self.EDGES, 2).k == 2
 
 
 class TestMatchingReduction:

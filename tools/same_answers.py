@@ -47,7 +47,7 @@ prints as ``<dir>``).  Appended after that, the report of
 ``property_suites(7, 10)``, the ``--mode verify`` suites.  Last, the
 ``--mode demo3dm`` reports: ``verify_maxmatch`` on 40 matching instances
 drawn from ``random.Random(43)``, with 2-3 nodes per side, 3-8 hyperedges
-and a target size of 1-3.
+and a target size of 1-3, or the refusal of a size above a side.
 
 Each unindented line opens a block named by its first word (``safe``,
 ``mtp``, ``safety``, ``gap``, ``greedy``, ``large``, ``chain``,
@@ -242,13 +242,14 @@ def chain_instance(rng: random.Random) -> Database:
     })
 
 
-def matching_instance(rng: random.Random) -> ThreeDMInstance:
-    """2-3 nodes on each side, 3-8 of their triples as hyperedges and a
-    target matching size of 1-3."""
+def matching_fields(rng: random.Random) -> tuple:
+    """The fields of a ``ThreeDMInstance``: 2-3 nodes on each side, 3-8 of
+    their triples as hyperedges and a target matching size of 1-3, which
+    the instance refuses when it exceeds a side."""
     xs, ys, zs = (tuple(Constant(f"{side}{i + 1}") for i in range(rng.randint(2, 3))) for side in "XYZ")
     triples = [(x, y, z) for x in xs for y in ys for z in zs]
     edges = rng.sample(triples, rng.randint(3, 8))
-    return ThreeDMInstance(xs, ys, zs, frozenset(edges), rng.randint(1, 3))
+    return xs, ys, zs, frozenset(edges), rng.randint(1, 3)
 
 
 def show_trace(trace) -> str:
@@ -350,10 +351,11 @@ def main() -> None:
 
     rng = random.Random(43)
     for i in range(MATCHING_INSTANCES):
-        inst = matching_instance(rng)
-        edges = sorted(" ".join(c.name for c in e) for e in inst.hyperedges)
-        print(f"matching {i} k={inst.k} edges={edges}")
-        for line in verify_maxmatch(inst).render().splitlines():
+        fields = matching_fields(rng)
+        edges = sorted(" ".join(c.name for c in e) for e in fields[3])
+        print(f"matching {i} k={fields[4]} edges={edges}")
+        report = answer(lambda: verify_maxmatch(ThreeDMInstance(*fields)), lambda r: r.render())
+        for line in report.splitlines():
             print("  " + line)
 
 
