@@ -34,10 +34,7 @@ def load_schema(directory: str | Path) -> Schema:
         if not path.is_file():
             raise SchemaError(f"missing {path}")
     preds: dict[str, int] = {}
-    for lineno, raw in enumerate(_text(schema_path).splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _lines(schema_path):
         if "/" not in line:
             raise SchemaError(f"{schema_path}:{lineno}: expected PRED/arity, got {line!r}")
         name, _, arity_text = line.partition("/")
@@ -79,6 +76,14 @@ def _text(path: Path, newline: str | None = None) -> str:
         raise SchemaError(f"{path}:{lineno}: {exc}") from None
 
 
+def _lines(path: Path):
+    """``path``'s numbered, stripped lines, blank and ``#`` lines left out."""
+    for lineno, raw in enumerate(_text(path).splitlines(), 1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
 def _csv_records(path: Path) -> list[list[str]]:
     """A relation file's records as the ``csv`` module's excel dialect reads
     them, a blank line as ``[]``; a malformed one names the file and line."""
@@ -106,10 +111,7 @@ def load_constraints(directory: str | Path) -> tuple[float | None, list[MTPConst
         return None, []
     lam: float | None = None
     constraints: list[MTPConstraint] = []
-    for lineno, raw in enumerate(_text(path).splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _lines(path):
         try:
             if line.startswith("lambda="):
                 if lam is not None:
@@ -157,10 +159,7 @@ def load_3dm(path: str | Path) -> ThreeDMInstance:
     nodes: dict[str, list[Constant]] = {"X": [], "Y": [], "Z": []}
     edges: list[tuple[Constant, Constant, Constant]] = []
     k: int | None = None
-    for lineno, raw in enumerate(_text(path).splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _lines(path):
         tag, _, rest = line.partition(" ")
         rest = rest.strip()
         if tag in nodes:
@@ -179,4 +178,7 @@ def load_3dm(path: str | Path) -> ThreeDMInstance:
             raise SchemaError(f"{path}:{lineno}: unrecognized line {line!r}")
     if k is None:
         raise SchemaError(f"{path}: missing 'k <int>' line")
-    return ThreeDMInstance(tuple(nodes["X"]), tuple(nodes["Y"]), tuple(nodes["Z"]), frozenset(edges), k)
+    try:
+        return ThreeDMInstance(tuple(nodes["X"]), tuple(nodes["Y"]), tuple(nodes["Z"]), frozenset(edges), k)
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from None

@@ -40,7 +40,6 @@ from .openworld import (
     MTPConstraint,
     OpenPDB,
     apply_completion,
-    budget_from_mtp,
     open_args,
     resolve_budget,
 )
@@ -106,8 +105,7 @@ def greedy_trace(
     lifted plan serves every evaluation of the run.
     """
     plan = Plan().build(q)
-    if budget is None:
-        budget = budget_from_mtp(g, c, denominator=denominator).max_added
+    budget = resolve_budget(g, c, budget, denominator)[0]
     guarantee = not has_self_join(q)
 
     lam = g.lam
@@ -142,7 +140,8 @@ def greedy_trace(
         p_cur = base.probability(q).value
     p_greedy = p_cur
 
-    upper = (math.e * p_greedy - p_closed) / (math.e - 1.0) if guarantee else None
+    # at least p_greedy: with no gain the formula can round just below it
+    upper = max(p_greedy, (math.e * p_greedy - p_closed) / (math.e - 1.0)) if guarantee else None
     return GreedyTrace(
         picks=tuple(picks),
         p_closed=p_closed,

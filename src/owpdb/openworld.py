@@ -210,8 +210,8 @@ def resolve_budget(
     given, else the derived one, flagged ``infeasible-constraint`` when the
     relation's mass already breaks the bound.  The budget is derived either
     way, so an unknown constrained relation fails whether or not a budget
-    is given."""
+    is given; a given budget must be non-negative."""
     derived = budget_from_mtp(g, c, denominator=denominator)
     if budget is not None:
-        return budget, ()
+        return Budget(c.relation, budget).max_added, ()
     return derived.max_added, ("infeasible-constraint",) if derived.infeasible else ()

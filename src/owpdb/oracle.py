@@ -494,8 +494,6 @@ def vertex_attainment_check(g: OpenPDB, c: MTPConstraint, q: UCQ) -> tuple[bool,
     largest single-tuple gain, and some maximizing grid point to have at
     most one coordinate strictly between 0 and the completion probability.
     """
-    import numpy as np  # here only, so that importing owpdb does not load numpy
-
     lam = g.lam
     opens = open_tuples(g, c.relation)
     n = len(opens)
@@ -505,40 +503,38 @@ def vertex_attainment_check(g: OpenPDB, c: MTPConstraint, q: UCQ) -> tuple[bool,
     n_total = len(g.schema.domain) ** g.schema.arity(c.relation)
     room = c.mean_bound * n_total - g.pdb.relation_mass(c.relation)
 
-    # query probability at each on/off corner of the open tuples
-    corners = np.empty((2,) * n, dtype=np.float64)
-    for bits in range(1 << n):
-        fixed = {opens[i]: bool(bits >> i & 1) for i in range(n)}
-        idx = tuple(bits >> i & 1 for i in range(n))
-        corners[idx] = prob_ground(q, g.pdb.with_overrides(fixed))
+    # query probability at each on/off corner of the open tuples, the first tuple's bit leading
+    corners = [
+        prob_ground(q, g.pdb.with_overrides(dict(zip(opens, bits))))
+        for bits in itertools.product((False, True), repeat=n)
+    ]
 
-    probs = lam * np.arange(_GRID_STEPS + 1) / _GRID_STEPS
-    mat = np.stack([1.0 - probs, probs], axis=1)  # (grid, corner)
-    values = corners
+    # each pass folds the leading tuple's on/off pair into its grid steps,
+    # placed last, so the grid point with steps s sits at sum(s[i] * place[i])
+    steps = range(_GRID_STEPS + 1)
+    weights = [(1.0 - p, p) for p in (lam * s / _GRID_STEPS for s in steps)]
+    inner = [0 < s < _GRID_STEPS for s in steps]
+    values, units, interior = corners, [0], [0]
     for _ in range(n):
-        values = np.tensordot(values, mat, axes=([0], [1]))
-    # axis i of `values` is now the grid index of opens[i]
+        half = len(values) // 2
+        values = [w0 * a + w1 * b for a, b in zip(values[:half], values[half:]) for w0, w1 in weights]
+        units = [u + s for u in units for s in steps]
+        interior = [k + i for k in interior for i in inner]
 
-    grids = np.indices((_GRID_STEPS + 1,) * n)
-    masses = (lam / _GRID_STEPS) * grids.sum(axis=0)
-    feasible = masses <= room + 1e-9
-    if not feasible.any():
+    fits = [(lam / _GRID_STEPS) * u <= room + 1e-9 for u in range(n * _GRID_STEPS + 1)]
+    feasible = list(map(fits.__getitem__, units))
+    grid_max = max(itertools.compress(values, feasible), default=None)
+    if grid_max is None:
         return True, "no feasible grid point"
-    grid_max = float(values[feasible].max())
 
-    corner_idx = np.ix_(*([[0, _GRID_STEPS]] * n))
-    vertex_vals = values[corner_idx]
-    counts = np.indices((2,) * n).sum(axis=0)
-    within = counts <= budget
-    budget_best = float(vertex_vals[within].max())
-
-    closed = float(corners[(0,) * n])
-    single_gains = [float(values[tuple(_GRID_STEPS if j == i else 0 for j in range(n))]) - closed for i in range(n)]
+    place = [(_GRID_STEPS + 1) ** (n - 1 - i) for i in range(n)]
+    budget_best = max(
+        values[_GRID_STEPS * sum(p for p, on in zip(place, bits) if on)]
+        for bits in itertools.product((False, True), repeat=n) if sum(bits) <= budget
+    )
+    single_gains = [values[_GRID_STEPS * p] - corners[0] for p in place]
     slack = lam * max(single_gains + [0.0]) + 1e-9
-
-    maximizers = feasible & (values >= grid_max - _TIE_TOL)
-    interior = ((grids > 0) & (grids < _GRID_STEPS)).sum(axis=0)
-    min_interior = int(interior[maximizers].min())
+    min_interior = min(k for v, k in itertools.compress(zip(values, interior), feasible) if v >= grid_max - _TIE_TOL)
 
     ok = grid_max <= budget_best + slack and min_interior <= 1
     detail = (

@@ -268,7 +268,9 @@ class TestLoaderContract:
         ("E X1,Y1", "6: expected 'E x,y,z'"),
         ("W X1", "6: unrecognized line 'W X1'"),
         ("", " missing 'k <int>' line"),
-    ], ids=["k", "edge-width", "unrecognized", "no-k"])
+        ("Y X1\nk 1", " node sets must be disjoint"),
+        ("E X1,Y1,Z9\nk 1", " hyperedge (X1, Y1, Z9) leaves the node sets"),
+    ], ids=["k", "edge-width", "unrecognized", "no-k", "disjoint", "hyperedge"])
     def test_bad_instance_names_its_file_and_line(self, tmp_path, lines, message):
         path = tmp_path / "matching.txt"
         path.write_text(f"X X1 X2\nY Y1 Y2\nZ Z1 Z2\nE X1,Y1,Z1\nE X2,Y2,Z2\n{lines}\n")
@@ -280,7 +282,7 @@ class TestLoaderContract:
         path = tmp_path / "matching.txt"
         path.write_text("X X1 X2 X3\nY Y1 Y2\nZ Z1 Z2 Z3\nE X1,Y1,Z1\nE X2,Y2,Z2\nE X3,Y1,Z3\nk 3\n")
         status, out = run(RunConfig(mode="demo3dm", instance=str(path)))
-        assert (status, out) == (1, "error: k must be at most the size of the smallest node set")
+        assert (status, out) == (1, f"error: {path}: k must be at most the size of the smallest node set")
         with pytest.raises(SystemExit) as exc:
             main(["--mode", "demo3dm", "--instance", str(path)])
         assert exc.value.code == 1 and capsys.readouterr().out == f"{out}\n"

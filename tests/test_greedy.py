@@ -86,6 +86,13 @@ class TestGreedy:
         assert res.value == lo
         assert hi == pytest.approx(lo, abs=1e-12)
 
+    def test_bracket_is_not_inverted_when_no_pick_is_made(self):
+        # (e * p - p) / (e - 1) rounds to 0.9799999999999999 at p = 0.98
+        schema = Schema({"R": 1}, (Constant("A"), Constant("B")))
+        g = OpenPDB(Database(schema, {"R": {("A",): 0.98}}), 0.5)
+        trace = greedy_trace(g, MTPConstraint("R", 0.5), parse_ucq("R(x)", schema), budget=0)
+        assert trace.lower == 0.98 and trace.lower <= trace.upper
+
     def test_single_pick_bound_arithmetic(self):
         g = empty_unary(2, lam=0.5)
         q = parse_ucq("R(x)", g.schema)

@@ -179,3 +179,14 @@ class TestBoundedMemory:
 def test_import_leaves_numpy_out():
     code = "import sys, owpdb.cli; assert 'numpy' not in sys.modules, 'numpy imported'"
     subprocess.run([sys.executable, "-c", code], env=SUBPROCESS_ENV, check=True)
+
+
+def test_vertex_check_runs_where_numpy_cannot_be_imported():
+    code = textwrap.dedent("""
+        import random, sys
+        sys.modules["numpy"] = None  # makes `import numpy` raise ImportError
+        from owpdb.oracle import _draws, rand_vertex_instance, vertex_attainment_check
+        for _, inst in _draws(random.Random(914), 3, rand_vertex_instance):
+            assert vertex_attainment_check(*inst)[0]
+    """)
+    subprocess.run([sys.executable, "-c", code], env=SUBPROCESS_ENV, check=True)

@@ -19,7 +19,9 @@ from owpdb.openworld import (
     open_args,
     open_tuples,
 )
-from owpdb.oracle import _draws, rand_vertex_instance, vertex_attainment_check
+from owpdb.exactdp import mtp_upper_exact
+from owpdb.greedy import greedy_trace, greedy_upper
+from owpdb.oracle import _draws, mtp_upper_bruteforce, rand_vertex_instance, vertex_attainment_check
 from owpdb.query import Atom, Constant, Variable, parse_ucq
 
 # Frozen with the 2^20-world ground oracle on the fully completed database.
@@ -172,6 +174,12 @@ class TestBudget:
             unary_pdb(2, lam=lam)
         assert str(err.value) == f"completion probability {lam} outside [0, 1]"
 
+    @pytest.mark.parametrize("optimizer", [mtp_upper_bruteforce, mtp_upper_exact, greedy_upper, greedy_trace])
+    def test_negative_budget_is_refused_by_every_optimizer(self, optimizer):
+        g = unary_pdb(3, {("A",): 0.4})
+        with pytest.raises(SchemaError, match="budget must be non-negative"):
+            optimizer(g, MTPConstraint("R", 0.5), parse_ucq("R(x)", g.schema), budget=-1)
+
     @given(
         st.integers(min_value=1, max_value=9).map(lambda i: i / 10),
         st.integers(min_value=1, max_value=9).map(lambda i: i / 10),
@@ -247,6 +255,11 @@ class TestVertexAttainment:
         for _, (g, c, q) in _draws(random.Random(914), 12, rand_vertex_instance):
             ok, detail = vertex_attainment_check(g, c, q)
             assert ok, detail
+
+    def test_no_grid_point_fits_when_the_stored_mass_breaks_the_bound(self):
+        g = unary_pdb(2, {("A",): 0.9})  # mass 0.9 against room for 0.1 * 2
+        q = parse_ucq("R(x)", g.schema)
+        assert vertex_attainment_check(g, MTPConstraint("R", 0.1), q) == (True, "no feasible grid point")
 
 
 class TestIntervalOrdering:
