@@ -63,6 +63,8 @@ class RunConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.budget_override is not None and self.budget_override < 0:
             raise ValueError("budget override must be non-negative")
+        if self.trials < 1:
+            raise ValueError("trials must be at least 1")
 
 
 class _ValidationError(Exception):
@@ -311,7 +313,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> None:
     args = build_parser().parse_args(argv)
-    config = RunConfig(**vars(args))
+    try:
+        config = RunConfig(**vars(args))
+    except ValueError as exc:  # a refused configuration
+        print(f"error: {exc}")
+        sys.exit(1)
     status, report = run(config)
     print(report)
     sys.exit(status)

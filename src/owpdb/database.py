@@ -12,19 +12,17 @@ Views (:class:`OverlayView` for conditioning and added tuples,
 completed relation atom by atom, and extending a database never copies its
 relations: :meth:`Database.with_added` returns an overlay.
 
-Every view answers one lookup, ``_rows(pred, bound)``: the stored rows of
-``pred`` with given constants at given positions, which a database finds
-through a lazy index per (predicate, bound positions) instead of a scan
-(a batched leaf reads once with fewer positions bound and groups the rows).
-A database loaded from files validates a relation when a read first
-reaches it, one built in memory at construction, by the same whole-column
-checks on its columns of args and probabilities as given (a file's fields
-unstripped); only when one fails does a row loop run, over rows a file
-gives with its constants stripped, to name the first bad row or build the
-table.
-Databases and views are immutable once built; concurrent reads are safe:
-a relation's table (with its constants) and each index are built locally
-and published with one assignment, so a reader sees none or a whole one.
+Every view answers two lookups: ``_rows(pred, bound)``, the stored rows of
+``pred`` with given constants at given positions, found through a lazy
+index per (predicate, bound positions), and ``folds(pred, bound, holes)``,
+their log-complements summed per the constants at ``holes``.  A database
+caches a whole relation's fold once per ``holes`` (at most 2**arity); an
+overlay continues a copy of its base's.  A database loaded from files
+validates a relation when a read first reaches it, one built in memory at
+construction (see ``_relation``).  Databases and views are immutable once
+built; concurrent reads are safe: a table (with its constants), an index
+or a fold is built locally and published with one assignment, so a reader
+sees none or a whole one.
 """
 from __future__ import annotations
 
@@ -34,6 +32,7 @@ from itertools import chain
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import CompletionOverlap, SchemaError, UnknownPredicate
+from .probability import fold_log_complements
 from .query import Atom, Constant, Term, Variable
 
 # The constants a pattern fixes, as (position, constant name) pairs.
@@ -90,12 +89,13 @@ def _args_names(atom: Atom) -> tuple[str, ...]:
 
 class _Table(dict):
     """One relation's rows, ``args -> value``, filled once and then only
-    read, with a lazy index per set of bound positions."""
+    read, with a lazy index per set of bound positions and fold per grouping."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.constants: frozenset[str] = frozenset()  # of a stored relation's rows
         self._by_positions: dict[tuple[int, ...], dict[tuple[str, ...], list]] = {}
+        self._folds: dict[tuple[int, ...], dict] = {}  # of all the rows, per holes
 
     def rows(self, bound: Bound) -> Iterable[tuple[tuple[str, ...], object]]:
         """The rows with the ``bound`` constants, in insertion order."""
@@ -109,6 +109,11 @@ class _Table(dict):
                 index.setdefault(tuple(map(row[0].__getitem__, positions)), []).append(row)
             self._by_positions[positions] = index
         return index.get(key, ())
+
+    def folds(self, holes: tuple[int, ...]) -> dict:
+        if holes not in self._folds:
+            self._folds[holes] = fold_log_complements(self.items(), holes)
+        return self._folds[holes]
 
 
 def _relation(schema: Schema, pred: str, names: Collection[tuple[str, ...]], ps: Iterable[object],
@@ -176,6 +181,10 @@ class ProbView:
         positions, in the order of a scan of the relation."""
         raise NotImplementedError
 
+    def folds(self, pred: str, bound: Bound, holes: tuple[int, ...]) -> dict:
+        """``_rows(pred, bound)`` folded at ``holes`` (``probability.fold_log_complements``); only read."""
+        return fold_log_complements(self._rows(pred, bound), holes)
+
     def entries(self, pred: str) -> Iterator[tuple[tuple[str, ...], float]]:
         """Explicitly stored rows of ``pred`` (including pinned zeros)."""
         return iter(self._rows(pred, ()))
@@ -204,8 +213,7 @@ class ProbView:
         """Stored rows matching a pattern of constants and (possibly
         repeated) variables, in scan order: the lazy per-positions index
         finds the constants, and only a repeated variable is tested.  Given
-        the constants as ``bound``, only a repeated variable of ``pattern``
-        is read, and ``pattern`` may be empty when none repeats."""
+        the constants as ``bound``, only ``pattern``'s repeated variables are read."""
         if bound is None:
             bound = tuple((i, t.name) for i, t in enumerate(pattern) if type(t) is not Variable)
         # (position, first position of its variable) for a repeated variable
@@ -249,6 +257,9 @@ class Database(ProbView):
 
     def _rows(self, pred: str, bound: Bound) -> Iterable[tuple[tuple[str, ...], float]]:
         return self._rels[pred].rows(bound)
+
+    def folds(self, pred: str, bound: Bound, holes: tuple[int, ...]) -> dict:
+        return super().folds(pred, bound, holes) if bound else self._rels[pred].folds(holes)
 
     def is_explicit(self, pred: str, args: tuple[str, ...]) -> bool:
         return args in self._rels[pred]
@@ -307,10 +318,8 @@ class OverlayView(ProbView):
                 raise SchemaError(f"override probability {p} outside [0, 1]")
             over.setdefault(atom.predicate, _Table())[args] = p
         self._over = over
-        # predicates where an override replaces a stored row
-        self._shadowing = frozenset(
-            pred for pred, rows in over.items() if any(base.is_explicit(pred, a) for a in rows)
-        )
+        # per predicate, the overridden args that replace a stored row
+        self._shadowed = {pred: {a for a in rows if base.is_explicit(pred, a)} for pred, rows in over.items()}
 
     def default_prob(self, pred: str) -> float:
         return self.base.default_prob(pred)
@@ -320,9 +329,24 @@ class OverlayView(ProbView):
         over = self._over.get(pred)
         if over is None:
             return base
-        if pred in self._shadowing:
+        if self._shadowed[pred]:
             base = (row for row in base if row[0] not in over)
         return chain(base, over.rows(bound))
+
+    def folds(self, pred: str, bound: Bound, holes: tuple[int, ...]) -> dict:
+        """The base's fold continued, in a copy, by the override rows; a shadowed pinned zero only leaves its count."""
+        over = self._over.get(pred)
+        if over is None:
+            return self.base.folds(pred, bound, holes)
+        shadowed = self._shadowed[pred]
+        if shadowed and any(self.base.prob(pred, args) > 0.0 for args in shadowed):
+            return super().folds(pred, bound, holes)  # a p > 0 term cannot leave a sum bit for bit
+        rows = over.rows(bound)
+        folds = fold_log_complements(rows, holes, self.base.folds(pred, bound, holes))
+        if shadowed:
+            for k, (_, dropped) in fold_log_complements([row for row in rows if row[0] in shadowed], holes).items():
+                folds[k] = folds[k][0], folds[k][1] - dropped
+        return folds
 
     def is_explicit(self, pred: str, args: tuple[str, ...]) -> bool:
         return args in self._over.get(pred, {}) or self.base.is_explicit(pred, args)

@@ -25,19 +25,19 @@ separator binds every constant its union does not mention to the
 placeholder of one fresh child, evaluated for all of them set at a time
 where its shape allows (:meth:`Evaluator._evaluate_many`): as columns of
 values and log-complements, one memo entry per batch, each atom leaf from
-one lookup of its rows grouped by the constant, in the bits of the
-node-by-node walk.  The call's evaluators, one per database it reads,
+its relation's fold per constant (:meth:`ProbView.folds`), in the bits of
+the node-by-node walk.  The call's evaluators, one per database it reads,
 share that plan; each keeps its own memo table keyed by plan node and the
 constants bound to the node's placeholders.  An evaluator's value is one
 ``Prob`` per view it reads: the database alone for a closed-world answer,
 the database and its full completion for both ends of an open-world
-interval in one walk.  Greedy screens every candidate tuple by one
-reverse pass over a round's memo (:meth:`Evaluator.gradient`).  "Safe"
-means the whole plan builds; a plan too wide to build is
-:class:`CapExceeded`, not unsafe, refused when the too-wide node is
-expanded.  Nothing outlives the call: databases
-are never mutated and plans and memo tables are per call, so concurrent
-queries against one database are safe.
+interval in one walk.  Greedy screens every candidate tuple by one reverse
+pass over a round's memo (:meth:`Evaluator.gradient`).  "Safe" means the
+whole plan builds; a plan too wide to build is :class:`CapExceeded`, not
+unsafe, refused when the too-wide node is expanded.  Plans and memo tables
+are per call, and a database changes only by caching a relation's fold,
+built locally and published whole, so concurrent queries against one
+database are safe.
 """
 from __future__ import annotations
 
@@ -397,7 +397,7 @@ class Evaluator:
         return result
 
     def _leaf_value(self, node: _Node, env: Mapping[str, Constant]) -> tuple[Prob, ...]:
-        """P of the atom leaf ``node`` under ``env`` per view, from one lookup of its rows."""
+        """P of the atom leaf ``node`` under ``env`` per view (:meth:`_leaf_column`)."""
         return tuple(Prob(values[0], logcs[0]) for values, logcs in self._leaf_column(node, env))
 
     def _partition(self, node: _Node, env: Mapping[str, Constant]) -> tuple[list, list[Constant]]:
@@ -487,63 +487,42 @@ class Evaluator:
 
     def _leaf_column(self, node: _Node, env: Mapping[str, Constant], name: str | None = None,
                      names: Sequence[str | None] = (None,)) -> list:
-        """The column of the atom leaf ``node`` under ``env``, with ``name``
-        bound to each of ``names`` if given: one lookup of its other bound
-        positions, its rows grouped by ``name``'s.  A ground atom takes its
-        row's or else the default, in ``Prob.from_value``'s cases."""
+        """The column of the atom leaf ``node`` under ``env`` per view, with
+        ``name`` bound to each of ``names`` if given.  A ground atom takes its
+        row's value or else the default, in ``Prob.from_value``'s cases; any
+        other is P(one of its instances) from the fold of its rows under its
+        other bound positions grouped by ``name``'s (:meth:`ProbView.folds`)
+        and the rest at the default, in the bits of ``disj`` and ``power_disj``."""
         db, (pred, slots, repeated, n_vars) = self.db, node.leaf
         fixed = tuple((i, env[t].name if ph else t) for i, t, ph in slots if not (ph and t == name))
-        holes = [i for i, t, ph in slots if ph and t == name]
+        holes = tuple(i for i, t, ph in slots if ph and t == name)
         if not (n_vars or holes):
             return [_from_values([view.prob(pred, tuple(t for _, t in fixed))]) for view in self.views]
-        rows = db.pattern_entries(pred, repeated, fixed) if repeated else db._rows(pred, fixed)
-        group = operator.itemgetter(*holes) if holes else None
         keys = names if len(holes) <= 1 else [(c,) * len(holes) for c in names]
         defaults = [view.default_prob(pred) for view in self.views]
-        if n_vars:
-            return _complement_columns(rows, group, keys, len(db.schema.domain) ** n_vars, defaults)
-        stored = {group(args): p for args, p in rows}
-        return [_from_values([stored.get(k, default) for k in keys]) for default in defaults]
+        if not n_vars:
+            group = operator.itemgetter(*holes)
+            stored = {group(args): p for args, p in db._rows(pred, fixed)}
+            return [_from_values([stored.get(k, default) for k in keys]) for default in defaults]
+        folds = (probability.fold_log_complements(db.pattern_entries(pred, repeated, fixed), holes) if repeated
+                 else db.folds(pred, fixed, holes))
+        n_atoms, ends = len(db.schema.domain) ** n_vars, []
+        for default in defaults:
+            absent, values, logcs = math.log1p(-default) if default < 1.0 else -math.inf, [], []
+            for k in keys:
+                total, stored = folds.get(k, (0.0, 0))
+                if n_atoms > stored and default > 0.0:
+                    total += (n_atoms - stored) * absent
+                values.append(-math.expm1(total) if total else 0.0)  # at -inf, 1.0
+                logcs.append(total if total else 0.0)
+            ends.append((values, logcs))
+        return ends
 
 
 def _from_values(ps: list[float]) -> tuple[list[float], list[float]]:
     """The values and logcs of ``Prob.from_value`` of each of ``ps``."""
     return ([1.0 if p >= 1.0 else 0.0 if p <= 0.0 else p for p in ps],
             [-math.inf if p >= 1.0 else 0.0 if p <= 0.0 else math.log1p(-p) for p in ps])
-
-
-def _complement_columns(rows: Iterable[tuple[tuple[str, ...], float]], group: Callable | None, keys: Sequence,
-                        n_atoms: int, defaults: Sequence[float]) -> list[tuple[list[float], list[float]]]:
-    """Per default, the values and logcs of P(one of ``n_atoms`` independent
-    atoms) for each of ``keys``: the stored ones are the ``rows`` whose
-    arguments ``group`` maps to the key (all of them, key ``None``, without
-    ``group``), a pinned zero among them, folded once in row order, and the
-    rest are at the default, in the bits of ``disj`` over
-    ``Prob.from_value`` per row and ``power_disj`` for the rest."""
-    if group is None:
-        groups = {None: [p for _, p in rows]}
-    else:
-        groups = {}
-        for args, p in rows:
-            groups.setdefault(group(args), []).append(p)
-    folded = {}
-    for k, ps in groups.items():
-        s = 0.0
-        for p in ps:
-            if p > 0.0:
-                s += math.log1p(-p) if p < 1.0 else -math.inf
-        folded[k] = s, len(ps)
-    ends = []
-    for default in defaults:
-        absent, values, logcs = math.log1p(-default) if default < 1.0 else -math.inf, [], []
-        for k in keys:
-            total, stored = folded.get(k, (0.0, 0))
-            if n_atoms > stored and default > 0.0:
-                total += (n_atoms - stored) * absent
-            values.append(-math.expm1(total) if total else 0.0)  # at -inf, 1.0
-            logcs.append(total if total else 0.0)
-        ends.append((values, logcs))
-    return ends
 
 
 def _conj_column(children: Sequence[tuple[list[float], list[float]]]) -> tuple[list[float], list[float]]:

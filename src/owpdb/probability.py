@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Iterable, Mapping, Sequence
 
 _NEG_INF = float("-inf")
 
@@ -98,6 +99,26 @@ def power_disj(p: Prob, n: int) -> Prob:
     if s == 0.0:
         return IMPOSSIBLE
     return Prob(-math.expm1(s), s)
+
+
+def fold_log_complements(rows: Iterable[tuple], holes: tuple[int, ...], onto: Mapping | None = None) -> dict:
+    """Per key, the args of a row at ``holes`` (``None`` without holes): the
+    sum of ``log1p(-p)`` over its ``rows`` in order (``-inf`` at 1; a pinned
+    zero adds nothing) and their number, continuing a copy of ``onto``."""
+    if holes:
+        key, groups = itemgetter(*holes), {}
+        for args, p in rows:
+            groups.setdefault(key(args), []).append(p)
+    else:
+        groups = {None: [p for _, p in rows]}
+    folds = dict(onto or {})
+    for k, ps in groups.items():
+        s, n = folds.get(k, (0.0, 0))
+        for p in ps:
+            if p > 0.0:
+                s += math.log1p(-p) if p < 1.0 else _NEG_INF
+        folds[k] = s, n + len(ps)
+    return folds
 
 
 def mix(p: Prob, hi: Prob, lo: Prob) -> Prob:

@@ -508,11 +508,23 @@ class TestUsageErrors:
     @pytest.mark.parametrize("fields, message", [
         ({"mode": "explain"}, "unknown mode 'explain'"),
         ({"budget_override": -1}, "budget override must be non-negative"),
-    ], ids=["mode", "negative-budget"])
+        ({"mode": "verify", "trials": 0}, "trials must be at least 1"),
+    ], ids=["mode", "negative-budget", "no-trials"])
     def test_bad_run_config_is_refused(self, fields, message):
         with pytest.raises(ValueError) as err:
             RunConfig(**fields)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--mode", "exact", "--budget", "-1"], "budget override must be non-negative"),
+        (["--mode", "verify", "--trials", "0"], "trials must be at least 1"),
+        (["--mode", "verify", "--trials", "-1"], "trials must be at least 1"),
+    ], ids=["negative-budget", "no-trials", "negative-trials"])
+    def test_bad_flags_print_one_error_line(self, db_dir, capsys, flags, message):
+        # an empty verify report would read as a pass
+        with pytest.raises(SystemExit) as exc:
+            main(["--db", db_dir, "--query", "S(x)", *flags])
+        assert exc.value.code == 1 and capsys.readouterr().out == f"error: {message}\n"
 
     def test_mtp_flag(self, db_dir, capsys):
         with pytest.raises(SystemExit) as exc:

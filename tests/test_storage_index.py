@@ -6,14 +6,14 @@ import threading
 
 import pytest
 
-from owpdb import database, dataio, exactdp, openworld
-from owpdb.database import Database, LambdaCompletionView, ProbView, Schema
+from owpdb import database, dataio, exactdp, openworld, oracle
+from owpdb.database import Database, LambdaCompletionView, OverlayView, ProbView, Schema
 from owpdb.errors import SchemaError, UnknownPredicate
-from owpdb.openworld import MTPConstraint, OpenPDB, interval_unconstrained
-from owpdb.engine import prob_lifted
-from owpdb.oracle import mtp_upper_bruteforce
+from owpdb.openworld import MTPConstraint, OpenPDB, apply_completion, interval_unconstrained
+from owpdb.engine import Evaluator, prob_lifted
+from owpdb.oracle import ThreeDMInstance, mtp_upper_bruteforce
 from owpdb.query import Atom, Constant, Variable, parse_ucq
-from owpdb.randgen import rand_database, rand_schema
+from owpdb.randgen import rand_database, rand_safe_ucq, rand_schema
 
 NOWHERE = Constant("Nowhere")  # a constant in no row (and in no domain)
 
@@ -111,6 +111,46 @@ class TestIndexEqualsScan:
             (("Einstein", "Erdos"), 0.1),
             (("Einstein", "Shakespeare"), 0.2),
         ]
+
+
+class TestFoldsKeepTheirBits:
+    """A relation's fold is cached once and every overlay continues a copy
+    of it; the answers keep the bits of folding each view's rows afresh."""
+
+    def views(self, rng, db):
+        """Added rows, overrides of pinned zeros and of rows with p > 0, an
+        overlay of an overlay and completions of overlays, then the same in
+        reverse: overlays of one base read in turn, so that one which
+        extended the cached fold in place would show in the others."""
+        preds = sorted(db.schema.predicates)
+        absent = [Atom(p, tuple(map(Constant, a))) for p in preds for a in _all_args(db.schema, p)
+                  if not db.is_explicit(p, a)]
+        stored = [(Atom(p, tuple(map(Constant, a))), v) for p in preds for a, v in db.entries(p)]
+        pinned = [a for a, v in stored if v == 0.0]
+        positive = [a for a, v in stored if v > 0.0]
+        pick = lambda pool: {a: rng.choice([True, False, 0.35]) for a in rng.sample(pool, min(3, len(pool)))}
+        added = apply_completion(OpenPDB(db, 0.4), rng.sample(absent, min(4, len(absent))))
+        shadow_zeros = db.with_overrides(pick(pinned))
+        out = [db, added, shadow_zeros, db.with_overrides(pick(positive)),
+               added.with_overrides({**pick(pinned), **pick(absent)}), added.with_overrides(pick(positive)),
+               LambdaCompletionView(added, 0.5), LambdaCompletionView(shadow_zeros, 0.2)]
+        return out + out[::-1]
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_answers_equal_a_fold_of_each_views_rows(self, seed, monkeypatch):
+        rng = random.Random(seed)
+        schema = rand_schema(rng)
+        db = rand_database(rng, schema, density=rng.choice([0.3, 0.6, 0.9]), max_uncertain=rng.choice([2, 12]))
+        queries = [rand_safe_ucq(rng, schema) for _ in range(4)]
+        views = self.views(rng, db)
+
+        def answers():
+            return [repr(Evaluator(view).probability(q)) for view in views for q in queries]
+
+        cached = answers()
+        for cls in (Database, OverlayView):
+            monkeypatch.setattr(cls, "folds", ProbView.folds)
+        assert cached == answers()
 
 
 class TestUndeclaredPredicates:
@@ -249,17 +289,58 @@ class TestWorkIsLinearInRows:
         assert got == pytest.approx(expected, abs=1e-12)
 
 
+class TestFoldsAreReadOnce:
+    """Overlays continue a stored relation's cached fold instead of
+    re-reading its rows for each candidate completion."""
+
+    def test_matching_demo_reads_each_stored_row_a_bounded_number_of_times(self, monkeypatch):
+        # a fold per candidate read the 750 stored rows 55,575 times
+        rng = random.Random(3)
+        xs, ys, zs = ([Constant(f"{side}{i + 1}") for i in range(3)] for side in "XYZ")
+        edges = frozenset(rng.sample([(x, y, z) for x in xs for y in ys for z in zs], 6))
+        counters, build = [], oracle._reduction_database
+
+        def counted(inst, weight):
+            db = build(inst, weight)
+            counters.append((count_reads(db), sum(map(db.relation_size, db.schema.predicates))))
+            return db
+
+        monkeypatch.setattr(oracle, "_reduction_database", counted)
+        assert oracle.verify_maxmatch(ThreeDMInstance(tuple(xs), tuple(ys), tuple(zs), edges, 2)).ok
+        (reads, rows), = counters
+        assert rows == 750 and 0 < reads() <= 4 * rows
+
+    def test_brute_force_reads_of_the_constrained_relation_are_flat_in_the_subsets(self):
+        # a fold per subset read the 15 CoA rows 330 and 3480 times
+        reads = []
+        for budget in (1, 2):  # 22 and 232 subsets of the 21 open CoA tuples
+            db = scientist_db(6, seed=2)
+            count_reads(db)
+            q = parse_ucq("S(x), CoA(x,y)", db.schema)
+            mtp_upper_bruteforce(OpenPDB(db, 0.5), MTPConstraint("CoA", 0.9), q, budget=budget)
+            reads.append(db._rels["CoA"].reads)
+        assert 0 < reads[0] == reads[1] <= db.relation_size("CoA")
+
+
 class TestConcurrentFirstReads:
     """Threads sharing a freshly loaded database race to parse its relations
-    and build their per-positions indexes; each table and index is
-    published whole, so every thread gets the single-threaded answers."""
+    and build their per-positions indexes and folds, and brute force reads
+    overlays of it; each table, index and fold is published whole, so every
+    thread gets the single-threaded answers."""
 
     QUERIES = ("S(x), CoA(x,y)", "CoA(x,y), T(y)", "S(x), CoA(x,y) | T(u)", "S(x), CoA(x,y), T(x)", "S(x), T(y)")
     THREADS = 8
 
     def answers(self, db, order):
-        g = OpenPDB(db, 0.3)
-        return {i: repr(interval_unconstrained(g, parse_ucq(self.QUERIES[i], db.schema))) for i in order}
+        g, out = OpenPDB(db, 0.3), {}
+        for i in order:
+            q = parse_ucq(self.QUERIES[i % len(self.QUERIES)], db.schema)
+            if i < len(self.QUERIES):
+                out[i] = repr(interval_unconstrained(g, q))
+            else:  # every open T tuple added in turn, on the shared database
+                best = mtp_upper_bruteforce(g, MTPConstraint("T", 0.5), q, budget=1)
+                out[i] = repr(best.value), best.witness.sorted_atoms(db.schema)
+        return out
 
     def test_threads_agree_with_one_thread(self, tmp_path):
         base = scientist_db(120, seed=4)
@@ -267,7 +348,8 @@ class TestConcurrentFirstReads:
         rels = {pred: dict(base.entries(pred)) for pred in ("S", "CoA")}
         rels["T"] = {(c.name,): rng.choice([0.2, 0.5]) for c in base.schema.domain if rng.random() < 0.5}
         dataio.save_database(Database(Schema({"S": 1, "T": 1, "CoA": 2}, base.schema.domain), rels), tmp_path)
-        expected = self.answers(dataio.load_database(tmp_path), range(len(self.QUERIES)))
+        n = 2 * len(self.QUERIES)
+        expected = self.answers(dataio.load_database(tmp_path), range(n))
         shared = dataio.load_database(tmp_path)
         assert not shared._rels  # nothing read yet
         start = threading.Barrier(self.THREADS)
@@ -277,7 +359,7 @@ class TestConcurrentFirstReads:
             try:
                 start.wait(timeout=60)
                 # each thread starts at a different query, so first reads collide
-                got[k] = self.answers(shared, [(k + i) % len(self.QUERIES) for i in range(len(self.QUERIES))])
+                got[k] = self.answers(shared, [(k + i) % n for i in range(n)])
             except Exception as exc:  # reported below, not lost in the thread
                 errors.append(exc)
 
