@@ -31,13 +31,13 @@ share that plan; each keeps its own memo table keyed by plan node and the
 constants bound to the node's placeholders.  An evaluator's value is one
 ``Prob`` per view it reads: the database alone for a closed-world answer,
 the database and its full completion for both ends of an open-world
-interval in one walk.  Greedy screens every candidate tuple by one reverse
-pass over a round's memo (:meth:`Evaluator.gradient`).  "Safe" means the
-whole plan builds; a plan too wide to build is :class:`CapExceeded`, not
-unsafe, refused when the too-wide node is expanded.  Plans and memo tables
-are per call, and a database changes only by caching a relation's fold,
-built locally and published whole, so concurrent queries against one
-database are safe.
+interval in one walk.  Greedy screens one representative per group of
+tuples that read the same screen keys by one reverse pass over a round's
+memo (:meth:`Evaluator.gradient`).  "Safe" means the whole plan builds; a
+plan too wide to build is :class:`CapExceeded`, not unsafe, refused when
+the too-wide node is expanded.  Plans and memo tables are per call, and a
+database changes only by caching a relation's fold, built locally and
+published whole, so concurrent queries against one database are safe.
 """
 from __future__ import annotations
 
@@ -324,7 +324,9 @@ class Evaluator:
         independent groups the product of the others' values, and
         inclusion-exclusion terms their signs.  A separator's batched rest
         takes one member's adjoint, tagged with the swaps carrying its
-        representative to each member, over which a leaf expands."""
+        representative to each member, over which a leaf expands.  The
+        screen's ``reads``, sorted, are the positions its tables key on and
+        its repeated variables compare: atoms that agree there screen alike."""
         flat, todo, leaves = self._flat(), {}, {}
 
         def push(node: _Node, env: Mapping[str, Constant], tag: tuple, a: float) -> None:
@@ -371,6 +373,7 @@ class Evaluator:
             return sum(table.get(tuple(args[i] for i in consts), 0.0)
                        for consts, ties, table in index if all(args[i] == args[j] for i, j in ties))
 
+        screen.reads = tuple(sorted({i for consts, ties, _ in index for i in itertools.chain(consts, *ties)}))
         return screen
 
     # -- recursion ---------------------------------------------------------

@@ -7,10 +7,11 @@ classic consequence: picking the best tuple ``B`` times lands within a
 factor ``1 - 1/e`` of the optimal gain, which brackets the true optimum
 between the greedy value and ``(e * p_greedy - p_closed) / (e - 1)``.
 
-A round screens every candidate with one gradient pass over its evaluation
-and scores exactly only the one it picks: the first in canonical order
-whose screen is within :data:`WINDOW` of the best (:func:`greedy_trace`),
-so results are deterministic.
+A round screens one representative per group of tuples that read the same
+screen keys, with one gradient pass over its evaluation, and scores exactly
+only the one it picks: the first open tuple in canonical order whose screen
+is within :data:`WINDOW` of the best (:func:`greedy_trace`), so results are
+deterministic.
 
 The window is relative, ``best - WINDOW * |best|``, and sized by the
 screen's rounding error.  Each plan level the reverse pass crosses
@@ -40,10 +41,10 @@ from .openworld import (
     MTPConstraint,
     OpenPDB,
     apply_completion,
-    open_args,
+    open_representatives,
     resolve_budget,
 )
-from .query import Atom, Constant, UCQ, Variable, has_self_join
+from .query import Atom, Constant, UCQ, has_self_join
 
 # Relative width of a round's pick window, sized in the module docstring.
 WINDOW = 1e-9
@@ -93,11 +94,14 @@ def greedy_trace(
     probability, so a tuple's gain is ``lam`` times the derivative of P(q)
     in its probability (Calinescu, Chekuri, Pal & Vondrak, SIAM J. Comput.
     2011): one reverse pass over the round's evaluation
-    (:meth:`Evaluator.gradient`) screens every candidate, streamed from
-    :func:`open_args` over the round's database, whose stored rows include
-    the picks.  The round picks the first candidate in canonical atom order
-    whose screen is at least ``best - WINDOW * |best|``, and scores only
-    that one exactly, as ``lam * (P(q | tuple true) - P(q))`` from a fresh
+    (:meth:`Evaluator.gradient`) screens one representative per group of
+    tuples that read the same screen keys, streamed from
+    :func:`open_representatives` over the round's database, whose stored
+    rows include the picks; ``best`` is the largest screen over the groups.
+    The round picks the canonically smallest representative whose screen
+    is at least ``best - WINDOW * |best|``, which is the first open tuple
+    in canonical atom order in that window, and scores only that one
+    exactly, as ``lam * (P(q | tuple true) - P(q))`` from a fresh
     evaluator of the database with the tuple true; that is the gain the
     trace reports.  The pick differs from the exact best only when the two
     true gains are within the window, so the bracket holds up to
@@ -111,17 +115,16 @@ def greedy_trace(
     lam = g.lam
     base = Evaluator(g.pdb, plan=plan)
     p_closed = base.probability(q).value
-    free = [Variable(f"x{i}") for i in range(g.schema.arity(c.relation))]
 
     picks: list[tuple[Atom, float]] = []
     p_cur = p_closed
     # at 1.0 no gain can be positive: every value is clamped to at most 1
     while lam > 0.0 and len(picks) < budget and p_cur < 1.0:
         screen = base.gradient(q, c.relation)
-        # the candidates within the window of the best screen so far, whose floor only rises
+        # the representatives within the window of the best screen so far, whose floor only rises
         best = floor = -math.inf
         near = []
-        for args in open_args(base.db, c.relation, free):
+        for args in open_representatives(base.db, c.relation, screen.reads):
             s = screen(args)
             if s > best:
                 best = s
@@ -131,7 +134,10 @@ def greedy_trace(
                 near.append((s, args))
         if not near:
             break
-        atom = Atom(c.relation, tuple(map(Constant, near[0][1])))
+        # a group's representative is its first open tuple, so the smallest
+        # one in the window is the first open tuple in the window
+        args = min((args for _, args in near), key=lambda args: tuple(map(g.schema.domain_index, args)))
+        atom = Atom(c.relation, tuple(map(Constant, args)))
         gain = lam * (Evaluator(base.db.with_overrides({atom: True}), plan=plan).probability(q).value - p_cur)
         if gain <= 0.0:
             break

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -9,9 +10,9 @@ import pytest
 from owpdb.database import Database, LambdaCompletionView, Schema
 from owpdb.engine import Evaluator, Plan, prob_ground
 from owpdb.greedy import WINDOW, greedy_trace, greedy_upper, set_query_prob
-from owpdb.openworld import MTPConstraint, OpenPDB, interval_unconstrained, open_tuples
+from owpdb.openworld import MTPConstraint, OpenPDB, apply_completion, interval_unconstrained, open_args, open_tuples
 from owpdb.oracle import mtp_upper_bruteforce
-from owpdb.query import Atom, Constant, parse_ucq
+from owpdb.query import Atom, Constant, Variable, parse_ucq
 from owpdb.randgen import rand_mtp_instance
 
 from helpers import rational_greedy
@@ -372,6 +373,82 @@ class TestRationalReference:
         assert self.assert_matches(g, MTPConstraint("R", 0.9), q, 3) == 3
 
 
+def full_scan_picks(g, c, q, budget):
+    """Greedy's picks with every open tuple screened: per round, the same
+    gradient over every absent atom in canonical order, the first whose
+    screen is at least ``best - WINDOW * |best|``, kept while conditioning
+    on it raises P(q)."""
+    plan = Plan().build(q)
+    free = [Variable(f"x{i}") for i in range(g.schema.arity(c.relation))]
+    picks = []
+    while g.lam > 0.0 and len(picks) < budget:
+        base = Evaluator(apply_completion(g, picks), plan=plan)
+        p = base.probability(q).value
+        if p >= 1.0:
+            break
+        screen = base.gradient(q, c.relation)
+        scored = [(screen(args), args) for args in open_args(base.db, c.relation, free)]
+        if not scored:
+            break
+        best = max(s for s, _ in scored)
+        atom = Atom(c.relation, tuple(map(Constant, next(a for s, a in scored if s >= best - WINDOW * abs(best)))))
+        if Evaluator(base.db.with_overrides({atom: True}), plan=plan).probability(q).value <= p:
+            break
+        picks.append(atom)
+    return picks
+
+
+def shapes_db():
+    """Rows on few of eight constants, in shuffled domain order, so that a
+    group of open tuples holds several.  T(F) and T(G) tie, and a stored
+    row at 0 makes F's first open tuple come after G's in canonical order
+    though F's projection comes first: the exact tie goes to G's."""
+    schema = Schema({"S": 1, "T": 1, "CoA": 2, "M": 3}, tuple(Constant(n) for n in "DBHAFCGE"))
+    return Database(schema, {
+        "S": {("A",): 0.3, ("B",): 0.9, ("C",): 0.5, ("D",): 0.6},
+        "T": {("A",): 0.4, ("C",): 0.7, ("D",): 0.2, ("F",): 0.5, ("G",): 0.5},
+        "CoA": {("A", "A"): 0.5, ("A", "B"): 0.2, ("B", "C"): 0.7, ("C", "A"): 0.4, ("D", "D"): 0.1, ("D", "B"): 0.3,
+                ("D", "F"): 0.0},
+        "M": {("A", "B", "C"): 0.5, ("A", "A", "A"): 0.3, ("B", "C", "C"): 0.6, ("D", "B", "B"): 0.2,
+              ("D", "D", "F"): 0.0},
+    })
+
+
+class TestSamePicksAsFullScan:
+    """Screening one representative per group of open tuples that read the
+    same screen keys picks what screening every open tuple picks."""
+
+    @pytest.mark.parametrize("self_join_free", [True, False])
+    def test_random_instances(self, self_join_free):
+        rng = random.Random(73)
+        picked = 0
+        for _ in range(120):
+            g, c, q, budget = rand_mtp_instance(rng, self_join_free=self_join_free)
+            picks = [a for a, _ in greedy_trace(g, c, q, budget=budget).picks]
+            assert picks == full_scan_picks(g, c, q, budget), str(q)
+            picked += len(picks)
+        assert picked > 60
+
+    @pytest.mark.parametrize("text, rel, reads", [
+        ("S(x), CoA(x, y)", "CoA", (0,)),
+        ("S(x), CoA(x, C)", "CoA", (0, 1)),  # a query constant
+        ("S(x), CoA(x, x)", "CoA", (0, 1)),  # a tie
+        ("S(x), T(y), CoA(B, H)", "CoA", (0, 1)),  # a ground constrained atom
+        ("CoA(x, y), T(y)", "CoA", (1,)),
+        ("S(x), M(x, y, z)", "M", (0,)),
+        ("M(x, y, z), T(z)", "M", (2,)),
+        ("S(x), M(x, y, y)", "M", (0, 1, 2)),
+    ])
+    def test_pinned_shapes(self, text, rel, reads):
+        db = shapes_db()
+        g, c, q = OpenPDB(db, 0.6), MTPConstraint(rel, 1.0), parse_ucq(text, db.schema)
+        base = Evaluator(db)
+        base.probability(q)
+        assert base.gradient(q, rel).reads == reads
+        picks = [a for a, _ in greedy_trace(g, c, q, budget=4).picks]
+        assert picks and picks == full_scan_picks(g, c, q, 4)
+
+
 def gain_errors(view, q, rel, lam, plan):
     """|screened - exact gain| of every absent ``rel`` atom of ``view``: the
     gradient of an evaluator of ``view``, times ``lam``, against
@@ -503,3 +580,32 @@ class TestGreedyMemory:
         (small, picks), (large, large_picks) = run(100), run(200)
         assert picks == large_picks and len(picks) == 1
         assert large < 2 * small, (small, large)
+
+
+class TestScreeningWork:
+    def test_screened_candidates_grow_linearly(self, monkeypatch):
+        # the screen reads CoA's first position only: a round screens one
+        # tuple per constant, not one per open tuple (4x from n=100 to 200)
+        real, counts = Evaluator.gradient, []
+
+        def gradient(self, *args):
+            screen = real(self, *args)
+            counts.append(0)
+
+            @functools.wraps(screen)
+            def counted(args):
+                counts[-1] += 1
+                return screen(args)
+            return counted
+
+        monkeypatch.setattr(Evaluator, "gradient", gradient)
+        per_n = []
+        for n in (100, 200):
+            counts.clear()
+            db = fixed_rows_db(n)
+            q = parse_ucq("S(x), CoA(x,y)", db.schema)
+            trace = greedy_trace(OpenPDB(db, 0.3), MTPConstraint("CoA", 0.9), q, budget=2)
+            assert len(trace.picks) == 2 and len(counts) == 2
+            per_n.append(counts[:])
+        small, large = per_n
+        assert all(b < 2 * a + 10 for a, b in zip(small, large)), per_n

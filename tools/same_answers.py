@@ -44,15 +44,21 @@ bound on one of the query's relations) into a temporary directory, and the
 ``cli.run`` JSON of ``analyze``, ``eval`` and ``interval`` on each, so the
 loader and its row checks are pinned along with the answers (the directory
 prints as ``<dir>``).  Appended after that, the report of
-``property_suites(7, 10)``, the ``--mode verify`` suites.  Last, the
+``property_suites(7, 10)``, the ``--mode verify`` suites.  Then the
 ``--mode demo3dm`` reports: ``verify_maxmatch`` on 40 matching instances
 drawn from ``random.Random(43)``, with 2-3 nodes per side, 3-8 hyperedges
-and a target size of 1-3, or the refusal of a size above a side.
+and a target size of 1-3, or the refusal of a size above a side.  Last,
+greedy on the screen's shapes (``GREEDY_SHAPES``): two instances per query
+drawn from ``random.Random(47)``, 30-40 constants for ``CoA`` and 12-16 for
+the ternary ``M``, in shuffled domain order with rows on a third of them,
+budgets 2-4, where a round's groups of open tuples that read the same
+screen keys are far fewer than its open tuples; each prints the closed
+answer and ``greedy_trace``.
 
 Each unindented line opens a block named by its first word (``safe``,
 ``mtp``, ``safety``, ``gap``, ``greedy``, ``large``, ``chain``,
-``ground``, ``sized``, ``disk``, ``verify``, ``matching``) and the
-indented lines under
+``ground``, ``sized``, ``disk``, ``verify``, ``matching``,
+``greedy-shapes``) and the indented lines under
 it belong to it.  ``tools/same_answers.sha256`` holds one SHA-256 per
 block of the output under ``PYTHONHASHSEED=0``, and
 ``tests/test_answers.py`` checks them.
@@ -134,6 +140,21 @@ DISK_INSTANCES = 40
 VERIFY_SEED = 7
 VERIFY_TRIALS = 10
 MATCHING_INSTANCES = 40
+SHAPES_ARITIES = {"S": 1, "T": 1, "CoA": 2, "M": 3}
+# Greedy shapes and the constrained relation: the screen of each reads one
+# position ({a} and {b} are domain constants), two or all of them.
+GREEDY_SHAPES = (
+    ("S(x), CoA(x, y)", "CoA"),
+    ("S(x), CoA(x, {a})", "CoA"),
+    ("S(x), CoA(x, x)", "CoA"),
+    ("S(x), T(y), CoA({a}, {b})", "CoA"),
+    ("CoA(x, y), T(y)", "CoA"),
+    ("S(x), M(x, y, z)", "M"),
+    ("M(x, y, z), T(z)", "M"),
+    ("S(x), M(x, y, y)", "M"),
+    ("M(x, {a}, z), T(z)", "M"),
+)
+SHAPES_PER_QUERY = 2
 
 
 def show_bound(result, schema) -> str:
@@ -252,6 +273,25 @@ def matching_fields(rng: random.Random) -> tuple:
     return xs, ys, zs, frozenset(edges), rng.randint(1, 3)
 
 
+def shapes_instance(rng: random.Random, arity: int):
+    """Constants in shuffled domain order, 30-40 for a binary constrained
+    relation and 12-16 for a ternary one, with ``S``, ``T``, ``CoA`` and
+    ``M`` stored on about a third of them (some rows at 0), so that most
+    groups of open tuples hold many; a lambda and a budget of 2-4."""
+    names = [f"K{i:02d}" for i in range(rng.randint(30, 40) if arity == 2 else rng.randint(12, 16))]
+    rng.shuffle(names)
+    stored = names[: len(names) // 3]
+    grid = (0.0,) + PROB_GRID[1:]
+    rels = {
+        "S": {(a,): rng.choice(grid) for a in names if rng.random() < 0.5},
+        "T": {(a,): rng.choice(grid) for a in names if rng.random() < 0.5},
+        "CoA": {(a, b): rng.choice(grid) for a in stored for b in names if rng.random() < 0.2},
+        "M": {(a, b, c): rng.choice(grid) for a in stored for b in stored for c in names if rng.random() < 0.1},
+    }
+    g = OpenPDB(Database(Schema(SHAPES_ARITIES, tuple(map(Constant, names))), rels), rng.choice(LAMBDA_GRID))
+    return g, rng.sample(names, 2), rng.randint(2, 4)
+
+
 def show_trace(trace) -> str:
     return repr((
         [(str(atom), gain) for atom, gain in trace.picks],
@@ -357,6 +397,15 @@ def main() -> None:
         report = answer(lambda: verify_maxmatch(ThreeDMInstance(*fields)), lambda r: r.render())
         for line in report.splitlines():
             print("  " + line)
+
+    rng = random.Random(47)
+    for i, (text, rel) in enumerate(shape for shape in GREEDY_SHAPES for _ in range(SHAPES_PER_QUERY)):
+        g, (a, b), budget = shapes_instance(rng, SHAPES_ARITIES[rel])
+        q = parse_ucq(text.format(a=a, b=b), g.schema)
+        c = MTPConstraint(rel, 1.0)
+        print(f"greedy-shapes {i} {q} lam={g.lam} budget={budget} domain={' '.join(str(k) for k in g.schema.domain)}")
+        print("  " + answer(lambda: prob_lifted_detail(q, g.pdb)))
+        print("  " + answer(lambda: greedy_trace(g, c, q, budget=budget), show_trace))
 
 
 if __name__ == "__main__":
