@@ -133,6 +133,12 @@ class _Node:
         bound to its placeholders."""
         return (self, tuple(env[p].name for p in self.placeholders)) if self.placeholders else self
 
+    def batches(self) -> bool:
+        """Is this expanded node evaluated set at a time over a separator's
+        constants: an atom leaf without a repeated variable, or an ``and``
+        of single nodes?"""
+        return self.rule == "atom" and not self.leaf[2] or self.rule == "and" and all(len(g) == 1 for g in self.arg)
+
     def bound(self, env: Mapping[str, Constant]) -> UCQ:
         """The node's union with its placeholders replaced by their bindings."""
         if not self.placeholders:
@@ -451,7 +457,7 @@ class Evaluator:
         one memo entry per batch, after their children's, the ``and`` in the
         bits of ``conj`` per constant; every other shape goes node by node."""
         rule, arg = self.plan.expand(node)
-        if not (rule == "atom" and not node.leaf[2] or rule == "and" and all(len(g) == 1 for g in arg)):
+        if not node.batches():
             return self._column(self._each(node, env, name, consts))
         key = (node, tuple(None if p == name else env[p].name for p in node.placeholders),
                tuple(map(operator.attrgetter("name"), consts)))

@@ -12,7 +12,9 @@ a witness completion.  It overrides only the hooks (``conj``, ``disj``,
 * a separator variable turns the union into a constant-elimination dynamic
   program: the budget is divided among the domain constants, whose slices
   are again disjoint, folded one by one in domain order (not batched by
-  ``power_disj``: in the union fold ``1 - (1 - x)`` need not be ``x``);
+  ``power_disj``: in the union fold ``1 - (1 - x)`` need not be ``x``).
+  The constants the union does not mention share its fresh child, read as
+  one column (:meth:`_BudgetSolver._fresh_column`);
 * inclusion-exclusion terms share one slice, so they are optimized jointly:
   the state carries the vector of per-term values and keeps every
   non-dominated vector (a Pareto front ordered by each term's sign), which
@@ -26,10 +28,11 @@ enumeration of the remaining slice when it is small, and are otherwise
 refused with :class:`NotInversionFree` so callers can route to the greedy
 bound or the brute-force oracle.
 
-Open tuples are never listed: a slice is generated lazily in canonical
-order (:func:`owpdb.openworld.open_args`), and an emptiness test reads one
-tuple of it, the atom rule ``B``; on ``S(x), CoA(x,y)`` a run probes each
-stored row a few times plus about ``n * (B + 1)`` absent tuples.
+A value no budget moves is a plain float, not ``B + 1`` equal entries, so
+combining it with a vector is one ``O(B)`` scan.  Open tuples are never
+listed: a slice is generated lazily in canonical order
+(:func:`owpdb.openworld.open_args`); a leaf reads its first ``B`` tuples
+once per constant, and any other node one tuple to test emptiness.
 Witnesses are sorted tuples of domain-index tuples until the result;
 max-convolution merges them only for the best split and its exact ties.
 """
@@ -38,7 +41,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .engine import Evaluator, Plan, _Node
 from .errors import NotInversionFree
@@ -68,8 +71,9 @@ ENUMERATION_FALLBACK_CAP = 10  # max open tuples enumerated when no rule applies
 # A witness: added tuples of the constrained relation as domain-index tuples,
 # sorted, which is their canonical atom order.
 _Witness = tuple[tuple[int, ...], ...]
-# A budget vector: entry b holds (best probability, witness) using at most b added tuples.
-_BVec = tuple[tuple[float, _Witness], ...]
+# A budget vector: entry b holds (best probability, witness) using at most b
+# added tuples; a value equal at every budget with no witness is a plain float.
+_BVec = tuple[tuple[float, _Witness], ...] | float
 
 
 def _merge(w1: _Witness, w2: _Witness) -> _Witness:
@@ -120,7 +124,22 @@ class _BudgetSolver(Evaluator):
 
     def _combine(self, v1: _BVec, v2: _BVec, mode: str) -> _BVec:
         """Max-convolution of two independent-slice budget vectors; exact
-        ties in value go to the smallest merged witness."""
+        ties in value go to the smallest merged witness.  A float takes the
+        same value at every split, so against a vector it is one prefix scan
+        of the vector's splits; a result equal at every budget with no
+        witness is a float again."""
+        if type(v1) is not tuple:
+            v1, v2 = v2, v1
+        if type(v2) is not tuple:
+            if type(v1) is not tuple:
+                return v1 * v2 if mode == "conj" else 1.0 - (1.0 - v1) * (1.0 - v2)
+            f = v2 if mode == "conj" else 1.0 - v2
+            splits = [(p * f if mode == "conj" else 1.0 - (1.0 - p) * f, w) for p, w in v1]
+            # per budget, the first maximal value so far and the smallest witness of its ties
+            out = list(itertools.accumulate(
+                splits, lambda a, c: c if c[0] > a[0] else a if c[0] < a[0] else (a[0], min(a[1], c[1]))))
+            # a running maximum whose ends are equal is equal throughout
+            return out[0][0] if out[-1] == (out[0][0], ()) else tuple(out)
         if mode == "conj":
             p1, p2 = [p for p, _ in v1], [p for p, _ in v2]
         else:
@@ -133,7 +152,8 @@ class _BudgetSolver(Evaluator):
                 vals = [1.0 - p1[k] * p2[b - k] for k in range(b + 1)]
             best = max(vals)
             out.append((best, min(_merge(v1[k][1], v2[b - k][1]) for k in range(b + 1) if vals[k] == best)))
-        return tuple(out)
+        flat = (out[0][0], ())
+        return flat[0] if out[-1] == flat and all(entry == flat for entry in out) else tuple(out)
 
     # -- the evaluator's hooks, over budget vectors ---------------------------
 
@@ -144,17 +164,18 @@ class _BudgetSolver(Evaluator):
         return functools.reduce(lambda acc, v: self._combine(acc, v, "disj"), vecs)
 
     def _lift(self, node: _Node, env: Mapping[str, Constant]) -> _BVec:
-        """An empty slice keeps the closed value at every budget; any other
-        node goes through its plan rule."""
-        if next(self.slice_of(node.query, env), None) is None:
-            v = self._closed(node, env)
-            return tuple((v, ()) for _ in range(self.b_max + 1))
+        """A leaf reads its slice once (:meth:`_leaf_value`); any other node
+        with an empty slice is its closed value, else its plan rule's."""
+        if self.plan.expand(node)[0] != "atom" and next(self.slice_of(node.query, env), None) is None:
+            return self._closed(node, env)
         return super()._lift(node, env)
 
-    def _leaf_value(self, node: _Node, env: Mapping[str, Constant]) -> _BVec:
-        """A single atom of the constrained relation: each added tuple, the
-        next of its slice in canonical order, until none helps."""
-        base = self._closed(node, env)
+    def _leaf_value(self, node: _Node, env: Mapping[str, Constant], base: float | None = None) -> _BVec:
+        """A single atom of the constrained relation, of closed value
+        ``base`` when given: each added tuple is the next of the first ``B``
+        of its slice in canonical order, until none helps; if none does,
+        the value is the float ``base``."""
+        base = self._closed(node, env) if base is None else base
         out: list[tuple[float, _Witness]] = [(base, ())]
         comp = 1.0 - base
         for t in itertools.islice(self.slice_of(node.query, env), self.b_max):
@@ -162,19 +183,49 @@ class _BudgetSolver(Evaluator):
                 break
             comp *= 1.0 - self.lam
             out.append((1.0 - comp, out[-1][1] + (t,)))
-        return tuple(out + out[-1:] * (self.b_max + 1 - len(out)))
+        return base if len(out) == 1 else tuple(out + out[-1:] * (self.b_max + 1 - len(out)))
 
     def _group(self, group: tuple[_Node, ...], env: Mapping[str, Constant]) -> _BVec:
         return self._ie_family(group, env) if len(group) > 1 else self.evaluate(group[0], env)
 
     def _separator_product(self, node: _Node, env: Mapping[str, Constant]) -> _BVec:
         """The budget divided among the domain constants, folded in domain
-        order from the zero vector; their slices are disjoint."""
-        _, child_of = self.plan.separator(node, env)
-        acc = tuple((0.0, ()) for _ in range(self.b_max + 1))
+        order from zero; their slices are disjoint.  The fresh child's
+        values are one column (:meth:`_fresh_column`), made where the first
+        of its constants falls and read in domain order."""
+        mentioned = self.plan.separator(node, env)[0]
+        fresh = [c for c in self.schema.domain if c.name not in mentioned]
+        acc, column = 0.0, None
         for const in self.schema.domain:
-            acc = self._combine(acc, self.evaluate(*child_of(const)), "disj")
+            child = mentioned.get(const.name)
+            if child is None and column is None:
+                column = map(self._fresh_column(node.fresh, env, node.arg[4], fresh), range(len(fresh)))
+            acc = self._combine(acc, next(column) if child is None else self.evaluate(child, env), "disj")
         return acc
+
+    def _fresh_column(self, node: _Node, env: Mapping[str, Constant], name: str,
+                      consts: list[Constant]) -> Callable[[int], _BVec]:
+        """The value of ``node`` under ``env`` with placeholder ``name``
+        bound to ``consts[i]``, as a map from ``i``.  A shape the evaluator
+        batches (:meth:`_Node.batches`) takes its closed values from the
+        closed evaluator's column, and an ``and`` with a nonempty slice
+        conjoins its children's; any other shape goes node by node, when
+        its constant is read, so refusals keep their domain order."""
+        if not node.batches():
+            return lambda i: self.evaluate(node, {**env, name: consts[i]})
+        closed = self._eval._evaluate_many(node, env, name, consts)[0][0]
+        if self.rel not in node.query.predicates():
+            return closed.__getitem__
+        if node.rule == "atom":
+            return lambda i: self._leaf_value(node, {**env, name: consts[i]}, closed[i])
+        children = [self._fresh_column(child, env, name, consts) for child, in node.arg]
+
+        def value(i: int) -> _BVec:
+            if next(self.slice_of(node.query, {**env, name: consts[i]}), None) is None:
+                return closed[i]
+            return self.conj(child(i) for child in children)
+
+        return value
 
     # -- inclusion-exclusion families ---------------------------------------
 
@@ -234,15 +285,16 @@ class _BudgetSolver(Evaluator):
         cores = [c for c, w in weights.items() if w != 0.0]
 
         if not cores:
-            return tuple((const, ()) for _ in range(self.b_max + 1))
+            return const
 
         if len(cores) == 1:
             core, w = cores[0], weights[cores[0]]
-            if w > 0.0:
-                vec = self.evaluate(core, {})
-                return tuple((const + w * v, wit) for v, wit in vec)
-            low = self._closed(core, {})
-            return tuple((const + w * low, ()) for _ in range(self.b_max + 1))
+            if w <= 0.0:
+                return const + w * self._closed(core, {})
+            vec = self.evaluate(core, {})
+            if type(vec) is not tuple:
+                return const + w * vec
+            return tuple((const + w * v, wit) for v, wit in vec)
 
         signs = [1 if weights[c] > 0.0 else -1 for c in cores]
         frontier = self._pareto(tuple(cores), tuple(signs))
@@ -381,7 +433,8 @@ def mtp_upper_exact(
         raise NotInversionFree(f"{q} has an inversion")
     b_max, warnings = resolve_budget(g, c, budget, denominator)
     solver = _BudgetSolver(g, c.relation, b_max, plan)
-    value, witness = solver.evaluate(plan.node(q), {})[b_max]
+    best = solver.evaluate(plan.node(q), {})
+    value, witness = (best, ()) if type(best) is not tuple else best[b_max]
     return BoundResult(
         kind="mtp_exact",
         value=value,

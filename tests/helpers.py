@@ -1,6 +1,7 @@
 """Test-only helpers: the world-enumeration oracle with the Herbrand
 grounding it enumerates, its exact rational form with greedy over exact
-gains, and random 3-dimensional matching instances."""
+gains, a scientist database with every constant stored, and random
+3-dimensional matching instances."""
 import itertools
 import math
 import random
@@ -9,6 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
+from owpdb.database import Database, Schema
 from owpdb.errors import CapExceeded
 from owpdb.openworld import open_tuples
 from owpdb.oracle import ThreeDMInstance
@@ -125,6 +127,18 @@ def rational_greedy(g, c, q, budget):
         picked.append(next(t for t, gain in gains.items() if gain == best))
         rounds.append((picked[-1], gains))
     return rounds
+
+
+def stored_scientist_db(n, seed=1, s_scale=1.0):
+    """``S(x), CoA(x,y)``'s scientist shape at CoA density 0.1, with a CoA
+    row on a cycle through the domain, so that every constant is stored in
+    CoA, and every S probability multiplied by ``s_scale``."""
+    rng = random.Random(seed)
+    names = [f"c{i:02d}" for i in range(n)]
+    coa = {(a, b): rng.choice([0.1, 0.3, 0.7]) for a in names for b in names if rng.random() < 0.1}
+    coa.update({(a, names[i - 1]): 0.5 for i, a in enumerate(names) if (a, names[i - 1]) not in coa})
+    s = {(c,): s_scale * rng.choice([0.2, 0.5, 0.9]) for c in names}
+    return Database(Schema({"S": 1, "CoA": 2}, tuple(Constant(c) for c in names)), {"S": s, "CoA": coa})
 
 
 def rand_3dm(rng: random.Random, *, side: int = 3, max_edges: int = 9) -> ThreeDMInstance:

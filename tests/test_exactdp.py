@@ -1,16 +1,19 @@
 import random
+import re
 
 import pytest
 
 from owpdb.database import Database, Schema
-from owpdb.engine import prob_lifted
+from owpdb.engine import Plan, prob_lifted
 from owpdb.errors import NotInversionFree
-from owpdb.exactdp import mtp_upper_exact
+from owpdb.exactdp import _BudgetSolver, _merge, mtp_upper_exact
 from owpdb.greedy import set_query_prob
 from owpdb.openworld import MTPConstraint, OpenPDB, budget_from_mtp, interval_unconstrained, open_tuples
 from owpdb.oracle import mtp_upper_bruteforce
 from owpdb.query import Constant, find_separator, minimize, parse_ucq, substitute_separator
 from owpdb.randgen import rand_mtp_instance
+
+from helpers import stored_scientist_db
 
 
 def simple_instance(n=2, lam=0.5, target_b=1, existing=None):
@@ -263,3 +266,99 @@ class TestSaturatedTieBreak:
         assert res.value == 1.0
         witness = [" ".join(t.name for t in a.args) for a in res.witness.sorted_atoms(db.schema)]
         assert witness == self.WITNESSES[budget]
+
+
+class OneConstantAtATime(_BudgetSolver):
+    """The reference solver: each fresh constant's child evaluated on its
+    own, node by node, and every value expanded to a budget vector before
+    it is combined, by the max-convolution over all splits."""
+
+    def _separator_product(self, node, env):
+        _, child_of = self.plan.separator(node, env)
+        acc = 0.0
+        for const in self.schema.domain:
+            acc = self._combine(acc, self.evaluate(*child_of(const)), "disj")
+        return acc
+
+    def _combine(self, v1, v2, mode):
+        v1, v2 = (v if type(v) is tuple else ((v, ()),) * (self.b_max + 1) for v in (v1, v2))
+        if mode == "conj":
+            p1, p2 = [p for p, _ in v1], [p for p, _ in v2]
+        else:
+            p1, p2 = [1.0 - p for p, _ in v1], [1.0 - p for p, _ in v2]
+        out = []
+        for b in range(self.b_max + 1):
+            if mode == "conj":
+                vals = [p1[k] * p2[b - k] for k in range(b + 1)]
+            else:
+                vals = [1.0 - p1[k] * p2[b - k] for k in range(b + 1)]
+            best = max(vals)
+            out.append((best, min(_merge(v1[k][1], v2[b - k][1]) for k in range(b + 1) if vals[k] == best)))
+        return tuple(out)
+
+
+def budget_table(solver_class, g, rel, q, b_max):
+    """(value, witness) at every budget up to ``b_max``, floats as repr so
+    that equal means equal bits."""
+    plan = Plan().build(q)
+    best = solver_class(g, rel, b_max, plan).evaluate(plan.node(q), {})
+    table = best if type(best) is tuple else ((best, ()),) * (b_max + 1)
+    return [(repr(v), w) for v, w in table]
+
+
+class TestFreshColumn:
+    """A separator's fresh constants read as one column, with floats for
+    values no budget moves, keep every value, witness and refusal of the
+    solver that evaluates each constant on its own."""
+
+    def test_same_bits_on_random_instances(self):
+        rng = random.Random(4)
+        seen = {True: 0, False: 0}  # instances with and without query constants
+        while min(seen.values()) < 12:
+            g, c, q, _ = rand_mtp_instance(rng, inversion_free=True)
+            seen[bool(q.constants())] += 1
+            for lam in (0.0, 0.3, 1.0):
+                for b_max in range(5):
+                    args = (OpenPDB(g.pdb, lam), c.relation, q, b_max)
+                    try:
+                        want = budget_table(OneConstantAtATime, *args)
+                    except NotInversionFree as refused:
+                        with pytest.raises(NotInversionFree, match=f"^{re.escape(str(refused))}$"):
+                            budget_table(_BudgetSolver, *args)
+                        continue
+                    assert budget_table(_BudgetSolver, *args) == want, (str(q), lam, b_max)
+
+    @pytest.mark.parametrize("rel", ["CoA", "S"])
+    def test_same_bits_under_saturation(self, rel):
+        db = stored_scientist_db(80)
+        q = parse_ucq("S(x), CoA(x,y)", db.schema)
+        for b_max in (0, 1, 4, 8):
+            args = (OpenPDB(db, 0.5), rel, q, b_max)
+            assert budget_table(_BudgetSolver, *args) == budget_table(OneConstantAtATime, *args)
+
+    def test_an_and_with_an_empty_slice_keeps_its_closed_bits(self):
+        # every T(x, A) is stored, so A's fresh child R(A, A), T(x, A) has an
+        # empty slice: its value is the closed conjunction, 0.3800000000000001,
+        # not the product of its factors, 0.4 * 0.95 = 0.38
+        db = Database(Schema({"R": 2, "T": 2}, (Constant("A"), Constant("B"))),
+                      {"R": {("A", "A"): 0.4}, "T": {("A", "A"): 0.75, ("B", "A"): 0.8}})
+        q = parse_ucq("R(z, z), T(x, z)", db.schema)
+        for b_max in range(3):
+            args = (OpenPDB(db, 0.5), "T", q, b_max)
+            assert budget_table(_BudgetSolver, *args) == budget_table(OneConstantAtATime, *args)
+
+    def test_refusal_comes_from_the_first_refusing_constant(self):
+        # a tools/same_answers.py GAP_QUERIES template with its constant
+        # K07 mid-domain: the fresh constants before it have every S row
+        # stored, K07's slice has 12 open tuples and each later constant's
+        # 14, so the mentioned child refuses first
+        names = [f"K{i:02d}" for i in range(14)]
+        s = {(a, b): 0.5 for i, a in enumerate(names) for b in (names if i < 7 else names[:2] if i == 7 else ())}
+        db = Database(Schema({"R": 1, "S": 2, "T": 2}, tuple(map(Constant, names))),
+                      {"R": {(a,): 0.5 for a in names}, "S": s, "T": {(a, b): 0.5 for a in names for b in names[:3]}})
+        g, c = OpenPDB(db, 0.5), MTPConstraint("S", 1.0)
+        q = parse_ucq("R(x), S(x, y) | T(x, y), S(x, K07)", db.schema)
+        with pytest.raises(NotInversionFree, match="^no shared separator and the open slice has 14 tuples$"):
+            column(g, c, q, "K08", 2)
+        with pytest.raises(NotInversionFree, match="^no shared separator and the open slice has 12 tuples$"):
+            mtp_upper_exact(g, c, q, budget=2)

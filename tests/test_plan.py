@@ -17,6 +17,8 @@ from owpdb.probability import IMPOSSIBLE, Prob
 from owpdb.query import UCQ, Atom, Constant, parse_ucq
 from owpdb.randgen import rand_cq, rand_database, rand_schema
 
+from helpers import stored_scientist_db
+
 
 def probe_is_safe(q):
     """Safety decided the earlier way: evaluate ``q`` on an empty database
@@ -140,17 +142,33 @@ class TestPlanWork:
             solvers.clear()
         assert counts == [4, 4]
 
+    def test_exact_dp_reads_fresh_constants_as_one_column(self, monkeypatch):
+        # the separator's fresh constants are one column: no closed walk per
+        # constant, and a budget-independent value is a float, so only the
+        # constants whose S row makes their value budget-dependent
+        # convolve a vector with a vector
+        closed_lifts, vector_pairs = [0], [0]
+        real_lift, real_combine = Evaluator._lift, exactdp._BudgetSolver._combine
 
-def stored_scientist_db(n, seed=1, s_scale=1.0):
-    """``scientist_db``'s shape at CoA density 0.1, with a CoA row on a
-    cycle through the domain, so that every constant is stored in CoA, and
-    every S probability multiplied by ``s_scale``."""
-    rng = random.Random(seed)
-    names = [f"c{i:02d}" for i in range(n)]
-    coa = {(a, b): rng.choice([0.1, 0.3, 0.7]) for a in names for b in names if rng.random() < 0.1}
-    coa.update({(a, names[i - 1]): 0.5 for i, a in enumerate(names) if (a, names[i - 1]) not in coa})
-    s = {(c,): s_scale * rng.choice([0.2, 0.5, 0.9]) for c in names}
-    return Database(Schema({"S": 1, "CoA": 2}, tuple(Constant(c) for c in names)), {"S": s, "CoA": coa})
+        def lift(self, node, env):
+            closed_lifts[0] += type(self) is Evaluator
+            return real_lift(self, node, env)
+
+        def combine(self, v1, v2, mode):
+            vector_pairs[0] += type(v1) is tuple and type(v2) is tuple
+            return real_combine(self, v1, v2, mode)
+
+        monkeypatch.setattr(Evaluator, "_lift", lift)
+        monkeypatch.setattr(exactdp._BudgetSolver, "_combine", combine)
+        lifts = []
+        for n in (25, 100):
+            db = stored_scientist_db(n)
+            closed_lifts[0] = vector_pairs[0] = 0
+            q = parse_ucq("S(x), CoA(x,y)", db.schema)
+            mtp_upper_exact(OpenPDB(db, 0.5), MTPConstraint("CoA", 0.5), q, budget=2)
+            lifts.append(closed_lifts[0])
+            assert vector_pairs[0] <= len(db.explicit_constants(["S"])), (n, vector_pairs[0])
+        assert lifts[0] == lifts[1], lifts
 
 
 @pytest.fixture
