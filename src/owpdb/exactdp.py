@@ -28,11 +28,12 @@ enumeration of the remaining slice when it is small, and are otherwise
 refused with :class:`NotInversionFree` so callers can route to the greedy
 bound or the brute-force oracle.
 
-A value no budget moves is a plain float, not ``B + 1`` equal entries, so
-combining it with a vector is one ``O(B)`` scan.  Open tuples are never
-listed: a slice is generated lazily in canonical order
-(:func:`owpdb.openworld.open_args`); a leaf reads its first ``B`` tuples
-once per constant, and any other node one tuple to test emptiness.
+A value no budget moves is a plain float, not ``B + 1`` equal entries,
+where it is made (an empty slice, a leaf no tuple helps) and where a float
+combined with a vector gives one; that combination is one ``O(B)`` scan.
+Open tuples are never listed: a slice is generated lazily in canonical
+order (:func:`owpdb.openworld.open_args`); a leaf reads its first ``B``
+tuples once per constant, and any other node one tuple to test emptiness.
 Witnesses are sorted tuples of domain-index tuples until the result;
 max-convolution merges them only for the best split and its exact ties.
 """
@@ -72,7 +73,7 @@ ENUMERATION_FALLBACK_CAP = 10  # max open tuples enumerated when no rule applies
 # sorted, which is their canonical atom order.
 _Witness = tuple[tuple[int, ...], ...]
 # A budget vector: entry b holds (best probability, witness) using at most b
-# added tuples; a value equal at every budget with no witness is a plain float.
+# added tuples; a value no budget moves may be a plain float (see the module doc).
 _BVec = tuple[tuple[float, _Witness], ...] | float
 
 
@@ -126,8 +127,8 @@ class _BudgetSolver(Evaluator):
         """Max-convolution of two independent-slice budget vectors; exact
         ties in value go to the smallest merged witness.  A float takes the
         same value at every split, so against a vector it is one prefix scan
-        of the vector's splits; a result equal at every budget with no
-        witness is a float again."""
+        of the vector's splits, whose result is a float again when it is
+        equal at every budget with no witness."""
         if type(v1) is not tuple:
             v1, v2 = v2, v1
         if type(v2) is not tuple:
@@ -152,8 +153,7 @@ class _BudgetSolver(Evaluator):
                 vals = [1.0 - p1[k] * p2[b - k] for k in range(b + 1)]
             best = max(vals)
             out.append((best, min(_merge(v1[k][1], v2[b - k][1]) for k in range(b + 1) if vals[k] == best)))
-        flat = (out[0][0], ())
-        return flat[0] if out[-1] == flat and all(entry == flat for entry in out) else tuple(out)
+        return tuple(out)
 
     # -- the evaluator's hooks, over budget vectors ---------------------------
 
@@ -207,10 +207,13 @@ class _BudgetSolver(Evaluator):
                       consts: list[Constant]) -> Callable[[int], _BVec]:
         """The value of ``node`` under ``env`` with placeholder ``name``
         bound to ``consts[i]``, as a map from ``i``.  A shape the evaluator
-        batches (:meth:`_Node.batches`) takes its closed values from the
-        closed evaluator's column, and an ``and`` with a nonempty slice
-        conjoins its children's; any other shape goes node by node, when
-        its constant is read, so refusals keep their domain order."""
+        batches (:meth:`_Node.batches`, tested after expanding ``node``: a
+        core that a family binds is not expanded yet) takes its closed
+        values from the closed evaluator's column, and an ``and`` with a
+        nonempty slice conjoins its children's; any other shape goes node by
+        node, when its constant is read, so refusals keep their domain
+        order."""
+        self.plan.expand(node)
         if not node.batches():
             return lambda i: self.evaluate(node, {**env, name: consts[i]})
         closed = self._eval._evaluate_many(node, env, name, consts)[0][0]

@@ -1,6 +1,7 @@
 """Test-only helpers: the world-enumeration oracle with the Herbrand
 grounding it enumerates, its exact rational form with greedy over exact
-gains, a scientist database with every constant stored, and random
+gains, a scientist database with every constant stored, a database whose
+separator constants each need inclusion-exclusion, and random
 3-dimensional matching instances."""
 import itertools
 import math
@@ -139,6 +140,19 @@ def stored_scientist_db(n, seed=1, s_scale=1.0):
     coa.update({(a, names[i - 1]): 0.5 for i, a in enumerate(names) if (a, names[i - 1]) not in coa})
     s = {(c,): s_scale * rng.choice([0.2, 0.5, 0.9]) for c in names}
     return Database(Schema({"S": 1, "CoA": 2}, tuple(Constant(c) for c in names)), {"S": s, "CoA": coa})
+
+
+def family_db(n, seed=2):
+    """For ``R(x), U(y, x) | S(z, y), U(z, y)``: ``R`` on two of the n
+    constants, ``S`` at density 0.3 and ``U`` at 0.2.  Each separator
+    constant c leaves a union that needs inclusion-exclusion, whose term
+    ``S(z, c), U(z, c)`` has a separator of its own."""
+    rng = random.Random(seed)
+    names = [f"K{i:02d}" for i in range(n)]
+    return Database(Schema({"R": 1, "S": 2, "U": 2}, tuple(map(Constant, names))),
+                    {"R": {(a,): 0.5 for a in names[:2]},
+                     "S": {(a, b): 0.5 for a in names for b in names if rng.random() < 0.3},
+                     "U": {(a, b): 0.25 for a in names for b in names if rng.random() < 0.2}})
 
 
 def rand_3dm(rng: random.Random, *, side: int = 3, max_edges: int = 9) -> ThreeDMInstance:

@@ -13,7 +13,7 @@ from owpdb.oracle import mtp_upper_bruteforce
 from owpdb.query import Constant, find_separator, minimize, parse_ucq, substitute_separator
 from owpdb.randgen import rand_mtp_instance
 
-from helpers import stored_scientist_db
+from helpers import family_db, stored_scientist_db
 
 
 def simple_instance(n=2, lam=0.5, target_b=1, existing=None):
@@ -345,6 +345,15 @@ class TestFreshColumn:
         q = parse_ucq("R(z, z), T(x, z)", db.schema)
         for b_max in range(3):
             args = (OpenPDB(db, 0.5), "T", q, b_max)
+            assert budget_table(_BudgetSolver, *args) == budget_table(OneConstantAtATime, *args)
+
+    def test_same_bits_in_the_cores_a_family_binds(self):
+        # each separator constant's union is an inclusion-exclusion family
+        # whose core S(z, c), U(z, c) is bound and planned only there
+        db = family_db(8)
+        q = parse_ucq("R(x), U(y, x) | S(z, y), U(z, y)", db.schema)
+        for b_max in range(4):
+            args = (OpenPDB(db, 0.5), "U", q, b_max)
             assert budget_table(_BudgetSolver, *args) == budget_table(OneConstantAtATime, *args)
 
     def test_refusal_comes_from_the_first_refusing_constant(self):

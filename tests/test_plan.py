@@ -17,7 +17,7 @@ from owpdb.probability import IMPOSSIBLE, Prob
 from owpdb.query import UCQ, Atom, Constant, parse_ucq
 from owpdb.randgen import rand_cq, rand_database, rand_schema
 
-from helpers import stored_scientist_db
+from helpers import family_db, stored_scientist_db
 
 
 def probe_is_safe(q):
@@ -169,6 +169,28 @@ class TestPlanWork:
             lifts.append(closed_lifts[0])
             assert vector_pairs[0] <= len(db.explicit_constants(["S"])), (n, vector_pairs[0])
         assert lifts[0] == lifts[1], lifts
+
+    def test_exact_dp_reads_the_cores_a_family_binds_as_columns(self, monkeypatch):
+        # each separator constant c's union is an inclusion-exclusion family
+        # whose core S(z, c), U(z, c) is planned and expanded only there; its
+        # fresh child is still one column, so the closed evaluator's
+        # node-by-node lifts grow with n, not with n * n (three times the
+        # constants: 107 -> 328 lifts, 348 -> 2913 node by node)
+        lifts, real_lift = [0], Evaluator._lift
+
+        def lift(self, node, env):
+            lifts[0] += type(self) is Evaluator
+            return real_lift(self, node, env)
+
+        monkeypatch.setattr(Evaluator, "_lift", lift)
+        counts = []
+        for n in (12, 36):
+            db = family_db(n)
+            lifts[0] = 0
+            q = parse_ucq("R(x), U(y, x) | S(z, y), U(z, y)", db.schema)
+            mtp_upper_exact(OpenPDB(db, 0.5), MTPConstraint("U", 0.5), q, budget=2)
+            counts.append(lifts[0])
+        assert counts[1] <= 4 * counts[0], counts
 
 
 @pytest.fixture

@@ -3,19 +3,18 @@
 Usage::
 
     python3 tools/scaling.py run --label NAME --out FILE [--src DIR]
-                                 [--rows ROW ...] [--timeout S]
     python3 tools/scaling.py compare FILE BEFORE AFTER
 
-``run`` measures each row in its own subprocess, which imports ``owpdb``
-from ``--src`` (default: this checkout's ``src``), so two trees are
-measured with the same rows and the same instances.  Per row the
+``run`` measures every row, each in its own subprocess, which imports
+``owpdb`` from ``--src`` (default: this checkout's ``src``), so two trees
+are measured with the same rows and the same instances.  Per row the
 subprocess builds the instance (not timed), runs ``mtp_upper_exact`` three
 times and records the median wall time, its own peak RSS and the ``repr``
 of the value and of the witness's atoms; a fourth run, under wrappers set
 here and not in ``src``, counts the solver's ``_combine`` calls, the
 witness merges (``exactdp._merge``) and the closed evaluator's
-node-by-node ``_lift`` calls.  A row that passes ``--timeout`` is recorded
-as timed out, never dropped.  The run is stored under ``NAME`` in
+node-by-node ``_lift`` calls.  A row that runs past ``TIMEOUT_S`` seconds
+is recorded as timed out, never dropped.  The run is stored under ``NAME`` in
 ``FILE``, next to the runs already there.
 
 ``compare`` flags, between two stored runs, every row whose value or
@@ -39,6 +38,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 RUNS = 3
 TIME_RISE = 0.20
+TIMEOUT_S = 300.0
 COUNTS = ("combine", "merge", "closed_lift")
 
 # Exact DP rows, each on scan_db(n): query, constrained relation, budget.
@@ -122,17 +122,17 @@ def measure(name: str) -> dict:
     }
 
 
-def run_rows(src: Path, rows: list[str], timeout: float) -> dict:
+def run_rows(src: Path) -> dict:
     out = {}
-    for name in rows:
+    for name in ROWS:
         cmd = [sys.executable, __file__, "row", name]
         env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="0")
         try:
-            child = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=timeout, check=True)
+            child = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=TIMEOUT_S, check=True)
             out[name] = json.loads(child.stdout.splitlines()[-1])
         except subprocess.TimeoutExpired:
             out[name] = {"params": dict(zip(("query", "n", "constrained", "budget"), ROWS[name])),
-                         "timeout_s": timeout}
+                         "timeout_s": TIMEOUT_S}
         print(name, json.dumps(out[name]), file=sys.stderr, flush=True)
     return out
 
@@ -165,8 +165,6 @@ def main(argv=None) -> int:
     run.add_argument("--label", required=True)
     run.add_argument("--src", type=Path, default=ROOT / "src")
     run.add_argument("--out", type=Path, required=True)
-    run.add_argument("--rows", nargs="+", choices=ROWS, default=list(ROWS))
-    run.add_argument("--timeout", type=float, default=300.0)
     cmp = sub.add_parser("compare")
     cmp.add_argument("file", type=Path)
     cmp.add_argument("before")
@@ -186,7 +184,7 @@ def main(argv=None) -> int:
     doc = json.loads(args.out.read_text()) if args.out.exists() else {"runs": {}}
     doc["runs"][args.label] = {
         "machine": {"python": platform.python_version(), "cpus": os.cpu_count(), "arch": platform.machine()},
-        "rows": run_rows(args.src, args.rows, args.timeout),
+        "rows": run_rows(args.src),
     }
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0
