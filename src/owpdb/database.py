@@ -19,10 +19,12 @@ their log-complements summed per the constants at ``holes``.  A database
 caches a whole relation's fold once per ``holes`` (at most 2**arity); an
 overlay continues a copy of its base's.  A database loaded from files
 validates a relation when a read first reaches it, one built in memory at
-construction (see ``_relation``).  Databases and views are immutable once
-built; concurrent reads are safe: a table (with its constants), an index
-or a fold is built locally and published with one assignment, so a reader
-sees none or a whole one.
+construction (see ``_relation``).  Loads of byte-identical files share one
+table, and with it the indexes and folds any of them builds
+(:mod:`owpdb.dataio`), so no code writes a table's rows once it is built.
+Databases and views are immutable once built; concurrent reads are safe: a
+table (with its constants), an index or a fold is built locally and
+published with one assignment, so a reader sees none or a whole one.
 """
 from __future__ import annotations
 
@@ -231,26 +233,21 @@ class Database(ProbView):
     """A tuple-independent probabilistic database.
 
     Each ground atom appears at most once; absent atoms carry probability
-    zero.  Built in memory from ``relations`` (``pred -> {args: p}``) or
-    loaded from files (:func:`owpdb.dataio.load_database`).  Instances are
-    immutable; :meth:`with_added` and :meth:`with_overrides` return
+    zero.  Built in memory from ``relations`` (``pred -> {args: p}``), or
+    loaded from files (:func:`owpdb.dataio.load_database`), which passes
+    ``read(pred)``, the checked table of a relation not in ``relations``,
+    made the first time a read reaches it.  Instances are immutable;
+    :meth:`with_added` and :meth:`with_overrides` return
     :class:`OverlayView` views over them.
     """
 
-    def __init__(self, schema: Schema, relations: Mapping[str, Mapping[tuple[str, ...], float]] | None = None):
+    def __init__(self, schema: Schema, relations: Mapping[str, Mapping[tuple[str, ...], float]] | None = None,
+                 read: Callable[[str], _Table] = lambda pred: _Table()):
         self.schema = schema
-        self._rels = _Relations(schema.predicates, lambda pred: _Table())
+        self._rels = _Relations(schema.predicates, read)
         for pred, table in (relations or {}).items():
             rows = partial(zip, table, table, table.values())
             self._rels[pred] = _relation(schema, pred, table.keys(), table.values(), rows, f"{pred}{{}}".format)
-
-    @classmethod
-    def _on_first_read(cls, schema: Schema, read: Callable[[str], tuple]) -> "Database":
-        """A database whose relation ``pred`` is validated from what
-        ``read(pred)`` gives, the first time a read reaches it."""
-        db = cls(schema)
-        db._rels = _Relations(schema.predicates, lambda pred: _relation(schema, pred, *read(pred)))
-        return db
 
     def default_prob(self, pred: str) -> float:
         return 0.0

@@ -11,30 +11,90 @@ to ``float``.  The domain must be explicit: open-world completion
 ranges over every constant, not just the mentioned ones.
 ``constraints.txt`` holds exactly one ``lambda=<float>`` line and zero or
 more ``mtp <PRED> <mean_bound>`` lines.
+
+Loads in one process share what they build: a ``Schema`` is kept under the
+SHA-256 digests of the ``schema.txt`` and ``domain.txt`` bytes it was
+parsed from, and a relation's checked table, with the indexes and folds
+reads later add to it, under those digests, the predicate and the digest
+of its ``<PRED>.csv`` bytes.  A file byte-identical to one already checked
+is thus neither parsed nor checked again; any other is, whatever its path,
+size or mtime.  The kept entries are bounded (``TABLE_CACHE_ROWS``).
 """
 from __future__ import annotations
 
 import csv
 import io
+import threading
+from collections import OrderedDict
 from functools import partial
 from pathlib import Path
+from typing import Callable, Hashable
 
-from .database import Database, Schema
+from .database import Database, Schema, _relation, _Table
 from .errors import SchemaError
 from .openworld import MTPConstraint
 from .oracle import ThreeDMInstance
 from .query import Constant
 
+# The most the kept schemas and tables weigh together, an entry weighing one
+# more than the domain constants or the stored rows it holds.
+TABLE_CACHE_ROWS = 10**5
 
-def load_schema(directory: str | Path) -> Schema:
-    directory = Path(directory)
-    schema_path = directory / "schema.txt"
-    domain_path = directory / "domain.txt"
-    for path in (schema_path, domain_path):
+
+class _Shared:
+    """Values built from file bytes, kept across loads under their digests:
+    least recently used first out once the entries weigh more than ``cap``.
+    Each entry is built whole and then published under a lock."""
+
+    def __init__(self, cap: int):
+        self.cap, self.held = cap, 0
+        self._entries: OrderedDict[Hashable, tuple[object, int]] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key: Hashable, build: Callable[[], object], size: Callable[[object], int]):
+        """The value kept under ``key``, else ``build()``'s, kept when it
+        weighs at most ``cap``; a ``build`` that raises keeps nothing."""
+        with self._lock:
+            if key in self._entries:
+                self._entries.move_to_end(key)
+                return self._entries[key][0]
+        value = build()
+        weight = 1 + size(value)
+        with self._lock:
+            if key in self._entries:  # another thread built it first: share that one
+                return self._entries[key][0]
+            if weight <= self.cap:
+                self._entries[key] = value, weight
+                self.held += weight
+                while self.held > self.cap:
+                    self.held -= self._entries.popitem(last=False)[1][1]
+        return value
+
+
+_SHARED = _Shared(TABLE_CACHE_ROWS)
+
+
+def _digest(data: bytes) -> bytes:
+    import hashlib  # here, not at the top: it loads OpenSSL, which only a load needs
+
+    return hashlib.sha256(data).digest()
+
+
+def _schema(directory: Path) -> tuple[tuple[bytes, bytes], Schema]:
+    """The digests of ``schema.txt`` and ``domain.txt`` and the schema they hold."""
+    paths = directory / "schema.txt", directory / "domain.txt"
+    for path in paths:
         if not path.is_file():
             raise SchemaError(f"missing {path}")
+    data = tuple(map(Path.read_bytes, paths))
+    key = tuple(map(_digest, data))
+    return key, _SHARED.get(key, partial(_parse_schema, *zip(paths, data)), lambda schema: len(schema.domain))
+
+
+def _parse_schema(schema_file: tuple[Path, bytes], domain_file: tuple[Path, bytes]) -> Schema:
+    schema_path = schema_file[0]
     preds: dict[str, int] = {}
-    for lineno, line in _lines(schema_path):
+    for lineno, line in _lines(*schema_file):
         if "/" not in line:
             raise SchemaError(f"{schema_path}:{lineno}: expected PRED/arity, got {line!r}")
         name, _, arity_text = line.partition("/")
@@ -46,61 +106,74 @@ def load_schema(directory: str | Path) -> Schema:
         if name in preds:
             raise SchemaError(f"{schema_path}:{lineno}: duplicate predicate {name!r}")
         preds[name] = arity
-    lines = map(str.strip, _text(domain_path).splitlines())
+    lines = map(str.strip, _text(*domain_file).splitlines())
     return Schema(preds, tuple(Constant(line) for line in lines if line and line[0] != "#"))
 
 
 def load_database(directory: str | Path) -> Database:
     """Read ``schema.txt`` and ``domain.txt`` now and each ``<PRED>.csv``
     when a read first reaches ``PRED``, so a request pays only for the
-    relations it reads and a bad row fails only a request that reads it."""
+    relations it reads and a bad row fails only a request that reads it.
+    Files byte-identical to ones checked before give the schema and tables
+    built then (see the module docstring)."""
     directory = Path(directory)
+    key, schema = _schema(directory)
 
-    def read(pred: str):
-        # the constants and probability-text columns, each field as read
+    def read(pred: str) -> _Table:
         path = directory / f"{pred}.csv"
-        rows = list(filter(None, _csv_records(path)))
-        ps = list(map(list.pop, rows))
-        return list(map(tuple, rows)), ps, partial(_csv_rows, path), f"{path}:{{}}".format
+        if not path.is_file():
+            return _Table()
+        data = path.read_bytes()
+        return _SHARED.get((key, pred, _digest(data)), partial(_table, schema, pred, path, data), len)
 
-    return Database._on_first_read(load_schema(directory), read)
+    return Database(schema, read=read)
 
 
-def _text(path: Path, newline: str | None = None) -> str:
-    """The text of ``path``; an undecodable byte names the file and line."""
+def _table(schema: Schema, pred: str, path: Path, data: bytes) -> _Table:
+    """The checked table of ``pred`` from ``data``, the bytes of ``path``;
+    the row loop, when a column check fails, reads the same bytes."""
+    text = _text(path, data, newline="")
+    rows = list(filter(None, _csv_records(path, text)))
+    ps = list(map(list.pop, rows))
+    return _relation(schema, pred, list(map(tuple, rows)), ps, partial(_csv_rows, path, text), f"{path}:{{}}".format)
+
+
+def _text(path: Path, data: bytes | None = None, newline: str | None = None) -> str:
+    """The text of ``path``, or of ``data`` read from it; an undecodable
+    byte names the file and line."""
     try:
-        with path.open(newline=newline) as fh:
-            return fh.read()
+        return io.TextIOWrapper(io.BytesIO(path.read_bytes() if data is None else data), newline=newline).read()
     except UnicodeDecodeError as exc:
         lineno = exc.object[:exc.start].count(b"\n") + 1
         raise SchemaError(f"{path}:{lineno}: {exc}") from None
 
 
-def _lines(path: Path):
-    """``path``'s numbered, stripped lines, blank and ``#`` lines left out."""
-    for lineno, raw in enumerate(_text(path).splitlines(), 1):
+def _lines(path: Path, data: bytes | None = None):
+    """The numbered, stripped lines of ``path`` (or of ``data`` read from
+    it), blank and ``#`` lines left out."""
+    for lineno, raw in enumerate(_text(path, data).splitlines(), 1):
         line = raw.strip()
         if line and not line.startswith("#"):
             yield lineno, line
 
 
-def _csv_records(path: Path) -> list[list[str]]:
-    """A relation file's records as the ``csv`` module's excel dialect reads
-    them, a blank line as ``[]``; a malformed one names the file and line."""
-    if not path.is_file():
-        return []
-    reader = csv.reader(io.StringIO(_text(path, newline=""), newline=""))
+def _csv_records(path: Path, text: str) -> list[list[str]]:
+    """The records of ``text``, read from ``path``, as the ``csv`` module's
+    excel dialect reads them, a blank line as ``[]``; a malformed one names
+    the file and line."""
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         return list(reader)
     except csv.Error as exc:
         raise SchemaError(f"{path}:{reader.line_num}: {exc}") from None
 
 
-def _csv_rows(path: Path) -> list[tuple[int, tuple[str, ...], str]]:
-    """A relation file's (row number, stripped constants, probability text)
-    rows, blank and whitespace-only lines left out, for the row loop."""
+def _csv_rows(path: Path, text: str) -> list[tuple[int, tuple[str, ...], str]]:
+    """The (row number, stripped constants, probability text) rows of a
+    relation file's ``text``, blank and whitespace-only lines left out, for
+    the row loop."""
     return [(rowno, tuple(map(str.strip, row[:-1])), row[-1])
-            for rowno, row in enumerate(_csv_records(path), 1) if row and (len(row) > 1 or row[0].strip())]
+            for rowno, row in enumerate(_csv_records(path, text), 1) if row and (len(row) > 1 or row[0].strip())]
 
 
 def load_constraints(directory: str | Path) -> tuple[float | None, list[MTPConstraint]]:

@@ -1,5 +1,6 @@
 """Indexed storage lookups: the same rows as a scan, and work bounded by
 the rows that match."""
+import os
 import random
 import sys
 import threading
@@ -7,6 +8,7 @@ import threading
 import pytest
 
 from owpdb import database, dataio, exactdp, openworld, oracle
+from owpdb.cli import RunConfig, run
 from owpdb.database import Database, LambdaCompletionView, OverlayView, ProbView, Schema
 from owpdb.errors import SchemaError, UnknownPredicate
 from owpdb.openworld import MTPConstraint, OpenPDB, apply_completion, interval_unconstrained
@@ -322,6 +324,15 @@ class TestFoldsAreReadOnce:
         assert 0 < reads[0] == reads[1] <= db.relation_size("CoA")
 
 
+def save_scan_db(directory):
+    """``scientist_db(120)`` with a unary ``T`` on about half the constants, saved."""
+    base = scientist_db(120, seed=4)
+    rng = random.Random(4)
+    rels = {pred: dict(base.entries(pred)) for pred in ("S", "CoA")}
+    rels["T"] = {(c.name,): rng.choice([0.2, 0.5]) for c in base.schema.domain if rng.random() < 0.5}
+    dataio.save_database(Database(Schema({"S": 1, "T": 1, "CoA": 2}, base.schema.domain), rels), directory)
+
+
 class TestConcurrentFirstReads:
     """Threads sharing a freshly loaded database race to parse its relations
     and build their per-positions indexes and folds, and brute force reads
@@ -342,40 +353,78 @@ class TestConcurrentFirstReads:
                 out[i] = repr(best.value), best.witness.sorted_atoms(db.schema)
         return out
 
-    def test_threads_agree_with_one_thread(self, tmp_path):
-        base = scientist_db(120, seed=4)
-        rng = random.Random(4)
-        rels = {pred: dict(base.entries(pred)) for pred in ("S", "CoA")}
-        rels["T"] = {(c.name,): rng.choice([0.2, 0.5]) for c in base.schema.domain if rng.random() < 0.5}
-        dataio.save_database(Database(Schema({"S": 1, "T": 1, "CoA": 2}, base.schema.domain), rels), tmp_path)
+    def test_threads_agree_with_one_thread(self, tmp_path, monkeypatch):
+        save_scan_db(tmp_path)
         n = 2 * len(self.QUERIES)
         expected = self.answers(dataio.load_database(tmp_path), range(n))
+        # an empty cache of shared tables, so the threads race to build them
+        monkeypatch.setattr(dataio, "_SHARED", dataio._Shared(dataio.TABLE_CACHE_ROWS))
         shared = dataio.load_database(tmp_path)
         assert not shared._rels  # nothing read yet
-        start = threading.Barrier(self.THREADS)
-        got, errors = [None] * self.THREADS, []
 
         def work(k):
-            try:
-                start.wait(timeout=60)
-                # each thread starts at a different query, so first reads collide
-                got[k] = self.answers(shared, [(k + i) % n for i in range(n)])
-            except Exception as exc:  # reported below, not lost in the thread
-                errors.append(exc)
+            # each thread starts at a different query, so first reads collide
+            return self.answers(shared, [(k + i) % n for i in range(n)])
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
+        assert race(work, self.THREADS) == [expected] * self.THREADS
+
+    def test_threads_loading_one_cold_directory_agree_with_one_thread(self, tmp_path, monkeypatch):
+        save_scan_db(tmp_path)
+        n = 2 * len(self.QUERIES)
+        monkeypatch.setattr(dataio, "_SHARED", dataio._Shared(dataio.TABLE_CACHE_ROWS))
+        expected = self.answers(dataio.load_database(tmp_path), range(n))
+        monkeypatch.setattr(dataio, "_SHARED", dataio._Shared(dataio.TABLE_CACHE_ROWS))
+        loaded = [None] * self.THREADS
+
+        def work(k):
+            loaded[k] = dataio.load_database(tmp_path)
+            return self.answers(loaded[k], [(k + i) % n for i in range(n)])
+
+        assert race(work, self.THREADS) == [expected] * self.THREADS
+        for pred in ("S", "T", "CoA"):  # the first table kept is the one every load reads
+            assert len({id(db._rels[pred]) for db in loaded}) == 1
+        assert len({id(db.schema) for db in loaded}) == 1
+
+    def test_threads_keep_the_weight_held_exact(self):
+        # more keys than fit: entries come and go while threads get them
+        cache = dataio._Shared(60)
+
+        def work(k):
+            rng = random.Random(k)
+            for _ in range(2000):
+                key = rng.randrange(40)
+                assert cache.get(key, lambda: [key] * (1 + key % 7), len) == [key] * (1 + key % 7)
+
+        race(work, self.THREADS)
+        assert cache.held == sum(1 + len(value) for value, _ in cache._entries.values()) <= cache.cap
+
+
+def race(work, threads):
+    """``work(k)`` for each of ``threads`` threads, started together and
+    switching often; an exception in a thread fails the test."""
+    start = threading.Barrier(threads)
+    got, errors = [None] * threads, []
+
+    def body(k):
         try:
-            threads = [threading.Thread(target=work, args=(k,)) for k in range(self.THREADS)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert not errors
-        assert got == [expected] * self.THREADS
+            start.wait(timeout=60)
+            got[k] = work(k)
+        except Exception as exc:  # reported below, not lost in the thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pool = [threading.Thread(target=body, args=(k,)) for k in range(threads)]
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in pool)
+    assert not errors
+    return got
 
 
 class TestOneCsvPass:
@@ -386,7 +435,7 @@ class TestOneCsvPass:
     def row_reads(self, monkeypatch):
         calls = []
         real = dataio._csv_rows
-        monkeypatch.setattr(dataio, "_csv_rows", lambda path: calls.append(path.name) or real(path))
+        monkeypatch.setattr(dataio, "_csv_rows", lambda path, text: calls.append(path.name) or real(path, text))
         return calls
 
     def test_a_clean_file_makes_no_row_read(self, tmp_path, row_reads):
@@ -406,3 +455,166 @@ class TestOneCsvPass:
         assert list(loaded.entries("CoA")) == sorted(db.entries("CoA"))
         assert loaded.explicit_constants(["CoA"]) == db.explicit_constants(["CoA"])
         assert row_reads == ["CoA.csv"]
+
+
+@pytest.fixture
+def shared(monkeypatch):
+    """Installs an empty cache of shared tables, of ``cap`` weight, for the test."""
+    def install(cap=dataio.TABLE_CACHE_ROWS):
+        cache = dataio._Shared(cap)
+        monkeypatch.setattr(dataio, "_SHARED", cache)
+        return cache
+    return install
+
+
+def coa_db(n, seed, values=(0.125, 0.25, 0.5)):
+    """S and CoA over n constants, probabilities drawn from ``values``, the
+    rows in the order ``save_database`` writes them."""
+    rng = random.Random(seed)
+    domain = tuple(Constant(f"c{i}") for i in range(n))
+    coa = {(rng.choice(domain).name, rng.choice(domain).name): rng.choice(values) for _ in range(2 * n)}
+    s = {(c.name,): rng.choice(values) for c in domain if rng.random() < 0.7}
+    return Database(Schema({"S": 1, "CoA": 2}, domain), {"S": dict(sorted(s.items())), "CoA": dict(sorted(coa.items()))})
+
+
+SHARED_QUERIES = ("S(x), CoA(x,y)", "S(x), CoA(x,y) | S(u)", "CoA(x,y)")
+
+
+def answers(db):
+    """Every stored row, and the closed value and open interval of each query, as text."""
+    g = OpenPDB(db, 0.3)
+    rows = [sorted(db.entries(pred)) for pred in sorted(db.schema.predicates)]
+    queries = [parse_ucq(text, db.schema) for text in SHARED_QUERIES]
+    return repr(rows), [(repr(Evaluator(db).probability(q)), repr(interval_unconstrained(g, q))) for q in queries]
+
+
+class TestSharedTables:
+    """Loads of byte-identical files share one checked table; any other bytes
+    are parsed and checked afresh, whatever the path, size or mtime, and a
+    load answers as the database built in memory from the same rows."""
+
+    def test_a_same_size_rewrite_with_its_mtime_kept_is_read_again(self, tmp_path, shared):
+        shared()
+        old = coa_db(30, seed=1)
+        dataio.save_database(old, tmp_path)
+        assert answers(dataio.load_database(tmp_path)) == answers(old)
+        path = tmp_path / "CoA.csv"
+        before = path.stat()
+        swap = {0.125: 0.375, 0.25: 0.75, 0.5: 0.0}  # each repr as long as the one it replaces
+        new = Database(old.schema, {"S": dict(old.entries("S")),
+                                    "CoA": {args: swap[p] for args, p in old.entries("CoA")}})
+        dataio.save_database(new, tmp_path)
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = path.stat()
+        assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+        assert answers(dataio.load_database(tmp_path)) == answers(new) != answers(old)
+
+    def test_a_rewrite_before_the_row_loop_is_not_kept_under_the_old_digest(self, tmp_path, shared, monkeypatch):
+        shared()
+        db = coa_db(30, seed=6)
+        dataio.save_database(db, tmp_path)
+        path = tmp_path / "CoA.csv"
+        path.write_bytes(path.read_bytes().replace(b",", b" , ", 1))  # padding: the column check fails
+        new = Database(db.schema, {"S": dict(db.entries("S")), "CoA": dict.fromkeys(dict(db.entries("CoA")), 0.75)})
+        rows = dataio._csv_rows
+
+        def rewritten_first(*args):
+            dataio.save_database(new, tmp_path)  # a writer replaces the file between the two reads
+            return rows(*args)
+
+        monkeypatch.setattr(dataio, "_csv_rows", rewritten_first)
+        assert answers(dataio.load_database(tmp_path)) == answers(db)
+        monkeypatch.setattr(dataio, "_csv_rows", rows)
+        assert answers(dataio.load_database(tmp_path)) == answers(new)
+
+    def test_identical_bytes_in_two_directories_share_one_table(self, tmp_path, shared):
+        cache = shared()
+        db = coa_db(30, seed=2)
+        for name in ("a", "b"):
+            dataio.save_database(db, tmp_path / name)
+        a, b = (dataio.load_database(tmp_path / name) for name in ("a", "b"))
+        assert answers(a) == answers(b) == answers(db)
+        assert a.schema is b.schema
+        assert all(a._rels[pred] is b._rels[pred] for pred in ("S", "CoA"))
+        assert len(cache._entries) == 3  # the schema and two tables
+
+    def test_a_bad_row_fails_every_load_and_is_never_kept(self, tmp_path, shared):
+        cache = shared()
+        db = coa_db(30, seed=3)
+        dataio.save_database(db, tmp_path)
+        good = dataio.load_database(tmp_path)
+        assert answers(good) == answers(db)
+        path = tmp_path / "CoA.csv"
+        clean = path.read_bytes()
+        path.write_bytes(clean + b"c1,Nowhere,0.5\n")
+        kept, row = dict(cache._entries), clean.count(b"\n") + 1
+        q = parse_ucq("S(x), CoA(x,y)", db.schema)
+        for _ in range(3):
+            with pytest.raises(SchemaError) as err:
+                prob_lifted(q, dataio.load_database(tmp_path))
+            assert str(err.value) == f"{path}:{row}: constant 'Nowhere' is not in the domain"
+            assert cache._entries == kept
+        path.write_bytes(clean)
+        again = dataio.load_database(tmp_path)
+        assert again._rels["CoA"] is good._rels["CoA"]
+
+    def test_undecodable_bytes_and_a_missing_file_keep_their_behaviour(self, tmp_path, shared):
+        cache = shared()
+        db = coa_db(30, seed=4)
+        dataio.save_database(db, tmp_path)
+        path = tmp_path / "CoA.csv"
+        path.write_bytes(b"c1,c2,0.5\n\xff,c2,0.5\n")
+        q = parse_ucq("S(x), CoA(x,y)", db.schema)
+        for _ in range(2):
+            with pytest.raises(SchemaError) as err:
+                prob_lifted(q, dataio.load_database(tmp_path))
+            assert str(err.value) == f"{path}:2: 'utf-8' codec can't decode byte 0xff in position 10: invalid start byte"
+        path.unlink()
+        without = Database(db.schema, {"S": dict(db.entries("S"))})
+        for _ in range(2):
+            assert answers(dataio.load_database(tmp_path)) == answers(without)
+        assert sorted(weight for _, weight in cache._entries.values()) == sorted([1 + 30, 1 + without.relation_size("S")])
+
+    def test_rows_kept_stay_within_the_bound(self, tmp_path, shared):
+        cache = shared(cap=200)
+        for seed in range(12):  # each weighs about 50: 12 constants and about 32 rows
+            db = coa_db(12, seed=seed)
+            dataio.save_database(db, tmp_path / str(seed))
+            assert answers(dataio.load_database(tmp_path / str(seed))) == answers(db)
+            weights = [1 + len(value.domain if isinstance(value, Schema) else value) for value, _ in cache._entries.values()]
+            assert [w for _, w in cache._entries.values()] == weights
+            assert sum(weights) == cache.held <= cache.cap
+        assert len(cache._entries) < 3 * 12  # some were let go
+        # the most recent load is kept whole
+        db = dataio.load_database(tmp_path / "11")
+        assert db.relation_size("CoA") and any(value is db._rels["CoA"] for value, _ in cache._entries.values())
+
+    def test_a_relation_over_the_bound_is_not_kept(self, tmp_path, shared):
+        db = coa_db(30, seed=5)
+        cache = shared(cap=db.relation_size("CoA"))  # a table weighs one more than its rows
+        dataio.save_database(db, tmp_path)
+        first, second = dataio.load_database(tmp_path), dataio.load_database(tmp_path)
+        assert answers(first) == answers(second) == answers(db)
+        assert first._rels["CoA"] is not second._rels["CoA"]
+        assert first._rels["S"] is second._rels["S"] and first.schema is second.schema
+        assert cache.held <= cache.cap
+
+    def test_fifteen_requests_parse_each_relation_file_once(self, tmp_path, shared, monkeypatch):
+        # the open-world-scan round: analyze, eval and interval of five queries
+        save_scan_db(tmp_path)
+        (tmp_path / "constraints.txt").write_text("lambda=0.3\n")
+        configs = [RunConfig(db_dir=str(tmp_path), query=text, mode=mode, output="json")
+                   for mode in ("analyze", "eval", "interval") for text in TestConcurrentFirstReads.QUERIES]
+        cold = []
+        for config in configs:
+            shared()
+            cold.append(run(config))
+        shared()
+        parsed = []
+        records = dataio._csv_records
+        monkeypatch.setattr(dataio, "_csv_records", lambda path, text: parsed.append(path.name) or records(path, text))
+        assert [run(config) for config in configs[:5]] == cold[:5]
+        assert parsed == []  # analyze reads no relation file
+        for _ in range(2):
+            assert [run(config) for config in configs] == cold
+        assert sorted(parsed) == ["CoA.csv", "S.csv", "T.csv"]

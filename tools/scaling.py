@@ -1,4 +1,4 @@
-"""Scaling rows of the exact DP: wall time, peak memory, answers and work counts.
+"""Scaling rows: wall time, peak memory, answers and work counts.
 
 Usage::
 
@@ -8,14 +8,28 @@ Usage::
 ``run`` measures every row, each in its own subprocess, which imports
 ``owpdb`` from ``--src`` (default: this checkout's ``src``), so two trees
 are measured with the same rows and the same instances.  Per row the
-subprocess builds the instance (not timed), runs ``mtp_upper_exact`` three
-times and records the median wall time, its own peak RSS and the ``repr``
-of the value and of the witness's atoms; a fourth run, under wrappers set
-here and not in ``src``, counts the solver's ``_combine`` calls, the
-witness merges (``exactdp._merge``) and the closed evaluator's
-node-by-node ``_lift`` calls.  A row that runs past ``TIMEOUT_S`` seconds
-is recorded as timed out, never dropped.  The run is stored under ``NAME`` in
-``FILE``, next to the runs already there.
+subprocess builds the instance (not timed), runs it three times and
+records the median wall time, its own peak RSS and the ``repr`` of the
+answer; a fourth run, on the instance built anew and under wrappers set
+here and not in ``src``, counts the row's work.  The rows:
+
+- ``exact-*`` and ``nested-w-*``: ``mtp_upper_exact``, recording the value
+  and the witness's atoms and counting the solver's ``_combine`` calls,
+  the witness merges (``exactdp._merge``) and the closed evaluator's
+  node-by-node ``_lift`` calls;
+- ``lifted-*`` and ``interval-*``: ``prob_lifted`` and
+  ``interval_unconstrained``, counting the node-by-node lifts, the stored
+  rows the database's ``_rows`` returns and the rows handed to
+  ``fold_log_complements``;
+- ``warm-run``: the open-world-scan round (analyze of five queries, then
+  eval and interval of each) through ``cli.run``, ``WARM_ROUNDS`` times
+  on one saved database, recording the median round time, a digest of
+  the outputs and the relation files parsed (``dataio._csv_records``
+  calls).
+
+A row that runs past ``TIMEOUT_S`` seconds is recorded as timed out, never
+dropped.  The run is stored under ``NAME`` in ``FILE``, next to the runs
+already there.
 
 ``compare`` flags, between two stored runs, every row whose value or
 witness changed, every count that rose, every wall time that rose by more
@@ -39,18 +53,31 @@ ROOT = Path(__file__).resolve().parents[1]
 RUNS = 3
 TIME_RISE = 0.20
 TIMEOUT_S = 300.0
-COUNTS = ("combine", "merge", "closed_lift")
 
-# Exact DP rows, each on scan_db(n): query, constrained relation, budget.
+# Per row, on scan_db(n): the kind, the query, n, and for an exact row the
+# constrained relation and the budget.
+COA, NESTED = "S(x), CoA(x,y)", "S(x), CoA(x,y), W(x,y)"
 ROWS = {
-    "exact-coa-1000": ("S(x), CoA(x,y)", 1000, "CoA", 8),
-    "exact-coa-5000": ("S(x), CoA(x,y)", 5000, "CoA", 8),
-    "exact-s-1000": ("S(x), CoA(x,y)", 1000, "S", 8),
-    "exact-s-5000": ("S(x), CoA(x,y)", 5000, "S", 8),
-    "nested-w-200": ("S(x), CoA(x,y), W(x,y)", 200, "W", 4),
-    "nested-w-400": ("S(x), CoA(x,y), W(x,y)", 400, "W", 4),
+    "exact-coa-1000": ("exact", COA, 1000, "CoA", 8),
+    "exact-coa-5000": ("exact", COA, 5000, "CoA", 8),
+    "exact-s-1000": ("exact", COA, 1000, "S", 8),
+    "exact-s-5000": ("exact", COA, 5000, "S", 8),
+    "nested-w-200": ("exact", NESTED, 200, "W", 4),
+    "nested-w-400": ("exact", NESTED, 400, "W", 4),
+    "lifted-coa-1000": ("lifted", COA, 1000),
+    "lifted-coa-5000": ("lifted", COA, 5000),
+    "interval-coa-1000": ("interval", COA, 1000),
+    "interval-coa-5000": ("interval", COA, 5000),
+    "lifted-nested-250": ("lifted", NESTED, 250),
+    "lifted-nested-1000": ("lifted", NESTED, 1000),
+    "interval-nested-250": ("interval", NESTED, 250),
+    "interval-nested-1000": ("interval", NESTED, 1000),
+    "warm-run": ("warm", None, 250),
 }
 LAMBDA, MEAN, SEED = 0.3, 0.9, 1
+# The open-world-scan workload's queries, over scan_db's S and CoA and a unary T.
+WARM_QUERIES = ("S(x), CoA(x,y)", "CoA(x,y), T(y)", "S(x), CoA(x,y) | T(u)", "S(x), CoA(x,y), T(x)", "S(x), T(y)")
+WARM_ROUNDS = 20
 
 
 def scan_db(n: int, seed: int = SEED):
@@ -74,52 +101,122 @@ def measure(name: str) -> dict:
     """One row, in this process: see the module docstring."""
     import resource
 
-    from owpdb import engine, exactdp
-    from owpdb.openworld import MTPConstraint, OpenPDB
+    kind, text, n, *exact = ROWS[name]
+    row = warm_run(n) if kind == "warm" else timed(kind, text, n, *exact)
+    return {**row, "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
+
+
+def timed(kind: str, text: str, n: int, rel: str | None = None, budget: int | None = None) -> dict:
+    """An exact, lifted or interval row: three timed runs, then one counted."""
+    from owpdb import database, engine, exactdp
+    from owpdb.openworld import MTPConstraint, OpenPDB, interval_unconstrained
     from owpdb.query import parse_ucq
 
-    text, n, rel, budget = ROWS[name]
-    db = scan_db(n)
-    g, c, q = OpenPDB(db, LAMBDA), MTPConstraint(rel, MEAN), parse_ucq(text, db.schema)
+    params = {"query": text, "n": n, "lam": LAMBDA, "seed": SEED}
+    if kind == "exact":
+        params.update(constrained=rel, budget=budget)
 
-    def answer() -> tuple[str, str]:
-        res = exactdp.mtp_upper_exact(g, c, q, budget=budget)
-        return repr(res.value), repr([str(a) for a in res.witness.sorted_atoms(db.schema)])
+    def instance():
+        """The row's run on a new ``scan_db(n)``, whose tables have no index or fold yet."""
+        db = scan_db(n)
+        g, q = OpenPDB(db, LAMBDA), parse_ucq(text, db.schema)
+        if kind == "lifted":
+            return lambda: (repr(engine.prob_lifted(q, db)), None)
+        if kind == "interval":
+            return lambda: (repr(interval_unconstrained(g, q)), None)
+        c = MTPConstraint(rel, MEAN)
 
-    times, answers = [], set()
+        def answer() -> tuple[str, str]:
+            res = exactdp.mtp_upper_exact(g, c, q, budget=budget)
+            return repr(res.value), repr([str(a) for a in res.witness.sorted_atoms(db.schema)])
+        return answer
+
+    answer, times, answers = instance(), [], set()
     for _ in range(RUNS):
         start = time.perf_counter()
         answers.add(answer())
         times.append(time.perf_counter() - start)
-    counts = dict.fromkeys(COUNTS, 0)
-    combine, merge, lift = exactdp._BudgetSolver._combine, exactdp._merge, engine.Evaluator._lift
-
-    def counted_combine(self, *args):
-        counts["combine"] += 1
-        return combine(self, *args)
-
-    def counted_merge(*args):
-        counts["merge"] += 1
-        return merge(*args)
+    counts = {"closed_lift": 0}
+    lift = engine.Evaluator._lift
 
     def counted_lift(self, *args):
         counts["closed_lift"] += type(self) is engine.Evaluator
         return lift(self, *args)
 
-    exactdp._BudgetSolver._combine, exactdp._merge, engine.Evaluator._lift = counted_combine, counted_merge, counted_lift
-    answers.add(answer())
+    engine.Evaluator._lift = counted_lift
+    if kind == "exact":
+        counts.update(combine=0, merge=0)
+        combine, merge = exactdp._BudgetSolver._combine, exactdp._merge
+
+        def counted_combine(self, *args):
+            counts["combine"] += 1
+            return combine(self, *args)
+
+        def counted_merge(*args):
+            counts["merge"] += 1
+            return merge(*args)
+
+        exactdp._BudgetSolver._combine, exactdp._merge = counted_combine, counted_merge
+    else:
+        counts.update(rows=0, fold_rows=0)
+        stored, fold = database.Database._rows, database.fold_log_complements
+
+        def counted_rows(self, pred, bound):
+            out = list(stored(self, pred, bound))
+            counts["rows"] += len(out)
+            return out
+
+        def counted_fold(rows, holes, onto=None):
+            rows = list(rows)
+            counts["fold_rows"] += len(rows)
+            return fold(rows, holes, onto)
+
+        database.Database._rows, database.fold_log_complements = counted_rows, counted_fold
+    answers.add(instance()())
     if len(answers) != 1:
         raise AssertionError(f"runs disagree: {sorted(answers)}")
     (value, witness), = answers
-    return {
-        "params": {"query": text, "n": n, "constrained": rel, "budget": budget, "lam": LAMBDA, "seed": SEED},
-        "wall_s": statistics.median(times),
-        "runs_s": times,
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-        "value": value,
-        "witness": witness,
-        "counts": counts,
-    }
+    return {"params": params, "wall_s": statistics.median(times), "runs_s": times,
+            "value": value, "witness": witness, "counts": counts}
+
+
+def warm_run(n: int) -> dict:
+    """The warm-run row: ``scan_db(n)`` with a unary ``T`` on about half the
+    constants, saved, and the open-world-scan round run ``WARM_ROUNDS``
+    times through ``cli.run``, counting the relation files parsed."""
+    import hashlib
+    import tempfile
+
+    from owpdb import dataio
+    from owpdb.cli import RunConfig, run
+    from owpdb.database import Database, Schema
+
+    base, rng = scan_db(n), random.Random(SEED)
+    rels = {pred: dict(base.entries(pred)) for pred in base.schema.predicates}
+    rels["T"] = {(c.name,): rng.uniform(0.001, 0.009) for c in base.schema.domain if rng.random() < 0.5}
+    counts, records = {"parse": 0}, dataio._csv_records
+
+    def counted_records(*args):
+        counts["parse"] += 1
+        return records(*args)
+
+    dataio._csv_records = counted_records
+    with tempfile.TemporaryDirectory() as directory:
+        dataio.save_database(Database(Schema({**base.schema.predicates, "T": 1}, base.schema.domain), rels), directory)
+        Path(directory, "constraints.txt").write_text(f"lambda={LAMBDA!r}\n")
+        configs = [RunConfig(db_dir=directory, query=q, mode="analyze", output="json") for q in WARM_QUERIES]
+        configs += [RunConfig(db_dir=directory, query=q, mode=mode, output="json")
+                    for q in WARM_QUERIES for mode in ("eval", "interval")]
+        times, outputs = [], set()
+        for _ in range(WARM_ROUNDS):
+            start = time.perf_counter()
+            outputs.add(repr([run(config) for config in configs]))
+            times.append(time.perf_counter() - start)
+    if len(outputs) != 1:
+        raise AssertionError("rounds disagree")
+    return {"params": {"queries": WARM_QUERIES, "n": n, "lam": LAMBDA, "seed": SEED, "rounds": WARM_ROUNDS},
+            "wall_s": statistics.median(times), "runs_s": times,
+            "value": hashlib.sha256(outputs.pop().encode()).hexdigest(), "witness": None, "counts": counts}
 
 
 def run_rows(src: Path) -> dict:
@@ -131,7 +228,7 @@ def run_rows(src: Path) -> dict:
             child = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=TIMEOUT_S, check=True)
             out[name] = json.loads(child.stdout.splitlines()[-1])
         except subprocess.TimeoutExpired:
-            out[name] = {"params": dict(zip(("query", "n", "constrained", "budget"), ROWS[name])),
+            out[name] = {"params": dict(zip(("kind", "query", "n", "constrained", "budget"), ROWS[name])),
                          "timeout_s": TIMEOUT_S}
         print(name, json.dumps(out[name]), file=sys.stderr, flush=True)
     return out
@@ -150,9 +247,9 @@ def compare(before: dict, after: dict) -> list[str]:
         for key in ("value", "witness"):
             if new[key] != old[key]:
                 flags.append(f"{name}: {key} {old[key]} -> {new[key]}")
-        for key in COUNTS:
-            if new["counts"][key] > old["counts"][key]:
-                flags.append(f"{name}: {key} count {old['counts'][key]} -> {new['counts'][key]}")
+        for key, count in new["counts"].items():
+            if count > old["counts"].get(key, count):
+                flags.append(f"{name}: {key} count {old['counts'][key]} -> {count}")
         if new["wall_s"] > (1.0 + TIME_RISE) * old["wall_s"]:
             flags.append(f"{name}: wall {old['wall_s']:.3f} -> {new['wall_s']:.3f} s")
     return flags
