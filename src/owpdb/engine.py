@@ -133,6 +133,12 @@ class _Node:
         bound to its placeholders."""
         return (self, tuple(env[p].name for p in self.placeholders)) if self.placeholders else self
 
+    def batch_key(self, env: Mapping[str, Constant], name: str, consts: Sequence[Constant]) -> tuple:
+        """Memo key of this node's batch over ``consts``: the node, the
+        bindings of its placeholders but ``name``, and the constants' names."""
+        return (self, tuple(None if p == name else env[p].name for p in self.placeholders),
+                tuple(map(operator.attrgetter("name"), consts)))
+
     def batches(self) -> bool:
         """Is this expanded node evaluated set at a time over a separator's
         constants: an atom leaf without a repeated variable, or an ``and``
@@ -211,21 +217,11 @@ class Plan:
         node.rule, node.arg, node.children = rule, arg, children
         return rule, arg
 
-    def separator(self, node: _Node, env: Mapping[str, Constant]) -> tuple[dict, Callable]:
-        """The separator ``node``'s children under ``env``: the constant names
-        its union mentions, bound, and a map from a domain constant to its
-        child and that child's environment, either the mentioned child or the
-        fresh child with its placeholder bound."""
-        _, consts, children, _, fresh = node.arg
-        mentioned = {(env[c.name] if type(c) is Placeholder else c).name: n for c, n in zip(consts, children)}
-
-        def child_of(const: Constant) -> tuple[_Node, Mapping[str, Constant]]:
-            child = mentioned.get(const.name)
-            if child is not None:
-                return child, env
-            return node.fresh, {**env, fresh: const}
-
-        return mentioned, child_of
+    def separator(self, node: _Node, env: Mapping[str, Constant]) -> dict[str, _Node]:
+        """The separator ``node``'s mentioned children under ``env``: the
+        constant names its union mentions, bound, each mapped to its child;
+        every other constant's child is ``node.fresh``."""
+        return {(env[c.name] if type(c) is Placeholder else c).name: n for c, n in zip(node.arg[1], node.arg[2])}
 
     def terms(self, group: tuple[_Node, ...]) -> list[tuple[int, _Node]]:
         """Signed inclusion-exclusion terms of a conjunction of sub-unions."""
@@ -323,54 +319,90 @@ class Evaluator:
         """dP(``q``)/dp for the absent ``pred`` atoms, on a view where those
         are impossible, as a map from an atom's argument names to the summed
         weights of the leaf patterns it instantiates.  One reverse pass over
-        the memo that evaluating ``q`` filled (:meth:`_flat`), in reverse
-        post-order, evaluates nothing new: an atom block weighs each absent
-        instance by its complement, a complement product gives each part the
-        product of the others' complements (none when it is certain),
-        independent groups the product of the others' values, and
-        inclusion-exclusion terms their signs.  A separator's batched rest
-        takes one member's adjoint, tagged with the swaps carrying its
-        representative to each member, over which a leaf expands.  The
-        screen's ``reads``, sorted, are the positions its tables key on and
-        its repeated variables compare: atoms that agree there screen alike."""
-        flat, todo, leaves = self._flat(), {}, {}
+        the memo that evaluating ``q`` filled, an entry at a time, evaluates
+        nothing new; a batch's adjoint is a column per tag (``None`` where a
+        constant takes none).  An atom block weighs each absent instance by
+        its complement, a complement product gives each part the others'
+        complements (none when it is certain), independent groups the others'
+        values, inclusion-exclusion terms their signs; a batched rest its
+        representative's, tagged with the swaps to each member, over which a
+        leaf expands.  A (node, constant) held twice sums at its first entry
+        (:meth:`_shared`).  The screen's ``reads``, sorted, are the positions
+        its tables key on and its repeated variables compare."""
+        memo, todo, leaves = self._memo, {}, {}
+        owner, members = self._shared()
 
-        def push(node: _Node, env: Mapping[str, Constant], tag: tuple, a: float) -> None:
-            adj = todo.setdefault(node.key(env), (env, {}))[1]
-            adj[tag] = adj.get(tag, 0.0) + a
+        def push(node: _Node, env: Mapping[str, Constant], name: str | None, consts, cols: dict) -> None:
+            # a batch no other entry shares takes the column, any other node a float per constant
+            key = node.batch_key(env, name, consts) if name and node.batches() else None
+            if key in memo and key not in members:
+                adj = todo.setdefault(key, (env, name, consts, {}))[3]
+                for tag, col in cols.items():
+                    old = adj.setdefault(tag, col)
+                    if old is not col:
+                        adj[tag] = [a if b is None else b if a is None else a + b for a, b in zip(old, col)]
+                return
+            for j, c in enumerate(consts or (None,)):
+                e = {**env, name: c} if name else env
+                adj = todo.setdefault(node.key(e), (e, None, None, {}))[3]
+                for tag, col in cols.items():
+                    if col[j] is not None:
+                        adj[tag] = adj.get(tag, 0.0) + col[j]
 
-        push(self.plan.node(q), {}, (), 1.0)
-        for key in reversed(flat):
-            if key not in todo:
-                continue
-            env, adj = todo.pop(key)
+        push(self.plan.node(q), {}, None, None, {(): [1.0]})
+        for key in reversed(memo):
             node = key[0] if type(key) is tuple else key
-            rule, arg = node.rule, node.arg
-            logc = flat[key][1]
-            if rule == "atom":
-                atom = _bind_atom(arg, env) if node.placeholders else arg
-                if atom.predicate == pred:
-                    w = 1.0 if atom.is_ground() else math.exp(logc)
-                    _add_leaf(leaves, atom.args, {tag: a * w for tag, a in adj.items()})
-            elif rule == "and":
-                vals = [flat[g[0].key(env)][0] if len(g) == 1 else self._group(g, env)[0].value for g in arg]
-                for i, g in enumerate(arg):
-                    others = math.prod(vals[:i] + vals[i + 1:])
-                    for sign, n in ((1, g[0]),) if len(g) == 1 else self.plan.terms(g):
+            if key in members:  # the constants this batch holds first, from their own keys
+                cols = {}
+                for j, member in enumerate(members[key]):
+                    if owner[member] is key and member in todo:
+                        env, _, _, adj = todo.pop(member)
                         for tag, a in adj.items():
-                            push(n, env, tag, sign * a * others)
-            elif logc > -math.inf:  # "or", "sep"; at 1 no tuple can raise P
-                children, rest = ([(u, env) for u in arg], ()) if rule == "or" else self._partition(node, env)
-                if rule == "sep":  # (constant, child) slots to (child, environment) pairs
-                    child_of = self.plan.separator(node, env)[1]
-                    children = [child_of(c) for c, _ in children]
-                # i reaches 0 at the last child: the batched rest's
-                # representative, which carries its swaps
-                swaps = ((rest[0].name, tuple(c.name for c in rest)),) if len(rest) > 1 else ()
-                for i, (child, child_env) in enumerate(children, 1 - len(children)):
-                    others = math.exp(logc - flat[child.key(child_env)][1])
-                    for tag, a in adj.items():
-                        push(child, child_env, tag if i else tag + swaps, a * others)
+                            cols.setdefault(tag, [None] * len(key[2]))[j] = a
+                name, consts = node.placeholders[key[1].index(None)], list(map(Constant, key[2]))
+            elif owner.get(key, key) is key and key in todo:
+                env, name, consts, adj = todo.pop(key)
+                cols = adj if name else {tag: [a] for tag, a in adj.items()}
+            else:
+                cols = {}
+            if not cols:
+                continue
+            rule, arg = node.rule, node.arg
+            if rule == "atom" and node.leaf[0] == pred:
+                shape = tuple(-1 if type(t) is not Variable else arg.args.index(t) for t in arg.args)
+                fixed = tuple(None if ph and t == name else env[t].name if ph else t for _, t, ph in node.leaf[1])
+                keys = zip(*(key[2] if k is None else itertools.repeat(k) for k in fixed)) if name else [fixed]
+                logcs = memo[key][0][1] if name else [memo[key][0].logc]
+                ws = map(math.exp, logcs) if node.leaf[3] else itertools.repeat(1.0)
+                table = leaves.setdefault(shape, {})
+                for k0, w0, adj in reversed(list(zip(keys, ws, zip(*cols.values())))):
+                    for tag, a in zip(cols, adj):
+                        ks = [k0] if a is not None else []
+                        for rep, ms in reversed(tag):
+                            ks = [tuple(m if t == rep else rep if t == m else t for t in k) for k in ks for m in ms]
+                        for k in ks:
+                            table[k] = table.get(k, 0.0) + a * w0
+            elif rule == "and":
+                rows = list(zip(*(self._evaluate_many(g[0], env, name, consts)[0][0] if name else
+                                  [self._group(g, env)[0].value] for g in arg)))
+                for i, g in enumerate(arg):
+                    other = [math.prod(row[:i] + row[i + 1:]) for row in rows]  # the other groups' product
+                    for sign, n in ((1, g[0]),) if len(g) == 1 else self.plan.terms(g):
+                        push(n, env, name, consts, {t: [None if a is None else sign * a * o for a, o in zip(col, other)]
+                                                    for t, col in cols.items()})
+            elif rule in ("or", "sep") and (logc := memo[key][0].logc) > -math.inf:  # at 1 no tuple can raise P
+                slots, rest = ([(None, u) for u in arg], ()) if rule == "or" else self._partition(node, env)
+                for child in [child for _, child in slots if child is not None]:
+                    o = math.exp(logc - self.evaluate(child, env)[0].logc)
+                    push(child, env, None, None, {tag: [col[0] * o] for tag, col in cols.items()})
+                if fresh := [c for c, child in slots if child is None]:
+                    others = [math.exp(logc - lc) for lc in self._evaluate_many(node.fresh, env, arg[4], fresh)[0][1]]
+                    swaps, out = ((rest[0].name, tuple(c.name for c in rest)),) if len(rest) > 1 else (), {}
+                    for tag, col in cols.items():
+                        out[tag] = [col[0] * o for o in others]
+                        if swaps:  # the batched rest's representative, last, carries its swaps
+                            out[tag + swaps], out[tag][-1] = [None] * (len(others) - 1) + out[tag][-1:], None
+                    push(node.fresh, env, arg[4], fresh, out)
 
         index = [([i for i, s in enumerate(shape) if s < 0], [(i, s) for i, s in enumerate(shape) if 0 <= s != i], table)
                  for shape, table in leaves.items()]
@@ -381,6 +413,28 @@ class Evaluator:
 
         screen.reads = tuple(sorted({i for consts, ties, _ in index for i in itertools.chain(consts, *ties)}))
         return screen
+
+    def _shared(self) -> tuple[dict, dict]:
+        """The (node, constant) keys several memo entries hold, each mapped to
+        the first, and the batches among those entries, each mapped to its
+        keys: inclusion-exclusion terms batch a node under two partitions,
+        and an evaluate can repeat a batch's constant."""
+        holders, owner, members = {}, {}, {}
+        for key in self._memo:
+            if type(key) is tuple and len(key) == 3:
+                holders.setdefault(key[:2], []).append(key)
+        for key in self._memo if holders else ():
+            for at in range(len(key[1]) if type(key) is tuple and len(key) == 2 else 0):
+                holders.get((key[0], key[1][:at] + (None,) + key[1][at + 1:]), []).append(key)
+        shared = {key for keys in holders.values() if len(keys) > 1 for key in keys}
+        for key in [key for key in self._memo if key in shared]:  # in memo order: the first holder wins
+            if len(key) == 3:
+                node, names, consts = key
+                at = names.index(None)
+                members[key] = [(node, names[:at] + (c,) + names[at + 1:]) for c in consts]
+            for member in members.get(key, [key]):
+                owner.setdefault(member, key)
+        return owner, members
 
     # -- recursion ---------------------------------------------------------
 
@@ -414,7 +468,7 @@ class Evaluator:
         child or ``None`` for the fresh child) per constant the union mentions
         or a stored row of its predicates has, in domain order, then the first
         other constant; and the others, the batched rest, evaluated once."""
-        mentioned, explicit = self.plan.separator(node, env)[0], self.db.explicit_constants(node.arg[3])
+        mentioned, explicit = self.plan.separator(node, env), self.db.explicit_constants(node.arg[3])
         slots, rest = [], []
         for const in self.db.schema.domain:
             child = mentioned.get(const.name)
@@ -459,8 +513,7 @@ class Evaluator:
         rule, arg = self.plan.expand(node)
         if not node.batches():
             return self._column(self._each(node, env, name, consts))
-        key = (node, tuple(None if p == name else env[p].name for p in node.placeholders),
-               tuple(map(operator.attrgetter("name"), consts)))
+        key = node.batch_key(env, name, consts)
         column = self._memo.get(key)
         if column is None:
             if rule == "atom":
@@ -477,22 +530,6 @@ class Evaluator:
     def _column(self, values: list[tuple[Prob, ...]]) -> list[tuple[list[float], list[float]]]:
         """The column of node-by-node ``values``."""
         return [([p.value for p in ps], [p.logc for p in ps]) for ps in zip(*values)]
-
-    def _flat(self) -> dict[object, tuple[float, float]]:
-        """The memo as the walk node by node writes it, (value, logc) per
-        key: a batch's constants each under their own key, at the first
-        entry that holds it.  One view only."""
-        flat = {}
-        for key, value in self._memo.items():
-            if type(key) is tuple and len(key) == 3:  # a batch
-                node, names, consts = key
-                at = names.index(None)
-                (values, logcs), = value
-                for c, v, lc in zip(consts, values, logcs):
-                    flat.setdefault((node, names[:at] + (c,) + names[at + 1:]), (v, lc))
-            else:
-                flat.setdefault(key, (value[0].value, value[0].logc))
-        return flat
 
     def _leaf_column(self, node: _Node, env: Mapping[str, Constant], name: str | None = None,
                      names: Sequence[str | None] = (None,)) -> list:
@@ -548,19 +585,6 @@ def _conj_column(children: Sequence[tuple[list[float], list[float]]]) -> tuple[l
         values.append(math.exp(s))
         logcs.append(math.log(c) if c > 0.0 else -math.inf)
     return values, logcs
-
-
-def _add_leaf(leaves: dict, args: tuple, adj: dict[tuple, float]) -> None:
-    """Add a leaf pattern's weights to ``leaves``, indexed by its shape (per
-    position -1 for a constant, else the first position of its variable)
-    and its constants, once per swap of each tag's batched rests."""
-    table = leaves.setdefault(tuple(-1 if type(t) is not Variable else args.index(t) for t in args), {})
-    for tag, w in adj.items():
-        keys = [tuple(t.name for t in args if type(t) is not Variable)]
-        for rep, members in reversed(tag):
-            keys = [tuple(m if k == rep else rep if k == m else k for k in key) for key in keys for m in members]
-        for key in keys:
-            table[key] = table.get(key, 0.0) + w
 
 
 # ---------------------------------------------------------------------------

@@ -193,7 +193,7 @@ class _BudgetSolver(Evaluator):
         order from zero; their slices are disjoint.  The fresh child's
         values are one column (:meth:`_fresh_column`), made where the first
         of its constants falls and read in domain order."""
-        mentioned = self.plan.separator(node, env)[0]
+        mentioned = self.plan.separator(node, env)
         fresh = [c for c in self.schema.domain if c.name not in mentioned]
         acc, column = 0.0, None
         for const in self.schema.domain:

@@ -8,10 +8,10 @@ factor ``1 - 1/e`` of the optimal gain, which brackets the true optimum
 between the greedy value and ``(e * p_greedy - p_closed) / (e - 1)``.
 
 A round screens one representative per group of tuples that read the same
-screen keys, with one gradient pass over its evaluation, and scores exactly
-only the one it picks: the first open tuple in canonical order whose screen
-is within :data:`WINDOW` of the best (:func:`greedy_trace`), so results are
-deterministic.
+screen keys, with one reverse pass over its memo, a batch as one column,
+and scores exactly only the one it picks: the first open tuple in canonical
+order whose screen is within :data:`WINDOW` of the best
+(:func:`greedy_trace`), so results are deterministic.
 
 The window is relative, ``best - WINDOW * |best|``, and sized by the
 screen's rounding error.  Each plan level the reverse pass crosses

@@ -1,8 +1,10 @@
 """Test-only helpers: the world-enumeration oracle with the Herbrand
 grounding it enumerates, its exact rational form with greedy over exact
 gains, a scientist database with every constant stored, a database whose
-separator constants each need inclusion-exclusion, and random
-3-dimensional matching instances."""
+separator constants each need inclusion-exclusion, random
+3-dimensional matching instances, and the references for the set-at-a-time
+code: the evaluator node by node and greedy's reverse pass constant by
+constant."""
 import itertools
 import math
 import random
@@ -11,12 +13,14 @@ from typing import Sequence
 
 import numpy as np
 
+from owpdb import probability
 from owpdb.database import Database, Schema
+from owpdb.engine import Evaluator, _bind_atom
 from owpdb.errors import CapExceeded
 from owpdb.openworld import open_tuples
 from owpdb.oracle import ThreeDMInstance
 from owpdb.probability import CERTAIN, IMPOSSIBLE, Prob
-from owpdb.query import UCQ, Atom, Constant
+from owpdb.query import UCQ, Atom, Constant, Variable
 
 
 def ground(q: UCQ, domain: Sequence[Constant], cap: int = 10**6) -> list[frozenset[Atom]]:
@@ -166,3 +170,143 @@ def rand_3dm(rng: random.Random, *, side: int = 3, max_edges: int = 9) -> ThreeD
     edges = frozenset(rng.sample(all_edges, n_edges))
     k = rng.randint(1, min(3, n_edges))
     return ThreeDMInstance(xs, ys, zs, edges, k)
+
+
+class NodeByNode(Evaluator):
+    """The reference evaluator: a separator's fresh child node by node, its
+    column built from the per-constant values, and a leaf a ``Prob`` per row
+    folded by ``disj``."""
+
+    def _evaluate_many(self, node, env, name, consts):
+        return self._column(self._each(node, env, name, consts))
+
+    def _leaf_value(self, node, env):
+        db, (pred, slots, repeated, n_vars) = self.db, node.leaf
+        bound = tuple((i, env[t].name if ph else t) for i, t, ph in slots)
+        if not n_vars:
+            return (Prob.from_value(db.prob(pred, tuple(t for _, t in bound))),)
+        stored = [p for _, p in db.pattern_entries(pred, repeated, bound)]
+        parts = [Prob.from_value(p) for p in stored if p > 0.0]
+        n_absent = len(db.schema.domain) ** n_vars - len(stored)
+        if n_absent > 0 and db.default_prob(pred) > 0.0:
+            parts.append(probability.power_disj(Prob.from_value(db.default_prob(pred)), n_absent))
+        return (probability.disj(parts) if parts else IMPOSSIBLE,)
+
+
+def reference_gradient(ev, q, pred):
+    """The reference for :meth:`owpdb.engine.Evaluator.gradient`: the reverse
+    pass over ``ev``'s memo constant by constant, a batch flattened into one
+    key per constant (:func:`_flat`), at the first entry that holds it.  An
+    atom block weighs each absent instance by its complement, a complement
+    product gives each part the product of the others' complements (none
+    when it is certain), independent groups the product of the others'
+    values, and inclusion-exclusion terms their signs.  A separator's
+    batched rest takes one member's adjoint, tagged with the swaps carrying
+    its representative to each member, over which a leaf expands."""
+    flat, todo, leaves = _flat(ev), {}, {}
+
+    def push(node, env, tag, a):
+        adj = todo.setdefault(node.key(env), (env, {}))[1]
+        adj[tag] = adj.get(tag, 0.0) + a
+
+    push(ev.plan.node(q), {}, (), 1.0)
+    for key in reversed(flat):
+        if key not in todo:
+            continue
+        env, adj = todo.pop(key)
+        node = key[0] if type(key) is tuple else key
+        rule, arg = node.rule, node.arg
+        logc = flat[key][1]
+        if rule == "atom":
+            atom = _bind_atom(arg, env) if node.placeholders else arg
+            if atom.predicate == pred:
+                w = 1.0 if atom.is_ground() else math.exp(logc)
+                _add_leaf(leaves, atom.args, {tag: a * w for tag, a in adj.items()})
+        elif rule == "and":
+            vals = [flat[g[0].key(env)][0] if len(g) == 1 else ev._group(g, env)[0].value for g in arg]
+            for i, g in enumerate(arg):
+                others = math.prod(vals[:i] + vals[i + 1:])
+                for sign, n in ((1, g[0]),) if len(g) == 1 else ev.plan.terms(g):
+                    for tag, a in adj.items():
+                        push(n, env, tag, sign * a * others)
+        elif logc > -math.inf:  # "or", "sep"; at 1 no tuple can raise P
+            children, rest = ([(u, env) for u in arg], ()) if rule == "or" else ev._partition(node, env)
+            if rule == "sep":  # (constant, child) slots to (child, environment) pairs
+                child_of = separator_children(ev.plan, node, env)
+                children = [child_of(c) for c, _ in children]
+            # i reaches 0 at the last child: the batched rest's
+            # representative, which carries its swaps
+            swaps = ((rest[0].name, tuple(c.name for c in rest)),) if len(rest) > 1 else ()
+            for i, (child, child_env) in enumerate(children, 1 - len(children)):
+                others = math.exp(logc - flat[child.key(child_env)][1])
+                for tag, a in adj.items():
+                    push(child, child_env, tag if i else tag + swaps, a * others)
+
+    index = [([i for i, s in enumerate(shape) if s < 0], [(i, s) for i, s in enumerate(shape) if 0 <= s != i], table)
+             for shape, table in leaves.items()]
+
+    def screen(args):
+        return sum(table.get(tuple(args[i] for i in consts), 0.0)
+                   for consts, ties, table in index if all(args[i] == args[j] for i, j in ties))
+
+    screen.reads = tuple(sorted({i for consts, ties, _ in index for i in itertools.chain(consts, *ties)}))
+    return screen
+
+
+def assert_same_screens_as_reference(view, q, pred, plan):
+    """The screen of ``q`` by ``gradient`` equals :func:`reference_gradient`'s
+    for every ``pred`` atom of ``view``, with the same ``reads``, on an
+    evaluator batched set at a time and on one walking node by node."""
+    domain = [c.name for c in view.schema.domain]
+    for cls in (Evaluator, NodeByNode):
+        ev = cls(view, plan=plan)
+        ev.probability(q)
+        screen, oracle = ev.gradient(q, pred), reference_gradient(ev, q, pred)
+        assert screen.reads == oracle.reads, (cls.__name__, str(q), pred)
+        for args in itertools.product(domain, repeat=view.schema.arity(pred)):
+            assert screen(args) == oracle(args), (cls.__name__, str(q), pred, args)
+
+
+def separator_children(plan, node, env):
+    """The separator ``node``'s map under ``env`` from a domain constant to
+    its child and that child's environment: the mentioned child, or the
+    fresh child with its placeholder bound."""
+    mentioned = plan.separator(node, env)
+
+    def child_of(const):
+        child = mentioned.get(const.name)
+        if child is not None:
+            return child, env
+        return node.fresh, {**env, node.arg[4]: const}
+
+    return child_of
+
+
+def _flat(ev):
+    """The memo as the walk node by node writes it, (value, logc) per
+    key: a batch's constants each under their own key, at the first
+    entry that holds it.  One view only."""
+    flat = {}
+    for key, value in ev._memo.items():
+        if type(key) is tuple and len(key) == 3:  # a batch
+            node, names, consts = key
+            at = names.index(None)
+            (values, logcs), = value
+            for c, v, lc in zip(consts, values, logcs):
+                flat.setdefault((node, names[:at] + (c,) + names[at + 1:]), (v, lc))
+        else:
+            flat.setdefault(key, (value[0].value, value[0].logc))
+    return flat
+
+
+def _add_leaf(leaves, args, adj):
+    """Add a leaf pattern's weights to ``leaves``, indexed by its shape (per
+    position -1 for a constant, else the first position of its variable)
+    and its constants, once per swap of each tag's batched rests."""
+    table = leaves.setdefault(tuple(-1 if type(t) is not Variable else args.index(t) for t in args), {})
+    for tag, w in adj.items():
+        keys = [tuple(t.name for t in args if type(t) is not Variable)]
+        for rep, members in reversed(tag):
+            keys = [tuple(m if k == rep else rep if k == m else k for k in key) for key in keys for m in members]
+        for key in keys:
+            table[key] = table.get(key, 0.0) + w

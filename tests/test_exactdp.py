@@ -13,7 +13,7 @@ from owpdb.oracle import mtp_upper_bruteforce
 from owpdb.query import Constant, find_separator, minimize, parse_ucq, substitute_separator
 from owpdb.randgen import rand_mtp_instance
 
-from helpers import family_db, stored_scientist_db
+from helpers import family_db, separator_children, stored_scientist_db
 
 
 def simple_instance(n=2, lam=0.5, target_b=1, existing=None):
@@ -274,7 +274,7 @@ class OneConstantAtATime(_BudgetSolver):
     it is combined, by the max-convolution over all splits."""
 
     def _separator_product(self, node, env):
-        _, child_of = self.plan.separator(node, env)
+        child_of = separator_children(self.plan, node, env)
         acc = 0.0
         for const in self.schema.domain:
             acc = self._combine(acc, self.evaluate(*child_of(const)), "disj")

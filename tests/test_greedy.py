@@ -15,7 +15,7 @@ from owpdb.oracle import mtp_upper_bruteforce
 from owpdb.query import Atom, Constant, Variable, parse_ucq
 from owpdb.randgen import rand_mtp_instance
 
-from helpers import rational_greedy
+from helpers import assert_same_screens_as_reference, rational_greedy
 
 
 def empty_unary(n=2, lam=0.5):
@@ -505,6 +505,12 @@ class TestGradientOracle:
         q = parse_ucq(text, db.schema)
         errors = screening_errors(OpenPDB(db, 0.6), MTPConstraint("CoA", 0.9), q)
         assert_screened(errors)
+        # each round's screens are those of the reverse pass constant by constant
+        g, plan = OpenPDB(db, 0.6), Plan().build(q)
+        picks = [a for a, _ in greedy_trace(g, MTPConstraint("CoA", 0.9), q).picks]
+        for k in range(len(picks) + 1):
+            view = g.pdb.with_added(picks[:k], g.lam) if k else g.pdb
+            assert_same_screens_as_reference(view, q, "CoA", plan)
 
     def test_certain_separator(self):
         # S(A) and CoA(A, A) are certain, so is the separator's A child and

@@ -13,11 +13,12 @@ from owpdb.errors import CapExceeded, UnsafeQuery
 from owpdb.exactdp import mtp_upper_exact
 from owpdb.greedy import GreedyTrace, greedy_trace, greedy_upper
 from owpdb.openworld import MTPConstraint, OpenPDB, interval_unconstrained
-from owpdb.probability import IMPOSSIBLE, Prob
+from owpdb.probability import Prob
 from owpdb.query import UCQ, Atom, Constant, parse_ucq
 from owpdb.randgen import rand_cq, rand_database, rand_schema
 
-from helpers import family_db, stored_scientist_db
+from helpers import (NodeByNode, assert_same_screens_as_reference, family_db, separator_children,
+                     stored_scientist_db)
 
 
 def probe_is_safe(q):
@@ -350,27 +351,6 @@ class TestPlaceholder:
         assert is_safe(q) == is_safe(renamed)
 
 
-class NodeByNode(Evaluator):
-    """The reference evaluator: a separator's fresh child node by node, its
-    column built from the per-constant values, and a leaf a ``Prob`` per row
-    folded by ``disj``."""
-
-    def _evaluate_many(self, node, env, name, consts):
-        return self._column(self._each(node, env, name, consts))
-
-    def _leaf_value(self, node, env):
-        db, (pred, slots, repeated, n_vars) = self.db, node.leaf
-        bound = tuple((i, env[t].name if ph else t) for i, t, ph in slots)
-        if not n_vars:
-            return (Prob.from_value(db.prob(pred, tuple(t for _, t in bound))),)
-        stored = [p for _, p in db.pattern_entries(pred, repeated, bound)]
-        parts = [Prob.from_value(p) for p in stored if p > 0.0]
-        n_absent = len(db.schema.domain) ** n_vars - len(stored)
-        if n_absent > 0 and db.default_prob(pred) > 0.0:
-            parts.append(probability.power_disj(Prob.from_value(db.default_prob(pred)), n_absent))
-        return (probability.disj(parts) if parts else IMPOSSIBLE,)
-
-
 def flat_memo(ev):
     """The memo as a node-by-node walk writes it: each batch flattened into
     per-constant (node, bound names) keys, each mapped to its (value,
@@ -392,7 +372,7 @@ def child_keys(ev, key):
     node, names = key if type(key) is tuple else (key, ())
     env = dict(zip(node.placeholders, map(Constant, names)))
     if node.rule == "sep":
-        child_of = ev.plan.separator(node, env)[1]
+        child_of = separator_children(ev.plan, node, env)
         children = [child_of(c) for c, _ in ev._partition(node, env)[0]]
     else:
         children = [(n, env) for n in node.children]
@@ -412,6 +392,16 @@ def pinned_db(seed=4):
         first, second = list(rows)[:2]
         rows[first], rows[second] = 0.0, 0.5 if pred == "S" else 1.0
     return Database(Schema(arities, tuple(map(Constant, names))), rels)
+
+
+def scan_shapes_db(n, seed=1):
+    """The scan shapes' relations on n constants: 2.5n ``CoA`` rows, ``S``
+    and ``T`` each on about half the constants."""
+    rng = random.Random(seed)
+    names = [f"c{i}" for i in range(n)]
+    coa = {(rng.choice(names), rng.choice(names)): rng.choice([0.1, 0.3, 0.7]) for _ in range(5 * n // 2)}
+    s, t = ({(c,): rng.choice([0.2, 0.5, 0.9]) for c in names if rng.random() < 0.5} for _ in "ST")
+    return Database(Schema({"S": 1, "T": 1, "CoA": 2}, tuple(map(Constant, names))), {"S": s, "T": t, "CoA": coa})
 
 
 def views():
@@ -461,6 +451,7 @@ class TestSetAtATime:
             screens = batched.gradient(q, pred), reference.gradient(q, pred)
             for args in itertools.product(domain, repeat=view.schema.predicates[pred]):
                 assert screens[0](args) == screens[1](args), (pred, args)
+            assert_same_screens_as_reference(view, q, pred, plan)
 
     def test_random_queries_same_bits_and_screens(self):
         # inclusion-exclusion terms batch a shared node under different
@@ -483,6 +474,7 @@ class TestSetAtATime:
                         screens = batched.gradient(q, pred), reference.gradient(q, pred)
                         for args in itertools.product([c.name for c in schema.domain], repeat=arity):
                             assert screens[0](args) == screens[1](args), (str(q), pred, args)
+                        assert_same_screens_as_reference(view, q, pred, plan)
 
     def test_only_the_fallback_shapes_go_node_by_node(self, monkeypatch):
         db, each = pinned_db(), []
@@ -494,6 +486,25 @@ class TestSetAtATime:
             Evaluator(db).probability(parse_ucq(text, db.schema))
             rules.append(each[:])
         assert rules == [[]] * 7 + [["atom"], ["and"], ["sep"]]
+
+    def test_gradient_keys_per_query_are_flat_in_domain_size(self, monkeypatch):
+        # constant by constant, a reverse pass makes about 7 keys per constant
+        keys = []
+        real = engine._Node.key
+        monkeypatch.setattr(engine._Node, "key", lambda self, env: keys.append(self) or real(self, env))
+        counts = []
+        for n in (16, 128):
+            db = scan_shapes_db(n)
+            per_query = []
+            for text in self.QUERIES[:5]:
+                q = parse_ucq(text, db.schema)
+                ev = Evaluator(db)
+                ev.probability(q)
+                keys.clear()
+                ev.gradient(q, "CoA" if "CoA" in text else "T")
+                per_query.append(len(keys))
+            counts.append(per_query)
+        assert counts[0] == counts[1]
 
     def test_lifts_per_query_are_flat_in_domain_size(self, monkeypatch):
         # node by node, a lift per separator child and per leaf: about 3 per constant

@@ -17,6 +17,11 @@ here and not in ``src``, counts the row's work.  The rows:
   and the witness's atoms and counting the solver's ``_combine`` calls,
   the witness merges (``exactdp._merge``) and the closed evaluator's
   node-by-node ``_lift`` calls;
+- ``greedy-*``: ``greedy_upper``, recording the value and the witness's
+  atoms, counting the gradient passes (``Evaluator.gradient`` calls), the
+  candidates screened (calls of the screens they return) and the
+  node-by-node lifts, and recording the seconds spent inside ``gradient``
+  (``gradient_s``) in the counted run;
 - ``lifted-*`` and ``interval-*``: ``prob_lifted`` and
   ``interval_unconstrained``, counting the node-by-node lifts, the stored
   rows the database's ``_rows`` returns and the rows handed to
@@ -32,9 +37,11 @@ dropped.  The run is stored under ``NAME`` in ``FILE``, next to the runs
 already there.
 
 ``compare`` flags, between two stored runs, every row whose value or
-witness changed, every count that rose, every wall time that rose by more
-than 20% and every row that timed out only in ``AFTER``; it exits 1 when it
-flags anything.  Standard library only; not part of tier-1.
+witness changed, every count that rose, every row whose fastest run in
+``AFTER`` is more than 20% slower than its slowest in ``BEFORE`` (runs that
+overlap are noise on a shared box, not a regression) and every row that
+timed out only in ``AFTER``; it exits 1 when it flags anything.  Standard
+library only; not part of tier-1.
 """
 from __future__ import annotations
 
@@ -54,8 +61,8 @@ RUNS = 3
 TIME_RISE = 0.20
 TIMEOUT_S = 300.0
 
-# Per row, on scan_db(n): the kind, the query, n, and for an exact row the
-# constrained relation and the budget.
+# Per row, on scan_db(n): the kind, the query, n, and for an exact or a
+# greedy row the constrained relation and the budget.
 COA, NESTED = "S(x), CoA(x,y)", "S(x), CoA(x,y), W(x,y)"
 ROWS = {
     "exact-coa-1000": ("exact", COA, 1000, "CoA", 8),
@@ -73,6 +80,8 @@ ROWS = {
     "interval-nested-250": ("interval", NESTED, 250),
     "interval-nested-1000": ("interval", NESTED, 1000),
     "warm-run": ("warm", None, 250),
+    "greedy-coa-1000": ("greedy", COA, 1000, "CoA", 4),
+    "greedy-nested-w-200": ("greedy", NESTED, 200, "W", 4),
 }
 LAMBDA, MEAN, SEED = 0.3, 0.9, 1
 # The open-world-scan workload's queries, over scan_db's S and CoA and a unary T.
@@ -107,13 +116,13 @@ def measure(name: str) -> dict:
 
 
 def timed(kind: str, text: str, n: int, rel: str | None = None, budget: int | None = None) -> dict:
-    """An exact, lifted or interval row: three timed runs, then one counted."""
-    from owpdb import database, engine, exactdp
+    """An exact, greedy, lifted or interval row: three timed runs, then one counted."""
+    from owpdb import database, engine, exactdp, greedy
     from owpdb.openworld import MTPConstraint, OpenPDB, interval_unconstrained
     from owpdb.query import parse_ucq
 
     params = {"query": text, "n": n, "lam": LAMBDA, "seed": SEED}
-    if kind == "exact":
+    if kind in ("exact", "greedy"):
         params.update(constrained=rel, budget=budget)
 
     def instance():
@@ -127,7 +136,7 @@ def timed(kind: str, text: str, n: int, rel: str | None = None, budget: int | No
         c = MTPConstraint(rel, MEAN)
 
         def answer() -> tuple[str, str]:
-            res = exactdp.mtp_upper_exact(g, c, q, budget=budget)
+            res = (exactdp.mtp_upper_exact if kind == "exact" else greedy.greedy_upper)(g, c, q, budget=budget)
             return repr(res.value), repr([str(a) for a in res.witness.sorted_atoms(db.schema)])
         return answer
 
@@ -157,6 +166,23 @@ def timed(kind: str, text: str, n: int, rel: str | None = None, budget: int | No
             return merge(*args)
 
         exactdp._BudgetSolver._combine, exactdp._merge = counted_combine, counted_merge
+    elif kind == "greedy":
+        counts.update(gradient=0, screened=0)
+        gradient, gradient_s = engine.Evaluator.gradient, [0.0]
+
+        def counted_gradient(self, *args):
+            counts["gradient"] += 1
+            start = time.perf_counter()
+            screen = gradient(self, *args)
+            gradient_s[0] += time.perf_counter() - start
+
+            def counted_screen(args):
+                counts["screened"] += 1
+                return screen(args)
+            counted_screen.reads = screen.reads
+            return counted_screen
+
+        engine.Evaluator.gradient = counted_gradient
     else:
         counts.update(rows=0, fold_rows=0)
         stored, fold = database.Database._rows, database.fold_log_complements
@@ -176,8 +202,11 @@ def timed(kind: str, text: str, n: int, rel: str | None = None, budget: int | No
     if len(answers) != 1:
         raise AssertionError(f"runs disagree: {sorted(answers)}")
     (value, witness), = answers
-    return {"params": params, "wall_s": statistics.median(times), "runs_s": times,
-            "value": value, "witness": witness, "counts": counts}
+    row = {"params": params, "wall_s": statistics.median(times), "runs_s": times,
+           "value": value, "witness": witness, "counts": counts}
+    if kind == "greedy":
+        row["gradient_s"] = gradient_s[0]
+    return row
 
 
 def warm_run(n: int) -> dict:
@@ -250,8 +279,8 @@ def compare(before: dict, after: dict) -> list[str]:
         for key, count in new["counts"].items():
             if count > old["counts"].get(key, count):
                 flags.append(f"{name}: {key} count {old['counts'][key]} -> {count}")
-        if new["wall_s"] > (1.0 + TIME_RISE) * old["wall_s"]:
-            flags.append(f"{name}: wall {old['wall_s']:.3f} -> {new['wall_s']:.3f} s")
+        if min(new["runs_s"]) > (1.0 + TIME_RISE) * max(old["runs_s"]):
+            flags.append(f"{name}: wall {max(old['runs_s']):.3f} (slowest) -> {min(new['runs_s']):.3f} s (fastest)")
     return flags
 
 
