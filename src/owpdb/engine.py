@@ -19,12 +19,12 @@ fallback and the correctness oracle.  It joins the stored rows into the
 query's lineage and compiles that by Shannon expansion, the ground analogue
 of the rules above, in memory bounded by a node cap, not by the worlds.
 
-:class:`Plan` holds these choices for one public call: every rule is
-derived once per sub-union, not once per domain constant, because a
-separator binds every constant its union does not mention to the
-placeholder of one fresh child, evaluated for all of them set at a time
-where its shape allows (:meth:`Evaluator._evaluate_many`): as columns of
-values and log-complements, one memo entry per batch, each atom leaf from
+:class:`Plan` holds these choices: every rule is derived once per
+sub-union, not once per domain constant, because a separator binds every
+constant its union does not mention to the placeholder of one fresh
+child, evaluated for all of them set at a time where its shape allows
+(:meth:`Evaluator._evaluate_many`): as columns of values and
+log-complements, one memo entry per batch, each atom leaf from
 its relation's fold per constant (:meth:`ProbView.folds`), in the bits of
 the node-by-node walk.  The call's evaluators, one per database it reads,
 share that plan; each keeps its own memo table keyed by plan node and the
@@ -35,15 +35,19 @@ interval in one walk.  Greedy screens one representative per group of
 tuples that read the same screen keys by one reverse pass over a round's
 memo (:meth:`Evaluator.gradient`).  "Safe" means the whole plan builds; a
 plan too wide to build is :class:`CapExceeded`, not unsafe, refused when
-the too-wide node is expanded.  Plans and memo tables are per call, and a
-database changes only by caching a relation's fold, built locally and
-published whole, so concurrent queries against one database are safe.
+the too-wide node is expanded.  Plans depend on the query alone, so all
+calls share one bounded table of plan nodes, each published whole; memo
+tables are per call, and a database changes only by caching a relation's
+fold, built locally and published whole, so concurrent queries against
+one database are safe.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
+import threading
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import probability
@@ -79,6 +83,11 @@ DEFAULT_WORLD_CAP = 24
 # Clauses of a ground lineage, summed over its compiled nodes (the root
 # holds them all): memory stays bounded whatever the world cap.
 LINEAGE_CAP = 10**6
+# Entries of a process-wide plan table past which the next Plan() starts an
+# empty one; a node is never evicted alone, since its parents read it.
+PLAN_TABLE_NODES = 4096
+# Parsed queries whose inversion-free flag analyze_query keeps.
+INVERSION_FREE_CACHE = 1024
 
 
 def conjunction_parts(q: UCQ) -> list[UCQ] | None:
@@ -152,30 +161,44 @@ class _Node:
         return UCQ([ConjunctiveQuery([_bind_atom(a, env) for a in d.atoms]) for d in self.query.disjuncts])
 
 
+# Per force_inclusion_exclusion value, the plan nodes by union and the terms
+# by group; and the lock every new entry is published under.
+_TABLES: dict[bool, tuple[dict[UCQ, _Node], dict[tuple[_Node, ...], list[tuple[int, _Node]]]]] = {}
+_PUBLISH = threading.Lock()
+
+
 class Plan:
-    """The lifted plan of one public call's queries, shared by all the
-    evaluators the call makes, whatever database each reads.  Nodes are
-    hash-consed by minimized union and expanded on first use, so rules run,
-    and refuse, in the order an evaluator reaches them; :meth:`build` walks
-    the children :meth:`expand` records.  A separator has a child per
-    constant its union mentions and one fresh child, over a placeholder,
-    for all the others: they are interchangeable, so one child stands for
-    each of them.  ``force_inclusion_exclusion`` makes one group of all
-    parts."""
+    """The lifted plan of a call's queries, shared by all the evaluators
+    the call makes, whatever database each reads.  Nodes are hash-consed by
+    minimized union and expanded on first use, so rules run, and refuse, in
+    the order an evaluator reaches them; :meth:`build` walks the children
+    :meth:`expand` records.  A separator has a child per constant its union
+    mentions and one fresh child, over a placeholder, for all the others:
+    they are interchangeable, so one child stands for each of them.
+    ``force_inclusion_exclusion`` makes one group of all parts.
+
+    Nodes and terms live in one process-wide table per
+    ``force_inclusion_exclusion``, so no call derives a rule an earlier one
+    derived; a node no rule applies to stays unexpanded and refuses in
+    every call.  New nodes, expansions and terms are built locally and
+    published whole under one lock.  Past :data:`PLAN_TABLE_NODES`
+    entries, the next plan starts an empty table."""
 
     def __init__(self, *, force_inclusion_exclusion: bool = False):
         self.force_ie = force_inclusion_exclusion
-        self._nodes: dict[UCQ, _Node] = {}
-        self._terms: dict[tuple[_Node, ...], list[tuple[int, _Node]]] = {}
+        with _PUBLISH:
+            table = _TABLES.get(force_inclusion_exclusion)
+            if table is None or len(table[0]) > PLAN_TABLE_NODES:
+                table = _TABLES[force_inclusion_exclusion] = {}, {}
+        self._nodes, self._terms = table
 
     def node(self, q: UCQ) -> _Node:
         node = self._nodes.get(q)
         if node is None:
             canon = minimize(q)
-            node = self._nodes.get(canon)
-            if node is None:
-                node = self._nodes[canon] = _Node(canon)
-            self._nodes[q] = node
+            with _PUBLISH:
+                node = self._nodes.get(canon) or _Node(canon)
+                self._nodes[canon] = self._nodes[q] = node
         return node
 
     def expand(self, node: _Node) -> tuple[str | None, object]:
@@ -196,9 +219,10 @@ class Plan:
             return node.rule, node.arg
         q = node.query
         ds = q.disjuncts
+        fresh = leaf = None
         if len(ds) == 1 and len(ds[0].atoms) == 1:
             rule, arg, children = "atom", ds[0].atoms[0], []
-            node.leaf = _leaf(arg)
+            leaf = _leaf(arg)
         elif (parts := conjunction_parts(q)) is not None:
             groups = [parts] if self.force_ie else independence_groups(parts)
             rule, arg = "and", [tuple(map(self.node, g)) for g in groups]
@@ -208,14 +232,17 @@ class Plan:
             arg = children = [self.node(UCQ([d for u in g for d in u.disjuncts])) for g in groups]
         elif (sep := find_separator([d.atoms for d in ds])) is not None:
             consts = sorted(q.constants(), key=term_key)
-            fresh = next(str(i) for i in itertools.count() if str(i) not in node.placeholders)
+            name = next(str(i) for i in itertools.count() if str(i) not in node.placeholders)
             mentioned = [self.node(substitute_separator(q, sep, c)) for c in consts]
-            node.fresh = self.node(substitute_separator(q, sep, Placeholder(fresh)))
-            rule, arg, children = "sep", (sep, consts, mentioned, q.predicates(), fresh), mentioned + [node.fresh]
+            fresh = self.node(substitute_separator(q, sep, Placeholder(name)))
+            rule, arg, children = "sep", (sep, consts, mentioned, q.predicates(), name), mentioned + [fresh]
         else:
             return None, None
-        node.rule, node.arg, node.children = rule, arg, children
-        return rule, arg
+        with _PUBLISH:
+            if node.rule is None:  # the rule last: a reader that sees it sees the rest
+                node.arg, node.children, node.fresh, node.leaf = arg, children, fresh, leaf
+                node.rule = rule
+        return node.rule, node.arg
 
     def separator(self, node: _Node, env: Mapping[str, Constant]) -> dict[str, _Node]:
         """The separator ``node``'s mentioned children under ``env``: the
@@ -230,11 +257,13 @@ class Plan:
             m = len(group)
             if m > INCLUSION_EXCLUSION_CAP:
                 raise CapExceeded(f"inclusion-exclusion over {m} conjuncts (cap {INCLUSION_EXCLUSION_CAP})")
-            cached = self._terms[group] = [
+            terms = [
                 (1 if size % 2 == 1 else -1, self.node(UCQ([d for n in subset for d in n.query.disjuncts])))
                 for size in range(1, m + 1)
                 for subset in itertools.combinations(group, size)
             ]
+            with _PUBLISH:
+                cached = self._terms.setdefault(group, terms)
         return cached
 
     def build(self, q: UCQ) -> Plan:
@@ -731,11 +760,18 @@ def is_safe(q: UCQ) -> bool:
         return False
 
 
+@functools.lru_cache(maxsize=INVERSION_FREE_CACHE)
+def _inversion_free(q: UCQ) -> bool:
+    """The flag of the query as given, which its minimized union, the plan
+    node's, may not share."""
+    return is_inversion_free(q)
+
+
 def analyze_query(q: UCQ) -> QueryProfile:
     """Syntactic profile used to route evaluation."""
     return QueryProfile(
         hierarchical_per_cq=tuple(is_hierarchical(d) for d in q.disjuncts),
-        inversion_free=is_inversion_free(q),
+        inversion_free=_inversion_free(q),
         self_join_free=not has_self_join(q),
         safe=is_safe(q),
     )

@@ -1,5 +1,6 @@
 import pytest
 
+from owpdb import engine
 from owpdb.database import Database, Schema
 from owpdb.query import Constant, parse_ucq
 
@@ -35,3 +36,14 @@ def coauthor_db(coauthor_schema):
 @pytest.fixture(scope="session")
 def scientist_coauthor_query(coauthor_schema):
     return parse_ucq("S(x), CoA(x,y)", coauthor_schema)
+
+
+@pytest.fixture
+def cold_plans(monkeypatch):
+    """Empty process-wide plan tables, now and at each call of the returned
+    function, so the calls that follow derive every rule afresh."""
+    def empty():
+        monkeypatch.setattr(engine, "_TABLES", {})
+
+    empty()
+    return empty

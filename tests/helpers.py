@@ -2,18 +2,21 @@
 grounding it enumerates, its exact rational form with greedy over exact
 gains, a scientist database with every constant stored, a database whose
 separator constants each need inclusion-exclusion, random
-3-dimensional matching instances, and the references for the set-at-a-time
-code: the evaluator node by node and greedy's reverse pass constant by
-constant."""
+3-dimensional matching instances, the references for the set-at-a-time
+code (the evaluator node by node and greedy's reverse pass constant by
+constant), and threads started together with a check of the plan table
+they share."""
 import itertools
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from owpdb import probability
+from owpdb import engine, probability
 from owpdb.database import Database, Schema
 from owpdb.engine import Evaluator, _bind_atom
 from owpdb.errors import CapExceeded
@@ -310,3 +313,46 @@ def _add_leaf(leaves, args, adj):
             keys = [tuple(m if k == rep else rep if k == m else k for k in key) for key in keys for m in members]
         for key in keys:
             table[key] = table.get(key, 0.0) + w
+
+
+def race(work, threads):
+    """``work(k)`` for each of ``threads`` threads, started together and
+    switching often; an exception in a thread fails the test."""
+    start = threading.Barrier(threads)
+    got, errors = [None] * threads, []
+
+    def body(k):
+        try:
+            start.wait(timeout=60)
+            got[k] = work(k)
+        except Exception as exc:  # reported below, not lost in the thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pool = [threading.Thread(target=body, args=(k,)) for k in range(threads)]
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in pool)
+    assert not errors
+    return got
+
+
+def assert_whole_plan_table():
+    """Every process-wide plan table holds one node per canonical union,
+    each unexpanded or with its whole rule."""
+    for nodes, terms in engine._TABLES.values():
+        for node in nodes.values():
+            assert nodes[node.query] is node
+            if node.rule is None:
+                assert (node.arg, node.children, node.fresh, node.leaf) == (None,) * 4
+            else:
+                assert node.children is not None and (node.leaf is not None) == (node.rule == "atom")
+                assert (node.fresh is not None) == (node.rule == "sep")
+                assert all(nodes[child.query] is child for child in node.children)
+        assert all(nodes[n.query] is n for group, signed in terms.items() for n in [*group, *(n for _, n in signed)])

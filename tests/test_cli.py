@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import json
 import os
 import random
@@ -436,6 +437,59 @@ class TestExitCodes:
         status, out = run(RunConfig(**base, force=True, output="json"))
         assert status == 0
         assert "self-join-no-guarantee" in json.loads(out)["result"]["warnings"]
+
+
+class TestColdEqualsWarm:
+    """Plans live in one process-wide table: a warm table answers every mode
+    byte for byte as a cold one does, and refuses where and as it refuses."""
+
+    SCAN_QUERIES = ("S(x), CoA(x,y)", "CoA(x,y), T(y)", "S(x), CoA(x,y) | T(u)", "S(x), CoA(x,y), T(x)", "S(x), T(y)")
+    # two of tools/same_answers.py's gap templates, the inclusion-exclusion ones
+    GAP_QUERIES = ("R(x), S(x, y) | T(x, y), S(x, K1)", "R(x), S(x, K1) | U(y), S(y, K2) | S(z, K1), S(z, K2)")
+    MODES = ("analyze", "eval", "interval", "exact")
+
+    @staticmethod
+    def save(directory, arities, names, constraints, seed, dense=0.5):
+        rng = random.Random(seed)
+        rels = {pred: {args: rng.choice([0.2, 0.5, 0.9]) for args in itertools.product(names, repeat=arity)
+                       if rng.random() < (dense if arity == 1 else dense / 3)}
+                for pred, arity in arities.items()}
+        dataio.save_database(Database(Schema(arities, tuple(map(Constant, names))), rels), directory)
+        (directory / "constraints.txt").write_text(constraints)
+        return str(directory)
+
+    def configs(self, tmp_path):
+        scan = self.save(tmp_path / "scan", {"S": 1, "T": 1, "CoA": 2}, [f"c{i}" for i in range(12)],
+                         "lambda=0.3\nmtp CoA 0.4\n", seed=1)
+        gap = self.save(tmp_path / "gap", {"R": 1, "U": 1, "S": 2, "T": 2}, [f"K{i}" for i in range(6)],
+                        "lambda=0.5\nmtp S 1.0\n", seed=3)
+        chain = self.save(tmp_path / "chain", {"R": 1, "S": 2, "T": 1}, ["A", "B", "C"], "lambda=0.5\nmtp S 0.9\n",
+                          seed=4, dense=0.7)
+        wide_arities, wide_names, wide_rows, _, wide_query, _ = TestExitCodes.TOO_WIDE[0]
+        wide = tmp_path / "wide"
+        dataio.save_database(Database(Schema(wide_arities, tuple(map(Constant, wide_names))), wide_rows), wide)
+        (wide / "constraints.txt").write_text("lambda=0.5\nmtp P0 0.9\n")
+        cases = [(d, q) for d, qs in ((scan, self.SCAN_QUERIES), (gap, self.GAP_QUERIES)) for q in qs]
+        cases += [(chain, "R(x), S(x, y), T(y)"), (str(wide), wide_query)]
+        return [RunConfig(db_dir=d, query=q, mode=mode, budget_override=2, output="json")
+                for d, q in cases for mode in self.MODES]
+
+    def test_same_bytes_cold_and_warm(self, tmp_path, cold_plans):
+        configs = self.configs(tmp_path)
+        cold = []
+        for config in configs:
+            cold_plans()
+            cold.append(run(config))
+        for _ in range(2):  # warming, then warm
+            assert [run(config) for config in configs] == cold
+        safe = len(self.MODES) * (len(self.SCAN_QUERIES) + len(self.GAP_QUERIES))
+        assert [status for status, _ in cold[:safe]] == [0] * safe
+        chain, wide = dict(zip(self.MODES, cold[safe:safe + len(self.MODES)])), cold[safe + len(self.MODES):]
+        assert json.loads(chain["analyze"][1])["profile"]["safe"] is False
+        assert "unsafe-query-ground-evaluation" in json.loads(chain["eval"][1])["result"]["warnings"]
+        assert chain["interval"] == (2, "error: no decomposition applies to R(x), S(x, y), T(y)")
+        assert chain["exact"][0] == 2
+        assert len(wide) == len(self.MODES) and all(status == 3 and "cap 512" in out for status, out in wide)
 
 
 class TestTextOutput:

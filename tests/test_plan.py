@@ -1,5 +1,5 @@
-"""The lifted plan: built once per call, safe exactly when it builds, and
-independent of the domain's size."""
+"""The lifted plan: each rule derived once per process, safe exactly when
+the plan builds, and independent of the domain's size."""
 import itertools
 import random
 import sys
@@ -17,8 +17,19 @@ from owpdb.probability import Prob
 from owpdb.query import UCQ, Atom, Constant, parse_ucq
 from owpdb.randgen import rand_cq, rand_database, rand_schema
 
-from helpers import (NodeByNode, assert_same_screens_as_reference, family_db, separator_children,
-                     stored_scientist_db)
+from helpers import (NodeByNode, assert_same_screens_as_reference, assert_whole_plan_table, family_db, race,
+                     separator_children, stored_scientist_db)
+
+
+def reachable(plan, q):
+    """The nodes of ``q``'s built plan: its root and every node a rule reads."""
+    todo, seen = [plan.node(q)], set()
+    while todo:
+        node = todo.pop()
+        if node not in seen:
+            seen.add(node)
+            todo += node.children
+    return seen
 
 
 def probe_is_safe(q):
@@ -60,18 +71,20 @@ def decompose_calls(monkeypatch):
 
 class TestPlanWork:
     """Counters, not a clock: rules derived per domain constant would grow
-    with the domain; one call's rules are derived once."""
+    with the domain; a cold table's rules are derived once, and a warm
+    table derives none."""
 
-    def test_lifted_plan_is_flat_in_domain_size(self, decompose_calls):
+    def test_lifted_plan_is_flat_in_domain_size(self, decompose_calls, cold_plans):
         counts = []
         for n in (100, 400):
             db = scientist_db(n)
+            cold_plans()
             decompose_calls[0] = 0
             prob_lifted(parse_ucq("S(x), CoA(x,y)", db.schema), db)
             counts.append(decompose_calls[0])
         assert counts[0] == counts[1]
 
-    def test_exact_dp_reads_its_conjunction_split_from_the_plan(self, monkeypatch):
+    def test_exact_dp_reads_its_conjunction_split_from_the_plan(self, monkeypatch, cold_plans):
         # the inclusion-exclusion templates of tools/same_answers.py's GAP_QUERIES
         templates = ("R(x), S(x, y) | T(x, y), S(x, K1)", "R(x), S(x, K1) | U(y), S(y, K2) | S(z, K1), S(z, K2)")
         callers, folds = [], []
@@ -98,25 +111,30 @@ class TestPlanWork:
         assert folds, "the templates reach the inclusion-exclusion families"
         assert callers and "owpdb.exactdp" not in callers
 
-    def test_greedy_shares_one_plan(self, decompose_calls):
+    def test_greedy_shares_one_plan(self, decompose_calls, cold_plans):
         db = scientist_db(16)
         q = parse_ucq("S(x), CoA(x,y)", db.schema)
         prob_lifted(q, db)
         lifted = decompose_calls[0]
+        cold_plans()
         decompose_calls[0] = 0
         greedy_upper(OpenPDB(db, 0.5), MTPConstraint("CoA", 0.5), q, budget=3)
         assert 0 < decompose_calls[0] <= lifted
+        decompose_calls[0] = 0
+        greedy_upper(OpenPDB(db, 0.5), MTPConstraint("CoA", 0.5), q, budget=3)
+        assert decompose_calls[0] == 0  # a warm repeat derives no rule
 
-    def test_interval_shares_one_plan(self, decompose_calls):
+    def test_interval_shares_one_plan(self, decompose_calls, cold_plans):
         db = scientist_db(100)
         q = parse_ucq("S(x), CoA(x,y)", db.schema)
         prob_lifted(q, db)
         lifted = decompose_calls[0]
+        cold_plans()
         decompose_calls[0] = 0
         interval_unconstrained(OpenPDB(db, 0.5), q)
         assert 0 < decompose_calls[0] <= lifted
 
-    def test_exact_dp_walks_the_plan(self, decompose_calls, monkeypatch):
+    def test_exact_dp_walks_the_plan(self, decompose_calls, cold_plans, monkeypatch):
         # the solver is an Evaluator: every memo entry comes from one
         # _lift that Evaluator.evaluate dispatched, none from a walk of its own
         solvers, lifts = [], []
@@ -135,6 +153,7 @@ class TestPlanWork:
         counts = []
         for n in (25, 100):
             db = scientist_db(n)
+            cold_plans()
             decompose_calls[0] = 0
             q = parse_ucq("S(x), CoA(x,y)", db.schema)
             mtp_upper_exact(OpenPDB(db, 0.5), MTPConstraint("CoA", 0.5), q, budget=2)
@@ -273,6 +292,98 @@ class TestGreedyWork:
         assert [view for view, _ in evaluators] == [db] and rounds[0] == 0
 
 
+def random_queries(seed, count):
+    """``count`` distinct random unions over one schema, with a database."""
+    rng = random.Random(seed)
+    schema = rand_schema(rng, domain_sizes=(3, 4))
+    queries = {}
+    while len(queries) < count:
+        q = UCQ([rand_cq(rng, schema, constant_rate=0.25) for _ in range(rng.randint(1, 3))])
+        queries.setdefault(q, None)
+    return rand_database(rng, schema, density=0.5), list(queries)
+
+
+def outcome(q, db):
+    try:
+        return repr(prob_lifted_detail(q, db))
+    except (UnsafeQuery, CapExceeded) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestSharedPlans:
+    """Every call reads one process-wide table of plan nodes: rules derived
+    once, published whole, bounded, and the answers of a cold table."""
+
+    def test_threads_expanding_one_cold_table_agree_with_one_thread(self, cold_plans):
+        db, queries = random_queries(5, 60)
+        expected = [outcome(q, db) for q in queries]
+        cold_plans()
+
+        def work(k):
+            # each thread starts at a different query, so first expansions collide
+            order = [(k * 7 + i) % len(queries) for i in range(len(queries))]
+            got = {i: outcome(queries[i], db) for i in order}
+            return [got[i] for i in range(len(queries))]
+
+        assert race(work, 8) == [expected] * 8
+        assert_whole_plan_table()
+        (nodes, _), = engine._TABLES.values()
+        assert len(set(nodes.values())) == len({n.query for n in nodes.values()})
+
+    def test_an_expansion_is_published_whole_under_the_lock(self, cold_plans, monkeypatch):
+        # a reader that sees a node's rule sees the rest of its expansion
+        ruled = []
+
+        class Watched(engine._Node):
+            __slots__ = ()
+
+            def __setattr__(self, name, value):
+                if name == "rule" and value is not None:
+                    assert engine._PUBLISH.locked()
+                    assert self.arg is not None and self.children is not None
+                    assert (self.leaf is not None, self.fresh is not None) == (value == "atom", value == "sep")
+                    ruled.append(value)
+                super().__setattr__(name, value)
+
+        monkeypatch.setattr(engine, "_Node", Watched)
+        db, queries = random_queries(5, 60)
+        for q in queries:
+            outcome(q, db)
+        assert {"atom", "and", "or", "sep"} <= set(ruled)
+
+    def test_a_small_cap_replaces_the_table_and_moves_no_answer(self, cold_plans, monkeypatch):
+        db, queries = random_queries(6, 80)
+        expected = [outcome(q, db) for q in queries]
+        cap, tables = 40, []
+        monkeypatch.setattr(engine, "PLAN_TABLE_NODES", cap)
+        cold_plans()
+        for q, want in zip(queries, expected):
+            before = engine._TABLES.get(False, ({}, {}))[0]
+            held = len(before)
+            assert outcome(q, db) == want
+            nodes = engine._TABLES[False][0]
+            added = len(nodes) - held if nodes is before else len(nodes)
+            assert len(nodes) - added <= cap  # the call started on a table within the cap
+            if nodes is not before:
+                tables.append(nodes)
+        assert len(tables) > 3  # the table was replaced, not grown
+
+    def test_a_refusal_derives_again_in_every_call(self, decompose_calls, cold_plans):
+        # an unsafe node stays unexpanded: a warm table refuses at the same
+        # node with the same message, deriving only the refused node again
+        db = Database(Schema({"R": 1, "S": 2, "T": 1, "U": 1}, tuple(map(Constant, "AB"))), {})
+        q = parse_ucq("U(z) | R(x), S(x, y), T(y)", db.schema)
+        refusals, counts = [], []
+        for _ in range(3):
+            decompose_calls[0] = 0
+            with pytest.raises(UnsafeQuery) as err:
+                prob_lifted(q, db)
+            refusals.append(str(err.value))
+            counts.append(decompose_calls[0])
+        assert refusals == [refusals[0]] * 3
+        assert counts[0] > counts[1] == counts[2] == 1
+
+
 def test_plan_build_agrees_with_probe_evaluation():
     rng = random.Random(11)
     verdicts = []
@@ -333,7 +444,7 @@ class TestPlaceholder:
         assert prob_lifted_detail(q, db) == Prob(0.390664, -0.49538543927811285)
         assert prob_lifted(q, db) == pytest.approx(prob_ground(q, db), abs=1e-12)
 
-    def test_one_fresh_child_whatever_the_gaps(self):
+    def test_one_fresh_child_whatever_the_gaps(self, cold_plans):
         # stored rows on both sides of C put the unmentioned constants in
         # two gaps between the mentioned ones; one fresh child serves both
         schema = Schema(self.ARITIES, tuple(Constant(n) for n in "ABCDE"))
@@ -573,7 +684,7 @@ class TestOneWalkInterval:
                     plan.build(q)
                 except (UnsafeQuery, CapExceeded):
                     continue
-                for node in set(plan._nodes.values()):
+                for node in reachable(plan, q):
                     shapes |= {
                         "repeated variable": node.rule == "atom" and bool(node.leaf[2]),
                         "inclusion-exclusion": node.rule == "and" and any(len(g) > 1 for g in node.arg),

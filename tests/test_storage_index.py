@@ -2,12 +2,10 @@
 the rows that match."""
 import os
 import random
-import sys
-import threading
 
 import pytest
 
-from owpdb import database, dataio, exactdp, openworld, oracle
+from owpdb import database, dataio, engine, exactdp, openworld, oracle
 from owpdb.cli import RunConfig, run
 from owpdb.database import Database, LambdaCompletionView, OverlayView, ProbView, Schema
 from owpdb.errors import SchemaError, UnknownPredicate
@@ -16,6 +14,8 @@ from owpdb.engine import Evaluator, prob_lifted
 from owpdb.oracle import ThreeDMInstance, mtp_upper_bruteforce
 from owpdb.query import Atom, Constant, Variable, parse_ucq
 from owpdb.randgen import rand_database, rand_safe_ucq, rand_schema
+
+from helpers import assert_whole_plan_table, race
 
 NOWHERE = Constant("Nowhere")  # a constant in no row (and in no domain)
 
@@ -335,9 +335,10 @@ def save_scan_db(directory):
 
 class TestConcurrentFirstReads:
     """Threads sharing a freshly loaded database race to parse its relations
-    and build their per-positions indexes and folds, and brute force reads
-    overlays of it; each table, index and fold is published whole, so every
-    thread gets the single-threaded answers."""
+    and build their per-positions indexes and folds, and to expand the same
+    nodes of a cold plan table, and brute force reads overlays of it; each
+    table, index, fold, plan node and expansion is published whole, so
+    every thread gets the single-threaded answers."""
 
     QUERIES = ("S(x), CoA(x,y)", "CoA(x,y), T(y)", "S(x), CoA(x,y) | T(u)", "S(x), CoA(x,y), T(x)", "S(x), T(y)")
     THREADS = 8
@@ -357,8 +358,9 @@ class TestConcurrentFirstReads:
         save_scan_db(tmp_path)
         n = 2 * len(self.QUERIES)
         expected = self.answers(dataio.load_database(tmp_path), range(n))
-        # an empty cache of shared tables, so the threads race to build them
+        # empty caches of shared tables and plans, so the threads race to build them
         monkeypatch.setattr(dataio, "_SHARED", dataio._Shared(dataio.TABLE_CACHE_ROWS))
+        monkeypatch.setattr(engine, "_TABLES", {})
         shared = dataio.load_database(tmp_path)
         assert not shared._rels  # nothing read yet
 
@@ -367,6 +369,7 @@ class TestConcurrentFirstReads:
             return self.answers(shared, [(k + i) % n for i in range(n)])
 
         assert race(work, self.THREADS) == [expected] * self.THREADS
+        assert_whole_plan_table()
 
     def test_threads_loading_one_cold_directory_agree_with_one_thread(self, tmp_path, monkeypatch):
         save_scan_db(tmp_path)
@@ -374,6 +377,7 @@ class TestConcurrentFirstReads:
         monkeypatch.setattr(dataio, "_SHARED", dataio._Shared(dataio.TABLE_CACHE_ROWS))
         expected = self.answers(dataio.load_database(tmp_path), range(n))
         monkeypatch.setattr(dataio, "_SHARED", dataio._Shared(dataio.TABLE_CACHE_ROWS))
+        monkeypatch.setattr(engine, "_TABLES", {})
         loaded = [None] * self.THREADS
 
         def work(k):
@@ -384,6 +388,7 @@ class TestConcurrentFirstReads:
         for pred in ("S", "T", "CoA"):  # the first table kept is the one every load reads
             assert len({id(db._rels[pred]) for db in loaded}) == 1
         assert len({id(db.schema) for db in loaded}) == 1
+        assert_whole_plan_table()
 
     def test_threads_keep_the_weight_held_exact(self):
         # more keys than fit: entries come and go while threads get them
@@ -397,34 +402,6 @@ class TestConcurrentFirstReads:
 
         race(work, self.THREADS)
         assert cache.held == sum(1 + len(value) for value, _ in cache._entries.values()) <= cache.cap
-
-
-def race(work, threads):
-    """``work(k)`` for each of ``threads`` threads, started together and
-    switching often; an exception in a thread fails the test."""
-    start = threading.Barrier(threads)
-    got, errors = [None] * threads, []
-
-    def body(k):
-        try:
-            start.wait(timeout=60)
-            got[k] = work(k)
-        except Exception as exc:  # reported below, not lost in the thread
-            errors.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        pool = [threading.Thread(target=body, args=(k,)) for k in range(threads)]
-        for thread in pool:
-            thread.start()
-        for thread in pool:
-            thread.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in pool)
-    assert not errors
-    return got
 
 
 class TestOneCsvPass:

@@ -26,11 +26,20 @@ here and not in ``src``, counts the row's work.  The rows:
   ``interval_unconstrained``, counting the node-by-node lifts, the stored
   rows the database's ``_rows`` returns and the rows handed to
   ``fold_log_complements``;
+- ``fixed-*``: the exact and greedy rows on ``fixed_db(n)``, whose rows
+  stay on the first 1000 constants as the domain grows;
 - ``warm-run``: the open-world-scan round (analyze of five queries, then
   eval and interval of each) through ``cli.run``, ``WARM_ROUNDS`` times
   on one saved database, recording the median round time, a digest of
-  the outputs and the relation files parsed (``dataio._csv_records``
-  calls).
+  the outputs, the relation files parsed (``dataio._csv_records`` calls)
+  and the rules derived (``Plan.expand`` calls on a node not yet
+  expanded) in the first round (``derive_first``) and in the rounds after
+  it (``derive``);
+- ``cold-plans``: ``COLD_QUERIES`` distinct random safe queries
+  (``owpdb.randgen``, seed ``SEED``) on one saved random database, each
+  run once through ``cli.run`` (analyze, eval and interval in turn), on
+  emptied plan tables where the tree keeps them: traffic that repeats no
+  query, timed ``COLD_RUNS`` times and counting the rules derived.
 
 A row that runs past ``TIMEOUT_S`` seconds is recorded as timed out, never
 dropped.  The run is stored under ``NAME`` in ``FILE``, next to the runs
@@ -61,8 +70,9 @@ RUNS = 3
 TIME_RISE = 0.20
 TIMEOUT_S = 300.0
 
-# Per row, on scan_db(n): the kind, the query, n, and for an exact or a
-# greedy row the constrained relation and the budget.
+# Per row, on scan_db(n) (fixed_db(n) for a fixed-* row): the kind, the
+# query, n, and for an exact or a greedy row the constrained relation and
+# the budget.
 COA, NESTED = "S(x), CoA(x,y)", "S(x), CoA(x,y), W(x,y)"
 ROWS = {
     "exact-coa-1000": ("exact", COA, 1000, "CoA", 8),
@@ -82,11 +92,18 @@ ROWS = {
     "warm-run": ("warm", None, 250),
     "greedy-coa-1000": ("greedy", COA, 1000, "CoA", 4),
     "greedy-nested-w-200": ("greedy", NESTED, 200, "W", 4),
+    "fixed-exact-s-1000": ("exact", COA, 1000, "S", 8),
+    "fixed-exact-s-10000": ("exact", COA, 10000, "S", 8),
+    "fixed-greedy-coa-1000": ("greedy", COA, 1000, "CoA", 4),
+    "fixed-greedy-coa-10000": ("greedy", COA, 10000, "CoA", 4),
+    "cold-plans": ("cold", None, None),
 }
 LAMBDA, MEAN, SEED = 0.3, 0.9, 1
 # The open-world-scan workload's queries, over scan_db's S and CoA and a unary T.
 WARM_QUERIES = ("S(x), CoA(x,y)", "CoA(x,y), T(y)", "S(x), CoA(x,y) | T(u)", "S(x), CoA(x,y), T(x)", "S(x), T(y)")
 WARM_ROUNDS = 20
+COLD_QUERIES, COLD_RUNS = 200, 9
+FIXED_CONSTANTS, FIXED_COA = 1000, 2500
 
 
 def scan_db(n: int, seed: int = SEED):
@@ -106,28 +123,51 @@ def scan_db(n: int, seed: int = SEED):
     return Database(schema, {"S": s, "CoA": coa, "W": w})
 
 
+def fixed_db(n: int, seed: int = SEED):
+    """``FIXED_COA`` ``CoA`` rows and an ``S`` row per constant among the
+    first ``FIXED_CONSTANTS`` of n constants, each probability uniform in
+    [0.001, 0.009]: the rows stay as the domain grows."""
+    from owpdb.database import Database, Schema
+    from owpdb.query import Constant
+
+    rng = random.Random(seed)
+    names = [f"c{i}" for i in range(n)]
+    stored = names[:FIXED_CONSTANTS]
+    coa = {}
+    while len(coa) < FIXED_COA:
+        coa[(rng.choice(stored), rng.choice(stored))] = rng.uniform(0.001, 0.009)
+    s = {(c,): rng.uniform(0.001, 0.009) for c in stored}
+    return Database(Schema({"S": 1, "CoA": 2}, tuple(map(Constant, names))), {"S": s, "CoA": coa})
+
+
 def measure(name: str) -> dict:
     """One row, in this process: see the module docstring."""
     import resource
 
     kind, text, n, *exact = ROWS[name]
-    row = warm_run(n) if kind == "warm" else timed(kind, text, n, *exact)
+    if kind == "warm":
+        row = warm_run(n)
+    elif kind == "cold":
+        row = cold_plans()
+    else:
+        row = timed(kind, text, n, *exact, build=fixed_db if name.startswith("fixed-") else scan_db)
     return {**row, "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
 
 
-def timed(kind: str, text: str, n: int, rel: str | None = None, budget: int | None = None) -> dict:
-    """An exact, greedy, lifted or interval row: three timed runs, then one counted."""
+def timed(kind: str, text: str, n: int, rel: str | None = None, budget: int | None = None, *, build=scan_db) -> dict:
+    """An exact, greedy, lifted or interval row on ``build(n)``: three timed
+    runs, then one counted."""
     from owpdb import database, engine, exactdp, greedy
     from owpdb.openworld import MTPConstraint, OpenPDB, interval_unconstrained
     from owpdb.query import parse_ucq
 
-    params = {"query": text, "n": n, "lam": LAMBDA, "seed": SEED}
+    params = {"query": text, "n": n, "lam": LAMBDA, "seed": SEED, "db": build.__name__}
     if kind in ("exact", "greedy"):
         params.update(constrained=rel, budget=budget)
 
     def instance():
-        """The row's run on a new ``scan_db(n)``, whose tables have no index or fold yet."""
-        db = scan_db(n)
+        """The row's run on a new ``build(n)``, whose tables have no index or fold yet."""
+        db = build(n)
         g, q = OpenPDB(db, LAMBDA), parse_ucq(text, db.schema)
         if kind == "lifted":
             return lambda: (repr(engine.prob_lifted(q, db)), None)
@@ -209,10 +249,35 @@ def timed(kind: str, text: str, n: int, rel: str | None = None, budget: int | No
     return row
 
 
+def count_derivations(counts: dict, key: str) -> None:
+    """Count in ``counts[key]`` the rules derived: ``Plan.expand`` calls on
+    a node not yet expanded."""
+    from owpdb import engine
+
+    expand = engine.Plan.expand
+
+    def counted_expand(self, node):
+        counts[key] += node.rule is None
+        return expand(self, node)
+
+    engine.Plan.expand = counted_expand
+
+
+def empty_plan_tables() -> None:
+    """Empty the process-wide plan tables and the inversion-free flags kept
+    per query, where the tree has them, so the next requests start cold."""
+    from owpdb import engine
+
+    getattr(engine, "_TABLES", {}).clear()
+    if hasattr(engine, "_inversion_free"):
+        engine._inversion_free.cache_clear()
+
+
 def warm_run(n: int) -> dict:
     """The warm-run row: ``scan_db(n)`` with a unary ``T`` on about half the
     constants, saved, and the open-world-scan round run ``WARM_ROUNDS``
-    times through ``cli.run``, counting the relation files parsed."""
+    times through ``cli.run``, counting the relation files parsed and the
+    rules derived."""
     import hashlib
     import tempfile
 
@@ -223,13 +288,14 @@ def warm_run(n: int) -> dict:
     base, rng = scan_db(n), random.Random(SEED)
     rels = {pred: dict(base.entries(pred)) for pred in base.schema.predicates}
     rels["T"] = {(c.name,): rng.uniform(0.001, 0.009) for c in base.schema.domain if rng.random() < 0.5}
-    counts, records = {"parse": 0}, dataio._csv_records
+    counts, records = {"parse": 0, "derive_first": 0, "derive": 0}, dataio._csv_records
 
     def counted_records(*args):
         counts["parse"] += 1
         return records(*args)
 
     dataio._csv_records = counted_records
+    count_derivations(counts, "derive")
     with tempfile.TemporaryDirectory() as directory:
         dataio.save_database(Database(Schema({**base.schema.predicates, "T": 1}, base.schema.domain), rels), directory)
         Path(directory, "constraints.txt").write_text(f"lambda={LAMBDA!r}\n")
@@ -237,13 +303,56 @@ def warm_run(n: int) -> dict:
         configs += [RunConfig(db_dir=directory, query=q, mode=mode, output="json")
                     for q in WARM_QUERIES for mode in ("eval", "interval")]
         times, outputs = [], set()
-        for _ in range(WARM_ROUNDS):
+        for i in range(WARM_ROUNDS):
             start = time.perf_counter()
             outputs.add(repr([run(config) for config in configs]))
             times.append(time.perf_counter() - start)
+            if i == 0:
+                counts["derive_first"], counts["derive"] = counts["derive"], 0
     if len(outputs) != 1:
         raise AssertionError("rounds disagree")
     return {"params": {"queries": WARM_QUERIES, "n": n, "lam": LAMBDA, "seed": SEED, "rounds": WARM_ROUNDS},
+            "wall_s": statistics.median(times), "runs_s": times,
+            "value": hashlib.sha256(outputs.pop().encode()).hexdigest(), "witness": None, "counts": counts}
+
+
+def cold_plans() -> dict:
+    """The cold-plans row: ``COLD_QUERIES`` distinct random safe queries on
+    one saved random database, each run once through ``cli.run``;
+    ``COLD_RUNS`` timed runs, this row being short, and one counted, each
+    on emptied plan tables."""
+    import hashlib
+    import tempfile
+
+    from owpdb import dataio
+    from owpdb.cli import RunConfig, run
+    from owpdb.randgen import rand_database, rand_safe_ucq, rand_schema
+
+    rng = random.Random(SEED)
+    schema = rand_schema(rng, domain_sizes=(4,))
+    db = rand_database(rng, schema)
+    queries = {}
+    while len(queries) < COLD_QUERIES:
+        queries.setdefault(str(rand_safe_ucq(rng, schema)), None)
+    modes = ("analyze", "eval", "interval")
+    counts = {"derive": 0}
+    with tempfile.TemporaryDirectory() as directory:
+        dataio.save_database(db, directory)
+        Path(directory, "constraints.txt").write_text(f"lambda={LAMBDA!r}\n")
+        configs = [RunConfig(db_dir=directory, query=q, mode=modes[i % len(modes)], output="json")
+                   for i, q in enumerate(queries)]
+        times, outputs = [], set()
+        for _ in range(COLD_RUNS):
+            empty_plan_tables()
+            start = time.perf_counter()
+            outputs.add(repr([run(config) for config in configs]))
+            times.append(time.perf_counter() - start)
+        empty_plan_tables()
+        count_derivations(counts, "derive")
+        outputs.add(repr([run(config) for config in configs]))
+    if len(outputs) != 1:
+        raise AssertionError("runs disagree")
+    return {"params": {"queries": COLD_QUERIES, "modes": modes, "lam": LAMBDA, "seed": SEED},
             "wall_s": statistics.median(times), "runs_s": times,
             "value": hashlib.sha256(outputs.pop().encode()).hexdigest(), "witness": None, "counts": counts}
 
