@@ -15,13 +15,13 @@ a witness completion.  It overrides only the hooks (``conj``, ``disj``,
   ``power_disj``: in the union fold ``1 - (1 - x)`` need not be ``x``).
   The constants the union does not mention share its fresh child, read as
   one column (:meth:`_BudgetSolver._fresh_column`);
-* inclusion-exclusion terms share one slice, so they are optimized jointly:
-  the state carries the vector of per-term values and keeps every
-  non-dominated vector (a Pareto front ordered by each term's sign), which
-  preserves exact optimality even when budget allocations that look worse
-  for the running prefix win later.  A term peels off the factors its slice
-  misses on plan nodes (:meth:`_BudgetSolver._fold_term`), a conjunct by the
-  independent groups of the plan's ``and`` rule.
+* inclusion-exclusion terms share one slice, so they are optimized jointly.
+  A term peels off the factors its slice misses on plan nodes, a conjunct
+  by the plan's ``and`` groups, down to a core (:meth:`_BudgetSolver._fold_term`).
+  Per budget, a front keeps the vectors of per-core values that no other
+  one matches or beats in every core, in its sign's direction, so an
+  allocation that looks worse for the running prefix can still win later;
+  a shared separator folds its constants into the front by max-convolution.
 
 Queries whose structure defeats all three rules fall back to exhaustive
 enumeration of the remaining slice when it is small, and are otherwise
@@ -36,12 +36,15 @@ order (:func:`owpdb.openworld.open_args`); a leaf reads its first ``B``
 tuples once per constant, and any other node one tuple to test emptiness.
 Witnesses are sorted tuples of domain-index tuples until the result;
 max-convolution merges them only for the best split and its exact ties.
+Among float-equal values every choice keeps the lexicographically smallest
+witness: ``_combine``'s among splits, :func:`_prune`'s among family states.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import math
+import operator
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .engine import Evaluator, Plan, _Node
@@ -75,10 +78,33 @@ _Witness = tuple[tuple[int, ...], ...]
 # A budget vector: entry b holds (best probability, witness) using at most b
 # added tuples; a value no budget moves may be a plain float (see the module doc).
 _BVec = tuple[tuple[float, _Witness], ...] | float
+# A family state: per-core values and the witness reaching them.
+_State = tuple[tuple[float, ...], _Witness]
 
 
 def _merge(w1: _Witness, w2: _Witness) -> _Witness:
     return tuple(sorted(set(w1).union(w2))) if w1 and w2 else w1 or w2
+
+
+def _prune(states: Iterable[_State], signs: tuple[int, ...]) -> list[_State]:
+    """The one rule that chooses among family states: per vector of values
+    the smallest witness, then the vectors that no other vector matches or
+    beats in every component, higher for a sign of +1, lower for -1, and
+    only an equal value for 0."""
+    smallest: dict[tuple[float, ...], _Witness] = {}
+    for values, wit in states:
+        if values not in smallest or wit < smallest[values]:
+            smallest[values] = wit
+    at_least = [operator.ge if s > 0 else operator.le if s < 0 else operator.eq for s in signs]
+
+    def dominates(u: tuple[float, ...], v: tuple[float, ...]) -> bool:
+        return all(f(a, b) for f, a, b in zip(at_least, u, v))
+
+    kept: list[_State] = []
+    for values, wit in sorted(smallest.items()):
+        if not any(dominates(kv, values) for kv, _ in kept):
+            kept = [(kv, kw) for kv, kw in kept if not dominates(values, kv)] + [(values, wit)]
+    return kept
 
 
 class _BudgetSolver(Evaluator):
@@ -209,23 +235,24 @@ class _BudgetSolver(Evaluator):
         bound to ``consts[i]``, as a map from ``i``.  A shape the evaluator
         batches (:meth:`_Node.batches`, tested after expanding ``node``: a
         core that a family binds is not expanded yet) takes its closed
-        values from the closed evaluator's column, and an ``and`` with a
+        values from the closed evaluator's column, asked for only when a
+        leaf or an empty slice first reads it, and an ``and`` with a
         nonempty slice conjoins its children's; any other shape goes node by
         node, when its constant is read, so refusals keep their domain
         order."""
         self.plan.expand(node)
         if not node.batches():
             return lambda i: self.evaluate(node, {**env, name: consts[i]})
-        closed = self._eval._evaluate_many(node, env, name, consts)[0][0]
+        closed = functools.cache(lambda: self._eval._evaluate_many(node, env, name, consts)[0][0])
         if self.rel not in node.query.predicates():
-            return closed.__getitem__
+            return closed().__getitem__
         if node.rule == "atom":
-            return lambda i: self._leaf_value(node, {**env, name: consts[i]}, closed[i])
+            return lambda i: self._leaf_value(node, {**env, name: consts[i]}, closed()[i])
         children = [self._fresh_column(child, env, name, consts) for child, in node.arg]
 
         def value(i: int) -> _BVec:
             if next(self.slice_of(node.query, {**env, name: consts[i]}), None) is None:
-                return closed[i]
+                return closed()[i]
             return self.conj(child(i) for child in children)
 
         return value
@@ -277,7 +304,7 @@ class _BudgetSolver(Evaluator):
 
     def _family(self, terms: list[tuple[float, UCQ]]) -> _BVec:
         """Per budget, the maximum of const + sum(weight * P(term)) over one
-        shared completion choice."""
+        shared completion choice, chosen by :func:`_prune` on the total."""
         const = 0.0
         weights: dict[_Node, float] = {}  # in order of first use
         for w, t in terms:
@@ -299,115 +326,50 @@ class _BudgetSolver(Evaluator):
                 return const + w * vec
             return tuple((const + w * v, wit) for v, wit in vec)
 
-        signs = [1 if weights[c] > 0.0 else -1 for c in cores]
-        frontier = self._pareto(tuple(cores), tuple(signs))
-        out = []
-        for b in range(self.b_max + 1):
-            best_v, best_w = None, ()
-            for values, wit in frontier[b]:
-                total = const + sum(weights[c] * v for c, v in zip(cores, values))
-                if best_v is None or total > best_v or (total == best_v and wit < best_w):
-                    best_v, best_w = total, wit
-            out.append((best_v, best_w))
-        return tuple(out)
+        front = self._pareto(tuple(cores), tuple(1 if weights[c] > 0.0 else -1 for c in cores))
+        best = [_prune([((const + sum(weights[c] * v for c, v in zip(cores, values)),), wit) for values, wit in states],
+                       (1,)) for states in front]
+        return tuple((total, wit) for [((total,), wit)] in best)
 
-    def _prune(
-        self,
-        states: list[tuple[tuple[float, ...], _Witness]],
-        signs: tuple[int, ...],
-    ) -> list[tuple[tuple[float, ...], _Witness]]:
-        """Keep states not dominated componentwise in each sign's preferred
-        direction; equal vectors keep the lexicographically smallest witness."""
-        best_by_vec: dict[tuple[float, ...], _Witness] = {}
-        for values, wit in states:
-            old = best_by_vec.get(values)
-            if old is None or wit < old:
-                best_by_vec[values] = wit
-        unique = sorted(best_by_vec.items())
-
-        def dominates(u: tuple[float, ...], v: tuple[float, ...]) -> bool:
-            for s, a, b in zip(signs, u, v):
-                if s > 0 and a < b:
-                    return False
-                if s < 0 and a > b:
-                    return False
-                if s == 0 and a != b:
-                    # conflicting directions: only an equal value dominates
-                    return False
-            return True
-
-        kept: list[tuple[tuple[float, ...], _Witness]] = []
-        for values, wit in unique:
-            if any(dominates(kv, values) for kv, _ in kept if kv != values):
-                continue
-            kept = [(kv, kw) for kv, kw in kept if not dominates(values, kv) or kv == values]
-            kept.append((values, wit))
-        return kept
-
-    def _pareto(
-        self, cores: tuple[_Node, ...], signs: tuple[int, ...]
-    ) -> list[list[tuple[tuple[float, ...], _Witness]]]:
+    def _pareto(self, cores: tuple[_Node, ...], signs: tuple[int, ...]) -> list[list[_State]]:
         """Per budget: every non-dominated vector of per-core values reachable
-        with one shared completion choice."""
-        all_disjuncts = [d.atoms for c in cores for d in c.query.disjuncts]
-        sep = find_separator(all_disjuncts)
-        if sep is not None:
-            return self._pareto_separator(cores, signs, sep)
-        return self._pareto_enumerate(cores, signs)
-
-    def _pareto_separator(self, cores, signs, sep):
+        with one shared completion choice.  A shared separator's constants
+        fold in domain order: each substituted core is ``alpha + beta *
+        P(reduced core)`` (:meth:`_fold_term`), and the reduced cores' front,
+        mapped onto the cores, is max-convolved with the running one."""
+        sep = find_separator([d.atoms for c in cores for d in c.query.disjuncts])
+        if sep is None:
+            return self._pareto_enumerate(cores, signs)
         offsets = list(itertools.accumulate((len(c.query.disjuncts) for c in cores), initial=0))
-        frontier = [[(tuple(0.0 for _ in cores), ())] for _ in range(self.b_max + 1)]
+        front = [[((0.0,) * len(cores), ())]] * (self.b_max + 1)
         for const in self.schema.domain:
-            alphas, betas, core_map = [], [], []
-            reduced_index: dict[_Node, int] = {}  # reduced core -> its component
-            for ci, core in enumerate(cores):
-                local_sep = tuple(sep[offsets[ci]:offsets[ci + 1]])
-                a, b, red = self._fold_term(substitute_separator(core.query, local_sep, const))
-                alphas.append(a)
-                betas.append(b)
-                core_map.append(None if red is None else reduced_index.setdefault(red, len(reduced_index)))
-            reduced = list(reduced_index)
+            folds = [self._fold_term(substitute_separator(core.query, sep[offsets[i]:offsets[i + 1]], const))
+                     for i, core in enumerate(cores)]
+            reduced = list(dict.fromkeys(red for _, _, red in folds if red is not None))
+            # beta >= 0: a reduced core takes the one sign its parents share, else 0
+            parents = [{s for s, (_, _, red) in zip(signs, folds) if red is r} for r in reduced]
+            sub = [[((), ())]] * (self.b_max + 1)
             if reduced:
-                # beta is a product of probabilities, so a reduced core inherits
-                # the signs of the cores that fold onto it; a clash disables
-                # dominance pruning on that component
-                red_signs = []
-                for ri in range(len(reduced)):
-                    parents = [signs[ci] for ci in range(len(cores)) if core_map[ci] == ri]
-                    pos, neg = any(s > 0 for s in parents), any(s < 0 for s in parents)
-                    red_signs.append(0 if (pos and neg) else (1 if pos else -1))
-                sub_front = self._pareto(tuple(reduced), tuple(red_signs))
-            else:
-                sub_front = [[((), ())] for _ in range(self.b_max + 1)]
+                sub = self._pareto(tuple(reduced), tuple(p.pop() if len(p) == 1 else 0 for p in parents))
+            mapped = [[(tuple(a if red is None else a + b * vals[reduced.index(red)] for a, b, red in folds), wit)
+                       for vals, wit in states] for states in sub]
+            front = [_prune([(tuple(1.0 - (1.0 - p) * (1.0 - m) for p, m in zip(pv, mv)), _merge(pw, mw))
+                             for k in range(b + 1) for pv, pw in front[b - k] for mv, mw in mapped[k]], signs)
+                     for b in range(self.b_max + 1)]
+        return front
 
-            new_frontier: list[list] = []
-            for b in range(self.b_max + 1):
-                cands: list[tuple[tuple[float, ...], _Witness]] = []
-                for k in range(b + 1):
-                    for prev_vals, prev_wit in frontier[b - k]:
-                        for red_vals, red_wit in sub_front[k]:
-                            vals = tuple(
-                                1.0 - (1.0 - pv) * (1.0 - (a if ri is None else a + bt * red_vals[ri]))
-                                for pv, a, bt, ri in zip(prev_vals, alphas, betas, core_map)
-                            )
-                            cands.append((vals, _merge(prev_wit, red_wit)))
-                new_frontier.append(self._prune(cands, signs))
-            frontier = new_frontier
-        return frontier
-
-    def _pareto_enumerate(self, cores, signs):
+    def _pareto_enumerate(self, cores: tuple[_Node, ...], signs: tuple[int, ...]) -> list[list[_State]]:
         tuples = sorted({t for c in cores for t in self.slice_of(c.query, {})})
         if len(tuples) > ENUMERATION_FALLBACK_CAP:
             raise NotInversionFree(f"no shared separator and the open slice has {len(tuples)} tuples")
-        frontier: list[list] = [[] for _ in range(self.b_max + 1)]
+        frontier: list[list[_State]] = [[] for _ in range(self.b_max + 1)]
         for size in range(0, min(self.b_max, len(tuples)) + 1):
             for chosen in itertools.combinations(tuples, size):
                 ev = Evaluator(apply_completion(self.g, map(self.atom, chosen)), plan=self.plan)
                 vals = tuple(ev.evaluate(c, {})[0].value for c in cores)
                 for b in range(size, self.b_max + 1):
                     frontier[b].append((vals, chosen))
-        return [self._prune(states, signs) for states in frontier]
+        return [_prune(states, signs) for states in frontier]
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +387,8 @@ def mtp_upper_exact(
 ) -> BoundResult:
     """Exact upper probability of ``q`` under the mean bound, by dynamic
     programming over the domain; polynomial in domain size and budget for
-    inversion-free queries.
+    inversion-free queries.  Each choice among float-equal values keeps the
+    lexicographically smallest sorted witness (see the module doc).
 
     Raises :class:`NotInversionFree` when the query has an inversion and
     :class:`UnsafeQuery` when it cannot be evaluated lifted at all, or

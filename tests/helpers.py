@@ -6,12 +6,15 @@ separator constants each need inclusion-exclusion, random
 code (the evaluator node by node and greedy's reverse pass constant by
 constant), and threads started together with a check of the plan table
 they share."""
+import functools
+import importlib.util
 import itertools
 import math
 import random
 import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -149,17 +152,17 @@ def stored_scientist_db(n, seed=1, s_scale=1.0):
     return Database(Schema({"S": 1, "CoA": 2}, tuple(Constant(c) for c in names)), {"S": s, "CoA": coa})
 
 
-def family_db(n, seed=2):
-    """For ``R(x), U(y, x) | S(z, y), U(z, y)``: ``R`` on two of the n
-    constants, ``S`` at density 0.3 and ``U`` at 0.2.  Each separator
-    constant c leaves a union that needs inclusion-exclusion, whose term
-    ``S(z, c), U(z, c)`` has a separator of its own."""
-    rng = random.Random(seed)
-    names = [f"K{i:02d}" for i in range(n)]
-    return Database(Schema({"R": 1, "S": 2, "U": 2}, tuple(map(Constant, names))),
-                    {"R": {(a,): 0.5 for a in names[:2]},
-                     "S": {(a, b): 0.5 for a in names for b in names if rng.random() < 0.3},
-                     "U": {(a, b): 0.25 for a in names for b in names if rng.random() < 0.2}})
+def load_tool(name):
+    """The module ``tools/<name>.py``, which is not a package."""
+    spec = importlib.util.spec_from_file_location(name, Path(__file__).resolve().parents[1] / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# For ``R(x), U(y, x) | S(z, y), U(z, y)``: the scaling tool's family rows'
+# database (``R`` on two constants, ``S`` at density 0.3, ``U`` at 0.2), seed 2.
+family_db = functools.partial(load_tool("scaling").family_db, seed=2)
 
 
 def rand_3dm(rng: random.Random, *, side: int = 3, max_edges: int = 9) -> ThreeDMInstance:

@@ -5,15 +5,17 @@ import pytest
 
 from owpdb.database import Database, Schema
 from owpdb.engine import Plan, prob_lifted
-from owpdb.errors import NotInversionFree
-from owpdb.exactdp import _BudgetSolver, _merge, mtp_upper_exact
+from owpdb.errors import NotInversionFree, OwpdbError
+from owpdb.exactdp import _BudgetSolver, _merge, _prune, mtp_upper_exact
 from owpdb.greedy import set_query_prob
 from owpdb.openworld import MTPConstraint, OpenPDB, budget_from_mtp, interval_unconstrained, open_tuples
 from owpdb.oracle import mtp_upper_bruteforce
 from owpdb.query import Constant, find_separator, minimize, parse_ucq, substitute_separator
 from owpdb.randgen import rand_mtp_instance
 
-from helpers import family_db, separator_children, stored_scientist_db
+from helpers import family_db, load_tool, separator_children, stored_scientist_db
+
+same_answers = load_tool("same_answers")
 
 
 def simple_instance(n=2, lam=0.5, target_b=1, existing=None):
@@ -216,6 +218,27 @@ class TestOracleEquivalence:
             ]
             assert all(values[i] <= values[i + 1] + 1e-12 for i in range(len(values) - 1))
 
+    def test_gap_witnesses_replay_to_their_values(self, monkeypatch):
+        # tools/same_answers.py's mid-size gap instances, some of which reach
+        # the inclusion-exclusion families and their Pareto fronts
+        fronts, pareto = [0], _BudgetSolver._pareto
+
+        def counted(self, *args):
+            fronts[0] += 1
+            return pareto(self, *args)
+
+        monkeypatch.setattr(_BudgetSolver, "_pareto", counted)
+        rng, answered = random.Random(13), 0
+        for i in range(same_answers.GAP_INSTANCES):
+            g, c, q = same_answers.gap_instance(rng)
+            try:
+                exact = mtp_upper_exact(g, c, q)
+            except OwpdbError:
+                continue
+            answered += 1
+            assert set_query_prob(g, q, exact.witness.added) == pytest.approx(exact.value, abs=1e-12), (i, str(q))
+        assert answered > same_answers.GAP_INSTANCES // 2 and fronts[0] > 0, (answered, fronts[0])
+
     def test_full_budget_equals_relation_completion(self):
         rng = random.Random(779)
         for _ in range(25):
@@ -371,3 +394,74 @@ class TestFreshColumn:
             column(g, c, q, "K08", 2)
         with pytest.raises(NotInversionFree, match="^no shared separator and the open slice has 12 tuples$"):
             mtp_upper_exact(g, c, q, budget=2)
+
+
+class TestPrune:
+    """``_prune`` is the one rule that chooses among family states: per
+    vector the smallest witness, then the vectors no other one matches or
+    beats in every component, in the direction of its sign."""
+
+    def test_equal_vectors_keep_the_smallest_witness(self):
+        states = [((0.5, 0.25), ((3,),)), ((0.5, 0.25), ((1,), (2,))), ((0.5, 0.25), ((1,), (4,)))]
+        assert _prune(states, (1, -1)) == [((0.5, 0.25), ((1,), (2,)))]
+
+    @pytest.mark.parametrize("sign, better, worse", [(1, 0.75, 0.5), (-1, 0.5, 0.75)])
+    def test_a_signed_component_prefers_its_direction(self, sign, better, worse):
+        # equal first components: the second decides, whatever the witnesses
+        states = [((0.5, worse), ()), ((0.5, better), ((7,),))]
+        assert _prune(states, (1, sign)) == [((0.5, better), ((7,),))]
+
+    def test_a_sign_zero_component_is_matched_only_by_an_equal_value(self):
+        apart = [((0.5, 0.25), ()), ((0.5, 0.75), ((7,),))]
+        assert _prune(apart, (1, 0)) == apart
+        # equal there, so the +1 component decides
+        assert _prune([((0.25, 0.5), ()), ((0.75, 0.5), ((7,),))], (1, 0)) == [((0.75, 0.5), ((7,),))]
+
+    def test_incomparable_vectors_are_all_kept(self):
+        states = [((0.75, 0.25), ((1,),)), ((0.25, 0.75), ((2,),)), ((0.25, 0.25), ())]
+        assert _prune(states, (1, 1)) == [((0.25, 0.75), ((2,),)), ((0.75, 0.25), ((1,),))]
+
+    def test_one_core_of_sign_plus_keeps_one_state_per_budget(self):
+        rng = random.Random(3)
+        for _ in range(50):
+            states = [((rng.choice([0.125, 0.25, 0.5]),), tuple(sorted(rng.sample([(0,), (1,), (2,)], 2))))
+                      for _ in range(rng.randint(1, 6))]
+            best = max(v for (v,), _ in states)
+            assert _prune(states, (1,)) == [((best,), min(w for (v,), w in states if v == best))]
+        # and through the DP's own enumeration of a slice
+        g, c, q = simple_instance(n=3, lam=0.5, existing={("B",): 0.2})
+        plan = Plan().build(q)
+        front = _BudgetSolver(g, "R", 2, plan)._pareto_enumerate((plan.node(q),), (1,))
+        assert [len(states) for states in front] == [1, 1, 1]
+        assert [s[0][1] for s in front] == [(), ((0,),), ((0,), (2,))]
+
+    def test_family_takes_the_largest_total_and_its_smallest_witness(self):
+        # terms R(x) - P(R(x), S(x)) fold onto two cores of weights +1 and -1;
+        # at budget 1, two vectors total exactly 0.25 and a third
+        # 0.7 - 0.45 = 0.24999999999999994, whose empty witness must not win
+        db = Database(Schema({"R": 1, "S": 1}, (Constant("A"), Constant("B"))), {"S": {("A",): 0.5, ("B",): 0.5}})
+        solver = _BudgetSolver(OpenPDB(db, 0.5), "R", 1, Plan())
+        front = [[((0.0, 0.0), ())], [((0.5, 0.25), ((1,),)), ((0.7, 0.45), ()), ((0.75, 0.5), ((0,),))]]
+        signs = []
+        solver._pareto = lambda cores, s: signs.append(s) or front
+        terms = [(1.0, parse_ucq("R(x)", db.schema)), (-1.0, parse_ucq("R(x), S(x)", db.schema))]
+        assert solver._family(terms) == ((0.0, ()), (0.25, ((0,),)))
+        assert signs == [(1, -1)]
+
+    @pytest.mark.parametrize("cores, signs", [(("R(x), S(x, y)",), (0,)), (("R(x), S(x, y)", "T(x), S(x, y)"), (1, -1))])
+    def test_a_separator_front_matches_enumeration_under_sign_0(self, cores, signs):
+        # each constant c reduces the cores to S(c, y), under a sign-0 parent
+        # or under parents of both signs: S(c, y) takes sign 0, and so does
+        # S(c, d) below it, else a front keeps only its smallest values
+        db = Database(Schema({"R": 1, "T": 1, "S": 2}, tuple(map(Constant, "ABC"))),
+                      {"R": {("A",): 0.5, ("B",): 0.8}, "T": {("A",): 0.6, ("C",): 0.3},
+                       "S": {("A", "A"): 0.25, ("B", "C"): 0.5}})
+        plan = Plan()
+        solver = _BudgetSolver(OpenPDB(db, 0.5), "S", 2, plan)
+        nodes = tuple(plan.node(parse_ucq(c, db.schema)) for c in cores)
+
+        def values(front):
+            return [sorted(tuple(round(v, 12) for v in vals) for vals, _ in states) for states in front]
+
+        assert values(solver._pareto(nodes, signs)) == values(solver._pareto_enumerate(nodes, signs))
+        assert len(solver._pareto(nodes, signs)[2]) == (6 if signs == (0,) else 1)

@@ -14,9 +14,10 @@ answer; a fourth run, on the instance built anew and under wrappers set
 here and not in ``src``, counts the row's work.  The rows:
 
 - ``exact-*`` and ``nested-w-*``: ``mtp_upper_exact``, recording the value
-  and the witness's atoms and counting the solver's ``_combine`` calls,
-  the witness merges (``exactdp._merge``) and the closed evaluator's
-  node-by-node ``_lift`` calls;
+  and the witness's atoms and counting the solver's ``_combine``,
+  ``_family`` and ``_pareto`` calls, the witness merges
+  (``exactdp._merge``) and the closed evaluator's node-by-node ``_lift``
+  calls;
 - ``greedy-*``: ``greedy_upper``, recording the value and the witness's
   atoms, counting the gradient passes (``Evaluator.gradient`` calls), the
   candidates screened (calls of the screens they return) and the
@@ -28,6 +29,9 @@ here and not in ``src``, counts the row's work.  The rows:
   ``fold_log_complements``;
 - ``fixed-*``: the exact and greedy rows on ``fixed_db(n)``, whose rows
   stay on the first 1000 constants as the domain grows;
+- ``family-u-*``: the exact row on ``family_db(n)``, whose separator
+  leaves an inclusion-exclusion family per constant, so it reaches the
+  DP's Pareto fronts;
 - ``warm-run``: the open-world-scan round (analyze of five queries, then
   eval and interval of each) through ``cli.run``, ``WARM_ROUNDS`` times
   on one saved database, recording the median round time, a digest of
@@ -70,10 +74,10 @@ RUNS = 3
 TIME_RISE = 0.20
 TIMEOUT_S = 300.0
 
-# Per row, on scan_db(n) (fixed_db(n) for a fixed-* row): the kind, the
-# query, n, and for an exact or a greedy row the constrained relation and
-# the budget.
-COA, NESTED = "S(x), CoA(x,y)", "S(x), CoA(x,y), W(x,y)"
+# Per row, on scan_db(n) (fixed_db(n) for a fixed-* row, family_db(n) for a
+# family-* row): the kind, the query, n, and for an exact or a greedy row
+# the constrained relation and the budget.
+COA, NESTED, FAMILY = "S(x), CoA(x,y)", "S(x), CoA(x,y), W(x,y)", "R(x), U(y, x) | S(z, y), U(z, y)"
 ROWS = {
     "exact-coa-1000": ("exact", COA, 1000, "CoA", 8),
     "exact-coa-5000": ("exact", COA, 5000, "CoA", 8),
@@ -97,6 +101,8 @@ ROWS = {
     "fixed-greedy-coa-1000": ("greedy", COA, 1000, "CoA", 4),
     "fixed-greedy-coa-10000": ("greedy", COA, 10000, "CoA", 4),
     "cold-plans": ("cold", None, None),
+    "family-u-32": ("exact", FAMILY, 32, "U", 4),
+    "family-u-64": ("exact", FAMILY, 64, "U", 4),
 }
 LAMBDA, MEAN, SEED = 0.3, 0.9, 1
 # The open-world-scan workload's queries, over scan_db's S and CoA and a unary T.
@@ -140,6 +146,22 @@ def fixed_db(n: int, seed: int = SEED):
     return Database(Schema({"S": 1, "CoA": 2}, tuple(map(Constant, names))), {"S": s, "CoA": coa})
 
 
+def family_db(n: int, seed: int = SEED):
+    """``R`` on two of the n constants, ``S`` at density 0.3 and ``U`` at
+    0.2: each separator constant c of ``FAMILY`` leaves a union that needs
+    inclusion-exclusion, whose term ``S(z, c), U(z, c)`` has a separator of
+    its own."""
+    from owpdb.database import Database, Schema
+    from owpdb.query import Constant
+
+    rng = random.Random(seed)
+    names = [f"K{i:02d}" for i in range(n)]
+    return Database(Schema({"R": 1, "S": 2, "U": 2}, tuple(map(Constant, names))),
+                    {"R": {(a,): 0.5 for a in names[:2]},
+                     "S": {(a, b): 0.5 for a in names for b in names if rng.random() < 0.3},
+                     "U": {(a, b): 0.25 for a in names for b in names if rng.random() < 0.2}})
+
+
 def measure(name: str) -> dict:
     """One row, in this process: see the module docstring."""
     import resource
@@ -150,7 +172,7 @@ def measure(name: str) -> dict:
     elif kind == "cold":
         row = cold_plans()
     else:
-        row = timed(kind, text, n, *exact, build=fixed_db if name.startswith("fixed-") else scan_db)
+        row = timed(kind, text, n, *exact, build={"fixed": fixed_db, "family": family_db}.get(name.split("-")[0], scan_db))
     return {**row, "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
 
 
@@ -194,18 +216,22 @@ def timed(kind: str, text: str, n: int, rel: str | None = None, budget: int | No
 
     engine.Evaluator._lift = counted_lift
     if kind == "exact":
-        counts.update(combine=0, merge=0)
-        combine, merge = exactdp._BudgetSolver._combine, exactdp._merge
+        counts.update(combine=0, merge=0, family=0, pareto=0)
+        solver, merge = exactdp._BudgetSolver, exactdp._merge
 
-        def counted_combine(self, *args):
-            counts["combine"] += 1
-            return combine(self, *args)
+        def counted(key, method):
+            def call(self, *args):
+                counts[key] += 1
+                return method(self, *args)
+            return call
 
         def counted_merge(*args):
             counts["merge"] += 1
             return merge(*args)
 
-        exactdp._BudgetSolver._combine, exactdp._merge = counted_combine, counted_merge
+        for key in ("combine", "family", "pareto"):
+            setattr(solver, f"_{key}", counted(key, getattr(solver, f"_{key}")))
+        exactdp._merge = counted_merge
     elif kind == "greedy":
         counts.update(gradient=0, screened=0)
         gradient, gradient_s = engine.Evaluator.gradient, [0.0]
