@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import dataio
 from .database import Database
-from .engine import DEFAULT_WORLD_CAP, analyze_query, prob_ground, prob_lifted
+from .engine import DEFAULT_WORLD_CAP, Plan, analyze_query, prob_ground, prob_lifted
 from .errors import CapExceeded, NotInversionFree, OwpdbError, UnsafeQuery
 from .exactdp import mtp_upper_exact
 from .greedy import greedy_upper
@@ -32,7 +32,7 @@ from .openworld import (
     interval_unconstrained,
 )
 from .oracle import DEFAULT_SUBSET_CAP, mtp_upper_bruteforce, property_suites, verify_maxmatch
-from .query import has_self_join, parse_ucq
+from .query import has_self_join
 
 MODES = ("analyze", "eval", "interval", "exact", "greedy", "oracle", "demo3dm", "verify")
 
@@ -95,14 +95,10 @@ def _load_inputs(config: RunConfig):
             key=lambda c: budget_from_mtp(g_probe, c, denominator=config.mtp_denominator).max_added,
         )
 
-    query = None
     if config.query is not None and config.query_file is not None:
         raise _ValidationError("give either --query or --query-file, not both")
-    if config.query is not None:
-        query = parse_ucq(config.query, db.schema)
-    elif config.query_file is not None:
-        query = parse_ucq(Path(config.query_file).read_text().strip(), db.schema)
-    return db, lam, constraint, query
+    text = config.query if config.query_file is None else Path(config.query_file).read_text().strip()
+    return db, lam, constraint, None if text is None else Plan().parse(text, db.schema)
 
 
 def _require(value, message: str):

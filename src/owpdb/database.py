@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
+from operator import itemgetter
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import CompletionOverlap, SchemaError, UnknownPredicate
@@ -98,6 +99,7 @@ class _Table(dict):
         self.constants: frozenset[str] = frozenset()  # of a stored relation's rows
         self._by_positions: dict[tuple[int, ...], dict[tuple[str, ...], list]] = {}
         self._folds: dict[tuple[int, ...], dict] = {}  # of all the rows, per holes
+        self._stored: dict[tuple[int, ...], dict] = {}  # of all the rows, per holes (ProbView.stored)
 
     def rows(self, bound: Bound) -> Iterable[tuple[tuple[str, ...], object]]:
         """The rows with the ``bound`` constants, in insertion order."""
@@ -187,6 +189,11 @@ class ProbView:
         """``_rows(pred, bound)`` folded at ``holes`` (``probability.fold_log_complements``); only read."""
         return fold_log_complements(self._rows(pred, bound), holes)
 
+    def stored(self, pred: str, bound: Bound, holes: tuple[int, ...]) -> dict:
+        """``_rows(pred, bound)``'s values keyed by their constants at ``holes``; only read."""
+        group = itemgetter(*holes)
+        return {group(args): p for args, p in self._rows(pred, bound)}
+
     def entries(self, pred: str) -> Iterator[tuple[tuple[str, ...], float]]:
         """Explicitly stored rows of ``pred`` (including pinned zeros)."""
         return iter(self._rows(pred, ()))
@@ -257,6 +264,10 @@ class Database(ProbView):
 
     def folds(self, pred: str, bound: Bound, holes: tuple[int, ...]) -> dict:
         return super().folds(pred, bound, holes) if bound else self._rels[pred].folds(holes)
+
+    def stored(self, pred: str, bound: Bound, holes: tuple[int, ...]) -> dict:
+        kept = {} if bound else self._rels[pred]._stored
+        return kept[holes] if holes in kept else kept.setdefault(holes, super().stored(pred, bound, holes))
 
     def is_explicit(self, pred: str, args: tuple[str, ...]) -> bool:
         return args in self._rels[pred]
@@ -344,6 +355,11 @@ class OverlayView(ProbView):
             for k, (_, dropped) in fold_log_complements([row for row in rows if row[0] in shadowed], holes).items():
                 folds[k] = folds[k][0], folds[k][1] - dropped
         return folds
+
+    def stored(self, pred: str, bound: Bound, holes: tuple[int, ...]) -> dict:
+        """The base's map continued, in a copy, by the override rows."""
+        stored, over, group = self.base.stored(pred, bound, holes), self._over.get(pred), itemgetter(*holes)
+        return stored if over is None else {**stored, **{group(args): p for args, p in over.rows(bound)}}
 
     def is_explicit(self, pred: str, args: tuple[str, ...]) -> bool:
         return args in self._over.get(pred, {}) or self.base.is_explicit(pred, args)

@@ -14,8 +14,9 @@ more ``mtp <PRED> <mean_bound>`` lines.
 
 Loads in one process share what they build: a ``Schema`` is kept under the
 SHA-256 digests of the ``schema.txt`` and ``domain.txt`` bytes it was
-parsed from, and a relation's checked table, with the indexes and folds
-reads later add to it, under those digests, the predicate and the digest
+parsed from, the parsed ``constraints.txt`` under the digest of its bytes,
+and a relation's checked table, with the indexes, folds and maps reads
+later add to it, under the schema's digests, the predicate and the digest
 of its ``<PRED>.csv`` bytes.  A file byte-identical to one already checked
 is thus neither parsed nor checked again; any other is, whatever its path,
 size or mtime.  The kept entries are bounded (``TABLE_CACHE_ROWS``).
@@ -24,6 +25,8 @@ from __future__ import annotations
 
 import csv
 import io
+import os
+import stat
 import threading
 from collections import OrderedDict
 from functools import partial
@@ -36,8 +39,8 @@ from .openworld import MTPConstraint
 from .oracle import ThreeDMInstance
 from .query import Constant
 
-# The most the kept schemas and tables weigh together, an entry weighing one
-# more than the domain constants or the stored rows it holds.
+# The most the kept schemas, constraints and tables weigh together, an entry
+# weighing one more than the domain constants, mtp lines or stored rows it holds.
 TABLE_CACHE_ROWS = 10**5
 
 
@@ -80,21 +83,33 @@ def _digest(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
-def _schema(directory: Path) -> tuple[tuple[bytes, bytes], Schema]:
+def _read(directory: str | Path, name: str) -> bytes | None:
+    """The bytes of regular file ``name`` in ``directory``, else None (missing, a directory, a FIFO not waited on)."""
+    try:
+        fd = os.open(os.path.join(directory, name), os.O_RDONLY | os.O_NONBLOCK)
+    except (FileNotFoundError, NotADirectoryError):
+        return None
+    try:
+        st = os.fstat(fd)
+        return b"".join(iter(partial(os.read, fd, st.st_size + 1), b"")) if stat.S_ISREG(st.st_mode) else None
+    finally:
+        os.close(fd)
+
+
+def _schema(directory: str | Path) -> tuple[tuple[bytes, bytes], Schema]:
     """The digests of ``schema.txt`` and ``domain.txt`` and the schema they hold."""
-    paths = directory / "schema.txt", directory / "domain.txt"
-    for path in paths:
-        if not path.is_file():
-            raise SchemaError(f"missing {path}")
-    data = tuple(map(Path.read_bytes, paths))
+    names = "schema.txt", "domain.txt"
+    data = tuple(_read(directory, name) for name in names)
+    if None in data:
+        raise SchemaError(f"missing {Path(directory, names[data.index(None)])}")
     key = tuple(map(_digest, data))
-    return key, _SHARED.get(key, partial(_parse_schema, *zip(paths, data)), lambda schema: len(schema.domain))
+    return key, _SHARED.get(key, partial(_parse_schema, directory, *data), lambda schema: len(schema.domain))
 
 
-def _parse_schema(schema_file: tuple[Path, bytes], domain_file: tuple[Path, bytes]) -> Schema:
-    schema_path = schema_file[0]
+def _parse_schema(directory: str | Path, schema_data: bytes, domain_data: bytes) -> Schema:
+    schema_path = Path(directory, "schema.txt")
     preds: dict[str, int] = {}
-    for lineno, line in _lines(*schema_file):
+    for lineno, line in _lines(schema_path, schema_data):
         if "/" not in line:
             raise SchemaError(f"{schema_path}:{lineno}: expected PRED/arity, got {line!r}")
         name, _, arity_text = line.partition("/")
@@ -106,7 +121,7 @@ def _parse_schema(schema_file: tuple[Path, bytes], domain_file: tuple[Path, byte
         if name in preds:
             raise SchemaError(f"{schema_path}:{lineno}: duplicate predicate {name!r}")
         preds[name] = arity
-    lines = map(str.strip, _text(*domain_file).splitlines())
+    lines = map(str.strip, _text(Path(directory, "domain.txt"), domain_data).splitlines())
     return Schema(preds, tuple(Constant(line) for line in lines if line and line[0] != "#"))
 
 
@@ -116,41 +131,37 @@ def load_database(directory: str | Path) -> Database:
     relations it reads and a bad row fails only a request that reads it.
     Files byte-identical to ones checked before give the schema and tables
     built then (see the module docstring)."""
-    directory = Path(directory)
     key, schema = _schema(directory)
 
     def read(pred: str) -> _Table:
-        path = directory / f"{pred}.csv"
-        if not path.is_file():
+        if (data := _read(directory, f"{pred}.csv")) is None:
             return _Table()
-        data = path.read_bytes()
-        return _SHARED.get((key, pred, _digest(data)), partial(_table, schema, pred, path, data), len)
+        return _SHARED.get((key, pred, _digest(data)), partial(_table, schema, pred, directory, data), len)
 
     return Database(schema, read=read)
 
 
-def _table(schema: Schema, pred: str, path: Path, data: bytes) -> _Table:
-    """The checked table of ``pred`` from ``data``, the bytes of ``path``;
-    the row loop, when a column check fails, reads the same bytes."""
+def _table(schema: Schema, pred: str, directory: str | Path, data: bytes) -> _Table:
+    """The checked table of ``pred`` from ``data``, the bytes of its file in
+    ``directory``; the row loop, when a column check fails, reads the same bytes."""
+    path = Path(directory, f"{pred}.csv")
     text = _text(path, data, newline="")
     rows = list(filter(None, _csv_records(path, text)))
     ps = list(map(list.pop, rows))
     return _relation(schema, pred, list(map(tuple, rows)), ps, partial(_csv_rows, path, text), f"{path}:{{}}".format)
 
 
-def _text(path: Path, data: bytes | None = None, newline: str | None = None) -> str:
-    """The text of ``path``, or of ``data`` read from it; an undecodable
-    byte names the file and line."""
+def _text(path: Path, data: bytes, newline: str | None = None) -> str:
+    """The text of ``data``, the bytes of ``path``; an undecodable byte names the file and line."""
     try:
-        return io.TextIOWrapper(io.BytesIO(path.read_bytes() if data is None else data), newline=newline).read()
+        return io.TextIOWrapper(io.BytesIO(data), newline=newline).read()
     except UnicodeDecodeError as exc:
         lineno = exc.object[:exc.start].count(b"\n") + 1
         raise SchemaError(f"{path}:{lineno}: {exc}") from None
 
 
-def _lines(path: Path, data: bytes | None = None):
-    """The numbered, stripped lines of ``path`` (or of ``data`` read from
-    it), blank and ``#`` lines left out."""
+def _lines(path: Path, data: bytes):
+    """The numbered, stripped lines of ``data``, the bytes of ``path``, blank and ``#`` lines left out."""
     for lineno, raw in enumerate(_text(path, data).splitlines(), 1):
         line = raw.strip()
         if line and not line.startswith("#"):
@@ -176,15 +187,19 @@ def _csv_rows(path: Path, text: str) -> list[tuple[int, tuple[str, ...], str]]:
             for rowno, row in enumerate(_csv_records(path, text), 1) if row and (len(row) > 1 or row[0].strip())]
 
 
-def load_constraints(directory: str | Path) -> tuple[float | None, list[MTPConstraint]]:
-    """Read ``constraints.txt``; returns (lambda, constraints) or (None, [])
-    when the file is absent."""
-    path = Path(directory) / "constraints.txt"
-    if not path.is_file():
-        return None, []
+def load_constraints(directory: str | Path) -> tuple[float | None, tuple[MTPConstraint, ...]]:
+    """Read ``constraints.txt``: (lambda, constraints), kept under the digest
+    of its bytes, or (None, ()) when the file is absent."""
+    if (data := _read(directory, "constraints.txt")) is None:
+        return None, ()
+    return _SHARED.get(_digest(data), partial(_parse_constraints, directory, data), lambda kept: len(kept[1]))
+
+
+def _parse_constraints(directory: str | Path, data: bytes) -> tuple[float, tuple[MTPConstraint, ...]]:
+    path = Path(directory, "constraints.txt")
     lam: float | None = None
     constraints: list[MTPConstraint] = []
-    for lineno, line in _lines(path):
+    for lineno, line in _lines(path, data):
         try:
             if line.startswith("lambda="):
                 if lam is not None:
@@ -203,7 +218,7 @@ def load_constraints(directory: str | Path) -> tuple[float | None, list[MTPConst
             raise SchemaError(f"{path}:{lineno}: {exc}") from None
     if lam is None:
         raise SchemaError(f"{path}: missing lambda=<float> line")
-    return lam, constraints
+    return lam, tuple(constraints)
 
 
 def save_database(db: Database, directory: str | Path) -> None:
@@ -232,7 +247,7 @@ def load_3dm(path: str | Path) -> ThreeDMInstance:
     nodes: dict[str, list[Constant]] = {"X": [], "Y": [], "Z": []}
     edges: list[tuple[Constant, Constant, Constant]] = []
     k: int | None = None
-    for lineno, line in _lines(path):
+    for lineno, line in _lines(path, path.read_bytes()):
         tag, _, rest = line.partition(" ")
         rest = rest.strip()
         if tag in nodes:

@@ -38,8 +38,8 @@ plan too wide to build is :class:`CapExceeded`, not unsafe, refused when
 the too-wide node is expanded.  Plans depend on the query alone, so all
 calls share one bounded table of plan nodes, each published whole; memo
 tables are per call, and a database changes only by caching a relation's
-fold, built locally and published whole, so concurrent queries against
-one database are safe.
+fold or map, built locally and published whole, so concurrent queries
+against one database are safe.
 """
 from __future__ import annotations
 
@@ -48,10 +48,11 @@ import itertools
 import math
 import operator
 import threading
+import weakref
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import probability
-from .database import ProbView
+from .database import ProbView, Schema
 from .errors import CapExceeded, UnsafeQuery
 from .probability import CERTAIN, IMPOSSIBLE, Prob
 from .query import (
@@ -69,6 +70,7 @@ from .query import (
     is_inversion_free,
     has_self_join,
     minimize,
+    parse_ucq,
     substitute_separator,
     term_key,
     ucq_implies,
@@ -161,9 +163,9 @@ class _Node:
         return UCQ([ConjunctiveQuery([_bind_atom(a, env) for a in d.atoms]) for d in self.query.disjuncts])
 
 
-# Per force_inclusion_exclusion value, the plan nodes by union and the terms
-# by group; and the lock every new entry is published under.
-_TABLES: dict[bool, tuple[dict[UCQ, _Node], dict[tuple[_Node, ...], list[tuple[int, _Node]]]]] = {}
+# Per force_inclusion_exclusion value, the plan nodes by union, the terms by group and
+# the parsed texts (Plan.parse); and the lock new nodes and terms are published under.
+_TABLES: dict[bool, tuple[dict[UCQ, _Node], dict[tuple[_Node, ...], list], dict[tuple[str, int], tuple]]] = {}
 _PUBLISH = threading.Lock()
 
 
@@ -177,10 +179,10 @@ class Plan:
     they are interchangeable, so one child stands for each of them.
     ``force_inclusion_exclusion`` makes one group of all parts.
 
-    Nodes and terms live in one process-wide table per
-    ``force_inclusion_exclusion``, so no call derives a rule an earlier one
-    derived; a node no rule applies to stays unexpanded and refuses in
-    every call.  New nodes, expansions and terms are built locally and
+    Nodes, terms and the texts :meth:`parse` keeps live in one process-wide
+    table per ``force_inclusion_exclusion``, so no call derives a rule an
+    earlier one derived; a node no rule applies to stays unexpanded and
+    refuses in every call.  New nodes, expansions and terms are built locally and
     published whole under one lock.  Past :data:`PLAN_TABLE_NODES`
     entries, the next plan starts an empty table."""
 
@@ -188,9 +190,9 @@ class Plan:
         self.force_ie = force_inclusion_exclusion
         with _PUBLISH:
             table = _TABLES.get(force_inclusion_exclusion)
-            if table is None or len(table[0]) > PLAN_TABLE_NODES:
-                table = _TABLES[force_inclusion_exclusion] = {}, {}
-        self._nodes, self._terms = table
+            if table is None or len(table[0]) + len(table[2]) > PLAN_TABLE_NODES:
+                table = _TABLES[force_inclusion_exclusion] = {}, {}, {}
+        self._nodes, self._terms, self._texts = table
 
     def node(self, q: UCQ) -> _Node:
         node = self._nodes.get(q)
@@ -200,6 +202,13 @@ class Plan:
                 node = self._nodes.get(canon) or _Node(canon)
                 self._nodes[canon] = self._nodes[q] = node
         return node
+
+    def parse(self, text: str, schema: Schema) -> UCQ:
+        """``parse_ucq(text, schema)``, kept until ``schema`` dies, published whole; a failed parse is not kept."""
+        key, texts = (text, id(schema)), self._texts
+        if (kept := texts.get(key)) is None:
+            kept = texts[key] = weakref.ref(schema, lambda _: texts.pop(key, None)), parse_ucq(text, schema)
+        return kept[1]
 
     def expand(self, node: _Node) -> tuple[str | None, object]:
         """The first lifted rule that applies to ``node``'s union, derived
@@ -576,8 +585,7 @@ class Evaluator:
         keys = names if len(holes) <= 1 else [(c,) * len(holes) for c in names]
         defaults = [view.default_prob(pred) for view in self.views]
         if not n_vars:
-            group = operator.itemgetter(*holes)
-            stored = {group(args): p for args, p in db._rows(pred, fixed)}
+            stored = db.stored(pred, fixed, holes)
             return [_from_values([stored.get(k, default) for k in keys]) for default in defaults]
         folds = (probability.fold_log_complements(db.pattern_entries(pred, repeated, fixed), holes) if repeated
                  else db.folds(pred, fixed, holes))

@@ -47,7 +47,7 @@ import math
 import operator
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .engine import Evaluator, Plan, _Node
+from .engine import Evaluator, Plan, _Node, _inversion_free
 from .errors import NotInversionFree
 from .openworld import (
     BoundResult,
@@ -66,7 +66,6 @@ from .query import (
     UCQ,
     find_separator,
     independence_groups,
-    is_inversion_free,
     substitute_separator,
 )
 
@@ -395,7 +394,7 @@ def mtp_upper_exact(
     :class:`CapExceeded` when its lifted plan would be too wide.
     """
     plan = Plan().build(q)
-    if not is_inversion_free(q):
+    if not _inversion_free(q):
         raise NotInversionFree(f"{q} has an inversion")
     b_max, warnings = resolve_budget(g, c, budget, denominator)
     solver = _BudgetSolver(g, c.relation, b_max, plan)

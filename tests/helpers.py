@@ -349,7 +349,7 @@ def race(work, threads):
 def assert_whole_plan_table():
     """Every process-wide plan table holds one node per canonical union,
     each unexpanded or with its whole rule."""
-    for nodes, terms in engine._TABLES.values():
+    for nodes, terms, texts in engine._TABLES.values():
         for node in nodes.values():
             assert nodes[node.query] is node
             if node.rule is None:
@@ -359,3 +359,5 @@ def assert_whole_plan_table():
                 assert (node.fresh is not None) == (node.rule == "sep")
                 assert all(nodes[child.query] is child for child in node.children)
         assert all(nodes[n.query] is n for group, signed in terms.items() for n in [*group, *(n for _, n in signed)])
+        # a parsed text is kept while its schema lives, under that schema's id
+        assert all(ref() is not None and id(ref()) == key[1] and isinstance(q, UCQ) for key, (ref, q) in texts.items())

@@ -1,3 +1,4 @@
+import gc
 import importlib.util
 import itertools
 import json
@@ -6,12 +7,14 @@ import random
 import re
 import subprocess
 import sys
+import threading
+import weakref
 from pathlib import Path
 
 import pytest
 
 import owpdb
-from owpdb import dataio
+from owpdb import dataio, engine
 from owpdb.cli import RunConfig, _result_payload, main, run
 from owpdb.database import Database, Schema
 from owpdb.errors import NotInversionFree, SchemaError
@@ -628,3 +631,125 @@ class TestExactReroutesToGreedy:
         # slice is too large to enumerate
         g, c, q = gap_instance(7)
         self.check(tmp_path, g, c, q, "no shared separator and the open slice has 13 tuples")
+
+
+_OPENED: list | None = None  # the paths opened while a test collects them
+
+
+def _audit(event, args):
+    if event == "open" and _OPENED is not None:
+        _OPENED.append(args[0])
+
+
+sys.addaudithook(_audit)  # once: an audit hook stays for the process
+
+
+@pytest.fixture
+def opened():
+    """Collects the path of every file opened, by any means, during the test."""
+    global _OPENED
+    _OPENED = []
+    yield _OPENED
+    _OPENED = None
+
+
+class TestWarmRequests:
+    """A repeated request reads each input file once, with no stat probe,
+    and parses no constraints file or query text it parsed before; other
+    bytes, another schema or a text that fails to parse are parsed again."""
+
+    def test_a_repeated_request_makes_no_stat_call_and_opens_each_file_once(self, db_dir, opened, monkeypatch):
+        config = RunConfig(db_dir=db_dir, query="S(x), CoA(x,y)", mode="interval", output="json")
+        first = run(config)
+        stats, real = [], os.stat
+        monkeypatch.setattr(os, "stat", lambda *args, **kwargs: stats.append(args[0]) or real(*args, **kwargs))
+        opened.clear()
+        assert run(config) == first
+        assert stats == []
+        assert sorted(map(os.path.basename, opened)) == ["CoA.csv", "S.csv", "constraints.txt", "domain.txt",
+                                                         "schema.txt"]
+        assert all(os.path.dirname(path) == db_dir for path in opened)
+
+    def test_a_fifo_or_a_directory_in_place_of_a_file_reads_as_missing(self, db_dir):
+        constraints, s = Path(db_dir, "constraints.txt"), Path(db_dir, "S.csv")
+        constraints.unlink()
+        os.mkfifo(constraints)  # with no writer, an open that waits for one never returns
+        s.unlink()
+        s.mkdir()
+        got = []
+        reader = threading.Thread(target=lambda: got.append(
+            (dataio.load_constraints(db_dir), dataio.load_database(db_dir).relation_size("S"))), daemon=True)
+        reader.start()
+        reader.join(timeout=60)
+        assert got == [((None, ()), 0)]
+
+    def test_a_schema_no_longer_kept_takes_its_parsed_texts_with_it(self, db_dir, monkeypatch, cold_plans):
+        # a schema too heavy to keep is built anew by every load; its parsed
+        # texts must neither pile up in the plan table nor keep it alive
+        monkeypatch.setattr(dataio, "_SHARED", dataio._Shared(1))
+        schemas, load = [], dataio.load_database
+        monkeypatch.setattr(dataio, "load_database", lambda d: schemas.append(weakref.ref((db := load(d)).schema)) or db)
+        config = RunConfig(db_dir=db_dir, query="S(x), CoA(x,y)", mode="eval", output="json")
+        first, sizes = run(config), []
+        for _ in range(3):
+            assert run(config) == first
+            sizes.append(tuple(map(len, engine._TABLES[False])))
+        gc.collect()
+        assert sizes == [sizes[0]] * 3 and sizes[0][2] == 0
+        assert len(schemas) == 4 and all(ref() is None for ref in schemas)
+
+    def test_a_same_size_constraints_rewrite_with_its_mtime_kept_is_read_again(self, db_dir):
+        path = Path(db_dir) / "constraints.txt"
+        path.write_text("lambda=0.3\n")
+        config = RunConfig(db_dir=db_dir, query="S(x)", mode="analyze", output="json")
+        assert json.loads(run(config)[1])["lambda"] == 0.3
+        kept = dataio.load_constraints(db_dir)
+        assert kept == (0.3, ()) and dataio.load_constraints(db_dir) is kept
+        before = path.stat()
+        path.write_text("lambda=0.5\n")
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = path.stat()
+        assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+        assert json.loads(run(config)[1])["lambda"] == 0.5
+
+    def test_a_bad_constraints_file_is_never_kept(self, db_dir):
+        path = Path(db_dir) / "constraints.txt"
+        path.write_text("lambda=0.3\nmtp CoA\n")
+        for _ in range(2):
+            with pytest.raises(SchemaError, match="^" + re.escape(f"{path}:2: expected 'mtp PRED mean'") + "$"):
+                dataio.load_constraints(db_dir)
+
+    def test_a_query_that_fails_to_parse_fails_the_same_way_twice(self, db_dir, monkeypatch):
+        parsed, real = [], engine.parse_ucq
+        monkeypatch.setattr(engine, "parse_ucq", lambda text, schema: parsed.append(text) or real(text, schema))
+        outs = [run(RunConfig(db_dir=db_dir, query="S(x), CoA(x,", mode="eval")) for _ in range(2)]
+        assert outs[0] == outs[1] and outs[0][0] == 1 and outs[0][1].startswith("error: ")
+        assert parsed == ["S(x), CoA(x,"] * 2
+
+    def test_a_text_is_parsed_again_under_another_schema(self, tmp_path, monkeypatch):
+        parsed, real = [], engine.parse_ucq
+        monkeypatch.setattr(engine, "parse_ucq", lambda text, schema: parsed.append(text) or real(text, schema))
+        for name, domain in (("with", "ABC"), ("without", "AB")):
+            schema = Schema({"S": 1, "CoA": 2}, tuple(map(Constant, domain)))
+            dataio.save_database(Database(schema, {"S": {("A",): 0.5}}), tmp_path / name)
+        config = dict(query="S(x), CoA(x, C)", mode="eval", output="json")
+        with_c = [run(RunConfig(db_dir=str(tmp_path / "with"), **config)) for _ in range(2)]
+        assert with_c[0] == with_c[1] and with_c[0][0] == 0 and len(parsed) == 1
+        status, out = run(RunConfig(db_dir=str(tmp_path / "without"), **config))
+        assert (status, out) == (1, "error: constant 'C' is not in the domain (at position 13)") and len(parsed) == 2
+        assert run(RunConfig(db_dir=str(tmp_path / "with"), **config)) == with_c[0] and len(parsed) == 2
+
+    def test_two_exact_requests_decide_inversion_freeness_once(self, db_dir, monkeypatch):
+        flags, real = [], engine.is_inversion_free
+        monkeypatch.setattr(engine, "is_inversion_free", lambda q: flags.append(q) or real(q))
+        engine._inversion_free.cache_clear()
+        config = RunConfig(db_dir=db_dir, query="S(x), CoA(x,y)", mode="exact", budget_override=2, output="json")
+        assert run(config) == run(config)
+        assert len(flags) == 1
+        schema = Schema({"S": 2}, tuple(map(Constant, "ABC")))
+        db = Database(schema, {"S": {("A", "B"): 0.5, ("B", "C"): 0.7}})
+        q = parse_ucq("S(x, y), S(y, z) | S(z, x), S(z, y)", schema)
+        for _ in range(2):
+            with pytest.raises(NotInversionFree, match="^" + re.escape(f"{q} has an inversion") + "$"):
+                mtp_upper_exact(OpenPDB(db, 0.4), MTPConstraint("S", 0.5), q)
+        assert len(flags) == 2

@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from owpdb import engine, exactdp, probability, query
+from owpdb import dataio, engine, exactdp, probability, query
+from owpdb.cli import RunConfig, run
 from owpdb.database import Database, LambdaCompletionView, Schema
 from owpdb.engine import Evaluator, is_safe, prob_ground, prob_lifted, prob_lifted_detail
 from owpdb.errors import CapExceeded, UnsafeQuery
@@ -327,8 +328,27 @@ class TestSharedPlans:
 
         assert race(work, 8) == [expected] * 8
         assert_whole_plan_table()
-        (nodes, _), = engine._TABLES.values()
+        (nodes, _, _), = engine._TABLES.values()
         assert len(set(nodes.values())) == len({n.query for n in nodes.values()})
+
+    def test_threads_running_requests_on_one_cold_table_agree_with_one_thread(self, cold_plans, tmp_path):
+        # requests also keep their parsed texts in the table
+        db, queries = random_queries(7, 24)
+        dataio.save_database(db, tmp_path)
+        configs = [RunConfig(db_dir=str(tmp_path), query=str(q), mode=mode, output="json")
+                   for q in queries for mode in ("analyze", "eval")]
+        expected = [run(config) for config in configs]
+        cold_plans()
+
+        def work(k):
+            order = [(k * 5 + i) % len(configs) for i in range(len(configs))]
+            got = {i: run(configs[i]) for i in order}
+            return [got[i] for i in range(len(configs))]
+
+        assert race(work, 6) == [expected] * 6
+        assert_whole_plan_table()
+        (_, _, texts), = engine._TABLES.values()
+        assert {text for text, _ in texts} == set(map(str, queries))
 
     def test_an_expansion_is_published_whole_under_the_lock(self, cold_plans, monkeypatch):
         # a reader that sees a node's rule sees the rest of its expansion

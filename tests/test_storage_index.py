@@ -239,8 +239,15 @@ class TestWorkIsLinearInRows:
         yielded = returned = 0
         interval_unconstrained(OpenPDB(db, 0.5), q)
         assert yielded <= 2 * rows
-        assert 0 < returned <= 2 * rows
+        assert returned == 0  # S's ground leaf reads the map the lifted call kept on its table
         assert reads() <= 2 * rows
+        yielded = returned = 0
+        cold = scientist_db(self.N)  # no map kept yet
+        cold_reads = count_reads(cold)
+        interval_unconstrained(OpenPDB(cold, 0.5), q)
+        assert yielded <= 2 * rows
+        assert 0 < returned <= 2 * rows
+        assert cold_reads() <= 2 * rows
 
     def test_row_lookups_are_flat_in_domain_size(self, monkeypatch):
         # a lookup per separator constant would make about n of them
@@ -256,9 +263,12 @@ class TestWorkIsLinearInRows:
             lifted = len(calls)
             calls.clear()
             interval_unconstrained(OpenPDB(db, 0.5), q)
-            counts.append((lifted, len(calls)))
+            warm = len(calls)
+            calls.clear()
+            interval_unconstrained(OpenPDB(scientist_db(n), 0.5), q)  # on a database with no map kept
+            counts.append((lifted, warm, len(calls)))
         assert counts[0][0] == counts[1][0]
-        assert all(0 < interval <= lifted for lifted, interval in counts)
+        assert all(warm == 0 < cold <= lifted for lifted, warm, cold in counts)  # the warm interval reads the kept maps
 
     @pytest.mark.parametrize("budget", [2, 8])
     def test_exact_dp_probes_a_bounded_number_of_tuples(self, monkeypatch, budget):
@@ -313,15 +323,16 @@ class TestFoldsAreReadOnce:
         assert rows == 750 and 0 < reads() <= 4 * rows
 
     def test_brute_force_reads_of_the_constrained_relation_are_flat_in_the_subsets(self):
-        # a fold per subset read the 15 CoA rows 330 and 3480 times
+        # a fold per subset read the 15 CoA rows 330 and 3480 times, and a
+        # ground leaf's map per subset the 6 S rows 132 and 1392 times
         reads = []
         for budget in (1, 2):  # 22 and 232 subsets of the 21 open CoA tuples
             db = scientist_db(6, seed=2)
             count_reads(db)
             q = parse_ucq("S(x), CoA(x,y)", db.schema)
             mtp_upper_bruteforce(OpenPDB(db, 0.5), MTPConstraint("CoA", 0.9), q, budget=budget)
-            reads.append(db._rels["CoA"].reads)
-        assert 0 < reads[0] == reads[1] <= db.relation_size("CoA")
+            reads.append((db._rels["CoA"].reads, db._rels["S"].reads))
+        assert all(0 < b1 == b2 <= db.relation_size(pred) for pred, b1, b2 in zip(("CoA", "S"), *reads))
 
 
 def save_scan_db(directory):

@@ -3,11 +3,16 @@
 Usage::
 
     python3 tools/scaling.py run --label NAME --out FILE [--src DIR]
+    python3 tools/scaling.py pair --out FILE --before NAME DIR --after NAME DIR
     python3 tools/scaling.py compare FILE BEFORE AFTER
 
 ``run`` measures every row, each in its own subprocess, which imports
 ``owpdb`` from ``--src`` (default: this checkout's ``src``), so two trees
-are measured with the same rows and the same instances.  Per row the
+are measured with the same rows and the same instances.  ``pair`` measures
+each row on both trees, each named by its ``src`` directory, in turn: the
+``--before`` tree first on the first row, the ``--after`` tree first on the
+next, and so on, so load that comes and goes on a shared machine falls on
+both trees alike; it stores the two runs as ``run`` would.  Per row the
 subprocess builds the instance (not timed), runs it three times and
 records the median wall time, its own peak RSS and the ``repr`` of the
 answer; a fourth run, on the instance built anew and under wrappers set
@@ -38,7 +43,8 @@ here and not in ``src``, counts the row's work.  The rows:
   the outputs, the relation files parsed (``dataio._csv_records`` calls)
   and the rules derived (``Plan.expand`` calls on a node not yet
   expanded) in the first round (``derive_first``) and in the rounds after
-  it (``derive``);
+  it (``derive``), and in the rounds after the first the ``os.stat``
+  calls (``stat``) and the files opened (``open``, audit events);
 - ``cold-plans``: ``COLD_QUERIES`` distinct random safe queries
   (``owpdb.randgen``, seed ``SEED``) on one saved random database, each
   run once through ``cli.run`` (analyze, eval and interval in turn), on
@@ -290,8 +296,9 @@ def count_derivations(counts: dict, key: str) -> None:
 
 
 def empty_plan_tables() -> None:
-    """Empty the process-wide plan tables and the inversion-free flags kept
-    per query, where the tree has them, so the next requests start cold."""
+    """Empty the process-wide plan tables, with the query texts parsed into
+    them, and the inversion-free flags kept per query, where the tree has
+    them, so the next requests start cold."""
     from owpdb import engine
 
     getattr(engine, "_TABLES", {}).clear()
@@ -314,13 +321,22 @@ def warm_run(n: int) -> dict:
     base, rng = scan_db(n), random.Random(SEED)
     rels = {pred: dict(base.entries(pred)) for pred in base.schema.predicates}
     rels["T"] = {(c.name,): rng.uniform(0.001, 0.009) for c in base.schema.domain if rng.random() < 0.5}
-    counts, records = {"parse": 0, "derive_first": 0, "derive": 0}, dataio._csv_records
+    counts = {"parse": 0, "derive_first": 0, "derive": 0, "stat": 0, "open": 0}
+    records, stat = dataio._csv_records, os.stat
 
     def counted_records(*args):
         counts["parse"] += 1
         return records(*args)
 
-    dataio._csv_records = counted_records
+    def counted_stat(*args, **kwargs):
+        counts["stat"] += 1
+        return stat(*args, **kwargs)
+
+    def counted_opens(event, args):
+        counts["open"] += event == "open"
+
+    dataio._csv_records, os.stat = counted_records, counted_stat
+    sys.addaudithook(counted_opens)  # this row's process ends with the row
     count_derivations(counts, "derive")
     with tempfile.TemporaryDirectory() as directory:
         dataio.save_database(Database(Schema({**base.schema.predicates, "T": 1}, base.schema.domain), rels), directory)
@@ -334,7 +350,7 @@ def warm_run(n: int) -> dict:
             outputs.add(repr([run(config) for config in configs]))
             times.append(time.perf_counter() - start)
             if i == 0:
-                counts["derive_first"], counts["derive"] = counts["derive"], 0
+                counts.update(derive_first=counts["derive"], derive=0, stat=0, open=0)
     if len(outputs) != 1:
         raise AssertionError("rounds disagree")
     return {"params": {"queries": WARM_QUERIES, "n": n, "lam": LAMBDA, "seed": SEED, "rounds": WARM_ROUNDS},
@@ -383,18 +399,25 @@ def cold_plans() -> dict:
             "value": hashlib.sha256(outputs.pop().encode()).hexdigest(), "witness": None, "counts": counts}
 
 
-def run_rows(src: Path) -> dict:
-    out = {}
-    for name in ROWS:
-        cmd = [sys.executable, __file__, "row", name]
-        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="0")
-        try:
-            child = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=TIMEOUT_S, check=True)
-            out[name] = json.loads(child.stdout.splitlines()[-1])
-        except subprocess.TimeoutExpired:
-            out[name] = {"params": dict(zip(("kind", "query", "n", "constrained", "budget"), ROWS[name])),
-                         "timeout_s": TIMEOUT_S}
-        print(name, json.dumps(out[name]), file=sys.stderr, flush=True)
+def run_row(name: str, src: Path) -> dict:
+    cmd = [sys.executable, __file__, "row", name]
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="0")
+    try:
+        child = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=TIMEOUT_S, check=True)
+        return json.loads(child.stdout.splitlines()[-1])
+    except subprocess.TimeoutExpired:
+        return {"params": dict(zip(("kind", "query", "n", "constrained", "budget"), ROWS[name])),
+                "timeout_s": TIMEOUT_S}
+
+
+def run_rows(trees: list[tuple[str, Path]]) -> dict:
+    """Every row on every ``(label, src)`` tree, row by row, each row
+    starting with the tree after the one the row before started with."""
+    out = {label: {} for label, _ in trees}
+    for i, name in enumerate(ROWS):
+        for label, src in trees[i % len(trees):] + trees[:i % len(trees)]:
+            out[label][name] = run_row(name, src)
+            print(label, name, json.dumps(out[label][name]), file=sys.stderr, flush=True)
     return out
 
 
@@ -426,6 +449,10 @@ def main(argv=None) -> int:
     run.add_argument("--label", required=True)
     run.add_argument("--src", type=Path, default=ROOT / "src")
     run.add_argument("--out", type=Path, required=True)
+    pair = sub.add_parser("pair")
+    pair.add_argument("--out", type=Path, required=True)
+    for side in ("--before", "--after"):
+        pair.add_argument(side, nargs=2, metavar=("NAME", "DIR"), required=True)
     cmp = sub.add_parser("compare")
     cmp.add_argument("file", type=Path)
     cmp.add_argument("before")
@@ -443,10 +470,11 @@ def main(argv=None) -> int:
         print("\n".join(flags) or "no row flagged")
         return 1 if flags else 0
     doc = json.loads(args.out.read_text()) if args.out.exists() else {"runs": {}}
-    doc["runs"][args.label] = {
-        "machine": {"python": platform.python_version(), "cpus": os.cpu_count(), "arch": platform.machine()},
-        "rows": run_rows(args.src),
-    }
+    trees = ([(args.label, args.src)] if args.cmd == "run"
+             else [(label, Path(src)) for label, src in (args.before, args.after)])
+    machine = {"python": platform.python_version(), "cpus": os.cpu_count(), "arch": platform.machine()}
+    for label, rows in run_rows(trees).items():
+        doc["runs"][label] = {"machine": machine, "rows": rows}
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0
 
