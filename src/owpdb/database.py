@@ -17,17 +17,21 @@ Every view answers two lookups: ``_rows(pred, bound)``, the stored rows of
 index per (predicate, bound positions), and ``folds(pred, bound, holes)``,
 their log-complements summed per the constants at ``holes``.  A database
 caches a whole relation's fold once per ``holes`` (at most 2**arity); an
-overlay continues a copy of its base's.  A database loaded from files
-validates a relation when a read first reaches it, one built in memory at
-construction (see ``_relation``).  Loads of byte-identical files share one
-table, and with it the indexes and folds any of them builds
-(:mod:`owpdb.dataio`), so no code writes a table's rows once it is built.
-Databases and views are immutable once built; concurrent reads are safe: a
-table (with its constants), an index or a fold is built locally and
+overlay continues a copy of its base's.  An atom leaf reads its values from
+its *finished table* (``finished``), which a database keeps for a whole
+relation per leaf shape, for the closed default and the latest other one.
+A database loaded from files validates a relation when a read first
+reaches it, one built in memory at construction (see ``_relation``).
+Loads of byte-identical files share one table, and with it the indexes,
+folds and finished tables any of them builds (:mod:`owpdb.dataio`), so no
+code writes a table's rows once it is built.  Databases and views are
+immutable once built; concurrent reads are safe: a table (with its
+constants), an index, a fold or a finished table is built locally and
 published with one assignment, so a reader sees none or a whole one.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
@@ -35,7 +39,7 @@ from operator import itemgetter
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import CompletionOverlap, SchemaError, UnknownPredicate
-from .probability import fold_log_complements
+from .probability import IMPOSSIBLE, Prob, fold_log_complements
 from .query import Atom, Constant, Term, Variable
 
 # The constants a pattern fixes, as (position, constant name) pairs.
@@ -100,6 +104,7 @@ class _Table(dict):
         self._by_positions: dict[tuple[int, ...], dict[tuple[str, ...], list]] = {}
         self._folds: dict[tuple[int, ...], dict] = {}  # of all the rows, per holes
         self._stored: dict[tuple[int, ...], dict] = {}  # of all the rows, per holes (ProbView.stored)
+        self._finished: dict[tuple, tuple] = {}  # per (holes, variables, closed), a default and its table
 
     def rows(self, bound: Bound) -> Iterable[tuple[tuple[str, ...], object]]:
         """The rows with the ``bound`` constants, in insertion order."""
@@ -194,6 +199,31 @@ class ProbView:
         group = itemgetter(*holes)
         return {group(args): p for args, p in self._rows(pred, bound)}
 
+    def finished(self, pred: str, bound: Bound, holes: tuple[int, ...], n_vars: int, default: float,
+                 pattern: Sequence[Term] = ()) -> tuple[dict, dict, Prob]:
+        """The finished table of an atom leaf of ``pred``, with ``n_vars``
+        distinct variables (one repeating in ``pattern`` if given), the
+        ``bound`` constants and absent atoms at ``default``: per key at
+        ``holes`` of its rows, the value and logc of P(one of its instances),
+        and the pair of a key no row has; a ground leaf's is its row's, else
+        the default's, ``Prob.from_value``, any other's in the bits of
+        ``disj`` and ``power_disj``.  Only read."""
+        if not n_vars:
+            stored = self.stored(pred, bound, holes).items()
+            return ({k: 1.0 if p >= 1.0 else 0.0 if p <= 0.0 else p for k, p in stored},
+                    {k: -math.inf if p >= 1.0 else 0.0 if p <= 0.0 else math.log1p(-p) for k, p in stored},
+                    Prob.from_value(default))
+        folds = (fold_log_complements(self.pattern_entries(pred, pattern, bound), holes) if pattern
+                 else self.folds(pred, bound, holes))
+        n_atoms, values, logcs = len(self.schema.domain) ** n_vars, dict(folds), dict(folds)  # copies: no key is inserted
+        absent = math.log1p(-default) if default < 1.0 else -math.inf
+        for k, (total, stored) in folds.items():
+            if n_atoms > stored and default > 0.0:
+                total += (n_atoms - stored) * absent
+            values[k], logcs[k] = (-math.expm1(total), total) if total else (0.0, 0.0)  # at -inf, 1.0
+        total = n_atoms * absent if default > 0.0 else 0.0
+        return values, logcs, Prob(-math.expm1(total), total) if total else IMPOSSIBLE
+
     def entries(self, pred: str) -> Iterator[tuple[tuple[str, ...], float]]:
         """Explicitly stored rows of ``pred`` (including pinned zeros)."""
         return iter(self._rows(pred, ()))
@@ -268,6 +298,17 @@ class Database(ProbView):
     def stored(self, pred: str, bound: Bound, holes: tuple[int, ...]) -> dict:
         kept = {} if bound else self._rels[pred]._stored
         return kept[holes] if holes in kept else kept.setdefault(holes, super().stored(pred, bound, holes))
+
+    def finished(self, pred: str, bound: Bound, holes: tuple[int, ...], n_vars: int, default: float,
+                 pattern: Sequence[Term] = ()) -> tuple[dict, dict, Prob]:
+        """A whole relation's table is kept, for the closed default and the latest other one."""
+        if bound or pattern:
+            return super().finished(pred, bound, holes, n_vars, default, pattern)
+        kept, key = self._rels[pred]._finished, (holes, n_vars, default == 0.0)
+        hit = kept.get(key)
+        if hit is None or hit[0] != default:
+            hit = kept[key] = default, *super().finished(pred, bound, holes, n_vars, default)
+        return hit[1:]
 
     def is_explicit(self, pred: str, args: tuple[str, ...]) -> bool:
         return args in self._rels[pred]

@@ -21,11 +21,11 @@ of the rules above, in memory bounded by a node cap, not by the worlds.
 
 :class:`Plan` holds these choices: every rule is derived once per
 sub-union, not once per domain constant, because a separator binds every
-constant its union does not mention to the placeholder of one fresh
-child, evaluated for all of them set at a time where its shape allows
+constant its union does not mention to the placeholder of one fresh child,
+evaluated for all of them set at a time where its shape allows
 (:meth:`Evaluator._evaluate_many`): as columns of values and
-log-complements, one memo entry per batch, each atom leaf from
-its relation's fold per constant (:meth:`ProbView.folds`), in the bits of
+log-complements, one memo entry per batch, each atom leaf looked up per
+constant in its finished table (:meth:`ProbView.finished`), in the bits of
 the node-by-node walk.  The call's evaluators, one per database it reads,
 share that plan; each keeps its own memo table keyed by plan node and the
 constants bound to the node's placeholders.  An evaluator's value is one
@@ -38,8 +38,8 @@ plan too wide to build is :class:`CapExceeded`, not unsafe, refused when
 the too-wide node is expanded.  Plans depend on the query alone, so all
 calls share one bounded table of plan nodes, each published whole; memo
 tables are per call, and a database changes only by caching a relation's
-fold or map, built locally and published whole, so concurrent queries
-against one database are safe.
+fold, map or finished table, built locally and published whole, so
+concurrent queries against one database are safe.
 """
 from __future__ import annotations
 
@@ -130,31 +130,25 @@ def _part_key(u: UCQ) -> tuple:
 class _Node:
     """A plan node: a minimized union, possibly over placeholders, and its
     rule and the nodes that rule reads, filled in by :meth:`Plan.expand` on
-    first use."""
+    first use with its flag ``batches`` (is it evaluated set at a time over
+    a separator's constants?) and an atom leaf's templates (:func:`_leaf`)."""
 
-    __slots__ = ("query", "placeholders", "rule", "arg", "children", "fresh", "leaf")
+    __slots__ = ("query", "placeholders", "rule", "arg", "children", "fresh", "leaf", "templates", "batches")
 
     def __init__(self, query: UCQ):
         self.query = query
         self.placeholders = tuple(sorted(c.name for c in query.constants() if type(c) is Placeholder))
-        self.rule = self.arg = self.children = self.fresh = self.leaf = None
+        self.rule = self.arg = self.children = self.fresh = self.leaf = self.templates = self.batches = None
 
     def key(self, env: Mapping[str, Constant]) -> object:
         """Memo key of this node under ``env``: the node and the constants
         bound to its placeholders."""
         return (self, tuple(env[p].name for p in self.placeholders)) if self.placeholders else self
 
-    def batch_key(self, env: Mapping[str, Constant], name: str, consts: Sequence[Constant]) -> tuple:
-        """Memo key of this node's batch over ``consts``: the node, the
-        bindings of its placeholders but ``name``, and the constants' names."""
-        return (self, tuple(None if p == name else env[p].name for p in self.placeholders),
-                tuple(map(operator.attrgetter("name"), consts)))
-
-    def batches(self) -> bool:
-        """Is this expanded node evaluated set at a time over a separator's
-        constants: an atom leaf without a repeated variable, or an ``and``
-        of single nodes?"""
-        return self.rule == "atom" and not self.leaf[2] or self.rule == "and" and all(len(g) == 1 for g in self.arg)
+    def batch_key(self, env: Mapping[str, Constant], name: str, names: tuple[str, ...]) -> tuple:
+        """Memo key of this node's batch over the constants ``names``: the
+        node, the bindings of its placeholders but ``name``, and ``names``."""
+        return self, tuple(None if p == name else env[p].name for p in self.placeholders), names
 
     def bound(self, env: Mapping[str, Constant]) -> UCQ:
         """The node's union with its placeholders replaced by their bindings."""
@@ -228,10 +222,10 @@ class Plan:
             return node.rule, node.arg
         q = node.query
         ds = q.disjuncts
-        fresh = leaf = None
+        fresh = leaf = templates = None
         if len(ds) == 1 and len(ds[0].atoms) == 1:
             rule, arg, children = "atom", ds[0].atoms[0], []
-            leaf = _leaf(arg)
+            leaf, templates = _leaf(arg, node.placeholders)
         elif (parts := conjunction_parts(q)) is not None:
             groups = [parts] if self.force_ie else independence_groups(parts)
             rule, arg = "and", [tuple(map(self.node, g)) for g in groups]
@@ -249,7 +243,8 @@ class Plan:
             return None, None
         with _PUBLISH:
             if node.rule is None:  # the rule last: a reader that sees it sees the rest
-                node.arg, node.children, node.fresh, node.leaf = arg, children, fresh, leaf
+                node.arg, node.children, node.fresh, node.leaf, node.templates = arg, children, fresh, leaf, templates
+                node.batches = rule == "atom" and not leaf[2] or rule == "and" and all(len(g) == 1 for g in arg)
                 node.rule = rule
         return node.rule, node.arg
 
@@ -295,13 +290,17 @@ def _bind_atom(atom: Atom, env: Mapping[str, Constant]) -> Atom:
     return Atom(atom.predicate, tuple(env[t.name] if type(t) is Placeholder else t for t in atom.args))
 
 
-def _leaf(atom: Atom) -> tuple:
+def _leaf(atom: Atom, placeholders: tuple[str, ...]) -> tuple[tuple, dict]:
     """An atom rule's leaf, derived once per node: predicate, (position,
     name, is placeholder) slots of its bound positions, its terms when a
-    variable repeats (else none) and its number of distinct variables."""
+    variable repeats (else none) and its number of distinct variables; and
+    its templates: per placeholder a batch binds (``None``: none), the
+    slots left bound and the positions of the holes."""
     slots = tuple((i, t.name, type(t) is Placeholder) for i, t in enumerate(atom.args) if type(t) is not Variable)
     names = [t.name for t in atom.args if type(t) is Variable]
-    return atom.predicate, slots, atom.args if len(set(names)) < len(names) else (), len(set(names))
+    templates = {name: (tuple(s for s in slots if not (s[2] and s[1] == name)),
+                        tuple(i for i, t, ph in slots if ph and t == name)) for name in (None, *placeholders)}
+    return (atom.predicate, slots, atom.args if len(set(names)) < len(names) else (), len(set(names))), templates
 
 
 class Evaluator:
@@ -372,7 +371,7 @@ class Evaluator:
 
         def push(node: _Node, env: Mapping[str, Constant], name: str | None, consts, cols: dict) -> None:
             # a batch no other entry shares takes the column, any other node a float per constant
-            key = node.batch_key(env, name, consts) if name and node.batches() else None
+            key = node.batch_key(env, name, tuple(c.name for c in consts)) if name and node.batches else None
             if key in memo and key not in members:
                 adj = todo.setdefault(key, (env, name, consts, {}))[3]
                 for tag, col in cols.items():
@@ -542,22 +541,23 @@ class Evaluator:
             ends.append(Prob(-math.expm1(s), s) if s else IMPOSSIBLE)  # at -inf, CERTAIN
         return tuple(ends)
 
-    def _evaluate_many(self, node: _Node, env: Mapping[str, Constant], name: str, consts: list) -> list:
+    def _evaluate_many(self, node: _Node, env: Mapping[str, Constant], name: str, consts: list, names=None) -> list:
         """The column of ``node`` under ``env`` with placeholder ``name`` bound
-        to each of ``consts``: per view, their values and their logcs.  An atom
-        leaf without a repeated variable and an ``and`` of single nodes are
-        one memo entry per batch, after their children's, the ``and`` in the
-        bits of ``conj`` per constant; every other shape goes node by node."""
+        to each of ``consts`` (named ``names`` if given): per view, their
+        values and their logcs.  An atom leaf without a repeated variable and
+        an ``and`` of single nodes are one memo entry per batch, after their
+        children's, which share its ``names``, the ``and`` in the bits of
+        ``conj`` per constant; every other shape goes node by node."""
         rule, arg = self.plan.expand(node)
-        if not node.batches():
+        if not node.batches:
             return self._column(self._each(node, env, name, consts))
-        key = node.batch_key(env, name, consts)
+        key = node.batch_key(env, name, names or tuple(map(operator.attrgetter("name"), consts)))
         column = self._memo.get(key)
         if column is None:
             if rule == "atom":
                 column = self._leaf_column(node, env, name, key[2])
             else:
-                columns = [self._evaluate_many(child, env, name, consts) for child, in arg]
+                columns = [self._evaluate_many(child, env, name, consts, key[2]) for child, in arg]
                 column = columns[0] if len(columns) == 1 else [_conj_column(ends) for ends in zip(*columns)]
             self._memo[key] = column
         return column
@@ -572,55 +572,39 @@ class Evaluator:
     def _leaf_column(self, node: _Node, env: Mapping[str, Constant], name: str | None = None,
                      names: Sequence[str | None] = (None,)) -> list:
         """The column of the atom leaf ``node`` under ``env`` per view, with
-        ``name`` bound to each of ``names`` if given.  A ground atom takes its
-        row's value or else the default, in ``Prob.from_value``'s cases; any
-        other is P(one of its instances) from the fold of its rows under its
-        other bound positions grouped by ``name``'s (:meth:`ProbView.folds`)
-        and the rest at the default, in the bits of ``disj`` and ``power_disj``."""
-        db, (pred, slots, repeated, n_vars) = self.db, node.leaf
-        fixed = tuple((i, env[t].name if ph else t) for i, t, ph in slots if not (ph and t == name))
-        holes = tuple(i for i, t, ph in slots if ph and t == name)
+        ``name`` bound to each of ``names`` if given: a ground atom's value
+        per view, else lookups in its finished table under the template of
+        ``name`` (:meth:`ProbView.finished`)."""
+        (pred, _, repeated, n_vars), (slots, holes) = node.leaf, node.templates[name]
+        fixed = tuple((i, env[t].name if ph else t) for i, t, ph in slots)
         if not (n_vars or holes):
-            return [_from_values([view.prob(pred, tuple(t for _, t in fixed))]) for view in self.views]
-        keys = names if len(holes) <= 1 else [(c,) * len(holes) for c in names]
-        defaults = [view.default_prob(pred) for view in self.views]
-        if not n_vars:
-            stored = db.stored(pred, fixed, holes)
-            return [_from_values([stored.get(k, default) for k in keys]) for default in defaults]
-        folds = (probability.fold_log_complements(db.pattern_entries(pred, repeated, fixed), holes) if repeated
-                 else db.folds(pred, fixed, holes))
-        n_atoms, ends = len(db.schema.domain) ** n_vars, []
-        for default in defaults:
-            absent, values, logcs = math.log1p(-default) if default < 1.0 else -math.inf, [], []
-            for k in keys:
-                total, stored = folds.get(k, (0.0, 0))
-                if n_atoms > stored and default > 0.0:
-                    total += (n_atoms - stored) * absent
-                values.append(-math.expm1(total) if total else 0.0)  # at -inf, 1.0
-                logcs.append(total if total else 0.0)
-            ends.append((values, logcs))
+            ps = [Prob.from_value(view.prob(pred, tuple(t for _, t in fixed))) for view in self.views]
+            return [([p.value], [p.logc]) for p in ps]
+        keys, ends = names if len(holes) <= 1 else [(c,) * len(holes) for c in names], []
+        for view in self.views:
+            values, logcs, absent = self.db.finished(pred, fixed, holes, n_vars, view.default_prob(pred), repeated)
+            ends.append((list(map(values.get, keys, itertools.repeat(absent.value))),
+                         list(map(logcs.get, keys, itertools.repeat(absent.logc)))))
         return ends
-
-
-def _from_values(ps: list[float]) -> tuple[list[float], list[float]]:
-    """The values and logcs of ``Prob.from_value`` of each of ``ps``."""
-    return ([1.0 if p >= 1.0 else 0.0 if p <= 0.0 else p for p in ps],
-            [-math.inf if p >= 1.0 else 0.0 if p <= 0.0 else math.log1p(-p) for p in ps])
 
 
 def _conj_column(children: Sequence[tuple[list[float], list[float]]]) -> tuple[list[float], list[float]]:
     """Per index, ``conj`` of the ``children``'s (values, logcs) columns in
-    its bits: each child's ``Prob._logv``, summed in child order."""
-    logvs = [[-math.inf if v <= 0.0 else math.log1p(-math.exp(lc)) if lc < -0.5 else math.log(v)
-              for v, lc in zip(*child)] for child in children]
+    its bits: each child's ``Prob._logv``, summed in child order, and a row
+    with an impossible child impossible, the others' logs not taken."""
     values, logcs = [], []
-    for row in zip(*logvs):
+    for row in zip(*(zip(*child) for child in children)):
         s = 0.0
-        for lv in row:
-            s += lv
-        c = -math.expm1(s)  # 1 - exp(s), accurate when s is tiny
-        values.append(math.exp(s))
-        logcs.append(math.log(c) if c > 0.0 else -math.inf)
+        for v, lc in row:
+            if v <= 0.0:
+                values.append(0.0)
+                logcs.append(0.0)
+                break
+            s += math.log1p(-math.exp(lc)) if lc < -0.5 else math.log(v)
+        else:
+            c = -math.expm1(s)  # 1 - exp(s), accurate when s is tiny
+            values.append(math.exp(s))
+            logcs.append(math.log(c) if c > 0.0 else -math.inf)
     return values, logcs
 
 

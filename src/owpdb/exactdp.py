@@ -195,15 +195,15 @@ class _BudgetSolver(Evaluator):
             return self._closed(node, env)
         return super()._lift(node, env)
 
-    def _leaf_value(self, node: _Node, env: Mapping[str, Constant], base: float | None = None) -> _BVec:
+    def _leaf_value(self, node: _Node, env: Mapping[str, Constant], base: float | None = None, prefix=None) -> _BVec:
         """A single atom of the constrained relation, of closed value
         ``base`` when given: each added tuple is the next of the first ``B``
-        of its slice in canonical order, until none helps; if none does,
-        the value is the float ``base``."""
+        of its slice in canonical order (``prefix``, when read already),
+        until none helps; if none does, the value is the float ``base``."""
         base = self._closed(node, env) if base is None else base
         out: list[tuple[float, _Witness]] = [(base, ())]
         comp = 1.0 - base
-        for t in itertools.islice(self.slice_of(node.query, env), self.b_max):
+        for t in itertools.islice(self.slice_of(node.query, env), self.b_max) if prefix is None else prefix:
             if self.lam <= 0.0 or comp <= 0.0:
                 break
             comp *= 1.0 - self.lam
@@ -232,27 +232,32 @@ class _BudgetSolver(Evaluator):
                       consts: list[Constant]) -> Callable[[int], _BVec]:
         """The value of ``node`` under ``env`` with placeholder ``name``
         bound to ``consts[i]``, as a map from ``i``.  A shape the evaluator
-        batches (:meth:`_Node.batches`, tested after expanding ``node``: a
+        batches (``_Node.batches``, set after expanding ``node``: a
         core that a family binds is not expanded yet) takes its closed
         values from the closed evaluator's column, asked for only when a
         leaf or an empty slice first reads it, and an ``and`` with a
-        nonempty slice conjoins its children's; any other shape goes node by
-        node, when its constant is read, so refusals keep their domain
-        order."""
+        nonempty slice conjoins its children's (at ``B >= 1``, an ``and`` of
+        batched leaves reads each leaf's prefix once, and the prefixes test
+        its slice); any other shape goes node by node, when its constant is
+        read, so refusals keep their domain order."""
         self.plan.expand(node)
-        if not node.batches():
+        if not node.batches:
             return lambda i: self.evaluate(node, {**env, name: consts[i]})
         closed = functools.cache(lambda: self._eval._evaluate_many(node, env, name, consts)[0][0])
         if self.rel not in node.query.predicates():
-            return closed().__getitem__
+            return lambda i, prefix=None: closed()[i]
         if node.rule == "atom":
-            return lambda i: self._leaf_value(node, {**env, name: consts[i]}, closed()[i])
+            return lambda i, prefix=None: self._leaf_value(node, {**env, name: consts[i]}, closed()[i], prefix)
         children = [self._fresh_column(child, env, name, consts) for child, in node.arg]
+        prefixes = self.b_max >= 1 and all(child.batches and child.rule == "atom" for child, in node.arg)
 
         def value(i: int) -> _BVec:
-            if next(self.slice_of(node.query, {**env, name: consts[i]}), None) is None:
+            e = {**env, name: consts[i]}
+            read = [list(itertools.islice(self.slice_of(child.query, e), self.b_max)) if prefixes else None
+                    for child, in node.arg]
+            if not any(read) if prefixes else next(self.slice_of(node.query, e), None) is None:
                 return closed()[i]
-            return self.conj(child(i) for child in children)
+            return self.conj(child(i) if p is None else child(i, p) for child, p in zip(children, read))
 
         return value
 

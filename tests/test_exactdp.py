@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from owpdb import exactdp
 from owpdb.database import Database, Schema
 from owpdb.engine import Plan, prob_lifted
 from owpdb.errors import NotInversionFree, OwpdbError
@@ -378,6 +379,24 @@ class TestFreshColumn:
         for b_max in range(4):
             args = (OpenPDB(db, 0.5), "U", q, b_max)
             assert budget_table(_BudgetSolver, *args) == budget_table(OneConstantAtATime, *args)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    def test_an_and_of_leaves_reads_each_fresh_constants_slice_once(self, lam, monkeypatch):
+        # perfbench budget-opt's shape: each fresh constant's child S(c), CoA(c, y)
+        # takes its emptiness test from CoA's prefix, read once (at lam = 0 the
+        # prefix reads as a float value yet still decides the slice)
+        db = stored_scientist_db(16)
+        q = parse_ucq("S(x), CoA(x,y)", db.schema)
+        args = (OpenPDB(db, lam), "CoA", q, 2)
+        want = budget_table(OneConstantAtATime, *args)
+        calls, open_args = [], exactdp.open_args
+        monkeypatch.setattr(exactdp, "open_args", lambda *a: calls.append(a) or open_args(*a))
+        assert budget_table(_BudgetSolver, *args) == want
+        assert len(calls) == 1 + 16  # the root's emptiness test, then one per constant, all of them fresh
+        want = budget_table(OneConstantAtATime, *args[:3], 0)
+        calls.clear()
+        assert budget_table(_BudgetSolver, *args[:3], 0) == want
+        assert len(calls) == 1 + 16  # at B = 0 the slice itself is tested, and no prefix is read
 
     def test_refusal_comes_from_the_first_refusing_constant(self):
         # a tools/same_answers.py GAP_QUERIES template with its constant

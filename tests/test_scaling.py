@@ -36,3 +36,10 @@ class TestCompare:
     ])
     def test_a_value_change_or_a_count_rise_is_flagged(self, after, flag):
         assert scaling.compare({"r": row([0.11, 0.12, 0.19])}, {"r": after}) == [flag]
+
+    def test_a_cold_run_rise_is_flagged(self):
+        runs = [0.11, 0.12, 0.19]
+        before, after, same = ({**row(runs), "cold_s": cold} for cold in (1.0, 1.3, 1.15))
+        assert scaling.compare({"r": before}, {"r": after}) == ["r: cold 1.000 -> 1.300 s"]
+        assert scaling.compare({"r": before}, {"r": same}) == []
+        assert scaling.compare({"r": row(runs)}, {"r": after}) == []  # a row stored without a cold run

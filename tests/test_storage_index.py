@@ -2,6 +2,7 @@
 the rows that match."""
 import os
 import random
+from collections import Counter
 
 import pytest
 
@@ -10,10 +11,10 @@ from owpdb.cli import RunConfig, run
 from owpdb.database import Database, LambdaCompletionView, OverlayView, ProbView, Schema
 from owpdb.errors import SchemaError, UnknownPredicate
 from owpdb.openworld import MTPConstraint, OpenPDB, apply_completion, interval_unconstrained
-from owpdb.engine import Evaluator, prob_lifted
+from owpdb.engine import Evaluator, prob_lifted, prob_lifted_detail
 from owpdb.oracle import ThreeDMInstance, mtp_upper_bruteforce
 from owpdb.query import Atom, Constant, Variable, parse_ucq
-from owpdb.randgen import rand_database, rand_safe_ucq, rand_schema
+from owpdb.randgen import rand_database, rand_safe_instance, rand_safe_ucq, rand_schema
 
 from helpers import assert_whole_plan_table, race
 
@@ -606,3 +607,52 @@ class TestSharedTables:
         for _ in range(2):
             assert [run(config) for config in configs] == cold
         assert sorted(parsed) == ["CoA.csv", "S.csv", "T.csv"]
+
+
+class TestFinishedTables:
+    """An atom leaf reads its values from its finished table
+    (``ProbView.finished``): a database keeps a whole relation's, for the
+    closed default and the latest other one, built where a call first needs
+    it; any other view builds its own each time, in the same bits."""
+
+    def test_kept_warm_and_unkept_tables_give_the_same_bits(self):
+        rng, kept = random.Random(32), 0
+        for _ in range(150):
+            _, db, q = rand_safe_instance(rng)
+
+            def answers(view):
+                lifted = [repr(prob_lifted_detail(q, view, force_inclusion_exclusion=f)) for f in (False, True)]
+                return lifted + [repr(interval_unconstrained(OpenPDB(view, 0.3), q))]
+
+            cold = answers(db)  # a new database: it keeps each table as it first builds it
+            kept += any(db._rels[pred]._finished for pred in db.schema.predicates)
+            assert answers(db) == cold == answers(OverlayView(db, {})), str(q)
+        assert kept > 100
+
+    def test_forty_lambdas_keep_two_tables_per_leaf_shape(self, tmp_path, shared):
+        shared()
+        save_scan_db(tmp_path)
+        configs = [RunConfig(db_dir=str(tmp_path), query=text, mode="interval", output="json", lam=0.01 + 0.02 * i)
+                   for i, text in enumerate(TestConcurrentFirstReads.QUERIES * 8)]
+        got = [run(config) for config in configs]
+        db = dataio.load_database(tmp_path)  # the tables those requests kept
+        for pred in ("S", "T", "CoA"):
+            shapes = Counter((holes, n_vars) for holes, n_vars, _ in db._rels[pred]._finished)
+            assert shapes and max(shapes.values()) <= 2
+        for config, answer in zip(configs, got):
+            shared()  # no table kept: each answer is a fresh load's
+            assert run(config) == answer
+
+    def test_a_repeated_interval_builds_no_table(self, tmp_path, shared, monkeypatch):
+        shared()
+        save_scan_db(tmp_path)
+        (tmp_path / "constraints.txt").write_text("lambda=0.3\n")
+        builds, finished = [], ProbView.finished
+        monkeypatch.setattr(ProbView, "finished", lambda self, *args: builds.append(args) or finished(self, *args))
+        configs = [RunConfig(db_dir=str(tmp_path), query=text, mode="interval", output="json")
+                   for text in TestConcurrentFirstReads.QUERIES]
+        first = [run(config) for config in configs]
+        assert builds
+        builds.clear()
+        assert [run(config) for config in configs] == first
+        assert builds == []

@@ -31,7 +31,8 @@ here and not in ``src``, counts the row's work.  The rows:
 - ``lifted-*`` and ``interval-*``: ``prob_lifted`` and
   ``interval_unconstrained``, counting the node-by-node lifts, the stored
   rows the database's ``_rows`` returns and the rows handed to
-  ``fold_log_complements``;
+  ``fold_log_complements``, and recording the first run, the one that
+  builds the instance's folds and tables, as ``cold_s``;
 - ``fixed-*``: the exact and greedy rows on ``fixed_db(n)``, whose rows
   stay on the first 1000 constants as the domain grows;
 - ``family-u-*``: the exact row on ``family_db(n)``, whose separator
@@ -44,7 +45,9 @@ here and not in ``src``, counts the row's work.  The rows:
   and the rules derived (``Plan.expand`` calls on a node not yet
   expanded) in the first round (``derive_first``) and in the rounds after
   it (``derive``), and in the rounds after the first the ``os.stat``
-  calls (``stat``) and the files opened (``open``, audit events);
+  calls (``stat``), the files opened (``open``, audit events) and the
+  finished leaf tables built (``finish``: ``ProbView.finished`` calls that
+  reach the base method, where the tree has it);
 - ``cold-plans``: ``COLD_QUERIES`` distinct random safe queries
   (``owpdb.randgen``, seed ``SEED``) on one saved random database, each
   run once through ``cli.run`` (analyze, eval and interval in turn), on
@@ -58,8 +61,9 @@ already there.
 ``compare`` flags, between two stored runs, every row whose value or
 witness changed, every count that rose, every row whose fastest run in
 ``AFTER`` is more than 20% slower than its slowest in ``BEFORE`` (runs that
-overlap are noise on a shared box, not a regression) and every row that
-timed out only in ``AFTER``; it exits 1 when it flags anything.  Standard
+overlap are noise on a shared box, not a regression), every row whose
+``cold_s`` is more than 20% above ``BEFORE``'s, and every row that timed
+out only in ``AFTER``; it exits 1 when it flags anything.  Standard
 library only; not part of tier-1.
 """
 from __future__ import annotations
@@ -278,6 +282,8 @@ def timed(kind: str, text: str, n: int, rel: str | None = None, budget: int | No
            "value": value, "witness": witness, "counts": counts}
     if kind == "greedy":
         row["gradient_s"] = gradient_s[0]
+    if kind in ("lifted", "interval"):
+        row["cold_s"] = times[0]
     return row
 
 
@@ -316,12 +322,12 @@ def warm_run(n: int) -> dict:
 
     from owpdb import dataio
     from owpdb.cli import RunConfig, run
-    from owpdb.database import Database, Schema
+    from owpdb.database import Database, ProbView, Schema
 
     base, rng = scan_db(n), random.Random(SEED)
     rels = {pred: dict(base.entries(pred)) for pred in base.schema.predicates}
     rels["T"] = {(c.name,): rng.uniform(0.001, 0.009) for c in base.schema.domain if rng.random() < 0.5}
-    counts = {"parse": 0, "derive_first": 0, "derive": 0, "stat": 0, "open": 0}
+    counts = {"parse": 0, "derive_first": 0, "derive": 0, "stat": 0, "open": 0, "finish": 0}
     records, stat = dataio._csv_records, os.stat
 
     def counted_records(*args):
@@ -336,6 +342,14 @@ def warm_run(n: int) -> dict:
         counts["open"] += event == "open"
 
     dataio._csv_records, os.stat = counted_records, counted_stat
+    if hasattr(ProbView, "finished"):
+        finished = ProbView.finished
+
+        def counted_finished(*args):
+            counts["finish"] += 1
+            return finished(*args)
+
+        ProbView.finished = counted_finished
     sys.addaudithook(counted_opens)  # this row's process ends with the row
     count_derivations(counts, "derive")
     with tempfile.TemporaryDirectory() as directory:
@@ -350,7 +364,7 @@ def warm_run(n: int) -> dict:
             outputs.add(repr([run(config) for config in configs]))
             times.append(time.perf_counter() - start)
             if i == 0:
-                counts.update(derive_first=counts["derive"], derive=0, stat=0, open=0)
+                counts.update(derive_first=counts["derive"], derive=0, stat=0, open=0, finish=0)
     if len(outputs) != 1:
         raise AssertionError("rounds disagree")
     return {"params": {"queries": WARM_QUERIES, "n": n, "lam": LAMBDA, "seed": SEED, "rounds": WARM_ROUNDS},
@@ -439,6 +453,8 @@ def compare(before: dict, after: dict) -> list[str]:
                 flags.append(f"{name}: {key} count {old['counts'][key]} -> {count}")
         if min(new["runs_s"]) > (1.0 + TIME_RISE) * max(old["runs_s"]):
             flags.append(f"{name}: wall {max(old['runs_s']):.3f} (slowest) -> {min(new['runs_s']):.3f} s (fastest)")
+        if "cold_s" in old and new.get("cold_s", 0.0) > (1.0 + TIME_RISE) * old["cold_s"]:
+            flags.append(f"{name}: cold {old['cold_s']:.3f} -> {new['cold_s']:.3f} s")
     return flags
 
 
