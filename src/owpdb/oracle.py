@@ -6,8 +6,12 @@ bound.  The 3-dimensional-matching machinery demonstrates why budgeted
 upper bounds are hard for some safe queries: on the reduction instances the
 optimum is attained exactly by the matchings.
 
-Suites run sequentially with per-suite seeds derived from the run seed, so
-a fixed seed reproduces the report byte for byte.
+Each property suite is a ``(name, draw, check)`` row of ``_SUITES``, and
+:func:`property_suites` runs them all through one trial loop: every draw
+goes through ``_draws``, which draws again on ``RuntimeError`` or ``None``,
+and each instance is checked before the next is drawn.  Suites run
+sequentially with per-suite seeds derived from the run seed, so a fixed
+seed reproduces the report byte for byte.
 """
 from __future__ import annotations
 
@@ -347,44 +351,6 @@ class PropertyReport:
         return "\n".join(lines)
 
 
-def _suite_lifted_ground(rng: random.Random, trials: int) -> list[str]:
-    failures = []
-    for t in range(trials):
-        _, db, q = randgen.rand_safe_instance(rng)
-        pl = prob_lifted(q, db)
-        pg = prob_ground(q, db)
-        if abs(pl - pg) > 1e-9:
-            failures.append(f"trial={t} query={q} lifted={pl!r} ground={pg!r}")
-    return failures
-
-
-def _suite_monotonicity(rng: random.Random, trials: int) -> list[str]:
-    failures = []
-    for t in range(trials):
-        schema, db, q = randgen.rand_safe_instance(rng)
-        before = prob_lifted(q, db)
-        pred = rng.choice(sorted(q.predicates()))
-        combo = tuple(rng.choice(schema.domain).name for _ in range(schema.predicates[pred]))
-        old = db.prob(pred, combo)
-        bump = min(1.0, old + rng.choice((0.1, 0.3, 0.5)))
-        atom = Atom(pred, tuple(Constant(a) for a in combo))
-        after = prob_lifted(q, db.with_overrides({atom: bump}))
-        if after < before - 1e-12:
-            failures.append(f"trial={t} query={q} atom={atom} before={before!r} after={after!r}")
-    return failures
-
-
-def _suite_ie_consistency(rng: random.Random, trials: int) -> list[str]:
-    failures = []
-    for t in range(trials):
-        _, db, q = randgen.rand_safe_instance(rng)
-        normal = prob_lifted(q, db)
-        forced = prob_lifted(q, db, force_inclusion_exclusion=True)
-        if abs(normal - forced) > 1e-9:
-            failures.append(f"trial={t} query={q} normal={normal!r} forced={forced!r}")
-    return failures
-
-
 def _draws(rng: random.Random, trials: int, draw):
     """``trials`` numbered instances of ``draw(rng)``, drawing again when it
     raises :class:`RuntimeError` or returns ``None``."""
@@ -399,6 +365,32 @@ def _draws(rng: random.Random, trials: int, draw):
             done += 1
 
 
+def _check_lifted_ground(rng: random.Random, schema, db, q) -> str | None:
+    pl = prob_lifted(q, db)
+    pg = prob_ground(q, db)
+    if abs(pl - pg) > 1e-9:
+        return f"query={q} lifted={pl!r} ground={pg!r}"
+
+
+def _check_monotonicity(rng: random.Random, schema, db, q) -> str | None:
+    before = prob_lifted(q, db)
+    pred = rng.choice(sorted(q.predicates()))
+    combo = tuple(rng.choice(schema.domain).name for _ in range(schema.predicates[pred]))
+    old = db.prob(pred, combo)
+    bump = min(1.0, old + rng.choice((0.1, 0.3, 0.5)))
+    atom = Atom(pred, tuple(Constant(a) for a in combo))
+    after = prob_lifted(q, db.with_overrides({atom: bump}))
+    if after < before - 1e-12:
+        return f"query={q} atom={atom} before={before!r} after={after!r}"
+
+
+def _check_ie_consistency(rng: random.Random, schema, db, q) -> str | None:
+    normal = prob_lifted(q, db)
+    forced = prob_lifted(q, db, force_inclusion_exclusion=True)
+    if abs(normal - forced) > 1e-9:
+        return f"query={q} normal={normal!r} forced={forced!r}"
+
+
 def _submodularity_draw(rng: random.Random):
     """A self-join-free budgeted instance with at least two open tuples."""
     g, c, q, _ = randgen.rand_mtp_instance(rng, self_join_free=True)
@@ -406,83 +398,56 @@ def _submodularity_draw(rng: random.Random):
     return (g, c, q, opens) if len(opens) >= 2 else None
 
 
-def _suite_submodularity(rng: random.Random, trials: int) -> list[str]:
-    failures = []
-    for t, (g, c, q, opens) in _draws(rng, trials, _submodularity_draw):
-        free = rng.choice(opens)
-        rest = [a for a in opens if a != free]
-        y_size = rng.randint(0, len(rest))
-        y = rng.sample(rest, y_size)
-        x = [a for a in y if rng.random() < 0.5]
-        s_x = set_query_prob(g, q, x)
-        s_xe = set_query_prob(g, q, x + [free])
-        s_y = set_query_prob(g, q, y)
-        s_ye = set_query_prob(g, q, y + [free])
-        if (s_xe - s_x) < (s_ye - s_y) - 1e-12:
-            failures.append(
-                f"trial={t} query={q} rel={c.relation} "
-                f"gainX={s_xe - s_x!r} gainY={s_ye - s_y!r}"
-            )
-    return failures
+def _check_submodularity(rng: random.Random, g, c, q, opens) -> str | None:
+    free = rng.choice(opens)
+    rest = [a for a in opens if a != free]
+    y_size = rng.randint(0, len(rest))
+    y = rng.sample(rest, y_size)
+    x = [a for a in y if rng.random() < 0.5]
+    s_x = set_query_prob(g, q, x)
+    s_xe = set_query_prob(g, q, x + [free])
+    s_y = set_query_prob(g, q, y)
+    s_ye = set_query_prob(g, q, y + [free])
+    if (s_xe - s_x) < (s_ye - s_y) - 1e-12:
+        return f"query={q} rel={c.relation} gainX={s_xe - s_x!r} gainY={s_ye - s_y!r}"
 
 
-def _suite_dp_vs_bruteforce(rng: random.Random, trials: int) -> list[str]:
-    failures = []
-    for t, (g, c, q, _) in _draws(rng, trials, partial(randgen.rand_mtp_instance, inversion_free=True)):
-        exact = mtp_upper_exact(g, c, q)
-        brute = mtp_upper_bruteforce(g, c, q)
-        if abs(exact.value - brute.value) > 1e-9:
-            failures.append(
-                f"trial={t} query={q} rel={c.relation} dp={exact.value!r} brute={brute.value!r}"
-            )
-        else:
-            replay = set_query_prob(g, q, exact.witness.added)
-            if abs(replay - exact.value) > 1e-12:
-                failures.append(
-                    f"trial={t} query={q} witness-replay={replay!r} dp={exact.value!r}"
-                )
-    return failures
+def _check_dp_vs_bruteforce(rng: random.Random, g, c, q, _) -> str | None:
+    exact = mtp_upper_exact(g, c, q)
+    brute = mtp_upper_bruteforce(g, c, q)
+    if abs(exact.value - brute.value) > 1e-9:
+        return f"query={q} rel={c.relation} dp={exact.value!r} brute={brute.value!r}"
+    replay = set_query_prob(g, q, exact.witness.added)
+    if abs(replay - exact.value) > 1e-12:
+        return f"query={q} witness-replay={replay!r} dp={exact.value!r}"
 
 
-def _suite_greedy_bounds(rng: random.Random, trials: int) -> list[str]:
-    failures = []
-    for t, (g, c, q, _) in _draws(rng, trials, partial(randgen.rand_mtp_instance, self_join_free=True)):
-        trace = greedy_trace(g, c, q)
-        brute = mtp_upper_bruteforce(g, c, q)
-        opt = brute.value
-        gains = [gain for _, gain in trace.picks]
-        if any(gains[i] < gains[i + 1] - 1e-12 for i in range(len(gains) - 1)):
-            failures.append(f"trial={t} query={q} gains not non-increasing: {gains!r}")
-        elif not (trace.lower - 1e-9 <= opt <= trace.upper + 1e-9):
-            # the upper end is the 1 - 1/e guarantee on greedy's gain solved for opt
-            failures.append(
-                f"trial={t} query={q} opt={opt!r} outside [{trace.lower!r}, {trace.upper!r}]"
-            )
-    return failures
+def _check_greedy_bounds(rng: random.Random, g, c, q, _) -> str | None:
+    trace = greedy_trace(g, c, q)
+    brute = mtp_upper_bruteforce(g, c, q)
+    opt = brute.value
+    gains = [gain for _, gain in trace.picks]
+    if any(gains[i] < gains[i + 1] - 1e-12 for i in range(len(gains) - 1)):
+        return f"query={q} gains not non-increasing: {gains!r}"
+    if not (trace.lower - 1e-9 <= opt <= trace.upper + 1e-9):
+        # the upper end is the 1 - 1/e guarantee on greedy's gain solved for opt
+        return f"query={q} opt={opt!r} outside [{trace.lower!r}, {trace.upper!r}]"
 
 
-def _suite_interval_ordering(rng: random.Random, trials: int) -> list[str]:
-    failures = []
-    for t, (g, c, q, _) in _draws(rng, trials, randgen.rand_mtp_instance):
-        interval = interval_unconstrained(g, q)
-        brute = mtp_upper_bruteforce(g, c, q)
-        lo, hi = interval.interval
-        if not (lo - 1e-9 <= brute.value <= hi + 1e-9):
-            failures.append(
-                f"trial={t} query={q} budgeted={brute.value!r} outside [{lo!r}, {hi!r}]"
-            )
-    return failures
+def _check_interval_ordering(rng: random.Random, g, c, q, _) -> str | None:
+    interval = interval_unconstrained(g, q)
+    brute = mtp_upper_bruteforce(g, c, q)
+    lo, hi = interval.interval
+    if not (lo - 1e-9 <= brute.value <= hi + 1e-9):
+        return f"query={q} budgeted={brute.value!r} outside [{lo!r}, {hi!r}]"
 
 
-def _suite_budget_monotonicity(rng: random.Random, trials: int) -> list[str]:
-    failures = []
-    for t, (g, c, _, _) in _draws(rng, trials, randgen.rand_mtp_instance):
-        b = budget_from_mtp(g, c).max_added
-        higher = MTPConstraint(c.relation, min(1.0, c.mean_bound + 0.05))
-        b_higher = budget_from_mtp(g, higher).max_added
-        if b_higher < b:
-            failures.append(f"trial={t} rel={c.relation} budget drops as bound rises")
-    return failures
+def _check_budget_monotonicity(rng: random.Random, g, c, q, _) -> str | None:
+    b = budget_from_mtp(g, c).max_added
+    higher = MTPConstraint(c.relation, min(1.0, c.mean_bound + 0.05))
+    b_higher = budget_from_mtp(g, higher).max_added
+    if b_higher < b:
+        return f"rel={c.relation} budget drops as bound rises"
 
 
 def vertex_attainment_check(g: OpenPDB, c: MTPConstraint, q: UCQ) -> tuple[bool, str]:
@@ -544,13 +509,10 @@ def vertex_attainment_check(g: OpenPDB, c: MTPConstraint, q: UCQ) -> tuple[bool,
     return ok, detail
 
 
-def _suite_vertex_attainment(rng: random.Random, trials: int) -> list[str]:
-    failures = []
-    for t, (g, c, q) in _draws(rng, trials, rand_vertex_instance):
-        ok, detail = vertex_attainment_check(g, c, q)
-        if not ok:
-            failures.append(f"trial={t} query={q} rel={c.relation} {detail}")
-    return failures
+def _check_vertex_attainment(rng: random.Random, g, c, q) -> str | None:
+    ok, detail = vertex_attainment_check(g, c, q)
+    if not ok:
+        return f"query={q} rel={c.relation} {detail}"
 
 
 def rand_vertex_instance(rng: random.Random):
@@ -572,16 +534,17 @@ def rand_vertex_instance(rng: random.Random):
     return g, MTPConstraint(c.relation, mean), q
 
 
+# (name, draw(rng) giving an instance, check(rng, *instance) giving a failure or None)
 _SUITES = (
-    ("lifted_ground_equivalence", _suite_lifted_ground),
-    ("monotonicity", _suite_monotonicity),
-    ("inclusion_exclusion_consistency", _suite_ie_consistency),
-    ("submodularity", _suite_submodularity),
-    ("vertex_attainment", _suite_vertex_attainment),
-    ("dp_vs_bruteforce", _suite_dp_vs_bruteforce),
-    ("greedy_bounds", _suite_greedy_bounds),
-    ("interval_ordering", _suite_interval_ordering),
-    ("budget_monotonicity", _suite_budget_monotonicity),
+    ("lifted_ground_equivalence", randgen.rand_safe_instance, _check_lifted_ground),
+    ("monotonicity", randgen.rand_safe_instance, _check_monotonicity),
+    ("inclusion_exclusion_consistency", randgen.rand_safe_instance, _check_ie_consistency),
+    ("submodularity", _submodularity_draw, _check_submodularity),
+    ("vertex_attainment", rand_vertex_instance, _check_vertex_attainment),
+    ("dp_vs_bruteforce", partial(randgen.rand_mtp_instance, inversion_free=True), _check_dp_vs_bruteforce),
+    ("greedy_bounds", partial(randgen.rand_mtp_instance, self_join_free=True), _check_greedy_bounds),
+    ("interval_ordering", randgen.rand_mtp_instance, _check_interval_ordering),
+    ("budget_monotonicity", randgen.rand_mtp_instance, _check_budget_monotonicity),
 )
 
 
@@ -593,8 +556,10 @@ def property_suites(seed: int, trials: int) -> PropertyReport:
     if trials <= 0:
         return PropertyReport(seed=seed, trials=0, suites=())
     results = []
-    for i, (name, fn) in enumerate(_SUITES):
+    for i, (name, draw, check) in enumerate(_SUITES):
         rng = random.Random(seed * 7919 + i)
-        failures = fn(rng, trials)
+        # each instance is checked before the next is drawn, both from rng
+        checked = ((t, check(rng, *inst)) for t, inst in _draws(rng, trials, draw))
+        failures = [f"trial={t} {text}" for t, text in checked if text is not None]
         results.append(SuiteResult(name=name, trials=trials, failures=tuple(failures[:3])))
     return PropertyReport(seed=seed, trials=trials, suites=tuple(results))

@@ -14,7 +14,7 @@ from owpdb.engine import (
     prob_lifted,
     prob_lifted_detail,
 )
-from owpdb.errors import CapExceeded, SchemaError, UnsafeQuery
+from owpdb.errors import CapExceeded, SchemaError, UnknownPredicate, UnsafeQuery
 from owpdb.query import Atom, Constant, Variable, minimize, parse_ucq
 from owpdb.randgen import rand_safe_instance
 
@@ -119,13 +119,19 @@ class TestDatabaseConstruction:
         (lambda db: db.with_overrides({Atom("R", (Constant("B"),)): 1.5}), "override probability 1.5 outside [0, 1]"),
         (lambda db: LambdaCompletionView(db, 1.5), "completion probability 1.5 outside [0, 1]"),
         (lambda db: LambdaCompletionView(db, -0.5), "completion probability -0.5 outside [0, 1]"),
+        (lambda db: db.schema.domain_index("C"), "constant 'C' is not in the domain"),
     ], ids=["empty-domain", "duplicate-constant", "arity-zero", "non-ground-override", "override-range",
-            "lambda-above-one", "lambda-below-zero"])
+            "lambda-above-one", "lambda-below-zero", "constant-outside-domain"])
     def test_bad_schemas_and_views_are_refused(self, build, message):
         db = Database(Schema({"R": 1}, (Constant("A"), Constant("B"))), {"R": {("A",): 0.25}})
         with pytest.raises(SchemaError) as err:
             build(db)
         assert str(err.value) == message
+
+    def test_arity_of_an_undeclared_predicate_is_refused(self):
+        with pytest.raises(UnknownPredicate) as err:
+            Schema({"R": 1}, (Constant("A"),)).arity("S")
+        assert str(err.value) == "predicate 'S' is not declared in the schema"
 
 
 class TestGroundEvaluator:

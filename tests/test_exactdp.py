@@ -240,6 +240,27 @@ class TestOracleEquivalence:
             assert set_query_prob(g, q, exact.witness.added) == pytest.approx(exact.value, abs=1e-12), (i, str(q))
         assert answered > same_answers.GAP_INSTANCES // 2 and fronts[0] > 0, (answered, fronts[0])
 
+    @pytest.mark.parametrize("budget", [1, 2, 3])
+    def test_two_open_groups_of_an_and_convolve_their_vectors(self, budget, monkeypatch):
+        # R(A, x) and R(B, y) are independent groups of the constrained
+        # relation, each with open tuples, so their and combines two budget
+        # vectors; at budget 2 the DP prints 0.406 and brute force
+        # 0.40599999999999997, so the values are compared within 1e-9
+        pairs, combine = [0], _BudgetSolver._combine
+
+        def counted(self, v1, v2, mode):
+            pairs[0] += mode == "conj" and type(v1) is tuple and type(v2) is tuple
+            return combine(self, v1, v2, mode)
+
+        monkeypatch.setattr(_BudgetSolver, "_combine", counted)
+        schema = Schema({"R": 2}, tuple(map(Constant, "ABCD")))
+        g = OpenPDB(Database(schema, {"R": {("A", "B"): 0.3, ("B", "C"): 0.5}}), 0.4)
+        c, q = MTPConstraint("R", 0.9), parse_ucq("R(A, x), R(B, y)", schema)
+        exact = mtp_upper_exact(g, c, q, budget=budget)
+        assert pairs[0] > 0
+        assert exact.value == pytest.approx(mtp_upper_bruteforce(g, c, q, budget=budget).value, abs=1e-9)
+        assert set_query_prob(g, q, exact.witness.added) == pytest.approx(exact.value, abs=1e-12)
+
     def test_full_budget_equals_relation_completion(self):
         rng = random.Random(779)
         for _ in range(25):

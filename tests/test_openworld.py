@@ -168,6 +168,11 @@ class TestBudget:
             assert (b.max_added, b.infeasible) == (want, not fits), (existing, lam, mean)
             assert want == (max(fits, default=0) if lam > 0.0 else 0)
 
+    def test_unknown_denominator_is_refused(self):
+        with pytest.raises(ValueError) as err:
+            budget_from_mtp(unary_pdb(3), MTPConstraint("R", 0.5), denominator="rows")
+        assert str(err.value) == "unknown denominator mode 'rows'"
+
     @pytest.mark.parametrize("lam", [-0.1, 1.5])
     def test_completion_probability_outside_the_unit_interval_is_refused(self, lam):
         with pytest.raises(SchemaError) as err:

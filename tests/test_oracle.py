@@ -265,3 +265,24 @@ def test_every_suite_reports_a_planted_fault(monkeypatch, suite, name, plant, te
     lines = report.render().splitlines()
     at = lines.index(f"suite={suite} trials=4 failures={len(failures)}")
     assert lines[at + 1:at + 1 + len(failures)] == [f"  {f}" for f in failures]
+
+
+def test_every_suite_has_a_planted_fault():
+    assert sorted(row[0] for row in oracle._SUITES) == sorted({suite for suite, _, _, _ in PLANTS})
+
+
+def test_a_draw_that_raises_draws_again(monkeypatch):
+    # rand_safe_ucq raises RuntimeError when it cannot generate a safe query
+    (name, draw, check), *rest = oracle._SUITES
+    calls = []
+
+    def flaky(rng):
+        calls.append(None)
+        if len(calls) == 1:
+            raise RuntimeError("could not generate a safe query")
+        return draw(rng)
+
+    monkeypatch.setattr(oracle, "_SUITES", ((name, flaky, check), *rest))
+    report = property_suites(7, 4)
+    assert report.suites[0] == oracle.SuiteResult(name=name, trials=4, failures=())
+    assert len(calls) == 5

@@ -37,6 +37,10 @@ class TestCompare:
     def test_a_value_change_or_a_count_rise_is_flagged(self, after, flag):
         assert scaling.compare({"r": row([0.11, 0.12, 0.19])}, {"r": after}) == [flag]
 
+    def test_a_count_the_before_run_lacks_is_new_not_a_rise(self):
+        after = row([0.11, 0.12, 0.19], counts={"rows": 100, "plan_entries": 4360})
+        assert scaling.compare({"r": row([0.11, 0.12, 0.19])}, {"r": after}) == []
+
     def test_a_cold_run_rise_is_flagged(self):
         runs = [0.11, 0.12, 0.19]
         before, after, same = ({**row(runs), "cold_s": cold} for cold in (1.0, 1.3, 1.15))

@@ -37,7 +37,10 @@ here and not in ``src``, counts the row's work.  The rows:
   stay on the first 1000 constants as the domain grows;
 - ``family-u-*``: the exact row on ``family_db(n)``, whose separator
   leaves an inclusion-exclusion family per constant, so it reaches the
-  DP's Pareto fronts;
+  DP's Pareto fronts, also counting the plan-table entries the counted
+  run leaves (``plan_entries``: nodes and parsed texts, the entries
+  ``Plan()`` checks against ``PLAN_TABLE_NODES``), where the tree has
+  the table;
 - ``warm-run``: the open-world-scan round (analyze of five queries, then
   eval and interval of each) through ``cli.run``, ``WARM_ROUNDS`` times
   on one saved database, recording the median round time, a digest of
@@ -59,7 +62,8 @@ dropped.  The run is stored under ``NAME`` in ``FILE``, next to the runs
 already there.
 
 ``compare`` flags, between two stored runs, every row whose value or
-witness changed, every count that rose, every row whose fastest run in
+witness changed, every count that rose (a count ``BEFORE`` lacks is new,
+not a rise), every row whose fastest run in
 ``AFTER`` is more than 20% slower than its slowest in ``BEFORE`` (runs that
 overlap are noise on a shared box, not a regression), every row whose
 ``cold_s`` is more than 20% above ``BEFORE``'s, and every row that timed
@@ -113,6 +117,7 @@ ROWS = {
     "cold-plans": ("cold", None, None),
     "family-u-32": ("exact", FAMILY, 32, "U", 4),
     "family-u-64": ("exact", FAMILY, 64, "U", 4),
+    "family-u-256": ("exact", FAMILY, 256, "U", 4),
 }
 LAMBDA, MEAN, SEED = 0.3, 0.9, 1
 # The open-world-scan workload's queries, over scan_db's S and CoA and a unary T.
@@ -275,6 +280,9 @@ def timed(kind: str, text: str, n: int, rel: str | None = None, budget: int | No
 
         database.Database._rows, database.fold_log_complements = counted_rows, counted_fold
     answers.add(instance()())
+    if build is family_db and hasattr(engine, "_TABLES"):
+        nodes, _, *texts = engine._TABLES[False]
+        counts["plan_entries"] = len(nodes) + sum(map(len, texts))
     if len(answers) != 1:
         raise AssertionError(f"runs disagree: {sorted(answers)}")
     (value, witness), = answers
